@@ -21,15 +21,11 @@ from typing import Optional
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.core.bminus import BMinusConfig, BMinusTree
-from repro.csd.compression import (
-    SizeCachingCompressor,
-    ZeroRunEstimator,
-    ZlibCompressor,
-)
-from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
+from repro.csd.compression import Compressor, NullCompressor, ZeroRunEstimator
+from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice, default_compressor
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMConfig, LSMEngine
-from repro.metrics.counters import WaReport
+from repro.metrics.counters import WaReport, compute_wa
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsHub
 from repro.sim.clock import SimClock
@@ -63,16 +59,6 @@ def fast_mode() -> bool:
 def full_mode() -> bool:
     """REPRO_FULL=1 expands benchmark grids to the paper's full sweeps."""
     return os.environ.get("REPRO_FULL", "0") == "1"
-
-
-def size_cache_enabled() -> bool:
-    """REPRO_SIZE_CACHE=0 disables the compressed-size LRU cache.
-
-    The cache is on by default: it returns bit-identical sizes to plain zlib
-    and only skips recompressing repeated block contents.  Disabling it exists
-    for perf A/B measurement (``repro.bench.regression``) and debugging.
-    """
-    return os.environ.get("REPRO_SIZE_CACHE", "1") != "0"
 
 
 @dataclass
@@ -170,21 +156,15 @@ def _estimate_btree_pages(spec: ExperimentSpec) -> int:
     return int(leaves * 1.8) + 64
 
 
-def _compressor(spec: "ExperimentSpec" = None):
+def _compressor(spec: Optional[ExperimentSpec] = None) -> Compressor:
     if spec is not None and spec.device_kind == "plain":
         # Ablation: a conventional SSD without in-storage compression.
-        from repro.csd.compression import NullCompressor
-
         return NullCompressor()
     if fast_mode():
         # The estimator is already ~50x faster than zlib; wrap nothing so its
         # instance semantics (plain ZeroRunEstimator) stay unchanged.
         return ZeroRunEstimator(entropy_factor=0.98)
-    zlib_compressor = ZlibCompressor(1)
-    if size_cache_enabled():
-        # Bit-identical to plain zlib; repeated block contents skip zlib.
-        return SizeCachingCompressor(zlib_compressor)
-    return zlib_compressor
+    return default_compressor()
 
 
 def build_engine(spec: ExperimentSpec):
@@ -355,3 +335,53 @@ def run_speed_experiment(
         engine=engine, device=device, clock=clock,
     )
     return result, phase
+
+
+def run_strategy_point(
+    strategy: str,
+    value_size: int,
+    threshold: Optional[int],
+    n_keys: int,
+    passes: int = 2,
+    seed: int = 2022,
+) -> dict:
+    """One compaction-strategy × value-size cell of ``repro compact-compare``.
+
+    Populates ``n_keys`` records of ``value_size`` bytes and overwrites the
+    whole key space ``passes - 1`` more times through an LSM engine running
+    the named strategy, with WAL-time key-value separation at ``threshold``
+    (None = separation off).  Everything runs on the simulated clock with a
+    seeded value stream, so the cell's ``wa_total`` (and ``vlog`` occupancy,
+    with separation on) is bit-reproducible across hosts —
+    ``tests/bench/test_pinned_figures.py`` pins it exactly.  Raises
+    :class:`~repro.errors.ConfigError` for an unknown strategy or a
+    nonsensical threshold — ``repro compact-compare`` turns that into a
+    nonzero exit.
+    """
+    config = LSMConfig(
+        memtable_bytes=8 * 1024,
+        log_flush_policy="commit",
+        compaction_strategy=strategy,
+        value_separation_threshold=threshold,
+        vlog_segment_blocks=64,
+        vlog_segments=16,
+    )
+    device = CompressedBlockDevice(num_blocks=1 << 15)
+    engine = LSMEngine(device, config, SimClock())
+    rng = DeterministicRng(seed)
+    ops = 0
+    for _ in range(passes):
+        for i in range(n_keys):
+            body = rng.random_bytes(value_size // 2)
+            engine.put(b"key%08d" % i, body + bytes(value_size - len(body)))
+            ops += 1
+            if ops % 16 == 0:
+                engine.commit()
+        engine.commit()
+    wa_total = compute_wa(engine.traffic_snapshot()).wa_total
+    occupancy = engine.vlog_occupancy()
+    engine.close()
+    cell = {"wa_total": round(wa_total, 6)}
+    if occupancy is not None:
+        cell["vlog"] = occupancy
+    return cell

@@ -29,7 +29,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import read_block_retrying, write_block_retrying
@@ -149,6 +149,7 @@ class RedoLog:
         self._used = _BLOCK_HDR.size
         self._pending_full: list[tuple[int, bytes]] = []  # sealed, unwritten blocks
         self._block_written_once = False
+        self._flushed_used = self._used
 
     # ------------------------------------------------------------ appending
 
@@ -241,7 +242,7 @@ class RedoLog:
 
     def _dirty_tail(self) -> bool:
         """True if records were appended to the current block since last flush."""
-        return self._used != getattr(self, "_flushed_used", _BLOCK_HDR.size)
+        return self._used != self._flushed_used
 
     def _write_ring_block(self, ring_index: int, image: bytes) -> None:
         physical = write_block_retrying(
@@ -273,40 +274,6 @@ class RedoLog:
         """
         tail = block[offset:]
         return tail.count(0) != len(tail)
-
-    def replay(self, since: LogPosition) -> Iterator[LogRecord]:
-        """Yield durable records from ``since`` to the end of the log.
-
-        Scans ring blocks while their sequence numbers increase monotonically
-        from ``since.sequence``; within each block, records are parsed until
-        padding or a CRC failure.  Blocks whose sequence predates the cursor
-        (stale ring residue) end the scan.  A corrupt record amid nonzero
-        bytes *truncates* the log there — the records before it replay, the
-        unreadable suffix is abandoned (counted in ``fault_stats``).
-        """
-        ring_index = since.block_index
-        expected_seq = since.sequence
-        for _ in range(self.num_blocks):
-            block = self._read_ring_block(ring_index)
-            magic, sequence = _BLOCK_HDR.unpack_from(block, 0)
-            if magic != _BLOCK_MAGIC:
-                if block.count(0) != len(block):
-                    self.fault_stats.wal_truncations += 1
-                return
-            if sequence < expected_seq:
-                return
-            offset = _BLOCK_HDR.size
-            while True:
-                decoded = LogRecord.decode(block, offset)
-                if decoded is None:
-                    if self._corrupt_tail(block, offset):
-                        self.fault_stats.wal_truncations += 1
-                        return
-                    break
-                record, offset = decoded
-                yield record
-            ring_index = (ring_index + 1) % self.num_blocks
-            expected_seq = sequence + 1
 
     def scan(self, since: LogPosition) -> tuple[list[LogRecord], LogPosition]:
         """Collect durable records from ``since`` and return the end position.

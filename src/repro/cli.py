@@ -20,6 +20,7 @@ from repro.bench.harness import (
     SYSTEMS,
     ExperimentSpec,
     run_speed_experiment,
+    run_strategy_point,
     run_wa_experiment,
 )
 from repro.bench.parallel import default_jobs, run_specs
@@ -318,15 +319,13 @@ def cmd_compact_compare(args: argparse.Namespace) -> int:
     """``repro compact-compare``: WA per compaction strategy × value size.
 
     Runs the deterministic strategy sweep from
-    :func:`repro.bench.regression.run_strategy_point` — each named strategy
+    :func:`repro.bench.harness.run_strategy_point` — each named strategy
     at each value size, with WAL-time key-value separation off and on — and
     prints the WA table plus the value-log live ratio.  An unknown strategy
     name or a nonsensical threshold raises
     :class:`~repro.errors.ConfigError`, which :func:`main` turns into exit
     code 1.
     """
-    from repro.bench.regression import run_strategy_point
-
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     sizes = [int(s) for s in args.value_sizes.split(",") if s.strip()]
     rows = []
@@ -626,17 +625,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run the perf-regression micro-benchmarks.
-
-    Normally short-circuited in :func:`main` (argparse's ``REMAINDER`` cannot
-    start with an option-like token); kept for programmatic parser use.
-    """
-    from repro.bench.regression import main as regression_main
-
-    return regression_main(args.bench_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -685,12 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON; '-' for stdout")
     _add_spec_arguments(sts_p)
     sts_p.set_defaults(func=cmd_stats)
-
-    bench_p = sub.add_parser(
-        "bench", help="perf micro-benchmarks (see repro.bench.regression)")
-    bench_p.add_argument("bench_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to repro.bench.regression")
-    bench_p.set_defaults(func=cmd_bench)
 
     flt_p = sub.add_parser(
         "faultcheck",
@@ -820,18 +802,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Library failures (:class:`~repro.errors.ReproError`) and I/O failures
-    (``OSError`` — missing baselines, unwritable export paths) exit 1 with a
-    one-line message instead of a traceback, so scripts and CI can gate on
-    the exit code.
+    (``OSError`` — unwritable export paths) exit 1 with a one-line message
+    instead of a traceback, so scripts and CI can gate on the exit code.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv[:1] == ["bench"] and argv[1:2] != ["-h"] and argv[1:2] != ["--help"]:
-            # Forward everything after `bench` verbatim: argparse REMAINDER
-            # rejects a leading option-like token (`repro bench --check`).
-            from repro.bench.regression import main as regression_main
-
-            return regression_main(argv[1:])
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ReproError, OSError) as exc:

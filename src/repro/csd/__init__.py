@@ -19,7 +19,6 @@ from repro.csd.compression import (
     NullCompressor,
     SizeCachingCompressor,
     ZeroRunEstimator,
-    ZeroTailZlibCompressor,
     ZlibCompressor,
 )
 from repro.csd.device import (
@@ -65,7 +64,6 @@ __all__ = [
     "ScriptedFault",
     "SizeCachingCompressor",
     "ZeroRunEstimator",
-    "ZeroTailZlibCompressor",
     "ZlibCompressor",
     "read_block_retrying",
     "read_blocks_retrying",

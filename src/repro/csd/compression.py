@@ -8,21 +8,15 @@ for very large sweeps where zlib would dominate run time.  Both report sizes
 through the common :class:`Compressor` interface, so the device and its
 accounting are independent of which model is plugged in.
 
-Two fast paths accelerate the write pipeline without giving up fidelity:
-
-* :class:`SizeCachingCompressor` wraps any compressor with a content-addressed
-  LRU cache of compressed sizes, keyed by a fast block digest.  Streams with
-  content repetition (all-zero blocks, repeated log padding, LSM compaction
-  re-emitting unchanged data blocks) skip the compressor entirely; streams
-  without it (LSN-stamped page images never repeat) trip an adaptive bypass
-  so hashing is not paid for nothing.  Cached sizes are bit-identical to
-  uncached ones.
-* :class:`ZeroTailZlibCompressor` exploits the sparse-data property directly:
-  it locates the last nonzero byte, compresses only the live prefix (plus a
-  short retained zero pad), and models zlib's cost for the remaining zero run
-  analytically.  The model is calibrated against full zlib (see
-  ``tests/csd/test_zero_tail.py``); it is statistically equivalent, not
-  bit-identical.
+One fast path accelerates the write pipeline without giving up fidelity:
+:class:`SizeCachingCompressor` wraps any compressor with a content-addressed
+LRU cache of compressed sizes, keyed by a fast block digest.  Streams with
+content repetition (all-zero blocks, repeated log padding, LSM compaction
+re-emitting unchanged data blocks) skip the compressor entirely; streams
+without it (LSN-stamped page images never repeat) trip an adaptive bypass so
+hashing is not paid for nothing.  Cached sizes are bit-identical to uncached
+ones.  Its hit rate on the repo benchmark's workloads is the exact-gated
+``csd.compression.cache_hit_rate`` ledger line of ``perf/run.py --check``.
 
 All compressors accept any bytes-like object (``bytes``, ``bytearray``,
 ``memoryview``) so the device's zero-copy write path can hand them buffer
@@ -35,7 +29,7 @@ import hashlib
 import zlib
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Tuple, Union
+from typing import Union
 
 from repro.errors import ConfigError
 
@@ -48,17 +42,6 @@ BytesLike = Union[bytes, bytearray, memoryview]
 #: fold both into this constant.
 ZERO_BLOCK_COST = 24
 
-#: Zero-tail fast path: number of trailing zeros retained and compressed
-#: together with the live prefix.  Keeping a short real pad lets zlib settle
-#: into its steady per-zero encoding before the analytic model takes over.
-ZERO_TAIL_KEEP = 512
-
-#: Marginal cost, in bytes per zero byte, of extending an already-started
-#: zero run under zlib level 1: empirically 5 bytes per 512 zeros, stable
-#: across prefix contents and entropies (calibrated in
-#: ``tests/csd/test_zero_tail.py``).
-ZERO_TAIL_RATE = 5 / 512
-
 #: Default entry bound of the compressed-size LRU cache.  Entries are a 16-byte
 #: digest plus an int (~100 bytes each), so the default costs a few MB.
 SIZE_CACHE_CAPACITY = 65536
@@ -70,20 +53,6 @@ SIZE_CACHE_PROBE_WINDOW = 2048
 #: Adaptive bypass: minimum hit rate over the probe window.  Below it the
 #: cache concludes the stream has no content repetition and stops hashing.
 SIZE_CACHE_MIN_HIT_RATE = 0.02
-
-
-def zero_tail_scan(block: BytesLike) -> Tuple[bytes, int]:
-    """Locate the live (up-to-last-nonzero-byte) prefix of ``block``.
-
-    Returns ``(block_bytes, live_len)`` where ``block_bytes`` is ``block``
-    coerced to :class:`bytes` (no copy when it already is one) and
-    ``live_len`` is the length of the prefix ending at the last nonzero byte
-    (0 for an all-zero block).  This single C-speed scan serves both the
-    all-zero short-circuit and the zero-tail fast path, so callers never scan
-    the block twice.
-    """
-    data = block if isinstance(block, bytes) else bytes(block)
-    return data, len(data.rstrip(b"\x00"))
 
 
 class Compressor(ABC):
@@ -112,11 +81,6 @@ class ZlibCompressor(Compressor):
     to software zlib at its default level, but level 1 is materially faster in
     Python and nearly identical on the half-zero/half-random record contents
     the paper's workloads use.
-
-    The all-zero check shares the zero-tail scan with the rest of the fast
-    path machinery: one ``rstrip`` locates the last nonzero byte, so the
-    common non-zero case costs a single C-speed pass before zlib runs (the
-    previous ``block.count(0)`` pre-scan doubled the scan work).
     """
 
     def __init__(self, level: int = 1) -> None:
@@ -127,59 +91,10 @@ class ZlibCompressor(Compressor):
     def compressed_size(self, block: BytesLike) -> int:
         if len(block) == 0:
             return 0
-        block, live_len = zero_tail_scan(block)
-        if live_len == 0:
+        data = block if isinstance(block, bytes) else bytes(block)
+        if not data.rstrip(b"\x00"):  # all-zero block: one C-speed pass
             return ZERO_BLOCK_COST
-        return min(len(block), len(zlib.compress(block, self.level)))
-
-
-class ZeroTailZlibCompressor(Compressor):
-    """Zero-tail-aware zlib: compress the live prefix, model the zero run.
-
-    A single scan finds the last nonzero byte; zlib then compresses only the
-    live prefix plus a short retained zero pad (``keep`` bytes), and the cost
-    of the remaining zeros is added analytically at ``tail_rate`` bytes per
-    zero.  Blocks whose zero tail is shorter than ``keep`` take the exact
-    path (the whole block is compressed), so dense blocks are bit-identical
-    to :class:`ZlibCompressor`; sparse blocks are within a few bytes of it
-    (worst observed error ~0.2% of the block size — see
-    ``tests/csd/test_zero_tail.py`` for the calibration sweep).
-    """
-
-    def __init__(
-        self,
-        level: int = 1,
-        keep: int = ZERO_TAIL_KEEP,
-        tail_rate: float = ZERO_TAIL_RATE,
-    ) -> None:
-        if not 1 <= level <= 9:
-            raise ConfigError(f"zlib level must be in [1, 9], got {level}")
-        if keep < 0:
-            raise ConfigError("keep must be non-negative")
-        if tail_rate < 0:
-            raise ConfigError("tail_rate must be non-negative")
-        self.level = level
-        self.keep = keep
-        self.tail_rate = tail_rate
-
-    def compressed_size(self, block: BytesLike) -> int:
-        if len(block) == 0:
-            return 0
-        block, live_len = zero_tail_scan(block)
-        if live_len == 0:
-            return ZERO_BLOCK_COST
-        tail = len(block) - live_len
-        if tail <= self.keep:
-            # Dense block: the fast path would compress almost everything
-            # anyway, so take the exact path.
-            return min(len(block), len(zlib.compress(block, self.level)))
-        # Live prefix + retained zero pad, sliced as a memoryview so the
-        # fast path never copies the block it is trying not to compress.
-        live = memoryview(block)[: live_len + self.keep]
-        estimate = len(zlib.compress(live, self.level)) + round(
-            (tail - self.keep) * self.tail_rate
-        )
-        return min(len(block), estimate)
+        return min(len(data), len(zlib.compress(data, self.level)))
 
 
 class ZeroRunEstimator(Compressor):
@@ -240,7 +155,7 @@ class SizeCachingCompressor(Compressor):
     cache.
 
     ``hits`` / ``misses`` / ``evictions`` counters and the ``bypassed`` flag
-    expose cache behaviour for tests and the regression benchmarks.
+    expose cache behaviour for tests and the ``perf/`` ledger.
     """
 
     def __init__(

@@ -812,7 +812,8 @@ class LSMEngine:
                 # manifest's table pointers on trimmed blocks.  The crash
                 # scheduler never cuts inside a compaction, and reordering
                 # the trim past the manifest persist would change the device
-                # byte traffic, which the regression gate pins bit-identical.
+                # I/O order, which `perf/run.py --check` (exact lsm_insert
+                # ledger) and the rocksdb rows under benchmarks/results/ pin.
                 self.device.trim(reader.meta.start_block, reader.meta.num_blocks)  # repro: noqa[CRS008] documented compaction window; I/O order is pinned
                 self.allocator.free(reader.meta.start_block, reader.meta.num_blocks)
             if span_args is not None:

@@ -15,7 +15,7 @@ latency histograms merge bucket-exactly (:mod:`repro.obs.hist`), and the
 fleet WA report is ``compute_wa`` over the summed traffic.  Because every
 worker derives its op stream from the same seed and the same routing table,
 ``jobs=N`` and ``jobs=1`` produce identical merged results — the property
-``bench/regression.py``'s sharded scenario pins.
+``tests/test_cli.py::test_shard_sim_jobs_merge_is_exact`` pins.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.harness import (
     ExperimentSpec,
+    _compressor,
     build_engine,
     run_speed_experiment,
     run_wa_experiment,
@@ -11,6 +12,8 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_series, format_table, ratio
 from repro.bench.speed import SpeedModel, engine_kind
 from repro.core.bminus import BMinusTree
+from repro.csd.compression import ZeroRunEstimator
+from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMEngine
 
@@ -43,6 +46,23 @@ def test_build_rocksdb_returns_lsm():
     engine, _, _ = build_engine(small_spec(system="rocksdb"))
     assert isinstance(engine, LSMEngine)
     assert engine_kind(engine) == "lsm"
+
+
+def test_harness_and_bare_device_share_the_default_compressor():
+    """One definition of the default: cache type, inner type, zlib level."""
+    _, device, _ = build_engine(small_spec(system="bminus"))
+    bare = CompressedBlockDevice(8).compressor
+    assert type(device.compressor) is type(bare)
+    assert type(device.compressor.inner) is type(bare.inner)
+    assert device.compressor.inner.level == bare.inner.level == 1
+
+
+def test_zero_run_estimator_is_not_wrapped_in_fast_mode(monkeypatch):
+    """REPRO_FAST must hand back a plain ZeroRunEstimator instance."""
+    monkeypatch.setenv("REPRO_FAST", "1")
+    compressor = _compressor()
+    assert type(compressor) is ZeroRunEstimator
+    assert compressor.entropy_factor == pytest.approx(0.98)
 
 
 def test_spec_properties():

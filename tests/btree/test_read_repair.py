@@ -196,7 +196,7 @@ def test_wal_replay_truncates_instead_of_raising():
     device.write_block(5, b"\x17" * BLOCK_SIZE)
     device.flush()
     reader = RedoLog(device, 0, 64, sparse=True)
-    lsns = [r.lsn for r in reader.replay(LogPosition(0, 1))]
+    lsns = [r.lsn for r in reader.scan(LogPosition(0, 1))[0]]
     assert lsns == [1, 2, 3, 4, 5]
     assert reader.fault_stats.wal_truncations == 1
 

@@ -52,6 +52,8 @@ def test_zlib_half_zero_block_roughly_halves(rng):
     block = rng.random_bytes(BLOCK_SIZE // 2) + bytes(BLOCK_SIZE // 2)
     size = ZlibCompressor().compressed_size(block)
     assert 0.4 * BLOCK_SIZE < size < 0.6 * BLOCK_SIZE
+    # The device's zero-copy write path hands compressors memoryview slices.
+    assert ZlibCompressor().compressed_size(memoryview(block)) == size
 
 
 def test_zlib_level_validation():

@@ -132,10 +132,12 @@ def test_stats_json_unwritable_path_exits_nonzero(capsys):
 # -------------------------------------------------------------- exit codes
 
 
-def test_bench_check_missing_baseline_exits_nonzero(capsys):
-    rc = main(["bench", "--check", "--baseline", "/nonexistent/baseline.json"])
-    assert rc == 1
-    assert "repro: error" in capsys.readouterr().err
+def test_bench_subcommand_is_gone(capsys):
+    """The benchmark is `python3 perf/run.py`; `repro bench` is a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_config_error_exits_nonzero(monkeypatch, capsys):
