@@ -19,9 +19,10 @@ new cell, the shifted tail of the slot directory, and the header/trailer.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from typing import Iterator, Optional
 
-from repro.btree.page import Page, PageType
+from repro.btree.page import PAGE_HEADER_SIZE, Page, PageType
 from repro.errors import KeyNotFoundError, PageFormatError, PageFullError
 
 _LEAF_CELL_HDR = struct.Struct("<HH")
@@ -86,7 +87,15 @@ class _NodeBase:
         return lo, False
 
     def keys(self) -> list[bytes]:
-        return [self.key_at(i) for i in range(self.page.nslots)]
+        """Every key in slot order, from one pass over the slot directory."""
+        page = self.page
+        image = bytes(page.buf)  # slices of bytes are the keys themselves
+        koff = self._key_offset_in_cell
+        out = []
+        for cell in struct.unpack_from(f"<{page.nslots}H", image, PAGE_HEADER_SIZE):
+            start = cell + koff
+            out.append(image[start : start + (image[cell] | (image[cell + 1] << 8))])
+        return out
 
     def _compact(self) -> None:
         """Rewrite the cell area tightly, reclaiming dead bytes.
@@ -156,16 +165,33 @@ class LeafNode(_NodeBase):
 
     def get(self, key: bytes) -> Optional[bytes]:
         index, found = self._bisect(key)
-        return self.value_at(index) if found else None
+        if not found:
+            return None
+        buf = self.page.buf
+        slot = PAGE_HEADER_SIZE + (index << 1)
+        cell = buf[slot] | (buf[slot + 1] << 8)
+        klen, vlen = _LEAF_CELL_HDR.unpack_from(buf, cell)
+        start = cell + _LEAF_CELL_HDR.size + klen
+        return bytes(buf[start : start + vlen])
 
     def records(self) -> Iterator[tuple[bytes, bytes]]:
-        for i in range(self.page.nslots):
-            yield self.key_at(i), self.value_at(i)
+        return self._records_in(0)
 
     def records_from(self, start_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        index, _ = self._bisect(start_key)
-        for i in range(index, self.page.nslots):
-            yield self.key_at(i), self.value_at(i)
+        return self._records_in(self._bisect(start_key)[0])
+
+    def _records_in(self, first: int) -> Iterator[tuple[bytes, bytes]]:
+        """Records of slots ``first..`` in key order, from a snapshot of the
+        page: the slot directory is unpacked once, each cell header once."""
+        count = self.page.nslots - first
+        if count <= 0:
+            return
+        image = bytes(self.page.buf)  # slices of bytes are the keys and values themselves
+        unpack_header = _LEAF_CELL_HDR.unpack_from
+        for cell in struct.unpack_from(f"<{count}H", image, PAGE_HEADER_SIZE + (first << 1)):
+            klen, vlen = unpack_header(image, cell)
+            key_end = cell + _LEAF_CELL_HDR.size + klen
+            yield image[cell + _LEAF_CELL_HDR.size : key_end], image[key_end : key_end + vlen]
 
     def used_bytes(self) -> int:
         """Live cell + slot bytes (occupancy accounting)."""
@@ -292,11 +318,20 @@ class InternalNode(_NodeBase):
         return [self.child_at(i) for i in range(self.page.nslots)]
 
     def child_index_for(self, key: bytes) -> int:
-        """Index of the child whose key range contains ``key``."""
-        if self.page.nslots == 0:
+        """Index of the child whose key range contains ``key``.
+
+        Routes through the page's decoded separator list (see
+        :attr:`Page.routing_keys` for when it is dropped): an internal node
+        is searched on every descent through it, so decoding its keys once
+        turns the byte-indexing :meth:`_bisect` loop into one C bisect.
+        """
+        page = self.page
+        keys = page.routing_keys
+        if keys is None:
+            keys = page.routing_keys = self.keys()
+        if not keys:
             raise PageFormatError("internal node has no children")
-        index, found = self._bisect(key)
-        return index if found else index - 1
+        return bisect_right(keys, key) - 1
 
     def child_for(self, key: bytes) -> int:
         return self.child_at(self.child_index_for(key))

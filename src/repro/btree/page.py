@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
+from typing import Optional, Union
 
 from repro.errors import ChecksumError, ConfigError, PageFormatError
 
@@ -54,8 +55,12 @@ SLOT_SIZE = 2
 DIRTY_GRAIN = 64
 
 _HEADER = struct.Struct("<4sQQBBHHH4x")  # magic, id, lsn, type, level, nslots, cell_start, dead
+#: Header offset of the page-type byte (descents test it straight from the buffer).
+PAGE_TYPE_OFFSET = 20
 _CRC_OFFSET = 28
+_LSN_AND_CRC = struct.Struct("<12xQ8xI")  # the two header fields checksum_ok reads
 _TRAILER = struct.Struct("<II")  # lsn_low, crc copy
+_ZERO_CRC_FIELD = bytes(4)  # what a checksum field holds while the CRC is computed
 
 
 class PageType(enum.IntEnum):
@@ -67,18 +72,28 @@ class PageType(enum.IntEnum):
     META = 3
 
 
+def _check_size(size: int) -> None:
+    if size < 1024 or size % DIRTY_GRAIN != 0:
+        raise PageFormatError(f"unsupported page size {size}")
+
+
 class Page:
     """A fixed-size slotted page backed by a mutable byte buffer."""
 
-    __slots__ = ("buf", "size", "dirty_grains")
+    __slots__ = ("buf", "size", "dirty_grains", "routing_keys")
 
     def __init__(self, size: int, page_id: int = 0, page_type: PageType = PageType.LEAF,
                  level: int = 0) -> None:
-        if size < 1024 or size % DIRTY_GRAIN != 0:
-            raise PageFormatError(f"unsupported page size {size}")
+        _check_size(size)
         self.size = size
         self.buf = bytearray(size)
         self.dirty_grains: set[int] = set()
+        #: Decoded keys in slot order, kept by ``InternalNode.child_index_for``
+        #: (leaves never fill it).  Valid only while the slot directory is
+        #: unchanged: :meth:`insert_slot`, :meth:`remove_slot` and
+        #: :meth:`verify_image` — every way the slot-to-key mapping can move —
+        #: drop it.
+        self.routing_keys: Optional[list[bytes]] = None
         self._format(page_id, page_type, level)
 
     # ----------------------------------------------------------- construction
@@ -90,17 +105,31 @@ class Page:
         self.mark_dirty(0, self.size)
 
     @classmethod
-    def from_bytes(cls, image: bytes, verify: bool = True) -> "Page":
-        """Wrap an on-storage image; optionally verify its checksum."""
+    def from_bytes(cls, image: Union[bytes, bytearray, memoryview],
+                   verify: bool = True) -> "Page":
+        """Wrap a copy of an on-storage image; optionally verify its checksum."""
+        size = len(image)
+        _check_size(size)
         page = cls.__new__(cls)
-        page.size = len(image)
+        page.size = size
         page.buf = bytearray(image)
         page.dirty_grains = set()
-        if page.buf[0:4] != PAGE_MAGIC:
+        page.verify_image(verify)
+        return page
+
+    def verify_image(self, verify: bool = True) -> None:
+        """Accept storage bytes that were just placed in :attr:`buf`.
+
+        Run by :meth:`from_bytes` and again after a delta overlay rewrote
+        segments of the buffer: checks the magic and (unless ``verify`` is
+        false) the checksum, and drops the routing-key cache, which described
+        the bytes that were there before.
+        """
+        self.routing_keys = None
+        if self.buf[0:4] != PAGE_MAGIC:
             raise PageFormatError("bad page magic")
         if verify:
-            page.verify_checksum()
-        return page
+            self.verify_checksum()
 
     # --------------------------------------------------------------- header
 
@@ -124,7 +153,7 @@ class Page:
 
     @property
     def page_type(self) -> PageType:
-        return PageType(self.buf[20])
+        return PageType(self.buf[PAGE_TYPE_OFFSET])
 
     @property
     def level(self) -> int:
@@ -192,6 +221,7 @@ class Page:
         end = PAGE_HEADER_SIZE + n * SLOT_SIZE
         self.buf[start + SLOT_SIZE : end + SLOT_SIZE] = self.buf[start:end]
         struct.pack_into("<H", self.buf, start, offset)
+        self.routing_keys = None
         self._set_nslots(n + 1)
         self.mark_dirty(start, end + SLOT_SIZE)
 
@@ -203,6 +233,7 @@ class Page:
         start = PAGE_HEADER_SIZE + index * SLOT_SIZE
         end = PAGE_HEADER_SIZE + n * SLOT_SIZE
         self.buf[start : end - SLOT_SIZE] = self.buf[start + SLOT_SIZE : end]
+        self.routing_keys = None
         self._set_nslots(n - 1)
         self.mark_dirty(start, end)
 
@@ -267,15 +298,19 @@ class Page:
 
     def checksum_ok(self) -> bool:
         """Return True if the stored CRC matches the page contents."""
-        stored_crc, = struct.unpack_from("<I", self.buf, _CRC_OFFSET)
-        trailer_lsn, trailer_crc = struct.unpack_from("<II", self.buf,
-                                                      self.size - PAGE_TRAILER_SIZE)
-        if stored_crc != trailer_crc or trailer_lsn != self.lsn & 0xFFFFFFFF:
+        buf = self.buf
+        lsn, stored_crc = _LSN_AND_CRC.unpack_from(buf, 0)
+        trailer_lsn, trailer_crc = _TRAILER.unpack_from(buf, self.size - PAGE_TRAILER_SIZE)
+        if stored_crc != trailer_crc or trailer_lsn != lsn & 0xFFFFFFFF:
             return False
-        scratch = bytearray(self.buf)
-        struct.pack_into("<I", scratch, _CRC_OFFSET, 0)
-        struct.pack_into("<I", scratch, self.size - 4, 0)
-        return zlib.crc32(bytes(scratch)) == stored_crc
+        # The CRC of the image with both checksum fields zeroed, chained over
+        # the spans around them instead of over a zeroed copy.
+        crc32 = zlib.crc32
+        with memoryview(buf) as view:
+            crc = crc32(view[:_CRC_OFFSET])
+            crc = crc32(_ZERO_CRC_FIELD, crc)
+            crc = crc32(view[_CRC_OFFSET + 4 : self.size - 4], crc)
+        return crc32(_ZERO_CRC_FIELD, crc) == stored_crc
 
     def verify_checksum(self) -> None:
         if not self.checksum_ok():

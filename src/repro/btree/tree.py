@@ -14,6 +14,7 @@ asserted by :meth:`BTree.check_invariants` hold either way).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from repro.btree.buffer_pool import BufferPool
@@ -23,9 +24,19 @@ from repro.btree.node import (
     leaf_cell_size,
     node_for_page,
 )
-from repro.btree.page import PAGE_HEADER_SIZE, PAGE_TRAILER_SIZE, Page, PageType
+from repro.btree.page import (
+    PAGE_HEADER_SIZE,
+    PAGE_TRAILER_SIZE,
+    PAGE_TYPE_OFFSET,
+    Page,
+    PageType,
+)
 from repro.btree.pager import Pager
 from repro.errors import PageFullError, TreeError
+
+#: Every level of every descent asks "is this an internal page?": the type
+#: byte is compared with this plain int instead of building a ``PageType``.
+_INTERNAL = int(PageType.INTERNAL)
 
 
 class BTree:
@@ -83,17 +94,17 @@ class BTree:
         while len(out) < count:
             leaf, upper, pinned = self._descend_with_upper(cursor)
             try:
-                for k, v in leaf.records_from(cursor):
-                    if upper is not None and k >= upper:
-                        # Keys beyond the routing bound are stale residue of a
-                        # crash between split flushes; the live copies are in
-                        # the right sibling.
-                        break
-                    out.append((k, v))
-                    if len(out) >= count:
-                        return out
+                batch = list(islice(leaf.records_from(cursor), count - len(out)))
             finally:
                 self._unpin(pinned)
+            if upper is not None and batch and batch[-1][0] >= upper:
+                # Keys beyond the routing bound are stale residue of a crash
+                # between split flushes; the live copies are in the right
+                # sibling.  Keys are sorted, so the last one tells.
+                batch = [record for record in batch if record[0] < upper]
+            out += batch
+            if len(out) >= count:
+                return out
             if upper is None:
                 return out  # rightmost leaf exhausted
             cursor = upper
@@ -272,11 +283,11 @@ class BTree:
     def _descend_for_read(self, key: bytes) -> tuple[LeafNode, list[int]]:
         pinned: list[int] = []
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(page.page_id)
-        while page.page_type == PageType.INTERNAL:
+        pinned.append(self.root_id)
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             child_id = InternalNode(page).child_for(key)
             page = self.pool.get(child_id, pin=True)
-            pinned.append(page.page_id)
+            pinned.append(child_id)
         return LeafNode(page), pinned
 
     def _descend_with_upper(
@@ -286,14 +297,15 @@ class BTree:
         pinned: list[int] = []
         upper: Optional[bytes] = None
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(page.page_id)
-        while page.page_type == PageType.INTERNAL:
+        pinned.append(self.root_id)
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
             index = node.child_index_for(key)
             if index + 1 < node.nslots:
                 upper = node.key_at(index + 1)
-            page = self.pool.get(node.child_at(index), pin=True)
-            pinned.append(page.page_id)
+            child_id = node.child_at(index)
+            page = self.pool.get(child_id, pin=True)
+            pinned.append(child_id)
         return LeafNode(page), upper, pinned
 
     def _descend_for_write(
@@ -303,13 +315,14 @@ class BTree:
         pinned: list[int] = []
         path: list[tuple[InternalNode, int]] = []
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(page.page_id)
-        while page.page_type == PageType.INTERNAL:
+        pinned.append(self.root_id)
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
             index = node.child_index_for(key)
             path.append((node, index))
-            page = self.pool.get(node.child_at(index), pin=True)
-            pinned.append(page.page_id)
+            child_id = node.child_at(index)
+            page = self.pool.get(child_id, pin=True)
+            pinned.append(child_id)
         return path, LeafNode(page), pinned
 
     def _descend_for_read_bounded(
@@ -325,8 +338,8 @@ class BTree:
         lower = b""
         upper: Optional[bytes] = None
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(page.page_id)
-        while page.page_type == PageType.INTERNAL:
+        pinned.append(self.root_id)
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
             index = node.child_index_for(key)
             bound = node.key_at(index)
@@ -334,8 +347,9 @@ class BTree:
                 lower = bound
             if index + 1 < node.nslots:
                 upper = node.key_at(index + 1)
-            page = self.pool.get(node.child_at(index), pin=True)
-            pinned.append(page.page_id)
+            child_id = node.child_at(index)
+            page = self.pool.get(child_id, pin=True)
+            pinned.append(child_id)
         return LeafNode(page), lower, upper, pinned
 
     def _descend_for_write_bounded(
@@ -349,8 +363,8 @@ class BTree:
         lower = b""
         upper: Optional[bytes] = None
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(page.page_id)
-        while page.page_type == PageType.INTERNAL:
+        pinned.append(self.root_id)
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
             index = node.child_index_for(key)
             path.append((node, index))
@@ -359,8 +373,9 @@ class BTree:
                 lower = bound
             if index + 1 < node.nslots:
                 upper = node.key_at(index + 1)
-            page = self.pool.get(node.child_at(index), pin=True)
-            pinned.append(page.page_id)
+            child_id = node.child_at(index)
+            page = self.pool.get(child_id, pin=True)
+            pinned.append(child_id)
         return path, LeafNode(page), lower, upper, pinned
 
     def _unpin(self, pinned: list[int]) -> None:
@@ -487,7 +502,7 @@ class BTree:
         """Tree height (1 for a lone root leaf)."""
         depth = 1
         page = self.pool.get(self.root_id)
-        while page.page_type == PageType.INTERNAL:
+        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             depth += 1
             page = self.pool.get(InternalNode(page).child_at(0))
         return depth

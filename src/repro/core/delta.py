@@ -34,19 +34,20 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.btree.page import DIRTY_GRAIN, Page
 from repro.btree.pager import DeterministicShadowPager
 from repro.csd.arena import ScratchArena
 from repro.csd.device import BLOCK_SIZE
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ChecksumError, ConfigError, PageFormatError, RecoveryError
 from repro.obs.trace import maybe_instant, maybe_span
 
 DELTA_MAGIC = b"DLT1"
 _HDR = struct.Struct("<4sQQQHHI")  # magic, page_id, base_lsn, lsn, seg_size, nsegs, crc
 DELTA_HEADER_SIZE = _HDR.size
 _CRC_OFFSET = _HDR.size - 4
+_ZERO_CRC_FIELD = bytes(4)  # what the checksum field holds while the CRC is computed
 
 
 def delta_capacity(page_size: int, segment_size: int) -> int:
@@ -88,26 +89,36 @@ class DeltaBlock:
         return bytes(block)
 
     @classmethod
-    def decode(cls, block: bytes, page_size: int) -> Optional["DeltaBlock"]:
+    def decode(
+        cls, block: Union[bytes, bytearray, memoryview], page_size: int
+    ) -> Optional["DeltaBlock"]:
         """Decode; returns None for trimmed/garbage/corrupt blocks."""
-        if block[:4] != DELTA_MAGIC:
+        if len(block) != BLOCK_SIZE or block[:4] != DELTA_MAGIC:
             return None
         magic, page_id, base_lsn, lsn, seg_size, nsegs, crc = _HDR.unpack_from(block, 0)
-        scratch = bytearray(block)
-        struct.pack_into("<I", scratch, _CRC_OFFSET, 0)
-        if zlib.crc32(scratch) != crc:
+        # The CRC of the block with its checksum field zeroed, chained over
+        # the spans around the field instead of over a zeroed copy.
+        with memoryview(block) as view:
+            computed = zlib.crc32(view[:_CRC_OFFSET])
+            computed = zlib.crc32(_ZERO_CRC_FIELD, computed)
+            computed = zlib.crc32(view[DELTA_HEADER_SIZE:], computed)
+        if computed != crc:
             return None
         if seg_size == 0 or page_size % seg_size != 0:
             return None
         k = page_size // seg_size
-        bitmap_bytes = (k + 7) // 8
-        offset = DELTA_HEADER_SIZE
-        bitmap = block[offset : offset + bitmap_bytes]
-        segments = [i for i in range(k) if bitmap[i // 8] & (1 << (i % 8))]
+        offset = DELTA_HEADER_SIZE + (k + 7) // 8
+        # Segment i is bit i of the little-endian f-vector: peel set bits
+        # lowest first, which yields the indices in payload order.
+        fvec = int.from_bytes(block[DELTA_HEADER_SIZE:offset], "little") & ((1 << k) - 1)
+        segments: list[int] = []
+        while fvec:
+            lowest = fvec & -fvec
+            segments.append(lowest.bit_length() - 1)
+            fvec ^= lowest
         if len(segments) != nsegs:
             return None
-        offset += bitmap_bytes
-        payload = block[offset : offset + nsegs * seg_size]
+        payload = bytes(block[offset : offset + nsegs * seg_size])
         return cls(page_id, base_lsn, lsn, seg_size, segments, payload)
 
     @staticmethod
@@ -150,13 +161,21 @@ class DeltaBlock:
         crc = zlib.crc32(out)
         struct.pack_into("<I", out, _CRC_OFFSET, crc)
 
-    def apply_to(self, base_image: bytes) -> bytes:
-        """Reconstruct the up-to-date page image from the base image."""
-        image = bytearray(base_image)
-        for i, seg in enumerate(self.segments):
-            src = self.payload[i * self.segment_size : (i + 1) * self.segment_size]
-            image[seg * self.segment_size : (seg + 1) * self.segment_size] = src
-        return bytes(image)
+    def overlay_onto(self, page: Page) -> None:
+        """Reconstruct the up-to-date image inside ``page`` (the base image).
+
+        Copies the logged segments over the page buffer in place, then has
+        the page re-verify itself as a freshly read image: a delta that does
+        not rebuild a page with a valid magic and checksum raises
+        :class:`PageFormatError` / :class:`ChecksumError` and ``page`` must
+        be discarded.
+        """
+        buf, payload, size = page.buf, self.payload, self.segment_size
+        offset = 0
+        for seg in self.segments:
+            buf[seg * size : (seg + 1) * size] = payload[offset : offset + size]
+            offset += size
+        page.verify_image()
 
 
 class DeltaShadowPager(DeterministicShadowPager):
@@ -271,20 +290,20 @@ class DeltaShadowPager(DeterministicShadowPager):
         self.stats.page_loads += 1
         maybe_instant("pager.load", "btree", page_id=page_id)
         slot = self._valid_slot.get(page_id)
-        base_page = delta_raw = None
-        if slot is not None:
-            base_page, delta_raw = self._load_known_slot(page_id, slot)
-        if base_page is None:
+        known = self._load_known_slot(page_id, slot) if slot is not None else None
+        if known is not None:
+            base_page, delta_raw = known
+        else:
             region_blocks = 2 * self.page_blocks + 1
             raw = self._read_blocks(self._page_base(page_id), region_blocks)
             base_page, slot = self._arbitrate_images(page_id, raw)
             self._valid_slot[page_id] = slot
             # In the full-region request the delta block always sits between
             # the slots, at offset l_pg.
-            delta_raw = raw[self.page_size : self.page_size + BLOCK_SIZE]
+            delta_raw = memoryview(raw)[self.page_size : self.page_size + BLOCK_SIZE]
         delta = DeltaBlock.decode(delta_raw, self.page_size)
-        if delta_raw.count(0) != len(delta_raw) and (
-            delta is None or delta.page_id != page_id
+        if (delta is None or delta.page_id != page_id) and (
+            bytes(delta_raw).count(0) != len(delta_raw)
         ):
             # Nonzero delta block that cannot belong to this page: latent
             # corruption or a misdirected write.  Fall back to the full base
@@ -305,43 +324,45 @@ class DeltaShadowPager(DeterministicShadowPager):
             and delta.base_lsn == base_page.lsn
             and delta.segment_size == self.segment_size
         ):
-            reconstructed = Page.from_bytes(delta.apply_to(base_page.image()))
+            delta.overlay_onto(base_page)
             self._fvec[page_id] = set(delta.segments)
             self._base_lsn[page_id] = delta.base_lsn
-            return reconstructed
+            return base_page
         self._fvec[page_id] = set()
         self._base_lsn[page_id] = base_page.lsn
         return base_page
 
     def _load_known_slot(
         self, page_id: int, slot: int
-    ) -> tuple[Optional[Page], Optional[bytes]]:
+    ) -> Optional[tuple[Page, memoryview]]:
         """Single-request load of the cached valid slot plus its delta block.
 
-        Returns ``(None, None)`` when the slot image fails verification even
-        after a clean re-read — the caller then falls back to full-region
+        Returns ``None`` when the slot image fails verification even after a
+        clean re-read — the caller then falls back to full-region
         arbitration, which serves the sibling and read-repairs the rot.
         """
         if slot == 0:
             lba, base_off, delta_off = self._page_base(page_id), 0, self.page_size
         else:
             lba, base_off, delta_off = self._delta_lba(page_id), BLOCK_SIZE, 0
-        raw = self._read_blocks(lba, self.page_blocks + 1)
+        # The page buffer is the only copy made of the read: both it and the
+        # delta decode work from views of ``raw``.
+        raw = memoryview(self._read_blocks(lba, self.page_blocks + 1))
         try:
             base_page = Page.from_bytes(raw[base_off : base_off + self.page_size])
-        except Exception:
+        except (ChecksumError, PageFormatError):
             self.fault_stats.checksum_failures += 1
         else:
             return base_page, raw[delta_off : delta_off + BLOCK_SIZE]
         # One clean re-read distinguishes transient (bus) corruption from
         # latent media corruption.
-        raw = self._read_blocks(lba, self.page_blocks + 1)
+        raw = memoryview(self._read_blocks(lba, self.page_blocks + 1))
         try:
             base_page = Page.from_bytes(raw[base_off : base_off + self.page_size])
-        except Exception:
+        except (ChecksumError, PageFormatError):
             self.fault_stats.arbitration_fallbacks += 1
             del self._valid_slot[page_id]
-            return None, None
+            return None
         self.fault_stats.reread_heals += 1
         return base_page, raw[delta_off : delta_off + BLOCK_SIZE]
 
@@ -357,7 +378,7 @@ class DeltaShadowPager(DeterministicShadowPager):
                 continue
             try:
                 candidate = Page.from_bytes(image)
-            except Exception:
+            except (ChecksumError, PageFormatError):
                 corrupt_slots.append(slot)  # torn write or latent rot
                 continue
             if candidate.page_id == page_id:

@@ -296,3 +296,123 @@ def test_property_split_is_partition(seed, n):
     merged.update(dict(right.records()))
     assert merged == inserted
     assert max(leaf.keys()) < separator <= min(right.keys())
+
+
+# ------------------------------------------- fast paths vs the slot accessors
+
+
+def _accessor_records(leaf: LeafNode, first: int) -> list:
+    return [(leaf.key_at(i), leaf.value_at(i)) for i in range(first, leaf.nslots)]
+
+
+def _assert_leaf_fast_paths_match_accessors(leaf: LeafNode, probes: list) -> None:
+    assert list(leaf.records()) == _accessor_records(leaf, 0)
+    assert leaf.keys() == [leaf.key_at(i) for i in range(leaf.nslots)]
+    for probe in probes:
+        index, found = leaf._bisect(probe)
+        assert list(leaf.records_from(probe)) == _accessor_records(leaf, index)
+        assert leaf.get(probe) == (leaf.value_at(index) if found else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_property_leaf_fast_paths_match_slot_accessors(data):
+    """``records`` / ``records_from`` / ``get`` / ``keys`` read the slot
+    directory and cell headers in one pass; ``key_at`` / ``value_at`` stay
+    the reference, over histories that move cells every way a leaf can."""
+    leaf = LeafNode.create(4096, page_id=1)
+    keys = [key(i) for i in range(0, 96, 2)]
+    probes = [b"", key(1), key(95), key(200)]
+    live: set = set()
+    for _ in range(data.draw(st.integers(1, 80))):
+        action = data.draw(st.sampled_from(
+            ["insert", "update", "resize", "delete", "compact", "split"]))
+        k = data.draw(st.sampled_from(keys))
+        try:
+            if action == "insert":
+                leaf.put(k, data.draw(st.binary(min_size=0, max_size=48)))
+                live.add(k)
+            elif action == "update" and k in live:
+                leaf.put(k, bytes(len(leaf.get(k))))  # same size: in place
+            elif action == "resize" and k in live:
+                leaf.put(k, leaf.get(k) + b"+grown")
+            elif action == "delete" and k in live:
+                leaf.delete(k)
+                live.discard(k)
+            elif action == "compact":
+                leaf._compact()
+            elif action == "split" and leaf.nslots >= 2:
+                right = LeafNode.create(4096, page_id=2)
+                leaf.split_into(right)
+                _assert_leaf_fast_paths_match_accessors(right, probes + [k])
+                live = set(leaf.keys())
+        except PageFullError:
+            pass  # a resize deletes before it re-inserts: k may be gone now
+        live = set(leaf.keys())
+        _assert_leaf_fast_paths_match_accessors(leaf, probes + [k])
+    assert list(leaf.records_from(key(200))) == []
+
+
+def _assert_routing_matches_bisect(node: InternalNode) -> None:
+    """``child_index_for`` (cached separator list) against the uncached
+    ``_bisect`` for keys below, between, equal to and above every separator."""
+    separators = [node.key_at(i) for i in range(node.nslots)]
+    probes = {b"", b"\x00", b"\xff" * 9}
+    for sep in separators:
+        if sep:
+            number = int.from_bytes(sep, "big")
+            probes.update({sep, key(number - 1), key(number + 1), sep + b"\x00"})
+    for probe in sorted(probes):
+        index, found = node._bisect(probe)
+        assert node.child_index_for(probe) == (index if found else index - 1), probe
+    assert node.page.routing_keys == separators
+
+
+def test_routing_cache_tracks_every_slot_directory_change():
+    """A stale routing cache sends descents to the wrong child (seen as a
+    scan that never ends, not as an error), so every edit is checked here."""
+    node = InternalNode.create(4096, page_id=1, level=1)
+    node.add_first_child(100)
+    for i in range(10, 200, 10):
+        node.insert_separator(key(i), 100 + i)
+    assert node.page.routing_keys is None
+    _assert_routing_matches_bisect(node)  # warms the cache
+
+    node.insert_separator(key(55), 999)
+    assert node.page.routing_keys is None
+    _assert_routing_matches_bisect(node)
+    assert node.child_for(key(57)) == 999
+
+    node.remove_child(0)  # promotes the next entry to the empty minimum key
+    _assert_routing_matches_bisect(node)
+    assert node.child_for(key(1)) == 110
+
+    node.remove_child(7)
+    _assert_routing_matches_bisect(node)
+
+    node.replace_child_at(3, 4242)  # child ids are not cached: keys unchanged
+    assert node.page.routing_keys is not None
+    assert node.child_for(node.key_at(3)) == 4242
+
+    node._compact()  # moves cells, not slots
+    _assert_routing_matches_bisect(node)
+
+    while node.nslots < 60:
+        node.insert_separator(key(1000 + node.nslots), node.nslots)
+    _assert_routing_matches_bisect(node)
+    assert node.child_index_for(key(5000)) == node.nslots - 1  # warm before the split
+    right = InternalNode.create(4096, page_id=2, level=1)
+    promoted = node.split_into(right)
+    assert node.page.routing_keys is None
+    _assert_routing_matches_bisect(node)
+    _assert_routing_matches_bisect(right)
+    assert node.child_index_for(promoted) == node.nslots - 1
+    assert right.child_index_for(promoted) == 0
+
+
+def test_routing_cache_empty_node_still_raises():
+    node = InternalNode.create(4096, page_id=1, level=1)
+    with pytest.raises(PageFormatError):
+        node.child_index_for(key(1))
+    node.add_first_child(7)
+    assert node.child_index_for(key(1)) == 0

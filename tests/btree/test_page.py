@@ -143,6 +143,16 @@ def test_from_bytes_rejects_bad_magic():
         Page.from_bytes(b"\x00" * 4096)
 
 
+def test_from_bytes_rejects_unsupported_size():
+    """The size rule of ``Page.__init__``: a short image is a format error,
+    not a ``struct.error`` from the header unpack."""
+    for image in (b"BPG1", b"BPG1" + bytes(1020 + 32), bytes(512)):
+        with pytest.raises(PageFormatError):
+            Page.from_bytes(image)
+        with pytest.raises(PageFormatError):
+            Page.from_bytes(image, verify=False)
+
+
 def test_from_bytes_rejects_corrupt_checksum():
     page = Page(4096)
     page.finalize(lsn=1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.btree.node import InternalNode
 from repro.btree.page import Page
 from repro.core.delta import (
     DELTA_HEADER_SIZE,
@@ -12,7 +13,7 @@ from repro.core.delta import (
     delta_capacity,
 )
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
-from repro.errors import ConfigError
+from repro.errors import ChecksumError, ConfigError
 from repro.sim.rng import DeterministicRng
 
 PAGE_SIZE = 8192
@@ -78,16 +79,38 @@ def test_delta_block_overflow_rejected():
         DeltaBlock(1, 1, 2, 128, list(range(40)), b"z" * (40 * 128)).encode(PAGE_SIZE)
 
 
-def test_apply_to_reconstructs():
-    base = bytes(range(256)) * (PAGE_SIZE // 256)
-    segments = [1, 5]
-    payload = b"\xaa" * 128 + b"\xbb" * 128
-    block = DeltaBlock(1, 1, 2, 128, segments, payload)
-    image = block.apply_to(base)
-    assert image[128:256] == b"\xaa" * 128
-    assert image[5 * 128 : 6 * 128] == b"\xbb" * 128
-    assert image[:128] == base[:128]
-    assert image[256 : 5 * 128] == base[256 : 5 * 128]
+def test_decode_rejects_block_of_wrong_length():
+    """A short read must come back as "no delta", never as ``struct.error``."""
+    assert DeltaBlock.decode(b"DLT1" + bytes(10), PAGE_SIZE) is None
+    encoded = DeltaBlock(1, 1, 2, 128, [0], b"y" * 128).encode(PAGE_SIZE)
+    assert DeltaBlock.decode(encoded + bytes(BLOCK_SIZE), PAGE_SIZE) is None
+    assert DeltaBlock.decode(memoryview(encoded), PAGE_SIZE) is not None
+
+
+def test_overlay_onto_reconstructs():
+    base = Page(PAGE_SIZE, page_id=1)
+    base.finalize(lsn=1)
+    target = Page.from_bytes(base.image())
+    target.buf[128:256] = b"\xaa" * 128
+    target.buf[5 * 128 : 6 * 128] = b"\xbb" * 128
+    target.mark_dirty(128, 256)
+    target.mark_dirty(5 * 128, 6 * 128)
+    target.finalize(lsn=2)
+    segments = target.dirty_segments(128)
+    assert segments == [0, 1, 5, 63]  # header, the two edits, trailer
+    payload = b"".join(bytes(target.buf[s * 128 : (s + 1) * 128]) for s in segments)
+    page = Page.from_bytes(base.image())
+    DeltaBlock(1, 1, 2, 128, segments, payload).overlay_onto(page)
+    assert page.image() == target.image()
+    assert page.image()[256 : 5 * 128] == base.image()[256 : 5 * 128]
+
+
+def test_overlay_onto_rejects_image_failing_page_checksum():
+    base = Page(PAGE_SIZE, page_id=1)
+    base.finalize(lsn=1)
+    page = Page.from_bytes(base.image())
+    with pytest.raises(ChecksumError):
+        DeltaBlock(1, 1, 2, 128, [7], b"\xee" * 128).overlay_onto(page)
 
 
 # ----------------------------------------------------------- configuration
@@ -241,6 +264,91 @@ def test_torn_delta_write_falls_back_to_base():
     pager.device.flush()
     loaded = pager_reload(pager).load(page.page_id)
     assert loaded.image() == base_image
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_self_consistent_delta_rebuilding_a_bad_image_is_rejected(restart):
+    """The delta block's own CRC, page id, base LSN and segment size all
+    match, but its payload does not rebuild a page that passes the page
+    CRC: the load must raise, never hand out the reconstructed page."""
+    pager = make_pager()
+    page = dirty_page(pager)
+    page.lsn = 1
+    pager.flush(page)
+    page.buf[4000:4010] = b"0123456789"
+    page.mark_dirty(4000, 4010)
+    page.lsn = 2
+    pager.flush(page)
+    genuine = DeltaBlock.decode(
+        pager.device.read_block(pager._delta_lba(page.page_id)), PAGE_SIZE)
+    assert genuine is not None and genuine.base_lsn == 1
+    # One flipped bit in the logged copy of the edited segment: header,
+    # trailer and magic of the rebuilt image stay intact, its CRC does not.
+    payload = bytearray(genuine.payload)
+    payload[genuine.segments.index(4000 // 128) * 128 + 4000 % 128] ^= 1
+    forged = DeltaBlock(
+        genuine.page_id, genuine.base_lsn, genuine.lsn, genuine.segment_size,
+        genuine.segments, bytes(payload),
+    ).encode(PAGE_SIZE)
+    assert DeltaBlock.decode(forged, PAGE_SIZE) is not None  # own CRC is valid
+    pager.device.write_block(pager._delta_lba(page.page_id), forged)
+    loader = pager_reload(pager) if restart else pager
+    with pytest.raises(ChecksumError):
+        loader.load(page.page_id)
+    assert loader.fault_stats.delta_fallbacks == 0  # not mistaken for a foreign block
+
+
+def test_routing_cache_does_not_survive_a_delta_overlay():
+    """An internal page rebuilt from base + delta routes by the rebuilt
+    separators, also when the base page's routing cache was already warm."""
+    def sep(i):
+        return i.to_bytes(8, "big")
+
+    pager = make_pager()
+    node = InternalNode.create(PAGE_SIZE, pager.allocate_page_id(), level=1)
+    node.add_first_child(1)
+    for i in range(10, 100, 10):
+        node.insert_separator(sep(i), i)
+    page_id = node.page.page_id
+    node.page.lsn = 1
+    pager.flush(node.page)
+    base = pager.load(page_id)
+    assert InternalNode(base).child_for(sep(36)) == 30  # warms base's cache
+    node.insert_separator(sep(35), 77)
+    node.page.lsn = 2
+    pager.flush(node.page)
+    assert pager.stats.delta_flushes == 1
+
+    for loader in (pager, pager_reload(pager)):
+        rebuilt = InternalNode(loader.load(page_id))
+        for probe in (b"", sep(1), sep(30), sep(34), sep(35), sep(36), sep(40), sep(99)):
+            index, found = rebuilt._bisect(probe)
+            assert rebuilt.child_index_for(probe) == (index if found else index - 1)
+        assert rebuilt.child_for(sep(36)) == 77
+
+    delta = DeltaBlock.decode(pager.device.read_block(pager._delta_lba(page_id)), PAGE_SIZE)
+    delta.overlay_onto(base)
+    assert base.routing_keys is None
+    assert InternalNode(base).child_for(sep(36)) == 77
+
+
+def test_programming_error_in_page_parse_is_not_healed(monkeypatch):
+    """Only verification failures are media corruption: anything else that
+    escapes ``Page.from_bytes`` propagates instead of being "re-read"."""
+    pager = make_pager()
+    page = dirty_page(pager)
+    pager.flush(page)
+
+    def broken(image, verify=True):
+        raise TypeError("bug, not rot")
+
+    monkeypatch.setattr(Page, "from_bytes", broken)
+    with pytest.raises(TypeError):
+        pager.load(page.page_id)
+    with pytest.raises(TypeError):
+        pager_reload(pager).load(page.page_id)
+    assert pager.fault_stats.checksum_failures == 0
+    assert pager.fault_stats.arbitration_fallbacks == 0
 
 
 def test_free_page_clears_delta_state():
