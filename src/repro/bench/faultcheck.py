@@ -217,9 +217,18 @@ FAULTCHECK_SYSTEMS = tuple(_make_suts()) + (_SHARD_SPLIT_SYSTEM,)
 # ----------------------------------------------------------------- workload
 
 
-def make_workload(seed: int, ops: int) -> list[tuple[str, bytes, bytes]]:
-    """A deterministic put/overwrite/delete stream (commit after each op)."""
+def make_workload(
+    seed: int, ops: int, key_space: Optional[int] = None
+) -> list[tuple[str, bytes, bytes]]:
+    """A deterministic put/overwrite/delete stream (commit after each op).
+
+    Keys are drawn from ``key_space`` distinct values; the default, twice
+    the op count, keeps the campaign's stream mostly inserts, while the LSM
+    model oracle passes a small space so every key is overwritten often.
+    """
     rng = random.Random(seed)
+    if key_space is None:
+        key_space = 2 * ops
     stream: list[tuple[str, bytes, bytes]] = []
     live: list[bytes] = []
     for _ in range(ops):
@@ -228,7 +237,7 @@ def make_workload(seed: int, ops: int) -> list[tuple[str, bytes, bytes]]:
             key = live.pop(rng.randrange(len(live)))
             stream.append(("del", key, b""))
         else:
-            key = b"key%06d" % rng.randrange(2 * ops)
+            key = b"key%06d" % rng.randrange(key_space)
             # Values big enough that the working set dwarfs the campaign
             # cache, so pages evict, re-flush, and exercise every I/O path.
             value = bytes(rng.getrandbits(8) for _ in range(rng.randrange(80, 320)))
@@ -382,11 +391,17 @@ def run_crash_schedule(
                 for i in inflight:
                     _apply(with_inflight, stream[i])
                 acceptable.append(with_inflight)
-            if state not in acceptable:
+            # get must tell the same story as the scan, deleted keys included.
+            lookups_ok = all(
+                recovered.get(k) == state.get(k)
+                for k in committed.keys() | with_inflight.keys()
+            )
+            if state not in acceptable or not lookups_ok:
                 report.failures.append({
                     "mode": mode,
                     "op_index": point,
                     "inflight_ops": inflight,
+                    "lookups_ok": lookups_ok,
                     "missing": sorted(
                         k.decode() for k in set(committed) - set(state)
                     )[:5],

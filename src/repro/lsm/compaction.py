@@ -1,53 +1,50 @@
-"""Compaction execution: k-way merge of sorted runs into the next level.
+"""Compaction execution: the newest-first k-way merge, and the table writer.
 
-Duplicate keys resolve by table sequence number (newer wins); tombstones are
-carried forward unless the output level is the deepest occupied level, where
-they can be dropped for good — the standard leveled-compaction rules.
+:func:`merge_newest_first` is the only merge in the LSM engine.  Its sources
+arrive in the recency order :meth:`repro.lsm.version.VersionSet.newest_first`
+defines (memtables ahead of every table), so for a key held by several
+sources the earliest-listed one wins and the rest are skipped.  Tombstones
+are carried forward unless the caller knows nothing older can lie beneath
+the output (the deepest occupied level), where they are dropped for good.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from repro.lsm.sstable import SSTableReader, SSTableWriter
+from repro.lsm.sstable import SSTableWriter
 from repro.obs.trace import maybe_instant
 
 
-def merge_tables(
-    inputs: list[SSTableReader],
-    drop_tombstones: bool,
+def merge_newest_first(
+    sources: Iterable[Iterator[tuple[bytes, Optional[bytes]]]],
+    drop_tombstones: bool = False,
 ) -> Iterator[tuple[bytes, Optional[bytes]]]:
-    """Merge input tables into one deduplicated sorted stream.
-
-    ``inputs`` may overlap arbitrarily; for equal keys the record from the
-    table with the highest ``seq`` wins.
-    """
-    heap: list[tuple[bytes, int, int, Optional[bytes]]] = []
-    iters = []
-    for idx, reader in enumerate(inputs):
-        iters.append(reader.iter_all())
-        first = next(iters[idx], None)
+    """Merge key-sorted streams, listed newest first, into one sorted,
+    deduplicated stream; ``None`` values are tombstones."""
+    iters = list(sources)
+    heap = []
+    for rank, stream in enumerate(iters):
+        first = next(stream, None)
         if first is not None:
-            # Negative seq: for equal keys the newest table pops first.
-            heapq.heappush(heap, (first[0], -reader.meta.seq, idx, first[1]))
+            # (key, rank) is unique, so values are never compared.
+            heap.append((first[0], rank, first[1]))
+    heapq.heapify(heap)
     last_key: Optional[bytes] = None
     while heap:
-        key, _, idx, value = heapq.heappop(heap)
-        nxt = next(iters[idx], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], heap_seq(inputs[idx]), idx, nxt[1]))
+        key, rank, value = heap[0]
+        nxt = next(iters[rank], None)
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (nxt[0], rank, nxt[1]))
         if key == last_key:
-            continue  # an older duplicate
+            continue  # an older version of a key already emitted
         last_key = key
         if value is None and drop_tombstones:
             continue
         yield key, value
-
-
-def heap_seq(reader: SSTableReader) -> int:
-    """Heap priority of a table: newest (highest seq) pops first."""
-    return -reader.meta.seq
 
 
 def write_merged(

@@ -26,7 +26,6 @@ manifest writes are ``W_e``.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -40,7 +39,7 @@ from repro.btree.wal import (
 )
 from repro.csd.device import BlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, LsmError
-from repro.lsm.compaction import merge_tables, write_merged
+from repro.lsm.compaction import merge_newest_first, write_merged
 from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter
@@ -512,40 +511,19 @@ class LSMEngine:
                 yield key, self._resolve(key, value)
 
     def _merged_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """Newest-wins merge of all sorted sources, tombstones included."""
-        sources: list[tuple[int, Iterator]] = [
-            (1 << 62, self.memtable.items_from(start_key))
+        """Newest-wins merge of all sorted sources, tombstones included.
+
+        Same source order as :meth:`get`: active memtable, frozen memtables
+        newest first, then the version set's tables newest first.
+        """
+        sources = [self.memtable.items_from(start_key)]
+        sources += [table.items_from(start_key) for table in reversed(self.frozen)]
+        sources += [
+            reader.iter_from(start_key)
+            for reader in self.versions.newest_first()
+            if reader.meta.max_key >= start_key
         ]
-        for index, table in enumerate(self.frozen):
-            # Older than the active memtable, newer than every SSTable;
-            # ascending index = ascending age priority.
-            sources.append(((1 << 61) + index, table.items_from(start_key)))
-        for level, tables in enumerate(self.versions.levels):
-            for reader in tables:
-                if reader.meta.max_key >= start_key:
-                    sources.append((reader.meta.seq, reader.iter_from(start_key)))
-        heap: list[tuple[bytes, int, int]] = []
-        iters = []
-        values: list[Optional[bytes]] = []
-        for idx, (seq, iterator) in enumerate(sources):
-            iters.append(iterator)
-            values.append(None)
-            first = next(iterator, None)
-            if first is not None:
-                values[idx] = first[1]
-                heapq.heappush(heap, (first[0], -seq, idx))
-        last_key = None
-        while heap:
-            key, _, idx = heapq.heappop(heap)
-            value = values[idx]
-            nxt = next(iters[idx], None)
-            if nxt is not None:
-                values[idx] = nxt[1]
-                heapq.heappush(heap, (nxt[0], -sources[idx][0], idx))
-            if key == last_key:
-                continue
-            last_key = key
-            yield key, value
+        return merge_newest_first(sources)
 
     # ---------------------------------------------------------- transactions
 
@@ -745,13 +723,7 @@ class LSMEngine:
             self._persist_manifest()
 
     def _make_writer(self, expected_keys: int, seq: Optional[int] = None) -> SSTableWriter:
-        """New table writer.
-
-        ``seq`` defaults to a fresh, highest-yet sequence (memtable flushes).
-        Compaction outputs must instead inherit ``max(input seqs)`` — their
-        data is at most as new as their newest input, and a fresh sequence
-        would let old merged data shadow newer level-0 records in merges.
-        """
+        """New table writer; ``seq`` defaults to a fresh, highest-yet label."""
         table_id = self._next_table_id
         self._next_table_id += 1
         if seq is None:
@@ -771,26 +743,29 @@ class LSMEngine:
                 self._execute(job)
 
     def _execute(self, job) -> None:
-        inputs = job.inputs + job.overlaps
+        chosen = {id(r) for r in job.inputs + job.overlaps}
+        inputs = [r for r in self.versions.newest_first() if id(r) in chosen]
         bottom = job.output_level >= self.versions.deepest_nonempty_level()
         if bottom and self.versions.overlapping_runs:
             # Under tiering, runs excluded from the job may share the output
             # level *and* the merged key range while holding older versions;
             # dropping tombstones would resurrect those.  (Leveled levels
             # are disjoint, so exclusion there implies range-disjointness.)
-            merged = {id(r) for r in inputs}
             out_min = min(r.meta.min_key for r in inputs)
             out_max = max(r.meta.max_key for r in inputs)
             bottom = all(
-                id(r) in merged
+                id(r) in chosen
                 for r in self.versions.overlapping(job.output_level, out_min, out_max)
             )
         expected = sum(r.meta.n_records for r in inputs)
+        # A footer/manifest label; nothing orders by it (see lsm/version.py).
         output_seq = max(r.meta.seq for r in inputs)
         with maybe_span("lsm.compaction", "lsm", level=job.level,
                         output_level=job.output_level,
                         inputs=len(inputs)) as span_args:
-            stream = merge_tables(inputs, drop_tombstones=bottom)
+            stream = merge_newest_first(
+                [r.iter_all() for r in inputs], drop_tombstones=bottom
+            )
             metas, logical, physical = write_merged(
                 stream,
                 lambda: self._make_writer(max(1, expected), seq=output_seq),

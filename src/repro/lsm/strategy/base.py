@@ -9,11 +9,14 @@ owns the mechanics (merge, write, trim, manifest).  The contract:
   returns an empty list, so a strategy never needs to anticipate the shape
   its own jobs produce.
 * Every job's ``output_level`` is ``level + 1``; a job's ``inputs`` live at
-  ``level`` and its ``overlaps`` at the output level.  The engine assigns
-  the merged output ``seq = max(input seqs)``, so any table the strategy
-  *excludes* from a job must be either strictly newer than every input
-  (later L0 flushes under the partial policy) or disjoint in key range —
-  otherwise stale data would shadow newer records.
+  ``level`` and its ``overlaps`` at the output level.  Age is position
+  (:meth:`~repro.lsm.version.VersionSet.newest_first`), and the output is
+  added to ``level + 1`` as its newest member, so a job that takes only
+  some tables of an overlapping level (L0, or any level under tiering) must
+  take the *oldest* ones — those left behind at ``level`` keep outranking
+  the output.  A job into a disjoint (leveled) level must list every table
+  there that the merged key range overlaps; the version set raises
+  :class:`~repro.errors.CompactionError` otherwise.
 * :attr:`overlapping_levels` declares whether deep levels may hold
   overlapping sorted runs (tiering).  The :class:`~repro.lsm.version.
   VersionSet` relaxes its disjointness invariant, probes every matching run

@@ -4,11 +4,9 @@ One sorted run per level below L0.  L0 compacts wholesale into L1 once it
 accumulates ``l0_compaction_trigger`` tables; a deeper level that exceeds
 its geometric byte budget (``level_base_bytes * level_size_ratio**(L-1)``)
 contributes a single round-robin victim merged with its overlaps one level
-down.  The picking logic lives here verbatim — :meth:`~repro.lsm.version.
-VersionSet.pick_compaction` now delegates to :func:`plan_leveled_job` so
-the strategy refactor is bit-identical to the pre-strategy engine (the
-round-robin cursor stays on the version set, where its lifetime already
-matches the level state it indexes).
+down.  :func:`plan_leveled_job` is the pre-strategy engine's picking logic
+verbatim (the round-robin cursor stays on the version set, where its
+lifetime already matches the level state it indexes).
 """
 
 from __future__ import annotations

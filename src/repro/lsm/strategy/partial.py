@@ -3,9 +3,9 @@
 Leveled level shape (one sorted run per deep level), but work is metered:
 instead of folding *all* of L0 into L1 at once, each job takes only the
 ``partial_slice_tables`` **oldest** L0 tables plus their L1 overlaps.
-Taking the oldest slice is what makes this sound — the merge output gets
-``seq = max(input seqs)``, which is still strictly smaller than every
-remaining (newer) L0 table's seq, so the survivors keep shadowing it.
+Taking the oldest slice is what makes this sound — the output lands in L1,
+below every remaining (newer) L0 table, so the survivors keep shadowing it
+(see the contract in :mod:`repro.lsm.strategy.base`).
 Deeper levels already compact one round-robin victim at a time, i.e. the
 leveled policy below L0 *is* partial; it is reused verbatim here.
 
@@ -28,7 +28,7 @@ class PartialStrategy(CompactionStrategy):
 
     def plan(self, versions: VersionSet, config) -> List[CompactionJob]:
         if len(versions.levels[0]) >= config.l0_compaction_trigger:
-            # L0 is sorted oldest-first; slice from the front.
+            # L0 is kept oldest-first; slice from the front.
             inputs = list(versions.levels[0][: config.partial_slice_tables])
             min_key = min(r.meta.min_key for r in inputs)
             max_key = max(r.meta.max_key for r in inputs)

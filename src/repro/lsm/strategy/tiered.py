@@ -3,7 +3,10 @@
 Every level accumulates whole sorted runs; once a level holds ``trigger``
 runs (``l0_compaction_trigger`` at L0, ``level_size_ratio`` rounded down —
 at least 2 — below), *all* of them merge into a single new run one level
-down, overlapping nothing there (``overlaps=[]``): deep levels are allowed
+down, overlapping nothing there (``overlaps=[]``) and arriving as that
+level's newest run — the runs already there came from earlier tiers, and
+position is age (:meth:`~repro.lsm.version.VersionSet.newest_first`), so
+leaving them out is safe.  Deep levels are allowed
 to hold overlapping runs, which is exactly what buys tiering its lower
 write amplification — each record is rewritten once per level instead of
 once per level *per incoming run*.  The price is read fan-out (every run
@@ -34,7 +37,5 @@ class TieredStrategy(CompactionStrategy):
         for level in range(versions.max_levels - 1):
             runs = versions.levels[level]
             if len(runs) >= run_trigger(level, config):
-                # The whole tier moves down; output seq = max input seq, so
-                # excluding the destination's existing (older) runs is safe.
                 return [CompactionJob(level=level, inputs=list(runs), overlaps=[])]
         return []

@@ -1,13 +1,20 @@
-"""Level bookkeeping (the LSM-tree's version set).
+"""Level bookkeeping (the LSM-tree's version set) and the one recency rule.
 
-Level 0 holds whole-memtable flushes whose key ranges overlap.  Under the
-default (leveled) regime, levels >= 1 hold a single non-overlapping sorted
-run each; a version set built with ``overlapping=True`` (tiering policies,
-see :mod:`repro.lsm.strategy`) instead allows several overlapping sorted
-runs per level — deep levels then sort newest-last like L0, reads probe
-every matching table per level, and the disjointness invariant is not
-enforced.  Compaction *scheduling* is the strategy's job; the version set
-only answers shape queries and keeps the leveled round-robin cursor
+**Position is age.**  A shallower level is newer than a deeper one; within
+level 0 (whole-memtable flushes, overlapping) and within a level of
+overlapping sorted runs (``overlapping=True``, the tiering policies of
+:mod:`repro.lsm.strategy`) a table added later is newer than one added
+earlier; a leveled level >= 1 is one disjoint sorted run, kept in key order,
+so no two of its tables ever hold the same key.  :meth:`VersionSet.
+newest_first` is the only statement of that order: point reads, the scan
+merge and compaction inputs all consume it, and nothing compares tables any
+other way.  The ``seq`` in a table's footer and manifest entry is a label —
+it takes no part in ordering.  Level lists are persisted in list order and
+replayed through :meth:`VersionSet.add_table` in that order, so a reopened
+store has the same ages.
+
+Compaction *scheduling* is the strategy's job; the version set only answers
+shape queries and keeps the leveled round-robin cursor
 (:meth:`round_robin_victim`), whose lifetime must match the level state it
 indexes."""
 
@@ -49,13 +56,9 @@ class VersionSet:
 
     def add_table(self, level: int, reader: SSTableReader) -> None:
         self._check_level(level)
-        self.levels[level].append(reader)
-        if level == 0 or self.overlapping_runs:
-            # Newest last; get() walks newest-first.  Same-seq tables are
-            # slices of one merge output (disjoint ranges), so the
-            # table-id tiebreak only pins iteration order.
-            self.levels[level].sort(key=lambda r: (r.meta.seq, r.meta.table_id))
-        else:
+        self.levels[level].append(reader)  # arrival order is age
+        if level > 0 and not self.overlapping_runs:
+            # One disjoint run: key order, which decides nothing about age.
             self.levels[level].sort(key=lambda r: r.meta.min_key)
             self._check_disjoint(level)
 
@@ -104,41 +107,21 @@ class VersionSet:
             if not (r.meta.max_key < min_key or r.meta.min_key > max_key)
         ]
 
+    def newest_first(self) -> list[SSTableReader]:
+        """Every table, newest first — the recency rule (module docstring)."""
+        order = self.levels[0][::-1]
+        for tables in self.levels[1:]:
+            order.extend(reversed(tables) if self.overlapping_runs else tables)
+        return order
+
     def tables_for_get(self, key: bytes) -> list[SSTableReader]:
-        """Tables to probe for ``key``, newest first."""
-        candidates: list[SSTableReader] = []
-        for reader in reversed(self.levels[0]):  # newest L0 first
-            if reader.meta.min_key <= key <= reader.meta.max_key:
-                candidates.append(reader)
-        for level in range(1, self.max_levels):
-            if self.overlapping_runs:
-                for reader in reversed(self.levels[level]):  # newest run first
-                    if reader.meta.min_key <= key <= reader.meta.max_key:
-                        candidates.append(reader)
-                continue
-            for reader in self.levels[level]:
-                if reader.meta.min_key <= key <= reader.meta.max_key:
-                    candidates.append(reader)
-                    break  # non-overlapping: at most one per level
-        return candidates
+        """Tables whose key range covers ``key``, newest first."""
+        return [
+            r for r in self.newest_first()
+            if r.meta.min_key <= key <= r.meta.max_key
+        ]
 
     # ---------------------------------------------------------- scheduling
-
-    def pick_compaction(
-        self,
-        l0_trigger: int,
-        level_base_bytes: int,
-        size_ratio: float,
-    ) -> Optional[CompactionJob]:
-        """Choose the next leveled compaction, or None if the shape is healthy.
-
-        Kept as the stable scheduling entry point; the policy itself moved
-        to :mod:`repro.lsm.strategy.leveled` (imported lazily to avoid a
-        module cycle) and is shared with :class:`LeveledStrategy`.
-        """
-        from repro.lsm.strategy.leveled import plan_leveled_job
-
-        return plan_leveled_job(self, l0_trigger, level_base_bytes, size_ratio)
 
     def round_robin_victim(self, level: int) -> Optional[SSTableReader]:
         """Rotate through the level's key space so compaction work spreads out

@@ -5,8 +5,8 @@ each number is a function of the code alone: drift is a behaviour change,
 never noise, and the comparison is exact.  The scenarios and values are the
 deterministic cells of the retired ``repro bench --check`` baseline, copied
 unchanged; a PR that moves one on purpose re-records it here and says why.
-(The LSM strategy cells predate the stale-read fix — ROADMAP open item 1 —
-and ride that re-baseline.)  Wall-clock claims live in ``perf/``.
+(The LSM stale-read fix — ROADMAP item 1a — moved none of the strategy
+cells.)  Wall-clock claims live in ``perf/``.
 """
 
 from functools import lru_cache

@@ -1,9 +1,14 @@
-"""Unit tests for compaction merging."""
+"""Unit tests for compaction merging.
+
+Recency is the order sources are listed in (newest first); the ``seq`` a
+table was built with is a footer label the merge never looks at — the
+duplicate-key tests give the *older* table the higher ``seq`` to prove it.
+"""
 
 import pytest
 
 from repro.csd.device import CompressedBlockDevice
-from repro.lsm.compaction import merge_tables, write_merged
+from repro.lsm.compaction import merge_newest_first, write_merged
 from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter
 
 
@@ -26,6 +31,12 @@ def build(rig, records, table_id, seq):
     return SSTableReader.open(device, meta.start_block, meta.num_blocks)
 
 
+def merge_tables(newest_first, drop_tombstones):
+    return merge_newest_first(
+        [t.iter_all() for t in newest_first], drop_tombstones=drop_tombstones
+    )
+
+
 def test_merge_disjoint_tables(rig):
     a = build(rig, [(key(i), b"a") for i in range(0, 10)], 1, 1)
     b = build(rig, [(key(i), b"b") for i in range(10, 20)], 2, 2)
@@ -34,9 +45,9 @@ def test_merge_disjoint_tables(rig):
 
 
 def test_merge_newest_wins_on_duplicates(rig):
-    old = build(rig, [(key(i), b"old") for i in range(10)], 1, 1)
-    new = build(rig, [(key(i), b"new") for i in range(5, 15)], 2, 9)
-    merged = dict(merge_tables([old, new], drop_tombstones=False))
+    old = build(rig, [(key(i), b"old") for i in range(10)], 1, 9)
+    new = build(rig, [(key(i), b"new") for i in range(5, 15)], 2, 1)
+    merged = dict(merge_tables([new, old], drop_tombstones=False))
     for i in range(5):
         assert merged[key(i)] == b"old"
     for i in range(5, 15):
@@ -44,16 +55,16 @@ def test_merge_newest_wins_on_duplicates(rig):
 
 
 def test_merge_carries_tombstones_when_not_bottom(rig):
-    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 1)
-    deleter = build(rig, [(key(1), None)], 2, 9)
-    merged = dict(merge_tables([base, deleter], drop_tombstones=False))
+    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 9)
+    deleter = build(rig, [(key(1), None)], 2, 1)
+    merged = dict(merge_tables([deleter, base], drop_tombstones=False))
     assert merged[key(1)] is None  # tombstone survives
 
 
 def test_merge_drops_tombstones_at_bottom(rig):
-    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 1)
-    deleter = build(rig, [(key(1), None)], 2, 9)
-    merged = dict(merge_tables([base, deleter], drop_tombstones=True))
+    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 9)
+    deleter = build(rig, [(key(1), None)], 2, 1)
+    merged = dict(merge_tables([deleter, base], drop_tombstones=True))
     assert key(1) not in merged
     assert merged[key(2)] == b"v"
 

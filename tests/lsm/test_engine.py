@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError
 from repro.lsm.engine import LSMConfig, LSMEngine
+from repro.lsm.sstable import SSTableReader
+from repro.lsm.version import CompactionJob
 from repro.metrics.counters import compute_wa
 
 
@@ -260,3 +262,34 @@ def test_property_lsm_matches_dict(seed):
             reference[k] = v
         engine.commit()
     assert dict(engine.items()) == reference
+
+
+def test_shallower_table_wins_over_deeper_table_with_higher_seq():
+    """The stale-read defect's own shape: a deep table whose footer ``seq``
+    was inflated past a genuinely newer shallow table's.  Position decides —
+    in get, in scan, and when the pair is compacted together."""
+    engine, device = make_engine()
+
+    def install(level, seq, records):
+        writer = engine._make_writer(len(records), seq=seq)
+        for k, v in records:
+            writer.add(k, v)
+        meta, _, _ = writer.finish()
+        reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
+        engine.versions.add_table(level, reader)
+        return reader
+
+    deep = install(1, 9, [(key(1), b"stale"), (key(2), b"stale"), (key(3), b"kept")])
+    shallow = install(0, 1, [(key(1), b"fresh"), (key(2), None)])
+    expected = [(key(1), b"fresh"), (key(3), b"kept")]
+
+    def check():
+        assert engine.get(key(1)) == b"fresh"
+        assert engine.get(key(2)) is None
+        assert engine.scan(key(0), 10) == expected
+        assert list(engine.items()) == expected
+
+    check()
+    engine._execute(CompactionJob(level=0, inputs=[shallow], overlaps=[deep]))
+    assert engine.versions.levels[0] == []
+    check()

@@ -5,6 +5,7 @@ import pytest
 from repro.csd.device import BLOCK_SIZE
 from repro.errors import CompactionError
 from repro.lsm.sstable import SSTableMeta, SSTableReader
+from repro.lsm.strategy.leveled import plan_leveled_job
 from repro.lsm.version import VersionSet
 
 
@@ -26,11 +27,14 @@ def test_level_validation():
         versions.add_table(99, fake_table(1, 1, 0, 10))
 
 
-def test_l0_allows_overlap_sorted_by_seq():
+def test_l0_allows_overlap_in_arrival_order():
+    """L0 keeps overlapping tables oldest-first by arrival; footer seq and
+    table id (both *descending* here) play no part."""
     versions = VersionSet()
     versions.add_table(0, fake_table(2, 20, 0, 100))
     versions.add_table(0, fake_table(1, 10, 50, 150))
-    assert [t.meta.seq for t in versions.levels[0]] == [10, 20]
+    assert [t.meta.table_id for t in versions.levels[0]] == [2, 1]
+    assert [t.meta.table_id for t in versions.newest_first()] == [1, 2]
 
 
 def test_deeper_levels_reject_overlap():
@@ -83,6 +87,16 @@ def test_tables_for_get_order():
     assert [t.meta.table_id for t in probes] == [2, 1, 3, 4]
 
 
+def test_newest_first_within_overlapping_levels():
+    """Under tiering a deep level's later-added run is the newer one."""
+    versions = VersionSet(overlapping=True)
+    versions.add_table(0, fake_table(1, 30, 0, 100))
+    versions.add_table(1, fake_table(2, 20, 0, 100))
+    versions.add_table(1, fake_table(3, 10, 0, 100))
+    assert [t.meta.table_id for t in versions.newest_first()] == [1, 3, 2]
+    assert [t.meta.table_id for t in versions.tables_for_get(key(5))] == [1, 3, 2]
+
+
 def test_tables_for_get_range_filter():
     versions = VersionSet()
     versions.add_table(1, fake_table(1, 1, 0, 10))
@@ -95,7 +109,7 @@ def test_pick_compaction_l0_trigger():
         versions.add_table(0, fake_table(i, i + 1, 0, 100))
     overlap = fake_table(99, 1, 50, 60)
     versions.add_table(1, overlap)
-    job = versions.pick_compaction(l0_trigger=4, level_base_bytes=1 << 30, size_ratio=10)
+    job = plan_leveled_job(versions, l0_trigger=4, level_base_bytes=1 << 30, size_ratio=10)
     assert job is not None
     assert job.level == 0
     assert len(job.inputs) == 4
@@ -105,7 +119,7 @@ def test_pick_compaction_l0_trigger():
 def test_pick_compaction_none_when_healthy():
     versions = VersionSet()
     versions.add_table(0, fake_table(1, 1, 0, 100))
-    assert versions.pick_compaction(4, 1 << 30, 10) is None
+    assert plan_leveled_job(versions, 4, 1 << 30, 10) is None
 
 
 def test_pick_compaction_size_trigger():
@@ -113,7 +127,7 @@ def test_pick_compaction_size_trigger():
     # Level 1 holds 3 tables of 8 blocks; target is 2 blocks worth of bytes.
     for i in range(3):
         versions.add_table(1, fake_table(i, i + 1, i * 100, i * 100 + 50))
-    job = versions.pick_compaction(4, 2 * BLOCK_SIZE, 10)
+    job = plan_leveled_job(versions, 4, 2 * BLOCK_SIZE, 10)
     assert job is not None
     assert job.level == 1
     assert len(job.inputs) == 1
@@ -125,7 +139,7 @@ def test_round_robin_victim_rotates():
         versions.add_table(1, fake_table(i, i + 1, i * 100, i * 100 + 50))
     seen = []
     for _ in range(3):
-        job = versions.pick_compaction(4, 1, 10)
+        job = plan_leveled_job(versions, 4, 1, 10)
         seen.append(job.inputs[0].meta.table_id)
     assert sorted(seen) == [0, 1, 2]  # every table picked once per cycle
 
