@@ -355,12 +355,13 @@ def _apply_suppressions(
     return kept
 
 
-def _build_project(contexts: Sequence[FileContext]):
+def _build_project(contexts: Sequence[FileContext], roots: Sequence[str] = ()):
     """Build the whole-program index + summaries and attach to contexts."""
     from repro.analysis.project import build_project
     from repro.analysis.summaries import compute_summaries
 
     project = build_project(contexts)
+    project.roots = tuple(roots)
     compute_summaries(project, {ctx.path: ctx.tree for ctx in contexts})
     for ctx in contexts:
         ctx.project = project
@@ -498,7 +499,7 @@ def analyze_paths(
         for ctx in contexts:
             raw_by_path[ctx.path].extend(_run_file_rules(ctx, parallel_rules))
 
-    project = _build_project(contexts)
+    project = _build_project(contexts, [p for p in paths if Path(p).is_dir()])
     for ctx in contexts:
         raw_by_path[ctx.path].extend(_run_file_rules(ctx, parent_rules))
     for finding in _run_project_rules(project, contexts, rules):

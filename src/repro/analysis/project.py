@@ -153,8 +153,22 @@ class ProjectIndex:
         self.sites: Dict[str, List[CallSite]] = {}
         #: populated lazily by :mod:`repro.analysis.summaries`.
         self.summaries: Optional[Dict[str, object]] = None
+        #: The directories the scan was asked to walk (see
+        #: :meth:`display_path`); empty for single-file analysis.
+        self.roots: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------- lookups
+
+    def display_path(self, path: str) -> str:
+        """``path`` relative to the scanned directory that contains it.
+
+        For paths quoted inside a finding's message, so the report reads the
+        same wherever the tree is checked out.
+        """
+        for root in self.roots:
+            if Path(path).is_relative_to(root):
+                return Path(path).relative_to(root).as_posix()
+        return path
 
     def function(self, fid: str) -> FunctionInfo:
         return self.functions[fid]

@@ -91,7 +91,8 @@ class ExceptionContracts(ProjectRule):
                                 message=(
                                     f"public method `{cls.name}.{method_name}` "
                                     f"can leak `{exc_name}` (raised at "
-                                    f"{origin_path}:{origin_line}); wrap it in "
+                                    f"{project.display_path(origin_path)}:"
+                                    f"{origin_line}); wrap it in "
                                     f"a ReproError subclass at the boundary"
                                 ),
                             )

@@ -46,7 +46,12 @@ from repro.btree.wal import _BLOCK_HDR, _BLOCK_MAGIC
 from repro.core.bminus import BMinusConfig, BMinusTree
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.csd.faults import FaultInjectingDevice, FaultPlan, ScriptedFault
-from repro.errors import ConfigError, SimulatedCrashError
+from repro.errors import (
+    ChecksumError,
+    ConfigError,
+    PageFormatError,
+    SimulatedCrashError,
+)
 from repro.lsm.engine import LSMConfig, LSMEngine
 
 #: Device span shared by every campaign configuration (all layouts fit).
@@ -519,7 +524,7 @@ def _shadow_targets(pager, device, max_targets: int) -> list[tuple[int, int]]:
         raw = device.read_blocks(sibling_lba, pager.page_blocks)
         try:
             sibling = Page.from_bytes(raw)
-        except Exception:  # repro: noqa[EXC004] probing slots that may legitimately be torn
+        except (ChecksumError, PageFormatError):  # probing slots that may legitimately be torn
             continue
         if sibling.page_id != page_id:
             continue
@@ -536,13 +541,13 @@ def _journal_targets(pager: JournalPager, device, max_targets: int) -> list[tupl
         raw = device.read_blocks(pager._journal_lba(index), pager.page_blocks)
         try:
             ring_copy = Page.from_bytes(raw)
-        except Exception:  # repro: noqa[EXC004] unused ring entries are not valid pages
+        except (ChecksumError, PageFormatError):  # unused ring entries are not valid pages
             continue
         lba = pager._page_lba(ring_copy.page_id)
         try:
             live = Page.from_bytes(device.read_blocks(lba, pager.page_blocks))
-        except Exception:  # repro: noqa[EXC004] in-place image may be torn; skip as a heal target
-            continue
+        except (ChecksumError, PageFormatError):
+            continue  # in-place image may be torn; skip as a heal target
         if live.lsn != ring_copy.lsn:
             continue  # the ring copy is stale; restoring it would lose data
         targets.append((ring_copy.page_id, lba))

@@ -41,6 +41,7 @@ from repro.btree.wal import (
     LogPosition,
     LogRecord,
     RedoLog,
+    check_record_fits,
     split_complete_groups,
 )
 from repro.csd.device import BLOCK_SIZE, BlockDevice
@@ -135,7 +136,6 @@ class BTreeEngine:
             )
         self._lsn = 0
         self._txid = 0
-        self._replaying = False
         #: Ops appended since the last COMMIT marker (group_atomic mode).
         self._group_dirty = False
         #: Root-id change awaiting the group boundary (group_atomic mode).
@@ -196,113 +196,86 @@ class BTreeEngine:
     # --------------------------------------------------------------- KV API
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert or update one record (one transaction's worth of work)."""
-        lsn = self._peek_lsn()
-        if self.wal is not None and not self._replaying:
-            self.wal.append(LogRecord(lsn, self._txid, LogOp.PUT, key, value))
-        self.tree.put(key, value)
-        self.user_bytes += len(key) + len(value)
-        self.operations += 1
-        self._group_dirty = True
-        self._checkpoint_if_log_pressure()
+        """Insert or update one record: a batch of one."""
+        self.put_batch([(key, value)])
+
+    def put_batch(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Insert/update a sequence of records — the engine's one put path.
+
+        **Validate** every item first (key non-empty, record fits a leaf and
+        a WAL block), so a rejected call frames no redo record, applies
+        nothing and consumes no LSN.  Then, run by run: **frame** the redo
+        records, **apply** them through the tree's leaf cursor, **account**,
+        and **pace** with one checkpoint-pressure check.  A run is the
+        longest stretch during which no per-op check could fire (each WAL
+        append seals at most one block) and never shorter than one op, so
+        how a caller cuts its puts into batches changes no WAL record, LSN,
+        page mutation or device write (DESIGN.md §13).
+        """
+        if not isinstance(items, list):
+            items = list(items)
+        self.tree.validate_puts(items)
+        wal = self.wal
+        if wal is not None:
+            for key, value in items:
+                check_record_fits(len(key), len(value))
+        half_ring = self.config.log_blocks // 2
+        start = 0
+        while start < len(items):
+            if wal is None:
+                run = items[start:]
+            else:
+                room = half_ring - wal.blocks_since(self._checkpoint_pos)
+                run = items[start : start + max(1, room)]
+                append_kv = wal.append_kv
+                txid = self._txid
+                lsn = self._lsn  # the tree draws these same LSNs as it applies
+                for key, value in run:
+                    lsn += 1
+                    append_kv(lsn, txid, LogOp.PUT, key, value)
+            self.tree.apply_puts(run)
+            self.user_bytes += sum(len(key) + len(value) for key, value in run)
+            self.operations += len(run)
+            self._group_dirty = True
+            self._checkpoint_if_log_pressure()
+            start += len(run)
 
     def get(self, key: bytes) -> Optional[bytes]:
         return self.tree.get(key)
 
+    def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
+        """Point-lookup a sequence of keys (one descent per same-leaf run)."""
+        return self.tree.get_batch(keys)
+
     def delete(self, key: bytes) -> None:
-        lsn = self._peek_lsn()
-        if self.wal is not None and not self._replaying:
-            self.wal.append(LogRecord(lsn, self._txid, LogOp.DELETE, key, b""))
+        """Remove one record; raises :class:`KeyNotFoundError` if absent.
+
+        The one write that can fail at apply time, so its redo record is
+        framed immediately before it is applied and never ahead of an
+        earlier op: a DELETE of an absent key replays as a no-op, but a
+        pre-framed DELETE of a live key that a failing call never reached
+        would remove an acknowledged record at recovery.
+        """
+        if self.wal is not None:
+            self.wal.append_kv(self._lsn + 1, self._txid, LogOp.DELETE, key, b"")
         self.tree.delete(key)
         self.user_bytes += len(key)
         self.operations += 1
         self._group_dirty = True
         self._checkpoint_if_log_pressure()
 
+    def delete_batch(self, keys: list[bytes]) -> None:
+        """Delete a sequence of keys: ``for key in keys: delete(key)``.
+
+        Raises :class:`KeyNotFoundError` at the first absent key.  Every
+        earlier delete is logged and applied; no later one is logged or
+        applied, so recovery reproduces exactly the state the caller saw.
+        """
+        for key in keys:
+            self.delete(key)
+
     def scan(self, start_key: bytes, count: int) -> list[tuple[bytes, bytes]]:
         return self.tree.scan(start_key, count)
-
-    # ------------------------------------------------------------- batch API
-
-    def put_batch(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Insert/update a sequence of records with amortised per-op overhead.
-
-        Bit-identical to ``for k, v in items: put(k, v)`` — same WAL records,
-        LSNs, page mutations, and device writes — but the fixed costs are
-        paid once per batch: one in-place WAL framing loop, one batched tree
-        descent that revisits each leaf once per run of same-leaf keys, and
-        one checkpoint-pressure decision.
-
-        The single pressure decision is sound because each WAL append seals
-        at most one block, so when ``blocks_since + len(items)`` stays at or
-        under the half-ring trigger no per-op check could have fired
-        mid-batch; when that bound does not hold the batch falls back to the
-        per-op path, which checks (and checkpoints) exactly like single ops.
-        """
-        if not isinstance(items, list):
-            items = list(items)
-        if not items:
-            return
-        wal = self.wal if not self._replaying else None
-        if wal is not None and (
-            wal.blocks_since(self._checkpoint_pos) + len(items)
-            > self.config.log_blocks // 2
-        ):
-            for key, value in items:
-                self.put(key, value)
-            return
-        if wal is not None:
-            append_kv = wal.append_kv
-            txid = self._txid
-            lsn = self._lsn
-            for key, value in items:
-                lsn += 1
-                append_kv(lsn, txid, LogOp.PUT, key, value)
-        self.tree.put_batch(items)
-        self.user_bytes += sum(len(key) + len(value) for key, value in items)
-        self.operations += len(items)
-        self._group_dirty = True
-        self._checkpoint_if_log_pressure()
-
-    def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
-        """Point-lookup a sequence of keys (one descent per same-leaf run)."""
-        if not isinstance(keys, list):
-            keys = list(keys)
-        return self.tree.get_batch(keys)
-
-    def delete_batch(self, keys: list[bytes]) -> None:
-        """Delete a sequence of keys; same amortisation as :meth:`put_batch`.
-
-        Raises :class:`KeyNotFoundError` at the first absent key, with every
-        earlier delete applied (matching the single-op sequence).  The
-        pre-framed redo records of the undone suffix are harmless if the
-        caller continues past the error: replaying a DELETE of an absent key
-        is a no-op by recovery's own rules.
-        """
-        if not isinstance(keys, list):
-            keys = list(keys)
-        if not keys:
-            return
-        wal = self.wal if not self._replaying else None
-        if wal is not None and (
-            wal.blocks_since(self._checkpoint_pos) + len(keys)
-            > self.config.log_blocks // 2
-        ):
-            for key in keys:
-                self.delete(key)
-            return
-        if wal is not None:
-            append_kv = wal.append_kv
-            txid = self._txid
-            lsn = self._lsn
-            for key in keys:
-                lsn += 1
-                append_kv(lsn, txid, LogOp.DELETE, key, b"")
-        self.tree.delete_batch(keys)
-        self.user_bytes += sum(len(key) for key in keys)
-        self.operations += len(keys)
-        self._group_dirty = True
-        self._checkpoint_if_log_pressure()
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         return self.tree.items()
@@ -533,20 +506,16 @@ class BTreeEngine:
                 records, discarded = split_complete_groups(records)
                 if discarded:
                     self._fault_stats.group_rollbacks += 1
-            self._replaying = True
-            try:
-                for record in records:
-                    self._lsn = max(self._lsn, record.lsn)
-                    self._txid = max(self._txid, record.txid)
-                    if record.op == LogOp.PUT:
-                        self.tree.put(record.key, record.value)
-                    elif record.op == LogOp.DELETE:
-                        try:
-                            self.tree.delete(record.key)
-                        except KeyNotFoundError:
-                            pass  # already applied before the crash
-            finally:
-                self._replaying = False
+            for record in records:
+                self._lsn = max(self._lsn, record.lsn)
+                self._txid = max(self._txid, record.txid)
+                if record.op == LogOp.PUT:
+                    self.tree.put(record.key, record.value)
+                elif record.op == LogOp.DELETE:
+                    try:
+                        self.tree.delete(record.key)
+                    except KeyNotFoundError:
+                        pass  # already applied before the crash
             self.wal.reset_to(end)
         self.checkpoint()
 
@@ -611,9 +580,6 @@ class BTreeEngine:
     def _next_lsn(self) -> int:
         self._lsn += 1
         return self._lsn
-
-    def _peek_lsn(self) -> int:
-        return self._lsn + 1
 
     def _flush_with_dependencies(self, page: Page) -> None:
         """Flush ``page`` after its crash-consistency prerequisites.

@@ -46,7 +46,9 @@ from repro.csd.faults import (
     write_blocks_retrying,
 )
 from repro.errors import (
+    ChecksumError,
     ConfigError,
+    PageFormatError,
     ReadRepairError,
     RecoveryError,
     TransientIOError,
@@ -283,7 +285,7 @@ class JournalPager(Pager):
             raw = self._read_blocks(self._journal_lba(index), self.page_blocks)
             try:
                 candidate = Page.from_bytes(raw)
-            except Exception:  # repro: noqa[EXC004] ring scan: stale/torn entries are expected
+            except (ChecksumError, PageFormatError):  # ring scan: stale/torn entries are expected
                 continue
             if candidate.page_id != page_id:
                 continue
@@ -308,7 +310,7 @@ class JournalPager(Pager):
             image = self._read_blocks(self._journal_lba(index), self.page_blocks)
             try:
                 journal_page = Page.from_bytes(image)
-            except Exception:  # repro: noqa[EXC004] ring scan: stale/torn entries are expected
+            except (ChecksumError, PageFormatError):  # ring scan: stale/torn entries are expected
                 continue
             lba = self._page_lba(journal_page.page_id)
             current = self._read_blocks(lba, self.page_blocks)
@@ -316,7 +318,7 @@ class JournalPager(Pager):
                 live = Page.from_bytes(current)
                 if live.lsn >= journal_page.lsn:
                     continue
-            except Exception:  # repro: noqa[EXC004] torn image: healed below
+            except (ChecksumError, PageFormatError):  # torn image: healed below
                 pass
             self._write_blocks(lba, image)
             self.fault_stats.journal_repairs += 1

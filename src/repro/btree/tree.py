@@ -73,7 +73,7 @@ class BTree:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value for ``key`` or None."""
-        leaf, pinned = self._descend_for_read(key)
+        _, leaf, pinned = self._descend(key)
         try:
             return leaf.get(key)
         finally:
@@ -82,17 +82,42 @@ class BTree:
     def contains(self, key: bytes) -> bool:
         return self.get(key) is not None
 
+    def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
+        """Point-lookup each key in order, collapsing same-leaf runs.
+
+        Equivalent to ``[get(k) for k in keys]`` (see :meth:`apply_puts` for
+        the collapse argument); reads never mutate, so only the repeated
+        descent is saved.
+        """
+        out: list[Optional[bytes]] = []
+        leaf: Optional[LeafNode] = None
+        lower = b""
+        upper: Optional[bytes] = None
+        pinned: list[int] = []
+        try:
+            for key in keys:
+                if leaf is None or key < lower or (upper is not None and key >= upper):
+                    self._unpin(pinned)
+                    pinned = []
+                    path, leaf, pinned = self._descend(key)
+                    lower, upper = self._routing_interval(path)
+                out.append(leaf.get(key))
+        finally:
+            self._unpin(pinned)
+        return out
+
     def scan(self, start_key: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Return up to ``count`` records with key >= ``start_key`` in order.
 
         Scans proceed leaf by leaf via fresh descents (no sibling pointers to
-        maintain across splits); the descent tracks each leaf's routing upper
-        bound so the cursor can step over leaves with no qualifying records.
+        maintain across splits); each leaf's routing upper bound lets the
+        cursor step over leaves with no qualifying records.
         """
         out: list[tuple[bytes, bytes]] = []
         cursor = start_key
         while len(out) < count:
-            leaf, upper, pinned = self._descend_with_upper(cursor)
+            path, leaf, pinned = self._descend(cursor)
+            _, upper = self._routing_interval(path)
             try:
                 batch = list(islice(leaf.records_from(cursor), count - len(out)))
             finally:
@@ -126,65 +151,15 @@ class BTree:
 
     def put(self, key: bytes, value: bytes) -> bool:
         """Insert or update ``key``; returns True if the key is new."""
-        if not key:
-            raise TreeError("empty keys are reserved for internal routing")
-        if leaf_cell_size(key, value) > self.max_record_bytes:
-            raise TreeError(
-                f"record of {leaf_cell_size(key, value)} bytes exceeds the "
-                f"{self.max_record_bytes}-byte limit for {self.page_size}-byte pages"
-            )
-        lsn = self._lsn_source()
-        path, leaf, pinned = self._descend_for_write(key)
-        try:
-            try:
-                inserted = leaf.put(key, value)
-                self._stamp(leaf.page, lsn)
-                return inserted
-            except PageFullError:
-                target = self._split_leaf(path, leaf, key, lsn, pinned)
-                inserted = target.put(key, value)
-                self._stamp(target.page, lsn)
-                return inserted
-        finally:
-            self._unpin(pinned)
+        return self.put_batch([(key, value)]) == 1
 
-    def delete(self, key: bytes) -> None:
-        """Remove ``key``; raises :class:`KeyNotFoundError` if absent."""
-        lsn = self._lsn_source()
-        path, leaf, pinned = self._descend_for_write(key)
-        try:
-            leaf.delete(key)  # raises KeyNotFoundError
-            self._stamp(leaf.page, lsn)
-            if leaf.nslots == 0 and path:
-                self._remove_empty_page(path, leaf.page.page_id, lsn, pinned)
-        finally:
-            self._unpin(pinned)
+    def validate_puts(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Raise :class:`TreeError` unless every item can be stored in a leaf.
 
-    # ------------------------------------------------------------- batch ops
-
-    def put_batch(self, items: list[tuple[bytes, bytes]]) -> int:
-        """Apply puts in order, revisiting a leaf only once per run of keys.
-
-        Equivalent to ``for k, v in items: put(k, v)`` — same records, same
-        LSNs, same page mutations, same flush/eviction sequence — but a run
-        of consecutive keys routed to the same leaf skips the repeated
-        descent: the leaf and its routing bounds ``[lower, upper)`` are
-        cached from the first descent and reused while keys stay inside.
-
-        Why the collapse cannot change observable state: repeating an
-        identical all-hit descent only issues idempotent LRU refreshes (the
-        path's relative recency order is unchanged, and nothing else is
-        touched between the ops of a run), so no load, eviction, flush, or
-        device write moves.  Any structural change (split, root growth)
-        invalidates the cached leaf and the next op re-descends exactly as
-        the single-op path would.  Returns the number of newly inserted keys.
+        A put cannot fail once this has passed, which is what lets the engine
+        frame the redo records of a whole run before applying any of them.
         """
-        inserted = 0
-        lsn_source = self._lsn_source
         max_record = self.max_record_bytes
-        # Validate everything before mutating anything: a bad item rejects the
-        # whole batch with no record applied and no LSN consumed (the engine
-        # relies on this to keep its pre-framed WAL records consistent).
         for key, value in items:
             if not key:
                 raise TreeError("empty keys are reserved for internal routing")
@@ -193,6 +168,30 @@ class BTree:
                     f"record of {leaf_cell_size(key, value)} bytes exceeds the "
                     f"{max_record}-byte limit for {self.page_size}-byte pages"
                 )
+
+    def put_batch(self, items: list[tuple[bytes, bytes]]) -> int:
+        """Validate, then apply puts in order; returns the number of new keys.
+
+        A bad item rejects the whole batch with no record applied and no LSN
+        consumed.
+        """
+        self.validate_puts(items)
+        return self.apply_puts(items)
+
+    def apply_puts(self, items: list[tuple[bytes, bytes]]) -> int:
+        """Apply validated puts in order, descending once per same-leaf run.
+
+        The leaf and its routing interval ``[lower, upper)`` are kept from
+        one descent and reused while keys stay inside it.  The state a caller
+        can observe is that of one descent per key: repeating an identical
+        all-hit descent only issues idempotent LRU refreshes (the path's
+        relative recency order is unchanged, and nothing else is touched
+        between the ops of a run), so no load, eviction, flush, or device
+        write moves.  Any structural change (split, root growth) drops the
+        cached leaf and the next key descends afresh.
+        """
+        inserted = 0
+        lsn_source = self._lsn_source
         path: list[tuple[InternalNode, int]] = []
         leaf: Optional[LeafNode] = None
         lower = b""
@@ -204,7 +203,9 @@ class BTree:
                 if leaf is None or key < lower or (upper is not None and key >= upper):
                     self._unpin(pinned)
                     pinned = []
-                    path, leaf, lower, upper, pinned = self._descend_for_write_bounded(key)
+                    path, leaf, pinned = self._descend(key)
+                    if len(items) > 1:  # a lone put has no next key to route
+                        lower, upper = self._routing_interval(path)
                 try:
                     if leaf.put(key, value):
                         inserted += 1
@@ -223,99 +224,31 @@ class BTree:
             self._unpin(pinned)
         return inserted
 
-    def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
-        """Point-lookup each key in order, collapsing same-leaf runs.
-
-        Equivalent to ``[get(k) for k in keys]`` (see :meth:`put_batch` for
-        the collapse argument); reads never mutate, so only the repeated
-        descent is saved.
-        """
-        out: list[Optional[bytes]] = []
-        leaf: Optional[LeafNode] = None
-        lower = b""
-        upper: Optional[bytes] = None
-        pinned: list[int] = []
+    def delete(self, key: bytes) -> None:
+        """Remove ``key``; raises :class:`KeyNotFoundError` if absent."""
+        lsn = self._lsn_source()
+        path, leaf, pinned = self._descend(key)
         try:
-            for key in keys:
-                if leaf is None or key < lower or (upper is not None and key >= upper):
-                    self._unpin(pinned)
-                    pinned = []
-                    leaf, lower, upper, pinned = self._descend_for_read_bounded(key)
-                out.append(leaf.get(key))
-        finally:
-            self._unpin(pinned)
-        return out
-
-    def delete_batch(self, keys: list[bytes]) -> None:
-        """Delete each key in order, collapsing same-leaf runs.
-
-        Equivalent to ``for k in keys: delete(k)``; raises
-        :class:`KeyNotFoundError` at the first absent key (earlier deletes
-        stay applied, matching the single-op sequence).  A delete that
-        empties a leaf triggers the structural unlink and invalidates the
-        cached route.
-        """
-        lsn_source = self._lsn_source
-        path: list[tuple[InternalNode, int]] = []
-        leaf: Optional[LeafNode] = None
-        lower = b""
-        upper: Optional[bytes] = None
-        pinned: list[int] = []
-        try:
-            for key in keys:
-                lsn = lsn_source()
-                if leaf is None or key < lower or (upper is not None and key >= upper):
-                    self._unpin(pinned)
-                    pinned = []
-                    path, leaf, lower, upper, pinned = self._descend_for_write_bounded(key)
-                leaf.delete(key)  # raises KeyNotFoundError
-                self._stamp(leaf.page, lsn)
-                if leaf.nslots == 0 and path:
-                    self._remove_empty_page(path, leaf.page.page_id, lsn, pinned)
-                    self._unpin(pinned)
-                    pinned = []
-                    leaf = None
+            leaf.delete(key)  # raises KeyNotFoundError
+            self._stamp(leaf.page, lsn)
+            if leaf.nslots == 0 and path:
+                self._remove_empty_page(path, leaf.page.page_id, lsn, pinned)
         finally:
             self._unpin(pinned)
 
     # -------------------------------------------------------------- descent
 
-    def _descend_for_read(self, key: bytes) -> tuple[LeafNode, list[int]]:
-        pinned: list[int] = []
-        page = self.pool.get(self.root_id, pin=True)
-        pinned.append(self.root_id)
-        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
-            child_id = InternalNode(page).child_for(key)
-            page = self.pool.get(child_id, pin=True)
-            pinned.append(child_id)
-        return LeafNode(page), pinned
-
-    def _descend_with_upper(
-        self, key: bytes
-    ) -> tuple[LeafNode, Optional[bytes], list[int]]:
-        """Descend to the leaf for ``key``, tracking its routing upper bound."""
-        pinned: list[int] = []
-        upper: Optional[bytes] = None
-        page = self.pool.get(self.root_id, pin=True)
-        pinned.append(self.root_id)
-        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
-            node = InternalNode(page)
-            index = node.child_index_for(key)
-            if index + 1 < node.nslots:
-                upper = node.key_at(index + 1)
-            child_id = node.child_at(index)
-            page = self.pool.get(child_id, pin=True)
-            pinned.append(child_id)
-        return LeafNode(page), upper, pinned
-
-    def _descend_for_write(
+    def _descend(
         self, key: bytes
     ) -> tuple[list[tuple[InternalNode, int]], LeafNode, list[int]]:
-        """Descend keeping the internal path: [(node, child_index), ...]."""
-        pinned: list[int] = []
+        """Walk to the leaf for ``key``: ``(path, leaf, pinned)``.
+
+        ``path`` is the internal route ``[(node, child_index), ...]`` that
+        splits and merges edit; ``pinned`` is every page id the walk pinned.
+        """
+        pinned = [self.root_id]
         path: list[tuple[InternalNode, int]] = []
         page = self.pool.get(self.root_id, pin=True)
-        pinned.append(self.root_id)
         while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
             index = node.child_index_for(key)
@@ -325,58 +258,26 @@ class BTree:
             pinned.append(child_id)
         return path, LeafNode(page), pinned
 
-    def _descend_for_read_bounded(
-        self, key: bytes
-    ) -> tuple[LeafNode, bytes, Optional[bytes], list[int]]:
-        """Read descent returning ``(leaf, lower, upper, pinned)``.
+    @staticmethod
+    def _routing_interval(
+        path: list[tuple[InternalNode, int]]
+    ) -> tuple[bytes, Optional[bytes]]:
+        """``[lower, upper)`` of the leaf a fresh descent's ``path`` ends at.
 
-        ``[lower, upper)`` is the leaf's routing key range: any key inside it
-        descends to this same leaf (absent structural changes), which is what
-        lets the batch cursor reuse the leaf without re-descending.
+        Any key inside it descends to that same leaf (absent structural
+        changes), which is what lets a cursor reuse the leaf or step to the
+        next one.  Read off the separator lists ``child_index_for`` decoded
+        on the way down; the innermost bound on each side wins.
         """
-        pinned: list[int] = []
         lower = b""
         upper: Optional[bytes] = None
-        page = self.pool.get(self.root_id, pin=True)
-        pinned.append(self.root_id)
-        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
-            node = InternalNode(page)
-            index = node.child_index_for(key)
-            bound = node.key_at(index)
-            if bound:
-                lower = bound
-            if index + 1 < node.nslots:
-                upper = node.key_at(index + 1)
-            child_id = node.child_at(index)
-            page = self.pool.get(child_id, pin=True)
-            pinned.append(child_id)
-        return LeafNode(page), lower, upper, pinned
-
-    def _descend_for_write_bounded(
-        self, key: bytes
-    ) -> tuple[
-        list[tuple[InternalNode, int]], LeafNode, bytes, Optional[bytes], list[int]
-    ]:
-        """Write descent returning ``(path, leaf, lower, upper, pinned)``."""
-        pinned: list[int] = []
-        path: list[tuple[InternalNode, int]] = []
-        lower = b""
-        upper: Optional[bytes] = None
-        page = self.pool.get(self.root_id, pin=True)
-        pinned.append(self.root_id)
-        while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
-            node = InternalNode(page)
-            index = node.child_index_for(key)
-            path.append((node, index))
-            bound = node.key_at(index)
-            if bound:
-                lower = bound
-            if index + 1 < node.nslots:
-                upper = node.key_at(index + 1)
-            child_id = node.child_at(index)
-            page = self.pool.get(child_id, pin=True)
-            pinned.append(child_id)
-        return path, LeafNode(page), lower, upper, pinned
+        for node, index in path:
+            keys = node.page.routing_keys
+            if keys[index]:
+                lower = keys[index]
+            if index + 1 < len(keys):
+                upper = keys[index + 1]
+        return lower, upper
 
     def _unpin(self, pinned: list[int]) -> None:
         for page_id in pinned:

@@ -46,6 +46,19 @@ _PAYLOAD_HDR = struct.Struct("<QQBHI")  # lsn, txid, op, klen, vlen
 BLOCK_CAPACITY = BLOCK_SIZE - _BLOCK_HDR.size
 
 
+def check_record_fits(key_len: int, value_len: int) -> None:
+    """Raise :class:`WalError` if a key and value of these lengths cannot be
+    logged: records never span blocks.
+
+    Engines run this over a whole batch before framing its first record, so
+    :meth:`RedoLog.append_kv` — which keeps the same check — cannot reject
+    an item after its predecessors were framed.
+    """
+    encoded_len = _REC_HDR.size + _PAYLOAD_HDR.size + key_len + value_len
+    if encoded_len > BLOCK_CAPACITY:
+        raise WalError(f"log record of {encoded_len} bytes exceeds block capacity")
+
+
 class LogOp(enum.IntEnum):
     """Operation types recorded in the redo log."""
 

@@ -126,11 +126,13 @@ class BMinusTree:
         self.engine.delete(key)
 
     def put_batch(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Insert/update many records in one amortised call.
+        """Insert/update many records in one call.
 
-        Bit-identical to the equivalent ``put`` sequence (same WAL records,
-        page writes, and device bytes); the per-op descent/framing/decision
-        overhead is paid once per batch — see
+        Every item is validated before anything is logged or applied, so a
+        bad item (empty key, oversize record) rejects the whole batch.
+        Otherwise bit-identical to the equivalent ``put`` sequence — ``put``
+        is this call on a list of one — with the fixed costs paid once per
+        run of the batch; see
         :meth:`repro.btree.engine.BTreeEngine.put_batch`.
         """
         self.engine.put_batch(items)
@@ -140,8 +142,12 @@ class BMinusTree:
         return self.engine.get_batch(keys)
 
     def delete_batch(self, keys: list[bytes]) -> None:
-        """Delete many records; raises ``KeyNotFoundError`` at the first
-        absent key with every earlier delete applied."""
+        """Delete many records: ``for key in keys: delete(key)``.
+
+        Raises ``KeyNotFoundError`` at the first absent key.  Every earlier
+        delete is logged and applied, no later one is, so recovery
+        reproduces exactly the state the caller saw.
+        """
         self.engine.delete_batch(keys)
 
     def scan(self, start_key: bytes, count: int) -> list[tuple[bytes, bytes]]:

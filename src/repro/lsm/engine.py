@@ -35,6 +35,7 @@ from repro.btree.wal import (
     LogPosition,
     LogRecord,
     RedoLog,
+    check_record_fits,
     split_complete_groups,
 )
 from repro.csd.device import BlockDevice
@@ -45,7 +46,7 @@ from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter
 from repro.lsm.strategy import STRATEGIES, get_strategy
 from repro.lsm.version import VersionSet
-from repro.lsm.vlog import ValueLog, ValueRef
+from repro.lsm.vlog import VREF_SIZE, ValueLog, ValueRef
 from repro.metrics.counters import TrafficSnapshot
 from repro.obs.trace import maybe_instant, maybe_span
 from repro.sim.clock import SimClock
@@ -336,12 +337,13 @@ class LSMEngine:
     # --------------------------------------------------------------- KV API
 
     def put(self, key: bytes, value: bytes) -> None:
-        if value is None:
-            raise LsmError("None is reserved for tombstones; use delete()")
-        if (
-            self.vlog is not None
-            and len(value) >= self.config.value_separation_threshold
-        ):
+        """Insert or update one record — the engine's one put path.
+
+        The order is fixed: validate, log, apply to the memtable, account,
+        pace (the memtable-flush decision).
+        """
+        separated = self._check_put(key, value)
+        if separated:
             # WAL-time separation: the value goes to the vlog *before* its
             # pointer enters the WAL, so one flush covers both and a durable
             # pointer always has durable value bytes behind it.
@@ -358,6 +360,7 @@ class LSMEngine:
 
     def delete(self, key: bytes) -> None:
         """Record a deletion (blind delete, RocksDB semantics)."""
+        self._check_loggable(key, 0)
         self._log(LogOp.DELETE, key, b"")
         self.memtable.delete(key)
         self.user_bytes += len(key)
@@ -371,54 +374,20 @@ class LSMEngine:
             raise KeyNotFoundError(repr(key))
         self.delete(key)
 
-    # ------------------------------------------------------------- batch API
-
     def put_batch(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Insert/update a sequence of records with amortised per-op overhead.
+        """``for k, v in items: put(k, v)``, after validating every item.
 
-        Bit-identical to ``for k, v in items: put(k, v)``: same WAL records
-        and LSNs, same memtable state (the skiplist height RNG is drawn in
-        the same order), same flush/compaction sequence.  The memtable size
-        trigger and the WAL ring guard are decided once per batch instead of
-        per op — sound because ``Σ(len(k)+len(v)+24)`` upper-bounds the
-        memtable growth of any batch prefix and each WAL append seals at
-        most one ring block, so when both bounds clear the triggers no
-        per-op check could have fired mid-batch.  Otherwise the batch falls
-        back to the per-op path, which behaves exactly like single ops.
+        An invalid item rejects the whole batch with nothing logged or
+        applied.  (Value-log exhaustion is not a validation failure: like a
+        sequence of puts, it surfaces at the item that hits it, with every
+        earlier item logged and applied in order.)
         """
         if not isinstance(items, list):
             items = list(items)
-        if not items:
-            return
-        if self.vlog is not None:
-            # Separation decides per value where bytes land; the deferred
-            # fast path's bounds don't model vlog appends, so batches take
-            # the (identical-result) per-op path.
-            for key, value in items:
-                self.put(key, value)
-            return
-        payload = 0
         for key, value in items:
-            if value is None:
-                raise LsmError("None is reserved for tombstones; use delete_batch()")
-            payload += len(key) + len(value) + 24
-        if not self._can_defer_flush_decision(len(items), payload):
-            for key, value in items:
-                self.put(key, value)
-            return
-        if self.wal is not None:
-            append_kv = self.wal.append_kv
-            txid = self._txid
-            lsn = self._lsn
-            for key, value in items:
-                lsn += 1
-                append_kv(lsn, txid, LogOp.PUT, key, value)
-            self._lsn = lsn
-        self.memtable.put_batch(items)
-        self.user_bytes += sum(len(key) + len(value) for key, value in items)
-        self.operations += len(items)
-        self._group_dirty = True
-        self._maybe_flush_memtable()
+            self._check_put(key, value)
+        for key, value in items:
+            self.put(key, value)
 
     def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
         """Point-lookup a sequence of keys (``[get(k) for k in keys]``)."""
@@ -426,53 +395,37 @@ class LSMEngine:
         return [get(key) for key in keys]
 
     def delete_batch(self, keys: list[bytes]) -> None:
-        """Record a sequence of tombstones (blind deletes, RocksDB semantics)."""
+        """``for k in keys: delete(k)``, after validating every key."""
         if not isinstance(keys, list):
             keys = list(keys)
-        if not keys:
-            return
-        payload = sum(len(key) + 24 for key in keys)
-        if not self._can_defer_flush_decision(len(keys), payload):
-            for key in keys:
-                self.delete(key)
-            return
-        if self.wal is not None:
-            append_kv = self.wal.append_kv
-            txid = self._txid
-            lsn = self._lsn
-            for key in keys:
-                lsn += 1
-                append_kv(lsn, txid, LogOp.DELETE, key, b"")
-            self._lsn = lsn
-        self.memtable.put_batch([(key, None) for key in keys])
-        self.user_bytes += sum(len(key) for key in keys)
-        self.operations += len(keys)
-        self._group_dirty = True
-        self._maybe_flush_memtable()
+        for key in keys:
+            self._check_loggable(key, 0)
+        for key in keys:
+            self.delete(key)
 
-    def _can_defer_flush_decision(self, n_ops: int, payload_bound: int) -> bool:
-        """True when no per-op memtable-flush check could fire mid-batch.
+    def _check_put(self, key: bytes, value: bytes) -> bool:
+        """Validate one put; returns whether its value goes to the value log
+        (in which case the WAL carries a pointer, not the value)."""
+        if value is None:
+            raise LsmError("None is reserved for tombstones; use delete()")
+        separated = (
+            self.vlog is not None
+            and len(value) >= self.config.value_separation_threshold
+        )
+        self._check_loggable(key, VREF_SIZE if separated else len(value))
+        return separated
 
-        Two triggers exist (see :meth:`_maybe_flush_memtable`); both are
-        monotone in the batch prefix, so bounding the whole batch bounds
-        every prefix: the memtable stays under its size threshold because
-        ``payload_bound`` over-approximates growth (updates shrink it), and
-        the WAL ring guard stays clear because ``n_ops`` appends seal at
-        most ``n_ops`` blocks.
+    def _check_loggable(self, key: bytes, value_len: int) -> None:
+        """Reject a write before any part of it is logged.
+
+        Recovery replays every durable record through the memtable, so a
+        logged record the memtable refuses (an empty key) would leave the
+        store unopenable.
         """
-        if self.config.group_atomic:
-            # No per-op triggers exist in group-atomic mode — every flush
-            # decision happens at the commit boundary — so any batch defers.
-            return True
-        if self.memtable.approximate_bytes + payload_bound >= self.config.memtable_bytes:
-            return False
-        if (
-            self.wal is not None
-            and self.wal.blocks_since(self._log_pos) + n_ops
-            > self.config.log_blocks // 2
-        ):
-            return False
-        return True
+        if not key:
+            raise ConfigError("empty keys are not supported")
+        if self.wal is not None:
+            check_record_fits(len(key), value_len)
 
     def get(self, key: bytes) -> Optional[bytes]:
         found, value = self.memtable.get(key)
@@ -609,7 +562,7 @@ class LSMEngine:
         if self.wal is None:
             return
         self._lsn += 1
-        self.wal.append(LogRecord(self._lsn, self._txid, op, key, value))
+        self.wal.append_kv(self._lsn, self._txid, op, key, value)
 
     def _maybe_flush_memtable(self) -> None:
         if self.config.group_atomic:

@@ -69,18 +69,6 @@ class MemTable:
         self._count += 1
         self.approximate_bytes += len(key) + (len(value) if value else 0) + 24
 
-    def put_batch(self, items: list[tuple[bytes, Optional[bytes]]]) -> None:
-        """Insert/update a sequence of entries in order.
-
-        A tight loop over :meth:`put`: the per-entry skiplist work (and the
-        height RNG draw order, which fixes the tower shapes) is identical to
-        single puts — the engine performs its size-trigger decision once per
-        batch, not here.
-        """
-        put = self.put
-        for key, value in items:
-            put(key, value)
-
     def delete(self, key: bytes) -> None:
         """Record a tombstone (the key may or may not exist here)."""
         self.put(key, TOMBSTONE)

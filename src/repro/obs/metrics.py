@@ -68,18 +68,14 @@ class MetricsHub:
             hist = self.op_latency[kind] = LatencyHistogram()
         return hist
 
-    def record_op(self, kind: str, device_delta: DeviceStats) -> None:
-        """Record one operation's modelled latency from its device traffic."""
-        latency = self.device_model.busy_time(device_delta) + self.host_model.op_base
-        self.histogram(kind).record(latency)
-
     def record_batch(self, kind: str, n: int, device_delta: DeviceStats) -> None:
-        """Record ``n`` same-kind ops served by one amortised batch call.
+        """Record the modelled latency of ``n`` same-kind ops served by one
+        engine call, from that call's device traffic (``n == 1``: one op).
 
-        The batch's device busy time is shared evenly across its ops (the
+        The call's device busy time is shared evenly across its ops (the
         device serviced one coalesced request stream), while the host op
-        base cost is charged per op — so batched runs land in the same
-        histograms as per-op runs and remain comparable.
+        base cost is charged per op — so batched and single ops land in the
+        same histograms and remain comparable.
         """
         if n <= 0:
             return

@@ -489,10 +489,11 @@ class StorageService:
 def replay_schedule(engine, clock: SimClock, schedule: List[tuple]) -> None:
     """Replay a recorded service schedule through a single sequential caller.
 
-    Batches are applied op by op — the PR 6 differential already proves the
-    batch paths bit-identical to per-op calls, so a service run and this
-    replay must leave identical device bytes on a fault-free run.  Used by
-    the differential suite.
+    Batches are applied op by op: how a put stream is cut into calls
+    changes no device byte (``tests/test_differential.py`` holds a batch
+    against batches of one), so a service run and this replay must leave
+    identical device bytes on a fault-free run.  Used by the differential
+    suite.
     """
     for event in schedule:
         tag = event[0]

@@ -65,7 +65,6 @@ class WorkloadRunner:
         n_threads: int = 1,
         per_op_interval: float = 1.0 / 5000.0,
         hub=None,
-        batch_size: int = 1,
     ) -> None:
         """``per_op_interval`` is the simulated service time of one operation
         on one client thread (default 200µs, a plausible per-thread closed-
@@ -77,29 +76,15 @@ class WorkloadRunner:
         traffic/device counters are sampled once per round for the windowed
         WA series.  The hub only *observes* engine and device counters — it
         never touches the device or the clock, so running with a hub leaves
-        all measured results bit-identical.
-
-        ``batch_size`` > 1 opts into the engines' amortised batch API: runs
-        of consecutive PUTs (or READs) are coalesced into ``put_batch`` /
-        ``get_batch`` calls of up to ``batch_size`` operations.  Batches
-        never cross a round boundary, so the group-commit and clock cadence
-        is unchanged, and the batch paths are bit-identical to the single-op
-        sequence (proved by ``tests/test_differential.py``).  The default of
-        1 keeps the legacy per-op path.  Batched runs feed the hub through
-        :meth:`~repro.obs.metrics.MetricsHub.record_batch` — each op in a
-        batch is charged an even share of the batch's device busy time — and
-        sample the WA window series once per round, same as per-op runs."""
+        all measured results bit-identical."""
         if n_threads < 1:
             raise ConfigError("need at least one client thread")
-        if batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
         self.engine = engine
         self.device = device
         self.clock = clock
         self.n_threads = n_threads
         self.per_op_interval = per_op_interval
         self.hub = hub
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------- phases
 
@@ -169,20 +154,6 @@ class WorkloadRunner:
         hub = self.hub
         if hub is not None:
             hub.sample(clock_before, traffic_before, self.device.stats)
-        if self.batch_size > 1:
-            self._run_batched(ops, n_ops, stats)
-        else:
-            self._run_per_op(ops, n_ops, stats)
-        if hub is not None:
-            hub.sample(self.clock.now, self.engine.traffic_snapshot(),
-                       self.device.stats)
-        stats.elapsed_seconds = self.clock.now - clock_before
-        stats.traffic = self.engine.traffic_snapshot().delta(traffic_before)
-        stats.device = self.device.stats.delta(device_before)
-        return stats
-
-    def _run_per_op(self, ops: Iterator[Op], n_ops: int, stats: PhaseStats) -> None:
-        hub = self.hub
         in_round = 0
         for _ in range(n_ops):
             op = next(ops)
@@ -191,7 +162,9 @@ class WorkloadRunner:
             else:
                 op_before = self.device.stats.snapshot()
                 self._apply(op, stats)
-                hub.record_op(op.kind.value, self.device.stats.delta(op_before))
+                hub.record_batch(
+                    op.kind.value, 1, self.device.stats.delta(op_before)
+                )
             stats.ops += 1
             in_round += 1
             if in_round >= self.n_threads:
@@ -208,92 +181,13 @@ class WorkloadRunner:
             self.engine.commit()
             self.clock.advance(self.per_op_interval)
             self.engine.tick()
-
-    def _run_batched(self, ops: Iterator[Op], n_ops: int, stats: PhaseStats) -> None:
-        """Per-op loop with runs of consecutive PUTs/READs coalesced.
-
-        The round cadence (one ``commit``/``advance``/``tick`` per
-        ``n_threads`` ops) is byte-for-byte the per-op loop's — buffers are
-        flushed *before* every round boundary, so a batch never spans a
-        group commit or a clock tick, and the batch paths themselves are
-        bit-identical to the single-op sequence.
-
-        With a hub attached, each drained batch records its ops' amortised
-        device latency (hub observation only — device and clock untouched,
-        so measured results stay bit-identical to the hub-less run).
-        """
-        engine = self.engine
-        batch_size = self.batch_size
-        hub = self.hub
-        device_stats = self.device.stats
-        puts: list = []  # pending (key, value) pairs
-        reads: list = []  # pending keys
-
-        def drain() -> None:
-            if puts:
-                if hub is None:
-                    engine.put_batch(puts)
-                else:
-                    before = device_stats.snapshot()
-                    engine.put_batch(puts)
-                    hub.record_batch(
-                        OpKind.PUT.value, len(puts), device_stats.delta(before)
-                    )
-                stats.puts += len(puts)
-                puts.clear()
-            if reads:
-                if hub is None:
-                    engine.get_batch(reads)
-                else:
-                    before = device_stats.snapshot()
-                    engine.get_batch(reads)
-                    hub.record_batch(
-                        OpKind.READ.value, len(reads), device_stats.delta(before)
-                    )
-                stats.reads += len(reads)
-                reads.clear()
-
-        in_round = 0
-        for _ in range(n_ops):
-            op = next(ops)
-            if op.kind == OpKind.PUT:
-                if reads:
-                    drain()
-                puts.append((op.key, op.value))
-                if len(puts) >= batch_size:
-                    drain()
-            elif op.kind == OpKind.READ:
-                if puts:
-                    drain()
-                reads.append(op.key)
-                if len(reads) >= batch_size:
-                    drain()
-            else:
-                drain()
-                if hub is None:
-                    got = engine.scan(op.key, op.scan_length)
-                else:
-                    before = device_stats.snapshot()
-                    got = engine.scan(op.key, op.scan_length)
-                    hub.record_op(op.kind.value, device_stats.delta(before))
-                stats.scans += 1
-                stats.records_scanned += len(got)
-            stats.ops += 1
-            in_round += 1
-            if in_round >= self.n_threads:
-                drain()
-                engine.commit()
-                self.clock.advance(self.per_op_interval)
-                engine.tick()
-                in_round = 0
-                if hub is not None:
-                    hub.sample(self.clock.now, engine.traffic_snapshot(),
-                               device_stats)
-        if in_round:
-            drain()
-            engine.commit()
-            self.clock.advance(self.per_op_interval)
-            engine.tick()
+        if hub is not None:
+            hub.sample(self.clock.now, self.engine.traffic_snapshot(),
+                       self.device.stats)
+        stats.elapsed_seconds = self.clock.now - clock_before
+        stats.traffic = self.engine.traffic_snapshot().delta(traffic_before)
+        stats.device = self.device.stats.delta(device_before)
+        return stats
 
     def _apply(self, op: Op, stats: PhaseStats) -> None:
         if op.kind == OpKind.PUT:

@@ -10,6 +10,7 @@ changes with::
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 from repro.analysis import analyze_file, analyze_paths, findings_to_json
@@ -290,11 +291,11 @@ def test_suppression_fixture_reports_only_the_meta_findings():
 # ------------------------------------------------------------------- golden
 
 
-def _relative_report():
-    findings, files_scanned = analyze_paths([str(FIXTURES)])
+def _relative_report(root=FIXTURES):
+    findings, files_scanned = analyze_paths([str(root)])
     payload = findings_to_json(findings, files_scanned)
     for finding in payload["findings"]:
-        finding["path"] = Path(finding["path"]).relative_to(FIXTURES).as_posix()
+        finding["path"] = Path(finding["path"]).relative_to(root).as_posix()
     return payload
 
 
@@ -304,6 +305,13 @@ def test_fixture_findings_match_golden():
         GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     expected = json.loads(GOLDEN.read_text())
     assert payload == expected
+
+
+def test_report_does_not_depend_on_where_the_tree_lives(tmp_path):
+    """No finding may quote an absolute path (ERR010's origin witness did)."""
+    copy = tmp_path / "elsewhere" / "fixtures"
+    shutil.copytree(FIXTURES, copy)
+    assert _relative_report(copy) == json.loads(GOLDEN.read_text())
 
 
 def test_every_rule_id_has_a_fixture_triggered_finding():

@@ -17,10 +17,10 @@ def _small_spec(**kwargs):
 
 def test_record_op_fills_per_kind_histograms():
     hub = MetricsHub()
-    hub.record_op("put", DeviceStats(
+    hub.record_batch("put", 1, DeviceStats(
         logical_bytes_written=4096, physical_bytes_written=2048, write_ios=1))
-    hub.record_op("put", DeviceStats())
-    hub.record_op("read", DeviceStats(
+    hub.record_batch("put", 1, DeviceStats())
+    hub.record_batch("read", 1, DeviceStats(
         logical_bytes_read=4096, physical_bytes_read=4096, read_ios=1))
     assert hub.op_latency["put"].n == 2
     assert hub.op_latency["read"].n == 1

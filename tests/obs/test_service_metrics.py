@@ -22,7 +22,7 @@ def _counters(completed, shed=0):
 def test_record_batch_charges_even_shares_into_op_histograms():
     hub = MetricsHub(window_seconds=0.05)
     hub.record_batch("put", 4, _delta(writes=8))
-    hub.record_op("put", _delta(writes=8))
+    hub.record_batch("put", 1, _delta(writes=8))
     summary = hub.summary()["op_latency"]["put"]
     assert summary["n"] == 5
     # Each batch op is charged 1/4 of the batch's busy time, so the lone
@@ -47,7 +47,7 @@ def test_service_series_windows_deltas_and_queue_gauge():
 
 def test_hub_without_service_samples_keeps_the_legacy_summary():
     hub = MetricsHub(window_seconds=0.05)
-    hub.record_op("put", _delta(writes=1))
+    hub.record_batch("put", 1, _delta(writes=1))
     obs = hub.summary()
     assert "service" not in obs
     payload = hub.to_dict()

@@ -289,6 +289,52 @@ def test_get_and_delete_batch_bit_identical(name):
     _assert_runs_identical((s_device, s_engine), (b_device, b_engine), name)
 
 
+def _run_on_small_ring(load, apply):
+    """Drive a B⁻-tree whose 16-block WAL ring wants a checkpoint every ~8
+    sealed blocks: ``load`` is put and committed, then ``apply(store)`` runs.
+    Returns ``((device, store), checkpoints that ran inside apply)``.
+    """
+    device = CompressedBlockDevice(num_blocks=150_000)
+    store = BMinusTree(
+        device, BMinusConfig(cache_bytes=1 << 16, max_pages=2048,
+                             log_blocks=16, log_flush_policy="commit"))
+    for k, v in load:
+        store.put(k, v)
+    store.commit()
+    fired = []
+    checkpoint = store.engine.checkpoint
+    store.engine.checkpoint = lambda: (fired.append(1), checkpoint())
+    apply(store)
+    inside = len(fired)
+    store.commit()
+    device.flush()
+    return (device, store), inside
+
+
+def test_put_batch_spans_checkpoints():
+    """The checkpoint-pressure trigger fires several times *inside* one
+    ``put_batch`` call: the engine walks the batch in runs, and where it cuts
+    them must be invisible next to a batch of one per item."""
+    rng = random.Random(16)
+    items = [(key(rng.randrange(400)), rng.randbytes(300)) for _ in range(600)]
+    single, _ = _run_on_small_ring([], lambda s: [s.put(k, v) for k, v in items])
+    batched, fired = _run_on_small_ring([], lambda s: s.put_batch(items))
+    assert fired >= 3, "batch too small to checkpoint mid-call"
+    _assert_runs_identical(single, batched, "bminus/checkpoints-in-batch")
+
+
+def test_delete_batch_spans_emptied_leaves_and_checkpoints():
+    """``delete_batch`` unlinks whole leaves and checkpoints mid-call."""
+    load = [(key(i), bytes([i & 0xFF]) * 40) for i in range(2400)]
+    doomed = [key(i) for i in range(200, 2200)]
+    single, _ = _run_on_small_ring(load, lambda s: [s.delete(k) for k in doomed])
+    batched, fired = _run_on_small_ring(load, lambda s: s.delete_batch(doomed))
+    assert fired >= 1, "batch too small to checkpoint mid-call"
+    pager = batched[1].pager
+    assert pager._free_ids or pager._deferred_free, "no leaf was emptied"
+    _assert_runs_identical(single, batched, "bminus/delete-emptied-leaves")
+
+
 @fuzz_settings(max_examples=6, deadline=None)
 @given(seed=seed_strategy())
 def test_fuzz_batch_partitions_bit_identical(seed):

@@ -115,49 +115,28 @@ def test_runner_works_with_lsm_engine(rng):
     assert sum(1 for _ in engine.items()) == 3000
 
 
-# ------------------------------------------------------- batched + metrics
 
-
-def _measured_run(batch_size, hub=None, policy="commit"):
-    device = CompressedBlockDevice(num_blocks=200_000)
-    clock = SimClock()
-    engine = BMinusTree(device, BMinusConfig(
-        cache_bytes=1 << 17, max_pages=4096, log_blocks=1024,
-        log_flush_policy=policy,
-    ), clock=clock)
-    runner = WorkloadRunner(engine, device, clock, n_threads=4,
-                            hub=hub, batch_size=batch_size)
-    keyspace = KeySpace(2000, 64)
-    runner.populate(keyspace, DeterministicRng(11))
-    stats = runner.run_random_writes(keyspace, 600, DeterministicRng(12))
-    reads = runner.run_point_reads(keyspace, 200, DeterministicRng(13))
-    return device, stats, reads
-
-
-def test_batched_run_bit_identical_to_per_op_run():
-    per_op, _, _ = _measured_run(batch_size=1)
-    batched, _, _ = _measured_run(batch_size=8)
-    assert batched._stable == per_op._stable
-    assert batched.stats == per_op.stats
-
-
-def test_batched_run_feeds_the_hub_per_op():
+def test_hub_leaves_run_bit_identical():
     from repro.obs.metrics import MetricsHub
+
+    def measured_run(hub):
+        device = CompressedBlockDevice(num_blocks=200_000)
+        clock = SimClock()
+        engine = BMinusTree(device, BMinusConfig(
+            cache_bytes=1 << 17, max_pages=4096, log_blocks=1024,
+            log_flush_policy="commit",
+        ), clock=clock)
+        runner = WorkloadRunner(engine, device, clock, n_threads=4, hub=hub)
+        keyspace = KeySpace(2000, 64)
+        runner.populate(keyspace, DeterministicRng(11))
+        runner.run_random_writes(keyspace, 600, DeterministicRng(12))
+        runner.run_point_reads(keyspace, 200, DeterministicRng(13))
+        return device
 
     hub = MetricsHub(window_seconds=0.05)
-    device, stats, reads = _measured_run(batch_size=8, hub=hub)
-    obs = hub.summary()
-    # Every batched op is charged an even share into the same histograms.
-    assert obs["op_latency"]["put"]["n"] == 2000 + 600
-    assert obs["op_latency"]["read"]["n"] == 200
-    assert obs["wa_windows"], "no WA windows sampled from batched rounds"
-
-
-def test_hub_leaves_batched_run_bit_identical():
-    from repro.obs.metrics import MetricsHub
-
-    bare, _, _ = _measured_run(batch_size=8)
-    observed, _, _ = _measured_run(batch_size=8,
-                                   hub=MetricsHub(window_seconds=0.05))
+    bare, observed = measured_run(None), measured_run(hub)
     assert observed._stable == bare._stable
     assert observed.stats == bare.stats
+    obs = hub.summary()
+    assert obs["op_latency"]["put"]["n"] == 2000 + 600
+    assert obs["op_latency"]["read"]["n"] == 200
