@@ -9,16 +9,13 @@ reads (§4.5).  The filter here uses Kirsch-Mitzenmacher double hashing over a
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.errors import ConfigError
 
-
-def _fnv1a_64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 
 class BloomFilter:
@@ -36,22 +33,38 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
 
     def add(self, key: bytes) -> None:
-        h = _fnv1a_64(key)
-        delta = ((h >> 33) | (h << 31)) & 0xFFFFFFFFFFFFFFFF
-        for _ in range(self.num_probes):
-            pos = h % self.num_bits
-            self._bits[pos // 8] |= 1 << (pos % 8)
-            h = (h + delta) & 0xFFFFFFFFFFFFFFFF
+        self.add_all((key,))
+
+    def add_all(self, keys: Iterable[bytes]) -> None:
+        """Set every key's probe bits (FNV-1a base hash, then double hashing);
+        one loop with the hash inlined, because a table build adds thousands
+        of keys at once."""
+        bits = self._bits
+        num_bits = self.num_bits
+        probes = range(self.num_probes)
+        for key in keys:
+            h = _FNV_OFFSET
+            for byte in key:
+                h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+            delta = ((h >> 33) | (h << 31)) & _MASK64
+            for _ in probes:
+                pos = h % num_bits
+                bits[pos >> 3] |= 1 << (pos & 7)
+                h = (h + delta) & _MASK64
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        h = _fnv1a_64(key)
-        delta = ((h >> 33) | (h << 31)) & 0xFFFFFFFFFFFFFFFF
+        h = _FNV_OFFSET
+        for byte in key:
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        delta = ((h >> 33) | (h << 31)) & _MASK64
+        bits = self._bits
+        num_bits = self.num_bits
         for _ in range(self.num_probes):
-            pos = h % self.num_bits
-            if not self._bits[pos // 8] & (1 << (pos % 8)):
+            pos = h % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
-            h = (h + delta) & 0xFFFFFFFFFFFFFFFF
+            h = (h + delta) & _MASK64
         return True
 
     # --------------------------------------------------------- serialization

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 from repro.btree.wal import (
@@ -467,14 +468,15 @@ class LSMEngine:
         """Newest-wins merge of all sorted sources, tombstones included.
 
         Same source order as :meth:`get`: active memtable, frozen memtables
-        newest first, then the version set's tables newest first.
+        newest first, then the version set's sorted runs newest first.  A
+        run's tables are chained lazily, so a table is read only once the
+        merge has consumed everything before it in its level.
         """
         sources = [self.memtable.items_from(start_key)]
         sources += [table.items_from(start_key) for table in reversed(self.frozen)]
         sources += [
-            reader.iter_from(start_key)
-            for reader in self.versions.newest_first()
-            if reader.meta.max_key >= start_key
+            chain.from_iterable(reader.iter_from(start_key) for reader in run)
+            for run in self.versions.runs_from(start_key)
         ]
         return merge_newest_first(sources)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,6 +36,8 @@ _REC_HDR = struct.Struct("<BHI")
 FLAG_VALUE = 1
 FLAG_TOMBSTONE = 2
 FLAG_VPTR = 3  # value bytes are a 16-byte ValueRef into the value log
+_HEADER_SIZE = _REC_HDR.size
+_LAST_HEADER = BLOCK_SIZE - _HEADER_SIZE  # last offset a header fits at
 
 
 class ExtentAllocator:
@@ -140,45 +143,41 @@ class SSTableWriter:
         self.seq = seq
         self.bloom = BloomFilter(expected_keys, bits_per_key)
         self._blocks: list[bytes] = []
-        self._current = bytearray()
+        self._records: list[bytes] = []  # encoded records of the open block
+        self._fill = 0  # bytes those records occupy
         self._index: list[bytes] = []  # first key of each data block
-        self._count = 0
-        self._min_key: Optional[bytes] = None
-        self._max_key: Optional[bytes] = None
-        self._last_key: Optional[bytes] = None
+        self._keys: list[bytes] = []  # every key, in order (bloom input)
+        #: Bytes buffered so far (used to cap output table size).
+        self.estimated_bytes = 0
 
     def add(self, key: bytes, value: Optional[bytes]) -> None:
         """Append a record; keys must arrive in strictly increasing order."""
-        if self._last_key is not None and key <= self._last_key:
+        if self._keys and key <= self._keys[-1]:
             raise LsmError("SSTable records must be added in increasing key order")
-        self._last_key = key
         encoded = encode_record(key, value)
-        if len(encoded) > BLOCK_SIZE:
+        size = len(encoded)
+        if size > BLOCK_SIZE:
             raise LsmError("record exceeds the 4KB data block size")
-        if len(self._current) + len(encoded) > BLOCK_SIZE:
+        if self._fill + size > BLOCK_SIZE:
             self._seal_data_block()
-        if not self._current:
+        if not self._fill:
             self._index.append(key)
-        self._current += encoded
-        self.bloom.add(key)
-        self._count += 1
-        if self._min_key is None:
-            self._min_key = key
-        self._max_key = key
+        self._records.append(encoded)
+        self._fill += size
+        self.estimated_bytes += size
+        self._keys.append(key)
 
     def _seal_data_block(self) -> None:
-        block = bytes(self._current) + bytes(BLOCK_SIZE - len(self._current))
-        self._blocks.append(block)
-        self._current = bytearray()
-
-    @property
-    def estimated_bytes(self) -> int:
-        """Bytes buffered so far (used to cap output table size)."""
-        return len(self._blocks) * BLOCK_SIZE + len(self._current)
+        pad = BLOCK_SIZE - self._fill
+        self._records.append(bytes(pad))
+        self._blocks.append(b"".join(self._records))
+        self._records = []
+        self._fill = 0
+        self.estimated_bytes += pad
 
     @property
     def count(self) -> int:
-        return self._count
+        return len(self._keys)
 
     def finish(self) -> tuple[SSTableMeta, int, int]:
         """Write the table; returns ``(meta, logical_bytes, physical_bytes)``.
@@ -189,15 +188,17 @@ class SSTableWriter:
         sizes, where separate index/bloom blocks would fake LSM space
         amplification out of thin air.
         """
-        if self._count == 0:
+        if not self._keys:
             raise LsmError("cannot finish an empty SSTable")
-        if self._current:
+        if self._fill:
             self._seal_data_block()
+        self.bloom.add_all(self._keys)
+        min_key, max_key = self._keys[0], self._keys[-1]
         n_data = len(self._blocks)
         meta_blob = _with_len(self._encode_index()) + _with_len(self.bloom.to_bytes())
         footer = bytearray(BLOCK_SIZE)
         tail = bytearray()
-        for key in (self._min_key, self._max_key):
+        for key in (min_key, max_key):
             tail += struct.pack("<H", len(key)) + key
         fixed_end = _FOOTER.size + len(tail)
         embedded = fixed_end + len(meta_blob) <= BLOCK_SIZE - 4
@@ -208,7 +209,7 @@ class SSTableWriter:
                 meta_blocks.append(chunk + bytes(BLOCK_SIZE - len(chunk)))
         _FOOTER.pack_into(
             footer, 0, _FOOTER_MAGIC, self.table_id, self.seq,
-            n_data, len(meta_blocks), 1 if embedded else 0, self._count,
+            n_data, len(meta_blocks), 1 if embedded else 0, len(self._keys),
         )
         footer[_FOOTER.size : fixed_end] = tail
         if embedded:
@@ -220,7 +221,7 @@ class SSTableWriter:
         logical = len(all_blocks) * BLOCK_SIZE
         meta = SSTableMeta(
             self.table_id, self.seq, start, len(all_blocks),
-            self._count, self._min_key, self._max_key,
+            len(self._keys), min_key, max_key,
         )
         return meta, logical, physical
 
@@ -230,6 +231,14 @@ class SSTableWriter:
             parts.append(struct.pack("<H", len(key)))
             parts.append(key)
         return b"".join(parts)
+
+
+def _bad_record(meta: SSTableMeta, block_index: int, offset: int) -> LsmError:
+    return LsmError(
+        f"corrupt record in table {meta.table_id}: data block {block_index} "
+        f"(device block {meta.start_block + block_index}), offset {offset}: "
+        "unknown flag or lengths past the block end"
+    )
 
 
 def _with_len(payload: bytes) -> bytes:
@@ -305,60 +314,76 @@ class SSTableReader:
         return self._bloom.may_contain(key)
 
     def get(self, key: bytes) -> tuple[bool, Optional[bytes]]:
-        """Return ``(found, value)``; ``(True, None)`` is a tombstone hit."""
+        """Return ``(found, value)``; ``(True, None)`` is a tombstone hit.
+
+        Walks the record headers of one block and slices nothing but the
+        value it returns."""
         if not self.may_contain(key):
             return False, None
         block_index = self._block_for(key)
         if block_index < 0:
             return False, None
-        for k, v in self._iter_block(block_index):
-            if k == key:
-                return True, v
-            if k > key:
-                break
+        raw = self.device.read_block(self.meta.start_block + block_index)
+        unpack_header = _REC_HDR.unpack_from
+        key_len = len(key)
+        offset = 0
+        while offset <= _LAST_HEADER:
+            flag, klen, vlen = unpack_header(raw, offset)
+            if flag == 0:
+                break  # zero padding
+            value_at = offset + _HEADER_SIZE + klen
+            end = value_at + vlen
+            if end > BLOCK_SIZE or flag > FLAG_VPTR:
+                raise _bad_record(self.meta, block_index, offset)
+            if klen == key_len and raw.startswith(key, offset + _HEADER_SIZE):
+                if flag == FLAG_VALUE:
+                    return True, raw[value_at:end]
+                if flag == FLAG_TOMBSTONE:
+                    return True, None
+                return True, ValueRef(raw[value_at:end])
+            offset = end
         return False, None
 
     def _block_for(self, key: bytes) -> int:
         """Index of the data block that could contain ``key`` (-1 if none)."""
-        lo, hi = 0, self._n_data
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._index[mid] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        return bisect_right(self._index, key) - 1
 
-    def _iter_block(self, block_index: int) -> Iterator[tuple[bytes, Optional[bytes]]]:
+    def _read_records(self, block_index: int) -> list[tuple[bytes, Optional[bytes]]]:
+        """Read one data block and decode every record in it — the one
+        decoder behind both iterators."""
         raw = self.device.read_block(self.meta.start_block + block_index)
+        unpack_header = _REC_HDR.unpack_from
+        records: list[tuple[bytes, Optional[bytes]]] = []
         offset = 0
-        while offset + _REC_HDR.size <= BLOCK_SIZE:
-            flag, klen, vlen = _REC_HDR.unpack_from(raw, offset)
+        while offset <= _LAST_HEADER:
+            flag, klen, vlen = unpack_header(raw, offset)
             if flag == 0:
-                return  # zero padding
-            offset += _REC_HDR.size
-            key = raw[offset : offset + klen]
-            offset += klen
-            if flag == FLAG_TOMBSTONE:
-                value: Optional[bytes] = None
-            elif flag == FLAG_VPTR:
-                value = ValueRef(raw[offset : offset + vlen])
+                break  # zero padding
+            key_at = offset + _HEADER_SIZE
+            value_at = key_at + klen
+            end = value_at + vlen
+            if end > BLOCK_SIZE or flag > FLAG_VPTR:
+                raise _bad_record(self.meta, block_index, offset)
+            if flag == FLAG_VALUE:
+                records.append((raw[key_at:value_at], raw[value_at:end]))
+            elif flag == FLAG_TOMBSTONE:
+                records.append((raw[key_at:value_at], None))
             else:
-                value = bytes(raw[offset : offset + vlen])
-            offset += vlen
-            yield bytes(key), value
+                records.append((raw[key_at:value_at], ValueRef(raw[value_at:end])))
+            offset = end
+        return records
 
     def iter_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """All records with key >= ``start_key``, in order."""
-        block_index = max(0, self._block_for(start_key))
-        for block in range(block_index, self._n_data):
-            for k, v in self._iter_block(block):
-                if k >= start_key:
-                    yield k, v
+        first = max(0, self._block_for(start_key))
+        # Only the block the index points at can hold smaller keys.
+        yield from [kv for kv in self._read_records(first) if kv[0] >= start_key]
+        for block in range(first + 1, self._n_data):
+            yield from self._read_records(block)
 
     def iter_all(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
         for block in range(self._n_data):
-            yield from self._iter_block(block)
+            yield from self._read_records(block)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,12 +6,13 @@ overlapping sorted runs (``overlapping=True``, the tiering policies of
 :mod:`repro.lsm.strategy`) a table added later is newer than one added
 earlier; a leveled level >= 1 is one disjoint sorted run, kept in key order,
 so no two of its tables ever hold the same key.  :meth:`VersionSet.
-newest_first` is the only statement of that order: point reads, the scan
-merge and compaction inputs all consume it, and nothing compares tables any
-other way.  The ``seq`` in a table's footer and manifest entry is a label —
-it takes no part in ordering.  Level lists are persisted in list order and
-replayed through :meth:`VersionSet.add_table` in that order, so a reopened
-store has the same ages.
+newest_first` is the only statement of that order: point reads and
+compaction inputs consume it, range reads consume :meth:`VersionSet.
+runs_from` (the same order, with each disjoint level folded into one run),
+and nothing compares tables any other way.  The ``seq`` in a table's footer
+and manifest entry is a label — it takes no part in ordering.  Level lists
+are persisted in list order and replayed through :meth:`VersionSet.
+add_table` in that order, so a reopened store has the same ages.
 
 Compaction *scheduling* is the strategy's job; the version set only answers
 shape queries and keeps the leveled round-robin cursor
@@ -113,6 +114,19 @@ class VersionSet:
         for tables in self.levels[1:]:
             order.extend(reversed(tables) if self.overlapping_runs else tables)
         return order
+
+    def runs_from(self, start_key: bytes) -> list[list[SSTableReader]]:
+        """The sorted runs that can hold keys >= ``start_key``, newest first:
+        what a range read merges.  Every level-0 table and every table of an
+        overlapping level is a run of its own; a leveled level >= 1 is one
+        run, its tables in key order, which a reader enters at the first
+        table and leaves as soon as it has what it came for."""
+        if self.overlapping_runs:
+            runs = [[r] for r in self.newest_first()]
+        else:
+            runs = [[r] for r in reversed(self.levels[0])] + self.levels[1:]
+        live = ([r for r in run if r.meta.max_key >= start_key] for run in runs)
+        return [run for run in live if run]
 
     def tables_for_get(self, key: bytes) -> list[SSTableReader]:
         """Tables whose key range covers ``key``, newest first."""

@@ -2,8 +2,11 @@
 
 Each scenario runs a random workload with per-commit log flushing, crashes at
 a random point with *random per-block survival* of unflushed writes (modelling
-arbitrarily torn multi-block page writes), recovers, and asserts that exactly
-the committed prefix of the history is visible.
+arbitrarily torn multi-block page writes), recovers, and asserts that the
+committed prefix of the history is visible exactly; puts issued after the last
+commit may or may not be (without ``group_atomic`` the redo log has no COMMIT
+markers, so a sealed WAL block or an evicted page that wins the survival
+lottery is replayed — the engine's documented contract).
 
 Set ``REPRO_FUZZ_SEED=<n>`` to replay one scenario; failures print the seed
 to replay (see ``tests/fuzz.py``).
@@ -12,7 +15,7 @@ to replay (see ``tests/fuzz.py``).
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.csd.device import CompressedBlockDevice
@@ -38,6 +41,8 @@ def config(strategy: str) -> BTreeConfig:
 @pytest.mark.parametrize("strategy", ["journal", "shadow-table", "det-shadow"])
 @fuzz_settings(max_examples=6, deadline=None)
 @given(seed=seed_strategy())
+@example(seed=4194303)  # the three un-acked puts seal a WAL block that survives
+@example(seed=1057)  # their dirty pages are evicted and survive
 def test_random_crash_point_recovers_committed_state(strategy, seed):
     rng = random.Random(seed)
     device = CompressedBlockDevice(num_blocks=200_000)
@@ -55,22 +60,25 @@ def test_random_crash_point_recovers_committed_state(strategy, seed):
             engine.put(k, v)
             committed[k] = v
         engine.commit()
-    # A few uncommitted operations that must NOT survive.
-    uncommitted = {}
+    # A few un-acked puts, on keys no committed op touches: each may survive
+    # the crash or not, and nothing else may appear.
+    unacked = set()
     for _ in range(rng.randrange(0, 5)):
         k = key(rng.randrange(400, 450))
         engine.put(k, b"uncommitted")
-        uncommitted[k] = True
+        unacked.add(k)
     # Crash with random per-4KB-block survival: any multi-block page write in
     # flight may tear in any pattern.
     device.simulate_crash(survives=lambda lba: rng.random() < 0.5)
     with report_seed(seed):
         recovered = BTreeEngine.open(device, config(strategy))
         state = dict(recovered.items())
+        extra = {k: state.pop(k) for k in unacked & state.keys()}
         assert state == committed, (
             f"seed={seed}: recovered {len(state)} records, "
             f"expected {len(committed)}"
         )
+        assert set(extra.values()) <= {b"uncommitted"}, f"seed={seed}: {extra}"
         recovered.tree.check_invariants()
         # The recovered store must remain fully usable.
         recovered.put(key(999), b"post-recovery")

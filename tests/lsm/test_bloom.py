@@ -68,3 +68,33 @@ def test_serialization_roundtrip():
 def test_serialized_size_matches():
     filt = BloomFilter(100)
     assert len(filt.to_bytes()) == filt.serialized_size()
+
+
+def _reference_bits(filt: BloomFilter, key_list) -> bytes:
+    """The filter's construction written out plainly: 64-bit FNV-1a, then
+    Kirsch-Mitzenmacher double hashing."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    bits = bytearray(len(filt.to_bytes()) - 10)
+    for k in key_list:
+        h = 0xCBF29CE484222325
+        for byte in k:
+            h ^= byte
+            h = (h * 0x100000001B3) & mask
+        delta = ((h >> 33) | (h << 31)) & mask
+        for _ in range(filt.num_probes):
+            pos = h % filt.num_bits
+            bits[pos // 8] |= 1 << (pos % 8)
+            h = (h + delta) & mask
+    return bytes(bits)
+
+
+def test_add_all_sets_the_same_bits_as_sequential_add():
+    key_list = keys(0, 700) + [b"", b"\xff" * 40]
+    bulk = BloomFilter(len(key_list))
+    bulk.add_all(key_list)
+    single = BloomFilter(len(key_list))
+    for k in key_list:
+        single.add(k)
+    assert bulk.to_bytes() == single.to_bytes()
+    assert bulk.to_bytes()[10:] == _reference_bits(bulk, key_list)
+    assert all(bulk.may_contain(k) for k in key_list)

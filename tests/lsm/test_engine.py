@@ -293,3 +293,42 @@ def test_shallower_table_wins_over_deeper_table_with_higher_seq():
     engine._execute(CompactionJob(level=0, inputs=[shallow], overlaps=[deep]))
     assert engine.versions.levels[0] == []
     check()
+
+
+def test_scan_reads_one_run_per_level_not_one_block_per_table():
+    """Read amplification of a 100-record scan on a leveled store is bounded
+    by its sorted runs (each L0 table, each deeper level once) plus the
+    blocks the records fill — not by how many tables lie above the start
+    key, however many more are added beyond the range it returns."""
+    engine, device = make_engine(
+        memtable_bytes=4 << 10, level_base_bytes=16 << 10, table_target_bytes=4 << 10
+    )
+    rng = random.Random(7)
+    records_per_block = 4096 // (7 + 8 + 60)
+
+    def load(indices):
+        for i in indices:
+            engine.put(key(i), value(rng, 60))
+            engine.commit()
+
+    def scan_cost():
+        levels = engine.versions.levels
+        runs = len(levels[0]) + sum(1 for tables in levels[1:] if tables)
+        before = device.stats.blocks_read
+        got = engine.scan(key(300), 100)
+        assert [k for k, _ in got] == [key(i) for i in range(300, 400)]
+        bound = runs + -(-100 // records_per_block) + 4  # partial blocks
+        return device.stats.blocks_read - before, bound
+
+    order = list(range(3000))
+    rng.shuffle(order)
+    load(order)
+    assert engine.versions.num_nonempty_levels() >= 3
+    tables = engine.versions.total_tables()
+    assert tables >= 30
+    reads, bound = scan_cost()
+    assert reads <= bound < tables
+    load(range(3000, 4500))  # every new table lies beyond the scanned range
+    assert engine.versions.total_tables() >= tables + 10
+    reads, bound = scan_cost()
+    assert reads <= bound

@@ -29,6 +29,7 @@ MEMTABLE_BYTES = 2 * 1024
 VLOG_THRESHOLD = 128
 OPS_SCALE = 1 if FUZZ_SEED is None else 4
 CHECKPOINTS = 4
+LONG_SCAN = 120
 
 
 #: Cells share seeds, and building a stream costs about a fifth of a cell.
@@ -67,17 +68,45 @@ def _table_ids(engine: LSMEngine) -> list:
     return [[r.meta.table_id for r in tables] for tables in engine.versions.levels]
 
 
+def _scan_starts(n_keys: int) -> list:
+    return [b"key%06d" % index for index in range(0, n_keys, max(1, n_keys // 16))]
+
+
 def _assert_agrees(engine: LSMEngine, model: dict, n_keys: int, label: str) -> None:
     expected = sorted(model.items())
     assert list(engine.items()) == expected, f"items() != model ({label})"
     for index in range(n_keys):
         key = b"key%06d" % index
         assert engine.get(key) == model.get(key), f"get({key!r}) != model ({label})"
-    # Range scans from starts spread over the key space (present or not).
-    for index in range(0, n_keys, max(1, n_keys // 16)):
-        start = b"key%06d" % index
-        want = [kv for kv in expected if kv[0] >= start][:25]
-        assert engine.scan(start, 25) == want, f"scan({start!r}) != model ({label})"
+    # Range scans from starts spread over the key space (present or not);
+    # every fourth one is long enough to run through several tables of a level.
+    for nth, start in enumerate(_scan_starts(n_keys)):
+        count = LONG_SCAN if nth % 4 == 0 else 25
+        want = [kv for kv in expected if kv[0] >= start][:count]
+        assert engine.scan(start, count) == want, f"scan({start!r}) != model ({label})"
+
+
+def _crosses_shadowed_tables(engine: LSMEngine, start: bytes, end: bytes) -> bool:
+    """Whether ``[start, end]`` runs through at least four tables of one
+    leveled level (three table boundaries inside one sorted run) while
+    shallower tables hold both a newer value and a tombstone for keys that
+    level also holds in the range."""
+    levels = engine.versions.levels
+    for depth in range(1, len(levels)):
+        run = engine.versions.overlapping(depth, start, end)
+        if len(run) < 4:
+            continue
+        deep = {k for table in run for k, _ in table.iter_all() if start <= k <= end}
+        newer = [
+            v
+            for tables in levels[:depth]
+            for table in tables
+            for k, v in table.iter_all()
+            if k in deep
+        ]
+        if None in newer and any(v is not None for v in newer):
+            return True
+    return False
 
 
 @pytest.mark.parametrize(
@@ -111,3 +140,13 @@ def test_get_scan_items_agree_with_model(strategy, threshold, n_keys, n_ops, see
                 assert _table_ids(engine) == tables, f"reopen reordered a level ({label})"
                 _assert_agrees(engine, model, n_keys, label + "/reopened")
         assert engine.compactions_run >= 3
+        if not engine.versions.overlapping_runs:
+            # The long scans just checked did exercise the lazy level run.
+            live = sorted(model)
+            spans = [
+                [k for k in live if k >= start][:LONG_SCAN]
+                for start in _scan_starts(n_keys)[::4]
+            ]
+            assert any(
+                _crosses_shadowed_tables(engine, span[0], span[-1]) for span in spans if span
+            ), label

@@ -1,5 +1,8 @@
 """Unit tests for SSTables and the extent allocator."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
@@ -9,6 +12,7 @@ from repro.lsm.sstable import (
     SSTableReader,
     SSTableWriter,
 )
+from repro.lsm.vlog import ValueRef
 from repro.sim.rng import DeterministicRng
 
 
@@ -187,3 +191,75 @@ def test_zero_padding_compresses_away(device, allocator):
     build_table(device, allocator, records)
     delta = device.stats.delta(before)
     assert delta.physical_bytes_written < 0.7 * delta.logical_bytes_written
+
+
+def _corrupt(device, lba, offset, patch):
+    raw = bytearray(device.read_block(lba))
+    raw[offset : offset + len(patch)] = patch
+    device.write_block(lba, bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "field_offset,patch",
+    [
+        pytest.param(0, b"\x07", id="unknown-flag"),
+        pytest.param(1, struct.pack("<H", 5000), id="klen-past-block-end"),
+        pytest.param(3, struct.pack("<I", 1 << 20), id="vlen-past-block-end"),
+    ],
+)
+def test_corrupt_record_header_is_an_error_not_a_wrong_key(
+    device, allocator, field_offset, patch
+):
+    """A damaged header in a data block raises from every read path instead
+    of being sliced short or decoded as a value."""
+    records = [(key(i), bytes([i % 256]) * 40) for i in range(300)]
+    reader, meta = build_table(device, allocator, records)
+    second_record = 7 + 8 + 40  # flag u8 | klen u16 | vlen u32 | key | value
+    _corrupt(device, meta.start_block + 1, second_record + field_offset, patch)
+    in_block = reader._index[1]
+    victim = key(int.from_bytes(in_block, "big") + 1)
+    assert reader.get(in_block) == (True, records[int.from_bytes(in_block, "big")][1])
+    with pytest.raises(LsmError):
+        reader.get(victim)
+    with pytest.raises(LsmError):
+        list(reader.iter_from(in_block))
+    with pytest.raises(LsmError):
+        list(reader.iter_all())
+    # Blocks before the damage still read.
+    assert reader.get(key(0)) == (True, records[0][1])
+
+
+def fixed_records(n):
+    """Values, tombstones and value-log pointers in a fixed pattern."""
+    records = []
+    for i in range(n):
+        if i % 17 == 5:
+            v = None
+        elif i % 17 == 11:
+            v = ValueRef.make(addr=4096 * i + 7, length=300 + i)
+        else:
+            v = bytes([i % 251]) * (20 + i % 90)
+        records.append((b"key%06d" % i, v))
+    return records
+
+
+@pytest.mark.parametrize(
+    "n_records,embedded,extent_crc",
+    [
+        pytest.param(60, 1, 0x4D08B0F5, id="meta-embedded-in-footer"),
+        pytest.param(4000, 0, 0x45D661A9, id="separate-meta-blocks"),
+    ],
+)
+def test_table_bytes_are_pinned(device, allocator, n_records, embedded, extent_crc):
+    """Data, index, bloom and footer bytes of a fixed table, as recorded at
+    the commit before the table build went block-at-a-time."""
+    records = fixed_records(n_records)
+    writer = SSTableWriter(device, allocator, 3, 9, n_records)
+    for k, v in records:
+        writer.add(k, v)
+    meta, _, _ = writer.finish()
+    extent = device.read_blocks(meta.start_block, meta.num_blocks)
+    assert extent[-BLOCK_SIZE:][28] == embedded
+    assert zlib.crc32(extent) == extent_crc
+    reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
+    assert list(reader.iter_all()) == records

@@ -97,6 +97,41 @@ def test_newest_first_within_overlapping_levels():
     assert [t.meta.table_id for t in versions.tables_for_get(key(5))] == [1, 3, 2]
 
 
+def _run_ids(versions, start):
+    return [[t.meta.table_id for t in run] for run in versions.runs_from(key(start))]
+
+
+def test_runs_from_leveled_folds_each_deep_level_into_one_run():
+    """L0 tables newest first, each its own run; then one run per non-empty
+    level in key order; tables wholly below the start key are skipped."""
+    versions = VersionSet()
+    versions.add_table(0, fake_table(1, 1, 0, 100))
+    versions.add_table(0, fake_table(2, 2, 0, 30))
+    versions.add_table(0, fake_table(3, 3, 20, 100))
+    for table_id, lo in ((12, 40), (11, 0), (13, 80)):
+        versions.add_table(1, fake_table(table_id, 1, lo, lo + 19))
+    versions.add_table(3, fake_table(31, 1, 0, 49))  # level 2 stays empty
+    versions.add_table(3, fake_table(32, 1, 50, 99))
+    assert _run_ids(versions, 0) == [[3], [2], [1], [11, 12, 13], [31, 32]]
+    assert _run_ids(versions, 59) == [[3], [1], [12, 13], [32]]  # 59 is 12's max key
+    assert _run_ids(versions, 60) == [[3], [1], [13], [32]]
+    assert _run_ids(versions, 101) == []
+
+
+def test_runs_from_overlapping_is_one_run_per_table():
+    """Under tiering no level is a single run: same order as newest_first()."""
+    versions = VersionSet(overlapping=True)
+    versions.add_table(0, fake_table(1, 1, 0, 100))
+    versions.add_table(0, fake_table(2, 2, 0, 100))
+    versions.add_table(1, fake_table(3, 3, 0, 40))
+    versions.add_table(1, fake_table(4, 4, 0, 100))
+    versions.add_table(2, fake_table(5, 5, 50, 100))
+    newest = [t.meta.table_id for t in versions.newest_first()]
+    assert newest == [2, 1, 4, 3, 5]
+    assert _run_ids(versions, 0) == [[i] for i in newest]
+    assert _run_ids(versions, 41) == [[2], [1], [4], [5]]
+
+
 def test_tables_for_get_range_filter():
     versions = VersionSet()
     versions.add_table(1, fake_table(1, 1, 0, 10))
