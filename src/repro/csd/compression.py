@@ -42,6 +42,10 @@ BytesLike = Union[bytes, bytearray, memoryview]
 #: fold both into this constant.
 ZERO_BLOCK_COST = 24
 
+#: An all-zero block of the drive's block size — the length every write path
+#: hands a compressor — for the all-zero test.
+_ZEROS = bytes(4096)
+
 #: Default entry bound of the compressed-size LRU cache.  Entries are a 16-byte
 #: digest plus an int (~100 bytes each), so the default costs a few MB.
 SIZE_CACHE_CAPACITY = 65536
@@ -92,7 +96,9 @@ class ZlibCompressor(Compressor):
         if len(block) == 0:
             return 0
         data = block if isinstance(block, bytes) else bytes(block)
-        if not data.rstrip(b"\x00"):  # all-zero block: one C-speed pass
+        # All-zero test: a compare stops at the first non-zero byte and
+        # copies nothing (rstrip copied every block that does not end in 0).
+        if data == (_ZEROS if len(data) == len(_ZEROS) else bytes(len(data))):
             return ZERO_BLOCK_COST
         return min(len(data), len(zlib.compress(data, self.level)))
 

@@ -52,17 +52,20 @@ def write_merged(
     make_writer: Callable[[], SSTableWriter],
     table_target_bytes: int,
 ) -> tuple[list, int, int]:
-    """Write a merged stream into size-capped output tables.
+    """Write a merged stream of ``(key, wire-form record)`` pairs — what
+    :meth:`~repro.lsm.sstable.SSTableReader.iter_encoded` yields, ``None``
+    for a carried tombstone — into size-capped output tables: a compaction
+    moves the record bytes it read and re-encodes nothing.
 
     Returns ``(metas, logical_bytes, physical_bytes)``.
     """
     metas = []
     logical = physical = 0
     writer: Optional[SSTableWriter] = None
-    for key, value in stream:
+    for key, encoded in stream:
         if writer is None:
             writer = make_writer()
-        writer.add(key, value)
+        writer.add_encoded(key, encoded)
         if writer.estimated_bytes >= table_target_bytes:
             meta, lo, ph = writer.finish()
             maybe_instant("lsm.table_written", "lsm", table_id=meta.table_id,

@@ -41,6 +41,7 @@ from repro.btree.wal import (
 )
 from repro.csd.device import BlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, LsmError
+from repro.lsm.bloom import base_hash
 from repro.lsm.compaction import merge_newest_first, write_merged
 from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
@@ -436,10 +437,13 @@ class LSMEngine:
             found, value = table.get(key)
             if found:
                 return self._resolve(key, value)
-        for reader in self.versions.tables_for_get(key):
-            found, value = reader.get(key)
-            if found:
-                return self._resolve(key, value)
+        tables = self.versions.tables_for_get(key)
+        if tables:
+            key_hash = base_hash(key)  # once, for every table's filter
+            for reader in tables:
+                found, value = reader.get(key, key_hash)
+                if found:
+                    return self._resolve(key, value)
         return None
 
     def _resolve(self, key: bytes, value: Optional[bytes]) -> Optional[bytes]:
@@ -719,7 +723,7 @@ class LSMEngine:
                         output_level=job.output_level,
                         inputs=len(inputs)) as span_args:
             stream = merge_newest_first(
-                [r.iter_all() for r in inputs], drop_tombstones=bottom
+                [r.iter_encoded() for r in inputs], drop_tombstones=bottom
             )
             metas, logical, physical = write_merged(
                 stream,

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.errors import ConfigError, LsmError
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, base_hash
 from repro.lsm.vlog import ValueRef
 
 _FOOTER_MAGIC = b"SST1"
@@ -152,9 +152,16 @@ class SSTableWriter:
 
     def add(self, key: bytes, value: Optional[bytes]) -> None:
         """Append a record; keys must arrive in strictly increasing order."""
+        self.add_encoded(key, encode_record(key, value))
+
+    def add_encoded(self, key: bytes, encoded: Optional[bytes]) -> None:
+        """The one append path: ``encoded`` is ``key``'s record already in
+        wire form (what :meth:`SSTableReader.iter_encoded` yields — a
+        compaction moves the bytes it read), ``None`` for a tombstone."""
         if self._keys and key <= self._keys[-1]:
             raise LsmError("SSTable records must be added in increasing key order")
-        encoded = encode_record(key, value)
+        if encoded is None:
+            encoded = encode_record(key, None)
         size = len(encoded)
         if size > BLOCK_SIZE:
             raise LsmError("record exceeds the 4KB data block size")
@@ -248,6 +255,8 @@ def _with_len(payload: bytes) -> bytes:
 def _read_len_prefixed(blob: bytes, offset: int) -> tuple[bytes, int]:
     length, = struct.unpack_from("<I", blob, offset)
     start = offset + 4
+    if start + length > len(blob):
+        raise LsmError(f"{length}-byte payload at offset {start} runs past the blob's end")
     return blob[start : start + length], start + length
 
 
@@ -285,10 +294,22 @@ class SSTableReader:
         else:
             blob = device.read_blocks(start_block + n_data, n_meta)
             blob_offset = 0
-        index_payload, blob_offset = _read_len_prefixed(blob, blob_offset)
-        bloom_payload, _ = _read_len_prefixed(blob, blob_offset)
-        index = cls._decode_index(index_payload)
-        bloom = BloomFilter.from_bytes(bloom_payload)
+        # Separate meta blocks are not under the footer's CRC (a torn
+        # multi-block table write can leave them stale), so the blob is
+        # checked as it is parsed; struct.error is a field past its end.
+        try:
+            index_payload, blob_offset = _read_len_prefixed(blob, blob_offset)
+            bloom_payload, _ = _read_len_prefixed(blob, blob_offset)
+            index = cls._decode_index(index_payload)
+            if len(index) != n_data:
+                raise LsmError(f"index lists {len(index)} data blocks, footer {n_data}")
+            bloom = BloomFilter.from_bytes(bloom_payload)
+        except (LsmError, struct.error) as exc:
+            blob_block = start_block + (num_blocks - 1 if embedded else n_data)
+            raise LsmError(
+                f"corrupt index/bloom blob of table {table_id} "
+                f"at block {blob_block}: {exc}"
+            ) from exc
         return cls(device, meta, index, bloom)
 
     @staticmethod
@@ -303,22 +324,27 @@ class SSTableReader:
             offset += 2
             keys.append(payload[offset : offset + klen])
             offset += klen
+        if offset > len(payload):
+            raise LsmError(f"index of {count} keys runs past its {len(payload)}-byte payload")
         return keys
 
     # ------------------------------------------------------------- reading
 
-    def may_contain(self, key: bytes) -> bool:
-        """Range + bloom pre-check (no I/O)."""
+    def may_contain(self, key: bytes, key_hash: Optional[int] = None) -> bool:
+        """Range + bloom pre-check (no I/O).  ``key_hash`` is
+        ``base_hash(key)`` when the caller already has it."""
         if not self.meta.min_key <= key <= self.meta.max_key:
             return False
-        return self._bloom.may_contain(key)
+        return self._bloom.probe(base_hash(key) if key_hash is None else key_hash)
 
-    def get(self, key: bytes) -> tuple[bool, Optional[bytes]]:
+    def get(self, key: bytes, key_hash: Optional[int] = None) -> tuple[bool, Optional[bytes]]:
         """Return ``(found, value)``; ``(True, None)`` is a tombstone hit.
+        A caller probing several tables passes ``base_hash(key)`` so the key
+        is hashed once, not once per table.
 
         Walks the record headers of one block and slices nothing but the
         value it returns."""
-        if not self.may_contain(key):
+        if not self.may_contain(key, key_hash):
             return False, None
         block_index = self._block_for(key)
         if block_index < 0:
@@ -348,42 +374,60 @@ class SSTableReader:
         """Index of the data block that could contain ``key`` (-1 if none)."""
         return bisect_right(self._index, key) - 1
 
-    def _read_records(self, block_index: int) -> list[tuple[bytes, Optional[bytes]]]:
-        """Read one data block and decode every record in it — the one
-        decoder behind both iterators."""
-        raw = self.device.read_block(self.meta.start_block + block_index)
+    def _walk(
+        self, first_block: int, start_key: bytes = b"", encoded: bool = False
+    ) -> Iterator[tuple[bytes, Optional[bytes]]]:
+        """The cursor behind every iterator: records with key >=
+        ``start_key`` from data block ``first_block`` on, one at a time.
+
+        A block is read when the cursor enters it and a record is decoded
+        when the consumer asks for it; records below ``start_key`` (only the
+        entered block can hold any) are stepped over by their headers.  A
+        scan takes a handful of records from most of the runs it merges, so
+        decoding the entered block whole decoded twice what was consumed.
+        With ``encoded`` a record's value is its wire form (the slice of the
+        block), which :meth:`SSTableWriter.add_encoded` takes back as is;
+        tombstones are ``None`` either way."""
         unpack_header = _REC_HDR.unpack_from
-        records: list[tuple[bytes, Optional[bytes]]] = []
-        offset = 0
-        while offset <= _LAST_HEADER:
-            flag, klen, vlen = unpack_header(raw, offset)
-            if flag == 0:
-                break  # zero padding
-            key_at = offset + _HEADER_SIZE
-            value_at = key_at + klen
-            end = value_at + vlen
-            if end > BLOCK_SIZE or flag > FLAG_VPTR:
-                raise _bad_record(self.meta, block_index, offset)
-            if flag == FLAG_VALUE:
-                records.append((raw[key_at:value_at], raw[value_at:end]))
-            elif flag == FLAG_TOMBSTONE:
-                records.append((raw[key_at:value_at], None))
-            else:
-                records.append((raw[key_at:value_at], ValueRef(raw[value_at:end])))
-            offset = end
-        return records
+        read_block = self.device.read_block
+        start_block = self.meta.start_block
+        for block_index in range(first_block, self._n_data):
+            raw = read_block(start_block + block_index)
+            offset = 0
+            while offset <= _LAST_HEADER:
+                flag, klen, vlen = unpack_header(raw, offset)
+                if flag == 0:
+                    break  # zero padding
+                key_at = offset + _HEADER_SIZE
+                value_at = key_at + klen
+                end = value_at + vlen
+                if end > BLOCK_SIZE or flag > FLAG_VPTR:
+                    raise _bad_record(self.meta, block_index, offset)
+                key = raw[key_at:value_at]
+                if key >= start_key:
+                    if flag == FLAG_TOMBSTONE:
+                        yield key, None
+                    elif encoded:
+                        yield key, raw[offset:end]
+                    elif flag == FLAG_VALUE:
+                        yield key, raw[value_at:end]
+                    else:
+                        yield key, ValueRef(raw[value_at:end])
+                offset = end
 
     def iter_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """All records with key >= ``start_key``, in order."""
-        first = max(0, self._block_for(start_key))
-        # Only the block the index points at can hold smaller keys.
-        yield from [kv for kv in self._read_records(first) if kv[0] >= start_key]
-        for block in range(first + 1, self._n_data):
-            yield from self._read_records(block)
+        return self._walk(max(0, self._block_for(start_key)), start_key)
 
     def iter_all(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        for block in range(self._n_data):
-            yield from self._read_records(block)
+        """Every record, in order."""
+        return self._walk(0)
+
+    def iter_encoded(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
+        """Every record as ``(key, wire-form record)``, ``None`` for a
+        tombstone: what a compaction merges and hands to
+        :meth:`SSTableWriter.add_encoded`."""
+        return self._walk(0, encoded=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

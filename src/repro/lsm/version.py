@@ -6,10 +6,12 @@ overlapping sorted runs (``overlapping=True``, the tiering policies of
 :mod:`repro.lsm.strategy`) a table added later is newer than one added
 earlier; a leveled level >= 1 is one disjoint sorted run, kept in key order,
 so no two of its tables ever hold the same key.  :meth:`VersionSet.
-newest_first` is the only statement of that order: point reads and
-compaction inputs consume it, range reads consume :meth:`VersionSet.
-runs_from` (the same order, with each disjoint level folded into one run),
-and nothing compares tables any other way.  The ``seq`` in a table's footer
+newest_first` is the only statement of that order: compaction inputs
+consume it, point reads consume :meth:`VersionSet.tables_for_get` (its
+members whose range covers the key; on a disjoint level that is at most one
+table, picked by bisecting the level's max keys), range reads consume
+:meth:`VersionSet.runs_from` (the same order, with each disjoint level
+folded into one run), and nothing compares tables any other way.  The ``seq`` in a table's footer
 and manifest entry is a label — it takes no part in ordering.  Level lists
 are persisted in list order and replayed through :meth:`VersionSet.
 add_table` in that order, so a reopened store has the same ages.
@@ -21,6 +23,7 @@ indexes."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,12 +54,17 @@ class VersionSet:
         self.max_levels = max_levels
         self.overlapping_runs = overlapping
         self.levels: list[list[SSTableReader]] = [[] for _ in range(max_levels)]
+        #: Per non-empty disjoint level: (each table's max key, the tables),
+        #: both in key order.  Built by :meth:`tables_for_get`, dropped by
+        #: every mutation.
+        self._fences: Optional[list[tuple[list[bytes], list[SSTableReader]]]] = None
         self._compaction_cursor: dict[int, bytes] = {}
 
     # ------------------------------------------------------------ mutation
 
     def add_table(self, level: int, reader: SSTableReader) -> None:
         self._check_level(level)
+        self._fences = None
         self.levels[level].append(reader)  # arrival order is age
         if level > 0 and not self.overlapping_runs:
             # One disjoint run: key order, which decides nothing about age.
@@ -65,6 +73,7 @@ class VersionSet:
 
     def remove_tables(self, level: int, readers: list[SSTableReader]) -> None:
         self._check_level(level)
+        self._fences = None
         victims = {id(r) for r in readers}
         before = len(self.levels[level])
         self.levels[level] = [r for r in self.levels[level] if id(r) not in victims]
@@ -129,11 +138,25 @@ class VersionSet:
         return [run for run in live if run]
 
     def tables_for_get(self, key: bytes) -> list[SSTableReader]:
-        """Tables whose key range covers ``key``, newest first."""
-        return [
-            r for r in self.newest_first()
-            if r.meta.min_key <= key <= r.meta.max_key
-        ]
+        """Tables whose key range covers ``key``, newest first: the members
+        of :meth:`newest_first` a point read has to ask.  A disjoint level
+        holds at most one, found by bisecting the level's max keys (its
+        fence pointers) instead of testing every table's range."""
+        disjoint = not self.overlapping_runs
+        candidates = reversed(self.levels[0]) if disjoint else self.newest_first()
+        tables = [r for r in candidates if r.meta.min_key <= key <= r.meta.max_key]
+        if not disjoint:
+            return tables
+        fences = self._fences
+        if fences is None:
+            fences = self._fences = [
+                ([r.meta.max_key for r in run], run) for run in self.levels[1:] if run
+            ]
+        for max_keys, run in fences:
+            i = bisect_left(max_keys, key)  # first table ending at or after key
+            if i < len(run) and run[i].meta.min_key <= key:
+                tables.append(run[i])
+        return tables
 
     # ---------------------------------------------------------- scheduling
 

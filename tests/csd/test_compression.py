@@ -1,5 +1,7 @@
 """Unit tests for the per-block compressor models."""
 
+import zlib
+
 import pytest
 
 from repro.csd.compression import (
@@ -40,6 +42,21 @@ def test_ratio_of_empty_block_is_one(compressor):
 
 def test_zlib_zero_block_nearly_free():
     assert ZlibCompressor().compressed_size(bytes(BLOCK_SIZE)) == ZERO_BLOCK_COST
+
+
+@pytest.mark.parametrize("length", [0, 1, BLOCK_SIZE, BLOCK_SIZE + 1])
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_zlib_all_zero_test_by_length_and_type(length, wrap):
+    """All-zero inputs cost ZERO_BLOCK_COST at any length and in any
+    bytes-like wrapper; one non-zero byte, first or last, goes to zlib."""
+    zlib_c = ZlibCompressor()
+    assert zlib_c.compressed_size(wrap(bytes(length))) == (ZERO_BLOCK_COST if length else 0)
+    for position in {0, length - 1} if length else ():
+        block = bytearray(length)
+        block[position] = 1
+        expected = min(length, len(zlib.compress(bytes(block), zlib_c.level)))
+        assert expected != ZERO_BLOCK_COST
+        assert zlib_c.compressed_size(wrap(bytes(block))) == expected
 
 
 def test_zlib_random_block_incompressible(rng):

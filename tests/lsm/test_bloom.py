@@ -1,8 +1,11 @@
 """Unit tests for the bloom filter."""
 
+import random
+
 import pytest
 
-from repro.lsm.bloom import BloomFilter
+from repro.errors import LsmError
+from repro.lsm.bloom import BloomFilter, base_hash
 
 
 def keys(start, n):
@@ -98,3 +101,69 @@ def test_add_all_sets_the_same_bits_as_sequential_add():
     assert bulk.to_bytes() == single.to_bytes()
     assert bulk.to_bytes()[10:] == _reference_bits(bulk, key_list)
     assert all(bulk.may_contain(k) for k in key_list)
+
+
+def _sequential(num_keys, key_list, bits_per_key=10.0):
+    filt = BloomFilter(num_keys, bits_per_key)
+    for k in key_list:
+        filt.add(k)
+    return filt
+
+
+@pytest.mark.parametrize(
+    "key_list",
+    [
+        pytest.param(keys(0, 600), id="sorted-8-byte"),
+        pytest.param(
+            sorted(
+                [b"", b"a", b"b", b"ab", b"ac", b"abc", b"abd", b"b" * 40, b"b" * 39 + b"c"]
+                + [bytes([i]) for i in range(256)]
+            ),
+            id="mixed-lengths",
+        ),
+        pytest.param(
+            random.Random(3).sample(keys(0, 600) + [b"x", b"xy", b"", b"z" * 40], 604),
+            id="unsorted",
+        ),
+    ],
+)
+@pytest.mark.parametrize("oversize", [1, 100])
+def test_add_all_carrying_the_hash_state_matches_sequential_add(key_list, oversize):
+    """The state carried across a shared ``key[:-1]`` changes no bit, whatever
+    the order and lengths of the keys, into a dense or a 100x sparse filter."""
+    bulk = BloomFilter(len(key_list) * oversize)
+    bulk.add_all(key_list)
+    assert bulk.to_bytes() == _sequential(len(key_list) * oversize, key_list).to_bytes()
+    assert bulk.to_bytes()[10:] == _reference_bits(bulk, key_list)
+
+
+def test_may_contain_is_the_probe_loop_applied_to_the_base_hash():
+    filt = BloomFilter(500)
+    filt.add_all(keys(0, 500))
+    for k in keys(0, 500) + keys(10_000, 2_000) + [b"", b"\x00"]:
+        assert filt.may_contain(k) == filt.probe(base_hash(k))
+    assert all(filt.probe(base_hash(k)) for k in keys(0, 500))
+    assert not all(filt.probe(base_hash(k)) for k in keys(10_000, 2_000))
+    assert base_hash(b"") == 0xCBF29CE484222325
+    assert base_hash(b"a") == 0xAF63DC4C8601EC8C  # published FNV-1a 64 vector
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda blob: blob[:-1], id="one-byte-short"),
+        pytest.param(lambda blob: blob[:10], id="header-only"),
+        pytest.param(lambda blob: blob[:6], id="short-header"),
+        pytest.param(lambda blob: b"", id="empty"),
+        pytest.param(lambda blob: bytes(len(blob)), id="zeroed"),
+        pytest.param(lambda blob: bytes(8) + blob[8:], id="zero-bits"),
+        pytest.param(lambda blob: blob[:8] + bytes(2) + blob[10:], id="zero-probes"),
+        pytest.param(lambda blob: blob[:8] + b"\x1f\x00" + blob[10:], id="31-probes"),
+    ],
+)
+def test_from_bytes_rejects_a_damaged_payload(damage):
+    """Typed error at load time, not IndexError / ZeroDivisionError at the
+    first probe."""
+    blob = BloomFilter(200).to_bytes()
+    with pytest.raises(LsmError):
+        BloomFilter.from_bytes(damage(blob))

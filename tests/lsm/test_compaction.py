@@ -76,19 +76,24 @@ def test_merge_tombstone_of_absent_key_dropped_at_bottom(rig):
 
 def test_write_merged_splits_by_target_size(rig):
     device, allocator = rig
-    big = build(rig, [(key(i), bytes(200)) for i in range(500)], 1, 1)
     counter = iter(range(100, 200))
 
     def make_writer():
         table_id = next(counter)
         return SSTableWriter(device, allocator, table_id, 50, 500)
 
+    # Compaction inputs stream encoded records (tombstones as None) through
+    # the same merge; the outputs decode to what went in.
+    records = [(key(i), None if i % 50 == 7 else bytes(200)) for i in range(500)]
+    big = build(rig, records, 1, 1)
     metas, logical, physical = write_merged(
-        merge_tables([big], drop_tombstones=False), make_writer,
+        merge_newest_first([big.iter_encoded()]), make_writer,
         table_target_bytes=16 << 10,
     )
     assert len(metas) > 3  # split into several output tables
     assert sum(m.n_records for m in metas) == 500
+    outputs = [SSTableReader.open(device, m.start_block, m.num_blocks) for m in metas]
+    assert [kv for t in outputs for kv in t.iter_all()] == records
     # Outputs are disjoint and ordered.
     for left, right in zip(metas, metas[1:]):
         assert left.max_key < right.min_key

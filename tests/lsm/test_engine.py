@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError
+from repro.lsm import engine as engine_module
+from repro.lsm import sstable as sstable_module
+from repro.lsm.bloom import base_hash
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.lsm.sstable import SSTableReader
 from repro.lsm.version import CompactionJob
@@ -328,7 +331,39 @@ def test_scan_reads_one_run_per_level_not_one_block_per_table():
     assert tables >= 30
     reads, bound = scan_cost()
     assert reads <= bound < tables
+    # Exact counts, as recorded before the block cursor went on-demand: it
+    # changes what is decoded, not what is read.
+    assert reads == 9
     load(range(3000, 4500))  # every new table lies beyond the scanned range
     assert engine.versions.total_tables() >= tables + 10
     reads, bound = scan_cost()
     assert reads <= bound
+    assert reads == 8
+
+
+def test_get_hashes_the_key_once_for_all_candidate_tables(monkeypatch):
+    """A point read that has to ask several tables computes the filter's
+    base hash once and hands it to each of them."""
+    engine, _ = make_engine(l0_compaction_trigger=8)
+    rng = random.Random(11)
+    for _ in range(5):  # five overlapping L0 tables, none holding key(1)
+        for i in range(0, 400, 2):
+            engine.put(key(i), value(rng, 40))
+        engine.flush_memtable()
+    assert len(engine.versions.tables_for_get(key(1))) >= 3
+    hashed = []
+
+    def counting(k):
+        hashed.append(k)
+        return base_hash(k)
+
+    monkeypatch.setattr(engine_module, "base_hash", counting)
+    monkeypatch.setattr(sstable_module, "base_hash", counting)
+    assert engine.get(key(1)) is None
+    assert engine.get(key(2)) is not None
+    assert hashed == [key(1), key(2)]
+    hashed.clear()
+    engine.put(key(7), b"in the memtable")
+    assert engine.get(key(7)) == b"in the memtable"
+    assert engine.get(key(100_000)) is None  # no table covers it
+    assert hashed == []  # neither read reached a filter

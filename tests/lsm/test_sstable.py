@@ -11,6 +11,7 @@ from repro.lsm.sstable import (
     ExtentAllocator,
     SSTableReader,
     SSTableWriter,
+    encode_record,
 )
 from repro.lsm.vlog import ValueRef
 from repro.sim.rng import DeterministicRng
@@ -144,6 +145,47 @@ def test_iter_from_midpoint(device, allocator):
     assert got == [key(i) for i in range(502, 1000, 2)]
 
 
+def test_iter_from_every_entry_position(device, allocator):
+    """Before the table, mid-block, on a key, between two blocks, on the last
+    key and past it — the cursor yields exactly the records >= the start."""
+    records = [(key(i), bytes([i % 256]) * 90) for i in range(10, 1000, 2)]
+    reader, _ = build_table(device, allocator, records)
+    assert len(reader._index) > 5
+    second_block_first = int.from_bytes(reader._index[1], "big")
+    starts = [0, 10, 11, 12, 501, 502, second_block_first - 1, second_block_first,
+              second_block_first + 1, 997, 998, 999, 5000]
+    for start in starts:
+        assert list(reader.iter_from(key(start))) == [
+            kv for kv in records if kv[0] >= key(start)
+        ], start
+    assert list(reader.iter_from(b"")) == records
+
+
+def test_iter_from_decodes_on_demand(device, allocator):
+    """Entering a block reads it once; nothing past the record the consumer
+    stopped at is validated, and the next block is read only when asked for."""
+    records = [(key(i), bytes([i % 256]) * 40) for i in range(300)]
+    reader, meta = build_table(device, allocator, records)
+    per_block = int.from_bytes(reader._index[1], "big")
+    # Damage the block's fourth record; the cursor is asked for two.
+    _corrupt(device, meta.start_block, 3 * (7 + 8 + 40), b"\x07")
+    before = device.stats.blocks_read
+    cursor = reader.iter_from(key(0))
+    assert device.stats.blocks_read == before  # nothing read until asked
+    assert [next(cursor), next(cursor)] == records[:2]
+    assert device.stats.blocks_read == before + 1
+    assert next(cursor) == records[2]
+    with pytest.raises(LsmError):
+        next(cursor)  # reaches the damaged header: an error, not a wrong key
+    # A later block is entered without touching the damaged one, and the
+    # block after it is read only when the cursor runs off the end.
+    tail = reader.iter_from(key(2 * per_block - 1))
+    assert next(tail) == records[2 * per_block - 1]
+    assert device.stats.blocks_read == before + 2
+    assert next(tail) == records[2 * per_block]
+    assert device.stats.blocks_read == before + 3
+
+
 def test_multi_block_tables(device, allocator):
     rng = DeterministicRng(1)
     records = [(key(i), rng.random_bytes(100)) for i in range(2000)]
@@ -224,7 +266,11 @@ def test_corrupt_record_header_is_an_error_not_a_wrong_key(
     with pytest.raises(LsmError):
         list(reader.iter_from(in_block))
     with pytest.raises(LsmError):
+        list(reader.iter_from(victim))  # stepping over headers validates them too
+    with pytest.raises(LsmError):
         list(reader.iter_all())
+    with pytest.raises(LsmError):
+        list(reader.iter_encoded())
     # Blocks before the damage still read.
     assert reader.get(key(0)) == (True, records[0][1])
 
@@ -263,3 +309,80 @@ def test_table_bytes_are_pinned(device, allocator, n_records, embedded, extent_c
     assert zlib.crc32(extent) == extent_crc
     reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
     assert list(reader.iter_all()) == records
+    # A compaction moves encoded records (tombstones carried as None): the
+    # copy is the same table, byte for byte.
+    encoded = list(reader.iter_encoded())
+    assert [k for k, _ in encoded] == [k for k, _ in records]
+    assert [e is None for _, e in encoded] == [v is None for _, v in records]
+    assert all(e == encode_record(k, v) for (k, e), (_, v) in zip(encoded, records) if e)
+    copier = SSTableWriter(device, allocator, 3, 9, n_records)
+    for k, e in encoded:
+        copier.add_encoded(k, e)
+    copy_meta, _, _ = copier.finish()
+    copy = device.read_blocks(copy_meta.start_block, copy_meta.num_blocks)
+    assert copy == extent
+
+
+def test_encoded_append_path_keeps_the_order_and_size_checks(device, allocator):
+    writer = SSTableWriter(device, allocator, 1, 1, 10)
+    writer.add_encoded(key(5), encode_record(key(5), b"v"))
+    with pytest.raises(LsmError):
+        writer.add_encoded(key(4), encode_record(key(4), b"v"))
+    with pytest.raises(LsmError):
+        writer.add_encoded(key(5), None)  # duplicates forbidden too
+    with pytest.raises(LsmError):
+        writer.add_encoded(key(6), encode_record(key(6), b"x" * BLOCK_SIZE))
+    writer.add_encoded(key(6), None)
+    meta, _, _ = writer.finish()
+    reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
+    assert list(reader.iter_all()) == [(key(5), b"v"), (key(6), None)]
+
+
+def _separate_meta_table(device, allocator):
+    records = fixed_records(4000)
+    _, meta = build_table(device, allocator, records)
+    footer = device.read_block(meta.start_block + meta.num_blocks - 1)
+    n_data, n_meta, embedded = struct.unpack_from("<IIB", footer, 20)
+    assert not embedded and n_meta >= 2
+    return meta, meta.start_block + n_data, n_meta
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda raw: bytes(BLOCK_SIZE), id="zeroed"),
+        pytest.param(lambda raw: raw[:40] + bytes(BLOCK_SIZE - 40), id="cut-short"),
+        pytest.param(lambda raw: b"\xff" * BLOCK_SIZE, id="all-ones"),
+        pytest.param(lambda raw: raw[:2] + b"\xff\xff" + raw[4:], id="huge-count"),
+    ],
+)
+def test_damaged_first_meta_block_is_a_typed_error_at_open(device, allocator, damage):
+    """Separate index/bloom blocks are outside the footer CRC (a torn table
+    write can leave one stale): a blob that no longer parses surfaces as an
+    LsmError naming its block when the table is opened, not as struct.error."""
+    meta, first_meta, _ = _separate_meta_table(device, allocator)
+    device.write_block(first_meta, damage(device.read_block(first_meta)))
+    with pytest.raises(LsmError, match=f"at block {first_meta}"):
+        SSTableReader.open(device, meta.start_block, meta.num_blocks)
+
+
+def test_damaged_bloom_header_is_a_typed_error_at_open(device, allocator):
+    """num_bits == 0, an impossible probe count or a bit array longer than
+    the blob: rejected at open, not ZeroDivisionError / IndexError at the
+    first probe."""
+    meta, first_meta, n_meta = _separate_meta_table(device, allocator)
+    blob = device.read_blocks(first_meta, n_meta)
+    index_len, = struct.unpack_from("<I", blob, 0)
+    header_at = 4 + index_len + 4  # past the bloom payload's length prefix
+    assert header_at + 10 <= BLOCK_SIZE
+    pristine = device.read_block(first_meta)
+    for patch in (bytes(8), b"\xff" * 8, blob[header_at : header_at + 8] + bytes(2),
+                  blob[header_at : header_at + 8] + b"\x00\x01"):
+        raw = bytearray(pristine)
+        raw[header_at : header_at + len(patch)] = patch
+        device.write_block(first_meta, bytes(raw))
+        with pytest.raises(LsmError, match=f"at block {first_meta}"):
+            SSTableReader.open(device, meta.start_block, meta.num_blocks)
+    device.write_block(first_meta, pristine)
+    reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
+    assert reader.get(b"key000003")[0]

@@ -1,5 +1,7 @@
 """Unit tests for level bookkeeping and compaction scheduling."""
 
+import random
+
 import pytest
 
 from repro.csd.device import BLOCK_SIZE
@@ -136,6 +138,56 @@ def test_tables_for_get_range_filter():
     versions = VersionSet()
     versions.add_table(1, fake_table(1, 1, 0, 10))
     assert versions.tables_for_get(key(99)) == []
+
+
+def _random_versions(rng, overlapping):
+    """L0 tables over random ranges; deeper levels disjoint (leveled) or
+    random ranges again (overlapping), with gaps between tables."""
+    versions = VersionSet(overlapping=overlapping)
+    ids = iter(range(1, 1000))
+    for _ in range(rng.randrange(0, 5)):
+        lo = rng.randrange(0, 900)
+        versions.add_table(0, fake_table(next(ids), 1, lo, lo + rng.randrange(0, 300)))
+    for level in (1, 2, 4):
+        if overlapping:
+            for _ in range(rng.randrange(0, 4)):
+                lo = rng.randrange(0, 900)
+                versions.add_table(level, fake_table(next(ids), 1, lo, lo + rng.randrange(0, 300)))
+        else:
+            bounds = sorted(rng.sample(range(10, 990), 2 * rng.randrange(0, 6)))
+            pairs = list(zip(bounds[::2], bounds[1::2]))
+            rng.shuffle(pairs)  # add_table keeps the level in key order
+            for lo, hi in pairs:
+                versions.add_table(level, fake_table(next(ids), 1, lo, hi))
+    return versions
+
+
+def _assert_picks_match_brute_force(versions):
+    """Below, between, inside (edges included) and above every range."""
+    for k in range(0, 1300):
+        brute = [
+            t for t in versions.newest_first()
+            if t.meta.min_key <= key(k) <= t.meta.max_key
+        ]
+        assert versions.tables_for_get(key(k)) == brute, k
+
+
+@pytest.mark.parametrize("overlapping", [False, True], ids=["leveled", "overlapping"])
+def test_tables_for_get_equals_range_filtered_newest_first(overlapping):
+    """The fence-pointer pick is the brute-force filter of newest_first(),
+    and stays so across add_table / remove_tables — the fences are rebuilt
+    after every mutation (forget that and the second and third rounds fail)."""
+    rng = random.Random(24)
+    for _ in range(12):
+        versions = _random_versions(rng, overlapping)
+        _assert_picks_match_brute_force(versions)
+        level = rng.choice([1, 2, 4])
+        versions.add_table(level, fake_table(2000, 1, 1000, 1100))
+        versions.add_table(0, fake_table(2001, 1, 0, 1200))
+        _assert_picks_match_brute_force(versions)
+        victims = [t for t in versions.levels[level] if rng.random() < 0.5]
+        versions.remove_tables(level, victims)
+        _assert_picks_match_brute_force(versions)
 
 
 def test_pick_compaction_l0_trigger():
