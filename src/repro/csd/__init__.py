@@ -17,7 +17,6 @@ from repro.csd.arena import ScratchArena
 from repro.csd.compression import (
     Compressor,
     NullCompressor,
-    SizeCachingCompressor,
     ZeroRunEstimator,
     ZlibCompressor,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "RETRY_ATTEMPTS",
     "ScratchArena",
     "ScriptedFault",
-    "SizeCachingCompressor",
     "ZeroRunEstimator",
     "ZlibCompressor",
     "read_block_retrying",

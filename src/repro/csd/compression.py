@@ -8,15 +8,13 @@ for very large sweeps where zlib would dominate run time.  Both report sizes
 through the common :class:`Compressor` interface, so the device and its
 accounting are independent of which model is plugged in.
 
-One fast path accelerates the write pipeline without giving up fidelity:
-:class:`SizeCachingCompressor` wraps any compressor with a content-addressed
-LRU cache of compressed sizes, keyed by a fast block digest.  Streams with
-content repetition (all-zero blocks, repeated log padding, LSM compaction
-re-emitting unchanged data blocks) skip the compressor entirely; streams
-without it (LSN-stamped page images never repeat) trip an adaptive bypass so
-hashing is not paid for nothing.  Cached sizes are bit-identical to uncached
-ones.  Its hit rate on the repo benchmark's workloads is the exact-gated
-``csd.compression.cache_hit_rate`` ledger line of ``perf/run.py --check``.
+A device sizes each write request through one batch call,
+:meth:`Compressor.compressed_sizes`, which by default sizes the blocks one at
+a time.  :class:`ZlibCompressor` overrides it to use a second core: zlib
+releases the interpreter lock while it compresses, so a request of
+:data:`TWO_THREAD_MIN_BLOCKS` or more blocks is split in two halves, one
+sized on the calling thread and one on a long-lived worker thread that the
+compressor owns.  The sizes and their order are those of the one-block loop.
 
 All compressors accept any bytes-like object (``bytes``, ``bytearray``,
 ``memoryview``) so the device's zero-copy write path can hand them buffer
@@ -25,11 +23,13 @@ slices directly.
 
 from __future__ import annotations
 
-import hashlib
+import os
+import queue
+import threading
+import weakref
 import zlib
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from typing import Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -46,17 +46,17 @@ ZERO_BLOCK_COST = 24
 #: hands a compressor — for the all-zero test.
 _ZEROS = bytes(4096)
 
-#: Default entry bound of the compressed-size LRU cache.  Entries are a 16-byte
-#: digest plus an int (~100 bytes each), so the default costs a few MB.
-SIZE_CACHE_CAPACITY = 65536
+#: Smallest request :class:`ZlibCompressor` sizes on two threads, so that
+#: each thread gets at least two blocks.  Below it the hand-off to the worker
+#: costs about as much as the half it saves (a 2-block request sizes no
+#: faster split), so the B-trees' 2-block page flushes stay serial.
+TWO_THREAD_MIN_BLOCKS = 4
 
-#: Adaptive bypass: number of lookups the cache observes before deciding
-#: whether the write stream repeats content at all.
-SIZE_CACHE_PROBE_WINDOW = 2048
+#: One job for a sizing worker: the sizing function and the blocks to size.
+_Job = Tuple[Callable[[BytesLike], int], Sequence[BytesLike]]
 
-#: Adaptive bypass: minimum hit rate over the probe window.  Below it the
-#: cache concludes the stream has no content repetition and stops hashing.
-SIZE_CACHE_MIN_HIT_RATE = 0.02
+#: What a sizing worker hands back: the sizes, or what sizing raised.
+_Result = Union[List[int], BaseException]
 
 
 class Compressor(ABC):
@@ -70,6 +70,13 @@ class Compressor(ABC):
         writes to flash for this block (excluding FTL metadata, which the
         device accounts separately).
         """
+
+    def compressed_sizes(self, blocks: Sequence[BytesLike]) -> List[int]:
+        """:meth:`compressed_size` of each of one request's ``blocks``, in
+        order — the device's one batch entry point.  Sized one at a time
+        unless a subclass knows a faster way to get the same list."""
+        size = self.compressed_size
+        return [size(block) for block in blocks]
 
     def ratio(self, block: BytesLike) -> float:
         """Compression ratio (compressed/original) in the paper's (0, 1] sense."""
@@ -91,6 +98,7 @@ class ZlibCompressor(Compressor):
         if not 1 <= level <= 9:
             raise ConfigError(f"zlib level must be in [1, 9], got {level}")
         self.level = level
+        self._worker: Optional[_SizingWorker] = None
 
     def compressed_size(self, block: BytesLike) -> int:
         if len(block) == 0:
@@ -101,6 +109,68 @@ class ZlibCompressor(Compressor):
         if data == (_ZEROS if len(data) == len(_ZEROS) else bytes(len(data))):
             return ZERO_BLOCK_COST
         return min(len(data), len(zlib.compress(data, self.level)))
+
+    def compressed_sizes(self, blocks: Sequence[BytesLike]) -> List[int]:
+        """Sizes a request of :data:`TWO_THREAD_MIN_BLOCKS` or more blocks
+        on two threads: the calling thread sizes the first half while this
+        compressor's worker sizes the second.  An exception raised on either
+        side is raised here, after both halves have finished.  Like the
+        device it serves, a compressor takes one calling thread at a time."""
+        size = self.compressed_size
+        if len(blocks) < TWO_THREAD_MIN_BLOCKS:
+            return [size(block) for block in blocks]
+        worker = self._worker
+        if worker is None or worker.pid != os.getpid():
+            # First split, or a forked child holding its parent's worker,
+            # whose thread did not survive the fork: start one here.
+            worker = self._worker = _SizingWorker(self)
+        half = len(blocks) // 2
+        worker.jobs.put((size, blocks[half:]))
+        try:
+            head = [size(block) for block in blocks[:half]]
+        finally:
+            # Always collect the worker's half, so no result is left queued
+            # for the next request.
+            tail = worker.results.get()
+        if isinstance(tail, BaseException):
+            raise tail
+        return head + tail
+
+
+class _SizingWorker:
+    """The one sizing thread of a :class:`ZlibCompressor`.
+
+    Started on the owner's first split request and stopped when the owner is
+    garbage-collected.  Each job carries the sizing function it runs and the
+    thread drops it when done, so an idle worker keeps neither its owner nor
+    any request buffer alive.  ``pid`` is the process that started the
+    thread: a child forked later inherits this object but not the thread.
+    """
+
+    def __init__(self, owner: ZlibCompressor) -> None:
+        self.pid = os.getpid()
+        self.jobs: queue.SimpleQueue[Optional[_Job]] = queue.SimpleQueue()
+        self.results: queue.SimpleQueue[_Result] = queue.SimpleQueue()
+        # A daemon thread: exiting the interpreter (or a forked pool worker)
+        # never waits for it.
+        threading.Thread(
+            target=_serve, args=(self.jobs, self.results), name="zlib-sizing", daemon=True
+        ).start()
+        weakref.finalize(owner, self.jobs.put, None)
+
+
+def _serve(jobs: queue.SimpleQueue[Optional[_Job]], results: queue.SimpleQueue[_Result]) -> None:
+    """A sizing worker's loop: size each job's blocks until told to stop."""
+    while True:
+        job = jobs.get()
+        if job is None:
+            return
+        size, blocks = job
+        try:
+            results.put([size(block) for block in blocks])
+        except BaseException as exc:  # handed to the caller, which raises it
+            results.put(exc)
+        del job, size, blocks  # idle without a reference to the owner or its blocks
 
 
 class ZeroRunEstimator(Compressor):
@@ -137,93 +207,3 @@ class NullCompressor(Compressor):
 
     def compressed_size(self, block: BytesLike) -> int:
         return len(block)
-
-
-class SizeCachingCompressor(Compressor):
-    """Content-addressed LRU cache of compressed sizes around any compressor.
-
-    The key is a fast 128-bit BLAKE2b digest of the block contents (~10x
-    cheaper than zlib level 1 on a 4KB block), so repeated contents — all-zero
-    blocks, re-flushed delta blocks, repeated log padding — skip the inner
-    compressor entirely while returning exactly the size it would have
-    produced.  Results are therefore bit-identical to the wrapped compressor;
-    only wall-clock changes.
-
-    Not every stream repeats content, though: the B-tree page format stamps
-    the mutation LSN and CRC into both the page header and the trailer (the
-    torn-write witness), so *every* 4KB block of *every* re-flushed page image
-    differs from its previous version by design.  On such streams hashing is
-    pure overhead, so the cache is **adaptive**: it observes ``probe_window``
-    lookups, and if the hit rate stays below ``min_hit_rate`` it concludes the
-    stream is repetition-free, drops its entries, and passes every later block
-    straight to the inner compressor (the decision is sticky; ``clear()``
-    re-arms it).  Pass ``probe_window=0`` to disable the bypass and always
-    cache.
-
-    ``hits`` / ``misses`` / ``evictions`` counters and the ``bypassed`` flag
-    expose cache behaviour for tests and the ``perf/`` ledger.
-    """
-
-    def __init__(
-        self,
-        inner: Compressor,
-        capacity: int = SIZE_CACHE_CAPACITY,
-        probe_window: int = SIZE_CACHE_PROBE_WINDOW,
-        min_hit_rate: float = SIZE_CACHE_MIN_HIT_RATE,
-    ) -> None:
-        if capacity < 1:
-            raise ConfigError("cache capacity must be at least 1")
-        if probe_window < 0:
-            raise ConfigError("probe_window must be non-negative")
-        if not 0.0 <= min_hit_rate <= 1.0:
-            raise ConfigError("min_hit_rate must be in [0, 1]")
-        self.inner = inner
-        self.capacity = capacity
-        self.probe_window = probe_window
-        self.min_hit_rate = min_hit_rate
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypassed = False
-        self._cache: "OrderedDict[bytes, int]" = OrderedDict()
-
-    def compressed_size(self, block: BytesLike) -> int:
-        if self.bypassed:
-            return self.inner.compressed_size(block)
-        key = hashlib.blake2b(block, digest_size=16).digest()
-        cache = self._cache
-        size = cache.get(key)
-        if size is not None:
-            cache.move_to_end(key)
-            self.hits += 1
-            return size
-        self.misses += 1
-        size = self.inner.compressed_size(block)
-        cache[key] = size
-        if len(cache) > self.capacity:
-            cache.popitem(last=False)
-            self.evictions += 1
-        if self.probe_window and self.hits + self.misses >= self.probe_window:
-            if self.hit_rate < self.min_hit_rate:
-                # Repetition-free stream (e.g. LSN-stamped page images):
-                # stop paying for digests, keep the counters for inspection.
-                self.bypassed = True
-                self._cache.clear()
-        return size
-
-    # ------------------------------------------------------------ inspection
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        """Drop all cached sizes, reset the counters, and re-arm the probe."""
-        self._cache.clear()
-        self.hits = self.misses = self.evictions = 0
-        self.bypassed = False

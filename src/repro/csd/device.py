@@ -31,13 +31,7 @@ import random
 from abc import ABC
 from typing import Callable, Optional
 
-from repro.csd.compression import (
-    BytesLike,
-    Compressor,
-    NullCompressor,
-    SizeCachingCompressor,
-    ZlibCompressor,
-)
+from repro.csd.compression import BytesLike, Compressor, NullCompressor, ZlibCompressor
 from repro.csd.ftl import FlashTranslationLayer, GreedyGcModel
 from repro.csd.stats import DeviceStats
 from repro.errors import (
@@ -79,12 +73,8 @@ def _torn_survival(
 
 
 def default_compressor() -> Compressor:
-    """The drive's default engine: real zlib behind the compressed-size cache.
-
-    The cache returns bit-identical sizes to plain zlib; it only removes the
-    redundant recompression of repeated block contents.
-    """
-    return SizeCachingCompressor(ZlibCompressor())
+    """The drive's default engine: real zlib at level 1."""
+    return ZlibCompressor()
 
 
 class BlockDevice(ABC):
@@ -157,9 +147,10 @@ class BlockDevice(ABC):
         Each 4KB block within the request is individually atomic (a crash can
         apply a prefix/subset — the torn multi-block write).  The request is
         one device command: one ``write_ios``, ``count`` ``blocks_written``.
-        The buffer is sliced with ``memoryview`` — no per-block copies — and
-        FTL accounting is batched.  Returns the total post-compression bytes
-        charged.
+        The buffer is sliced with ``memoryview`` — no per-block copies — the
+        request's sizes come from one :meth:`Compressor.compressed_sizes`
+        call, and FTL accounting is batched and in block order.  Returns the
+        total post-compression bytes charged.
         """
         if len(data) % BLOCK_SIZE != 0:
             raise AlignmentError(
@@ -170,11 +161,10 @@ class BlockDevice(ABC):
         if not isinstance(data, bytes):
             data = bytes(data)
         view = memoryview(data)
-        compressed_size = self.compressor.compressed_size
         chunks = [
             view[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE] for i in range(count)
         ]
-        sizes = [compressed_size(chunk) for chunk in chunks]
+        sizes = self.compressor.compressed_sizes(chunks)
         self.stats.write_ios += 1
         self.stats.blocks_written += count
         self.stats.logical_bytes_written += count * BLOCK_SIZE
@@ -327,9 +317,8 @@ class BlockDevice(ABC):
 class CompressedBlockDevice(BlockDevice):
     """The computational storage drive: transparent zlib per 4KB block.
 
-    The default compressor is real zlib behind the compressed-size LRU cache
-    (bit-identical sizes, repeated contents skip zlib); pass an explicit
-    ``compressor`` to opt out or to swap in one of the analytic models.
+    The default compressor is real zlib (:func:`default_compressor`); pass
+    an explicit ``compressor`` to swap in one of the analytic models.
     """
 
     def __init__(

@@ -52,8 +52,15 @@ class BloomFilter:
         at once, in key order.  Sorted neighbours mostly differ in their last
         byte only, so the FNV-1a state after ``key[:-1]`` is carried from one
         key to the next and the hash restarts at byte 0 only when that prefix
-        changes — same hash, any keys in any order."""
-        set_bits = self._set_bits
+        changes — same hash, any keys in any order.
+
+        Each probe stores a 1 in a byte-per-bit scratch map, which is then
+        packed into the filter with eight strided slices (slice ``j`` holds
+        bits ``j, j + 8, …``, i.e. bit ``j`` of every filter byte) — the same
+        bits as :meth:`add`, at one byte store per probe."""
+        num_bits = self.num_bits
+        probes = self._probes
+        scratch = bytearray(num_bits)
         head, head_state = b"", _FNV_OFFSET
         for key in keys:
             if key[:-1] != head:
@@ -62,7 +69,14 @@ class BloomFilter:
             h = head_state
             if key:
                 h = ((h ^ key[-1]) * _FNV_PRIME) & _MASK64
-            set_bits(h)
+            delta = ((h >> 33) | (h << 31)) & _MASK64
+            for _ in probes:
+                scratch[h % num_bits] = 1
+                h = (h + delta) & _MASK64
+        packed = int.from_bytes(self._bits, "little")
+        for j in range(8):
+            packed |= int.from_bytes(scratch[j::8], "little") << j
+        self._bits = bytearray(packed.to_bytes(len(self._bits), "little"))
 
     def _set_bits(self, h: int) -> None:
         bits = self._bits

@@ -12,7 +12,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_series, format_table, ratio
 from repro.bench.speed import SpeedModel, engine_kind
 from repro.core.bminus import BMinusTree
-from repro.csd.compression import ZeroRunEstimator
+from repro.csd.compression import ZeroRunEstimator, ZlibCompressor
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMEngine
@@ -49,12 +49,11 @@ def test_build_rocksdb_returns_lsm():
 
 
 def test_harness_and_bare_device_share_the_default_compressor():
-    """One definition of the default: cache type, inner type, zlib level."""
+    """One definition of the default: plain zlib at level 1."""
     _, device, _ = build_engine(small_spec(system="bminus"))
     bare = CompressedBlockDevice(8).compressor
-    assert type(device.compressor) is type(bare)
-    assert type(device.compressor.inner) is type(bare.inner)
-    assert device.compressor.inner.level == bare.inner.level == 1
+    assert type(device.compressor) is type(bare) is ZlibCompressor
+    assert device.compressor.level == bare.level == 1
 
 
 def test_zero_run_estimator_is_not_wrapped_in_fast_mode(monkeypatch):

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import ExperimentSpec, run_wa_experiment
@@ -130,6 +136,66 @@ class TestRunTasks:
 
     def test_empty_task_list(self):
         assert run_tasks([], square_worker, jobs=3) == []
+
+
+#: Run as its own process by the fork test below.  The parent sizes a 6-block
+#: request on two threads, so its compressor's worker thread is alive when
+#: ``run_tasks`` forks; every pool worker then issues 6-block writes through
+#: that inherited compressor and through a fresh one.
+_FORK_AFTER_SPLIT = """
+import random
+import threading
+
+from repro.bench.parallel import run_tasks
+from repro.csd.compression import ZlibCompressor
+from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
+
+INHERITED = CompressedBlockDevice(64, ZlibCompressor())
+
+
+def payload(seed):
+    rng = random.Random(seed)
+    return b"".join(rng.randbytes(BLOCK_SIZE // 2) + bytes(BLOCK_SIZE // 2) for _ in range(6))
+
+
+def work(seed):
+    fresh = CompressedBlockDevice(64, ZlibCompressor())
+    return [device.write_blocks(6 * (seed % 8), payload(seed)) for device in (INHERITED, fresh)]
+
+
+if __name__ == "__main__":
+    INHERITED.write_blocks(0, payload(-1))
+    assert threading.active_count() == 2, threading.enumerate()
+    pooled = run_tasks(range(8), work, jobs=2)
+    assert pooled == [work(seed) for seed in range(8)], pooled
+    print("fork after two-thread sizing: ok")
+"""
+
+
+def test_pool_forked_after_two_thread_sizing_does_not_hang(tmp_path):
+    """A forked pool worker inherits the parent's compressor but not its
+    sizing thread; it must start its own instead of waiting on one it does
+    not have.  Run in a child process under a hard timeout, since the
+    failure mode is a hang."""
+    script = tmp_path / "fork_after_split.py"
+    script.write_text(_FORK_AFTER_SPLIT)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    log = tmp_path / "log.txt"
+    with open(log, "w") as out:
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], stdout=out, stderr=subprocess.STDOUT,
+            env=env, start_new_session=True,
+        )
+        try:
+            code = proc.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the pool workers too
+            proc.wait()
+            pytest.fail("pool forked after two-thread sizing hung:\n" + log.read_text())
+    assert code == 0, log.read_text()
+    assert "fork after two-thread sizing: ok" in log.read_text()
 
 
 class TestDetachResult:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.csd.compression import (
     ZERO_BLOCK_COST,
+    Compressor,
     NullCompressor,
     ZeroRunEstimator,
     ZlibCompressor,
@@ -120,3 +121,32 @@ def test_estimator_tracks_zlib_on_workload_content(rng):
         real = zlib_c.compressed_size(block)
         approx = est.compressed_size(block)
         assert abs(real - approx) / real < 0.15
+
+
+class FirstByteCompressor(Compressor):
+    """Overrides only ``compressed_size``: inherits the batch loop."""
+
+    def compressed_size(self, block):
+        return block[0] if len(block) else 0
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 10, 33])
+def test_compressed_sizes_is_the_per_block_loop(count, wrap, rng):
+    """The batch entry point returns each block's own size, in order, for
+    every compressor and below, at and above the two-thread split."""
+    contents = []
+    for i in range(count):
+        live = 0 if i % 3 == 1 else BLOCK_SIZE // (i % 4 + 1)  # every third all-zero
+        contents.append(rng.random_bytes(live) + bytes(BLOCK_SIZE - live))
+    if wrap is memoryview:  # slices of one request buffer, as the device passes
+        view = memoryview(b"".join(contents))
+        blocks = [view[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE] for i in range(count)]
+    else:
+        blocks = [wrap(content) for content in contents]
+    for compressor in (
+        ZlibCompressor(), ZeroRunEstimator(), NullCompressor(), FirstByteCompressor()
+    ):
+        expected = [compressor.compressed_size(block) for block in blocks]
+        assert compressor.compressed_sizes(blocks) == expected
+        assert compressor.compressed_sizes(blocks) == expected  # worker reused

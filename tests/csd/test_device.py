@@ -1,5 +1,8 @@
 """Unit and property tests for the simulated block devices."""
 
+import random
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.csd.compression import ZlibCompressor
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.errors import AlignmentError, CapacityError, OutOfRangeError
+from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.sim.rng import DeterministicRng
 
 
@@ -276,3 +280,81 @@ def test_block_counters_accumulate_across_commands(device, rng):
     assert device.stats.blocks_written == 3
     assert device.stats.read_ios == 2
     assert device.stats.blocks_read == 3
+
+
+# ------------------------------------------------------ two-thread sizing
+
+
+class SerialZlib(ZlibCompressor):
+    """zlib sizing every request one block at a time on the calling thread."""
+
+    def compressed_sizes(self, blocks):
+        return [self.compressed_size(block) for block in blocks]
+
+
+class FailOnMarkedBlock(ZlibCompressor):
+    """zlib that raises on a block starting with ``FAIL`` and records the
+    thread that was sizing it."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed_on = None
+
+    def compressed_size(self, block):
+        if bytes(block[:4]) == b"FAIL":
+            self.failed_on = threading.get_ident()
+            raise ValueError("injected sizing failure")
+        return super().compressed_size(block)
+
+
+def test_worker_sizing_error_surfaces_before_any_accounting(rng):
+    """The worker sizes blocks 3-5 of a 6-block request; the error it hits
+    on block 4 is raised by write_blocks on the calling thread.  Sizing
+    precedes every counter, FTL extent and journal entry of the request, so
+    by then none of them has moved, and the next request sizes normally."""
+    compressor = FailOnMarkedBlock()
+    device = CompressedBlockDevice(num_blocks=64, compressor=compressor)
+    device.write_blocks(0, b"".join(make_block(rng, 2048) for _ in range(6)))
+    stats, live = device.stats.snapshot(), device.ftl.live_bytes
+    blocks = [make_block(rng, 2048) for _ in range(6)]
+    blocks[4] = b"FAIL" + blocks[4][4:]
+    with pytest.raises(ValueError, match="injected sizing failure"):
+        device.write_blocks(16, b"".join(blocks))
+    assert compressor.failed_on not in (None, threading.get_ident())
+    assert device.stats == stats
+    assert (device.ftl.live_bytes, device.ftl.mapped_lbas) == (live, 6)
+    assert not any(lba in device._pending for lba in range(16, 22))
+    retry = b"".join(make_block(rng, 2048) for _ in range(6))
+    device.write_blocks(16, retry)
+    assert device.ftl.mapped_lbas == 12
+    assert device.read_blocks(16, 6) == retry
+
+
+def test_two_thread_sizing_leaves_the_device_as_serial_sizing():
+    """One LSM run (flushes, compactions, manifest writes) fed to a device
+    sizing serially and to one sizing on two threads ends with the same
+    counters, FTL extents and stable bytes."""
+    pick = random.Random(7)
+    items = [
+        (pick.randrange(1 << 40).to_bytes(8, "big"), pick.randbytes(60) + bytes(60))
+        for _ in range(3000)
+    ]
+    config = LSMConfig(
+        memtable_bytes=16 << 10,
+        level_base_bytes=64 << 10,
+        table_target_bytes=16 << 10,
+        log_blocks=1024,
+    )
+    serial = CompressedBlockDevice(num_blocks=20_000, compressor=SerialZlib())
+    split = CompressedBlockDevice(num_blocks=20_000, compressor=ZlibCompressor())
+    for device in (serial, split):
+        engine = LSMEngine(device, config)
+        for key, value in items:
+            engine.put(key, value)
+        engine.close()
+        device.flush()
+        assert engine.compactions_run > 0
+    assert split.compressor._worker is not None  # it did split requests
+    assert split.stats == serial.stats
+    assert split.ftl._extent_size == serial.ftl._extent_size
+    assert split._stable == serial._stable

@@ -110,23 +110,23 @@ def _sequential(num_keys, key_list, bits_per_key=10.0):
     return filt
 
 
-@pytest.mark.parametrize(
-    "key_list",
-    [
-        pytest.param(keys(0, 600), id="sorted-8-byte"),
-        pytest.param(
-            sorted(
-                [b"", b"a", b"b", b"ab", b"ac", b"abc", b"abd", b"b" * 40, b"b" * 39 + b"c"]
-                + [bytes([i]) for i in range(256)]
-            ),
-            id="mixed-lengths",
+_KEY_LISTS = [
+    pytest.param(keys(0, 600), id="sorted-8-byte"),
+    pytest.param(
+        sorted(
+            [b"", b"a", b"b", b"ab", b"ac", b"abc", b"abd", b"b" * 40, b"b" * 39 + b"c"]
+            + [bytes([i]) for i in range(256)]
         ),
-        pytest.param(
-            random.Random(3).sample(keys(0, 600) + [b"x", b"xy", b"", b"z" * 40], 604),
-            id="unsorted",
-        ),
-    ],
-)
+        id="mixed-lengths",
+    ),
+    pytest.param(
+        random.Random(3).sample(keys(0, 600) + [b"x", b"xy", b"", b"z" * 40], 604),
+        id="unsorted",
+    ),
+]
+
+
+@pytest.mark.parametrize("key_list", _KEY_LISTS)
 @pytest.mark.parametrize("oversize", [1, 100])
 def test_add_all_carrying_the_hash_state_matches_sequential_add(key_list, oversize):
     """The state carried across a shared ``key[:-1]`` changes no bit, whatever
@@ -135,6 +135,31 @@ def test_add_all_carrying_the_hash_state_matches_sequential_add(key_list, oversi
     bulk.add_all(key_list)
     assert bulk.to_bytes() == _sequential(len(key_list) * oversize, key_list).to_bytes()
     assert bulk.to_bytes()[10:] == _reference_bits(bulk, key_list)
+
+
+@pytest.mark.parametrize("key_list", _KEY_LISTS + [pytest.param([], id="empty")])
+@pytest.mark.parametrize("bits_per_key", [10.0, 60.0])
+@pytest.mark.parametrize("preset", [False, True], ids=["blank", "preset"])
+def test_add_all_scratch_map_packs_to_the_bits_add_sets(key_list, bits_per_key, preset):
+    """The byte-per-bit scratch map packs into the filter bytes one ``add``
+    per key sets, for a bit count that is not a multiple of 8, at a flushed
+    table's density (10 bits/key) and a compaction output's (~60), and ORs
+    over bits already set."""
+    expected_keys = max(len(key_list), 7)
+    while int(expected_keys * bits_per_key) % 8 == 0:
+        expected_keys += 1
+    bulk = BloomFilter(expected_keys, bits_per_key)
+    single = BloomFilter(expected_keys, bits_per_key)
+    assert bulk.num_bits % 8
+    earlier = keys(50_000, 20) if preset else []
+    for k in earlier:
+        bulk.add(k)
+        single.add(k)
+    bulk.add_all(key_list)
+    for k in key_list:
+        single.add(k)
+    assert bulk.to_bytes() == single.to_bytes()
+    assert bulk.to_bytes()[10:] == _reference_bits(bulk, earlier + key_list)
 
 
 def test_may_contain_is_the_probe_loop_applied_to_the_base_hash():

@@ -245,7 +245,7 @@ def test_put_batch_spans_leaf_splits():
 
 def test_put_batch_spans_memtable_flushes():
     """One batch whose payload exceeds the 8KB memtable several times over
-    must take the exact per-op fallback and stay bit-identical."""
+    flushes the memtable mid-batch and stays bit-identical to the per-op run."""
     make_engine = _BATCH_ENGINES["lsm"]
     rng = random.Random(5)
     items = [(key(i % 100), rng.randbytes(100)) for i in range(400)]

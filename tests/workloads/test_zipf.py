@@ -50,8 +50,9 @@ def test_theta_zero_is_nearly_uniform():
 
 def test_higher_theta_more_skew():
     rng_a, rng_b = DeterministicRng(4), DeterministicRng(4)
-    mild = Counter(ZipfGenerator(5000, 0.5).sample(rng_a) for _ in range(10_000))
-    harsh = Counter(ZipfGenerator(5000, 0.95).sample(rng_b) for _ in range(10_000))
+    mild_zipf, harsh_zipf = ZipfGenerator(5000, 0.5), ZipfGenerator(5000, 0.95)
+    mild = Counter(mild_zipf.sample(rng_a) for _ in range(10_000))
+    harsh = Counter(harsh_zipf.sample(rng_b) for _ in range(10_000))
     assert harsh[0] > 2 * mild[0]
 
 
