@@ -1,17 +1,22 @@
 """The ``repro faultcheck`` campaign: systematic crash points + fault plans.
 
 Random crash fuzzing samples the failure space; this module *enumerates* it.
-A profiling run records every device mutation (block write, TRIM, flush) a
-commit pipeline issues; the crash-point scheduler then re-runs the identical
-workload once per recorded boundary, crashing exactly there — in ``drop``
-mode (no pending write survives) and ``torn`` mode (each pending 4KB block
-survives a seeded coin flip) — and verifies that recovery reconstructs the
-committed reference state.  Because the workload commits after every
-operation, the recovered store must equal the committed model exactly, or
-the model plus the single in-flight operation the crash interrupted.
+Every system under test implements one small protocol, :class:`CrashSUT`: it
+names its devices (roles), drives its workload on them, and recovers from a
+set of crashed devices.  One scheduler, :func:`run_crash_schedule`, serves
+them all.  A profiling run records every device mutation (block write, TRIM,
+flush) on every role; the scheduler then re-runs the identical workload once
+per recorded (role, boundary), crashing exactly there — in ``drop`` mode (no
+pending write survives) and ``torn`` mode (each pending 4KB block survives a
+seeded coin flip) — while every other role loses its pending writes the same
+way (a node-wide power cut).  Recovery must reproduce one of the states the
+system declared acceptable for that cut, and ``get`` must agree with the
+scan.  Because the single-engine workloads commit after every operation (or
+every group window), the acceptable states are the committed model and the
+model plus the one in-flight window.
 
 Three further phases exercise the self-healing paths the scheduler cannot
-reach:
+reach, on the single-engine systems that opt in:
 
 * **fault trials** — seeded probabilistic :class:`~repro.csd.faults.
   FaultPlan`s (transient read/write errors, transient read corruption, torn
@@ -34,10 +39,11 @@ counter so CI can archive campaign evidence.
 
 from __future__ import annotations
 
-import json
+import os
 import random
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Protocol
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.btree.page import Page
@@ -50,9 +56,11 @@ from repro.errors import (
     ChecksumError,
     ConfigError,
     PageFormatError,
+    RecoveryError,
     SimulatedCrashError,
 )
 from repro.lsm.engine import LSMConfig, LSMEngine
+from repro.shard.router import ShardConfig, ShardRouter
 
 #: Device span shared by every campaign configuration (all layouts fit).
 _DEVICE_BLOCKS = 4096
@@ -67,28 +75,6 @@ _MAX_PAGES = 512
 _CACHE_BYTES = 4 * BLOCK_SIZE
 #: Never fire the periodic checkpoint during a campaign run.
 _NO_CHECKPOINT = 1e18
-
-
-@dataclass
-class SystemUnderTest:
-    """How the campaign builds, crashes, and re-opens one storage system."""
-
-    name: str
-    create: Callable[[object], object]  # device -> engine-like
-    reopen: Callable[[object], object]  # device -> engine-like (recovery)
-    #: Which targeted-corruption phase applies: shadow-slot read-repair,
-    #: journal-ring restore, or none (single-copy pagers).
-    repair_style: str = "shadow"  # shadow | journal | none
-    #: Ops per commit window.  1 is the classic commit-per-op campaign;
-    #: > 1 drives the group-atomic protocol — a crash inside a window must
-    #: recover to the committed model (window rolled back) or the model plus
-    #: the *whole* window (COMMIT marker made it durable); any partial
-    #: window is a failure.
-    group_size: int = 1
-    #: Whether the probabilistic fault-trial phase applies.  Engines without
-    #: internal bounded retries (the LSM) surface transient faults to the
-    #: serving layer, whose retry path is exercised by the service tests.
-    fault_trials: bool = True
 
 
 def _btree_config(atomicity: str) -> BTreeConfig:
@@ -135,6 +121,20 @@ def _bminus_group_config() -> BMinusConfig:
     return config
 
 
+def _lsm_config() -> LSMConfig:
+    return LSMConfig(
+        # The plain leveled engine every rocksdb figure runs, shrunk so the
+        # campaign workload crosses several flushes and compactions (4 and
+        # 5 at 200 ops) while crash points fire.
+        memtable_bytes=8 * 1024,
+        level_base_bytes=16 * 1024,
+        table_target_bytes=8 * 1024,
+        l0_compaction_trigger=2,
+        log_blocks=_LOG_BLOCKS,
+        log_flush_policy="commit",
+    )
+
+
 def _lsm_group_config() -> LSMConfig:
     return LSMConfig(
         # A tiny memtable so the campaign workload crosses several
@@ -163,60 +163,6 @@ def _lsm_vlog_config() -> LSMConfig:
         vlog_segments=8,
         vlog_gc_free_segments=2,
     )
-
-
-def _make_suts() -> dict[str, SystemUnderTest]:
-    def btree(atomicity: str, repair_style: str) -> SystemUnderTest:
-        return SystemUnderTest(
-            name=f"btree-{atomicity}",
-            create=lambda dev: BTreeEngine(dev, _btree_config(atomicity)),
-            reopen=lambda dev: BTreeEngine.open(dev, _btree_config(atomicity)),
-            repair_style=repair_style,
-        )
-
-    return {
-        "bminus": SystemUnderTest(
-            name="bminus",
-            create=lambda dev: BMinusTree(dev, _bminus_config()),
-            reopen=lambda dev: BMinusTree.open(dev, _bminus_config()),
-            repair_style="shadow",
-        ),
-        "btree-det-shadow": btree("det-shadow", "shadow"),
-        "btree-journal": btree("journal", "journal"),
-        "btree-shadow-table": btree("shadow-table", "none"),
-        "bminus-group": SystemUnderTest(
-            name="bminus-group",
-            create=lambda dev: BMinusTree(dev, _bminus_group_config()),
-            reopen=lambda dev: BMinusTree.open(dev, _bminus_group_config()),
-            # The repair phases rely on cache-churn slot ping-pong, which the
-            # no-steal cache sizing deliberately suppresses; shadow repair is
-            # already covered by the per-op bminus SUT.
-            repair_style="none",
-            group_size=_GROUP_SIZE,
-        ),
-        "lsm-group": SystemUnderTest(
-            name="lsm-group",
-            create=lambda dev: LSMEngine(dev, _lsm_group_config()),
-            reopen=lambda dev: LSMEngine.open(dev, _lsm_group_config()),
-            repair_style="none",
-            group_size=_GROUP_SIZE,
-            fault_trials=False,
-        ),
-        "lsm-vlog": SystemUnderTest(
-            name="lsm-vlog",
-            create=lambda dev: LSMEngine(dev, _lsm_vlog_config()),
-            reopen=lambda dev: LSMEngine.open(dev, _lsm_vlog_config()),
-            repair_style="none",
-            fault_trials=False,
-        ),
-    }
-
-
-#: The multi-device sharded system; handled specially by the campaign
-#: driver (see phase 5) rather than through :class:`SystemUnderTest`.
-_SHARD_SPLIT_SYSTEM = "shard-split"
-
-FAULTCHECK_SYSTEMS = tuple(_make_suts()) + (_SHARD_SPLIT_SYSTEM,)
 
 
 # ----------------------------------------------------------------- workload
@@ -307,6 +253,183 @@ def _state(engine) -> dict:
     return dict(engine.items())
 
 
+# --------------------------------------------------------- systems under test
+
+
+class CrashSUT(Protocol):
+    """What the crash-point scheduler needs from a system under test.
+
+    ``roles`` names the system's devices.  :meth:`drive` runs the workload
+    on them and calls ``arm()`` where crash-eligible I/O begins (boundaries
+    before it are setup, never cut).  When a scripted crash cut the run it
+    returns every state recovery may legitimately produce; ``None`` means
+    the scripted boundary was never reached.  :meth:`recover` re-opens the
+    store from crashed devices and returns it (``items()`` and ``get()``).
+    """
+
+    name: str
+    roles: tuple[str, ...]
+
+    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]: ...
+
+    def recover(self, devices: dict) -> Any: ...
+
+
+@dataclass
+class EngineSUT:
+    """One engine on one device, committing every ``group_size`` ops."""
+
+    name: str
+    stream: list
+    create: Callable[[Any], Any]  # device -> engine-like
+    reopen: Callable[[Any], Any]  # device -> engine-like (recovery)
+    #: Which targeted-corruption phase applies: shadow-slot read-repair,
+    #: journal-ring restore, or none (single-copy pagers).
+    repair_style: str = "shadow"  # shadow | journal | none
+    #: Ops per commit window.  1 is the classic commit-per-op campaign;
+    #: > 1 drives the group-atomic protocol — a crash inside a window must
+    #: recover to the committed model (window rolled back) or the model plus
+    #: the *whole* window (COMMIT marker made it durable); any partial
+    #: window is a failure.
+    group_size: int = 1
+    #: Whether the probabilistic fault-trial phase applies.  Engines without
+    #: internal bounded retries (the LSM) surface transient faults to the
+    #: serving layer, whose retry path is exercised by the service tests.
+    fault_trials: bool = True
+    #: Whether the WAL-truncation phase applies (it reads the B-tree ring).
+    wal_truncation: bool = False
+
+    roles = ("device",)
+
+    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]:
+        committed: dict = {}
+        try:
+            engine = self.create(devices["device"])
+        except SimulatedCrashError:
+            return [committed]  # crash during store genesis: comes up empty
+        inflight = _run_workload(engine, self.stream, committed, self.group_size)
+        if inflight is None:
+            return None
+        # Either the interrupted window rolled back entirely, or (its COMMIT
+        # marker having reached the device) it replays entirely.
+        with_inflight = dict(committed)
+        for i in inflight:
+            _apply(with_inflight, self.stream[i])
+        return [committed, with_inflight]
+
+    def recover(self, devices: dict) -> Any:
+        return self.reopen(devices["device"])
+
+
+#: Ops per commit window while populating the sharded store.
+_SHARD_COMMIT_EVERY = 8
+#: Shard-split workloads are capped at this many ops.
+_SHARD_OPS_MAX = 80
+
+
+@dataclass
+class ShardSplitSUT:
+    """Two shards populated through the router, then one online split.
+
+    Crash points fall inside the split protocol only, on either shard, the
+    split destination, or the meta routing journal.  Migration moves keys
+    and never creates or destroys them, so recovery must serve *exactly*
+    the populated model, with the pre-split (2-shard) or post-split
+    (3-shard) routing table; any other table is a recovery failure.
+    """
+
+    stream: list
+    engine: str = "bminus"
+    partitioning: str = "hash"
+
+    name = "shard-split"
+    roles = ("shard0", "shard1", "meta", "dst")
+    # Multi-device: the single-engine fault-trial, repair and WAL phases
+    # do not apply.
+    fault_trials = False
+    repair_style = "none"
+    wal_truncation = False
+
+    def _config(self) -> ShardConfig:
+        return ShardConfig(
+            n_shards=2, partitioning=self.partitioning, engine=self.engine,
+            device_blocks=_DEVICE_BLOCKS,
+        )
+
+    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]:
+        router = ShardRouter.create(
+            self._config(),
+            devices=[devices["shard0"], devices["shard1"]],
+            meta_device=devices["meta"],
+        )
+        model: dict = {}
+        crashed = _run_workload(router, self.stream, model, _SHARD_COMMIT_EVERY)
+        assert crashed is None, "crash points lie after arm()"
+        arm()
+        source = max(
+            router.stacks,
+            key=lambda sid: (sum(1 for _ in router.stacks[sid].items()), -sid),
+        )
+        try:
+            router.split_shard(source, device=devices["dst"])
+        except SimulatedCrashError:
+            return [model]
+        return None
+
+    def recover(self, devices: dict) -> Any:
+        router = ShardRouter.open(
+            self._config(),
+            devices={0: devices["shard0"], 1: devices["shard1"], 2: devices["dst"]},
+            meta_device=devices["meta"],
+        )
+        if router.n_shards not in (2, 3):
+            raise RecoveryError(
+                f"recovered a {router.n_shards}-shard routing table; "
+                f"a split of 2 shards leaves 2 or 3"
+            )
+        return router
+
+
+def _make_suts(seed: int = 2022, ops: int = 200) -> dict[str, Any]:
+    """Every campaign system, each driving ``make_workload(seed, ops)``."""
+    stream = make_workload(seed, ops)
+
+    def engine(name: str, config: Callable[[], Any], cls: Any, **kw: Any) -> EngineSUT:
+        return EngineSUT(
+            name, stream,
+            create=lambda dev: cls(dev, config()),
+            reopen=lambda dev: cls.open(dev, config()),
+            **kw,
+        )
+
+    def btree(atomicity: str, repair_style: str) -> EngineSUT:
+        return engine(f"btree-{atomicity}", lambda: _btree_config(atomicity),
+                      BTreeEngine, repair_style=repair_style)
+
+    suts = [
+        engine("bminus", _bminus_config, BMinusTree, wal_truncation=True),
+        btree("det-shadow", "shadow"),
+        btree("journal", "journal"),
+        btree("shadow-table", "none"),
+        # The repair phases rely on cache-churn slot ping-pong, which the
+        # no-steal cache sizing deliberately suppresses; shadow repair is
+        # already covered by the per-op bminus SUT.
+        engine("bminus-group", _bminus_group_config, BMinusTree,
+               repair_style="none", group_size=_GROUP_SIZE),
+        engine("lsm", _lsm_config, LSMEngine, repair_style="none",
+               fault_trials=False),
+        engine("lsm-group", _lsm_group_config, LSMEngine, repair_style="none",
+               group_size=_GROUP_SIZE, fault_trials=False),
+        engine("lsm-vlog", _lsm_vlog_config, LSMEngine, repair_style="none",
+               fault_trials=False),
+        ShardSplitSUT(make_workload(seed, min(ops, _SHARD_OPS_MAX))),
+    ]
+    return {sut.name: sut for sut in suts}
+
+
+FAULTCHECK_SYSTEMS = tuple(_make_suts(ops=0))
+
+
 # ------------------------------------------------- phase 1: crash scheduling
 
 
@@ -328,91 +451,92 @@ class CrashPointReport:
         }
 
 
-def _profile_mutations(sut: SystemUnderTest, stream) -> list[int]:
-    """Run once, fault-free, recording the op index of every device mutation."""
-    device = FaultInjectingDevice(
-        CompressedBlockDevice(_DEVICE_BLOCKS), record_ops=True
-    )
-    engine = sut.create(device)
-    committed: dict = {}
-    crashed = _run_workload(engine, stream, committed, sut.group_size)
+def _profile_mutations(sut: CrashSUT) -> list[tuple[str, int]]:
+    """Run once, fault-free; every armed (role, op index) device mutation."""
+    devices = {
+        role: FaultInjectingDevice(
+            CompressedBlockDevice(_DEVICE_BLOCKS), record_ops=True
+        )
+        for role in sut.roles
+    }
+    armed = dict.fromkeys(sut.roles, 0)
+
+    def arm() -> None:
+        armed.update((role, len(device.op_log)) for role, device in devices.items())
+
+    crashed = sut.drive(devices, arm)
     assert crashed is None, "profiling run must not crash"
     return [
-        index
+        (role, index)
+        for role, device in devices.items()
         for index, (kind, _lba, _count) in enumerate(device.op_log)
-        if kind in ("write", "trim", "flush")
+        if index >= armed[role] and kind in ("write", "trim", "flush")
     ]
 
 
-def _sample(points: list[int], budget: int) -> list[int]:
-    """Stride-sample ``points`` down to ``budget`` entries, keeping the ends."""
+def _sample(points: list, budget: int) -> list:
+    """Stride-sample ``points`` down to ``budget`` entries, keeping the ends
+    and the order."""
     if budget <= 0 or len(points) <= budget:
         return points
     stride = (len(points) - 1) / (budget - 1) if budget > 1 else len(points)
-    picked = sorted({points[min(round(i * stride), len(points) - 1)]
-                     for i in range(budget)})
-    return picked
+    picked = {min(round(i * stride), len(points) - 1) for i in range(budget)}
+    return [points[i] for i in sorted(picked)]
 
 
-def run_crash_schedule(
-    sut: SystemUnderTest, stream, seed: int, budget: int
-) -> CrashPointReport:
+def _check_recovery(sut: CrashSUT, devices: dict, acceptable: list[dict]) -> Optional[dict]:
+    """None if recovery lands on an acceptable state, else the failure."""
+    keys = set().union(*acceptable)
+    try:
+        recovered = sut.recover(devices)
+        state = _state(recovered)
+        # get must tell the same story as the scan, deleted keys included.
+        lookups_ok = all(recovered.get(k) == state.get(k) for k in keys)
+    except Exception as exc:  # a crash point that breaks recovery is a finding
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return {
+            "error": f"recovery raised {type(exc).__name__}: {exc}",
+            "raised_at": f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})",
+        }
+    if state in acceptable and lookups_ok:
+        return None
+    return {
+        "lookups_ok": lookups_ok,
+        "missing": sorted(k.decode() for k in set(acceptable[0]) - set(state))[:5],
+        "unexpected": sorted(k.decode() for k in set(state) - keys)[:5],
+    }
+
+
+def run_crash_schedule(sut: CrashSUT, seed: int, budget: int) -> CrashPointReport:
     """Crash-test every (sampled) mutation boundary in drop and torn modes."""
     report = CrashPointReport()
-    mutation_points = _profile_mutations(sut, stream)
-    report.mutation_points = len(mutation_points)
-    points = _sample(mutation_points, budget)
+    points = _profile_mutations(sut)
+    report.mutation_points = len(points)
+    picked = _sample(points, budget)
     for mode in ("drop", "torn"):
-        for point in points:
+        for role, op_index in picked:
             report.tested += 1
             plan = FaultPlan(
-                seed=seed + point,
-                scripted=(ScriptedFault(op_index=point, kind="crash", mode=mode),),
+                seed=seed + op_index,
+                scripted=(ScriptedFault(op_index=op_index, kind="crash", mode=mode),),
             )
-            inner = CompressedBlockDevice(_DEVICE_BLOCKS)
-            device = FaultInjectingDevice(inner, plan)
-            committed: dict = {}
-            inflight: Optional[list[int]] = None
-            try:
-                engine = sut.create(device)
-            except SimulatedCrashError:
-                # Crash during store genesis: recovery must come up empty.
-                pass
-            else:
-                inflight = _run_workload(engine, stream, committed, sut.group_size)
-                if inflight is None:
-                    # The sampled boundary was never reached (e.g. a
-                    # profiling mutation past the last commit).
-                    continue
+            inner = {name: CompressedBlockDevice(_DEVICE_BLOCKS) for name in sut.roles}
+            devices = {**inner, role: FaultInjectingDevice(inner[role], plan)}
+            acceptable = sut.drive(devices, lambda: None)
+            if acceptable is None:
+                continue  # the boundary was never reached
             report.crashes_fired += 1
-            recovered = sut.reopen(inner)  # recovery itself runs fault-free
-            state = _state(recovered)
-            # Either the interrupted window rolled back entirely, or (its
-            # COMMIT marker having reached the device) it replays entirely;
-            # a partially-applied window matches neither and fails.
-            acceptable = [dict(committed)]
-            with_inflight = dict(committed)
-            if inflight:
-                for i in inflight:
-                    _apply(with_inflight, stream[i])
-                acceptable.append(with_inflight)
-            # get must tell the same story as the scan, deleted keys included.
-            lookups_ok = all(
-                recovered.get(k) == state.get(k)
-                for k in committed.keys() | with_inflight.keys()
-            )
-            if state not in acceptable or not lookups_ok:
+            # Node-wide power cut: every other role loses its pending
+            # writes the same way the scripted device did.
+            for order, name in enumerate(sut.roles):
+                if name != role:
+                    keep_torn = seed + op_index + order if mode == "torn" else None
+                    inner[name].simulate_crash(keep_torn=keep_torn)
+            failure = _check_recovery(sut, inner, acceptable)  # fault-free
+            if failure is not None:
                 report.failures.append({
-                    "mode": mode,
-                    "op_index": point,
-                    "inflight_ops": inflight,
-                    "lookups_ok": lookups_ok,
-                    "missing": sorted(
-                        k.decode() for k in set(committed) - set(state)
-                    )[:5],
-                    "unexpected": sorted(
-                        k.decode() for k in set(state) - set(with_inflight)
-                    )[:5],
+                    "system": sut.name, "role": role, "mode": mode,
+                    "op_index": op_index, **failure,
                 })
     return report
 
@@ -438,9 +562,7 @@ class FaultTrialReport:
         }
 
 
-def run_fault_trials(
-    sut: SystemUnderTest, stream, seed: int, trials: int
-) -> FaultTrialReport:
+def run_fault_trials(sut: EngineSUT, seed: int, trials: int) -> FaultTrialReport:
     """Run seeded fault plans end to end; every fault must heal invisibly.
 
     Rates cover only the fault kinds that are *always* recoverable without a
@@ -465,7 +587,7 @@ def run_fault_trials(
         engine = sut.create(device)
         committed: dict = {}
         try:
-            crashed = _run_workload(engine, stream, committed, sut.group_size)
+            crashed = _run_workload(engine, sut.stream, committed, sut.group_size)
             assert crashed is None
             state = _state(engine)
             lookups_ok = all(engine.get(k) == v for k, v in committed.items())
@@ -556,9 +678,7 @@ def _journal_targets(pager: JournalPager, device, max_targets: int) -> list[tupl
     return targets
 
 
-def run_repair_campaign(
-    sut: SystemUnderTest, stream, seed: int, max_targets: int = 4
-) -> RepairReport:
+def run_repair_campaign(sut: EngineSUT, seed: int, max_targets: int = 4) -> RepairReport:
     """Corrupt stable page images, re-open the store, verify self-healing."""
     report = RepairReport(style=sut.repair_style)
     if sut.repair_style == "none":
@@ -571,7 +691,7 @@ def run_repair_campaign(
     device = FaultInjectingDevice(CompressedBlockDevice(_DEVICE_BLOCKS), plan)
     engine = sut.create(device)
     committed: dict = {}
-    crashed = _run_workload(engine, stream, committed)
+    crashed = _run_workload(engine, sut.stream, committed)
     assert crashed is None
     # Deliberately no close(): a close-time checkpoint would advance the
     # replay cursor past the history the sibling slots need replayed.
@@ -616,7 +736,7 @@ def run_repair_campaign(
 # ------------------------------------------------ phase 4: WAL tail corruption
 
 
-def run_wal_truncation(sut: SystemUnderTest, stream, seed: int) -> dict:
+def run_wal_truncation(sut: EngineSUT, seed: int) -> dict:
     """Corrupt a mid-history log block; replay must truncate, not crash.
 
     After truncation the store may legitimately hold any per-key value that
@@ -632,7 +752,7 @@ def run_wal_truncation(sut: SystemUnderTest, stream, seed: int) -> dict:
     engine = sut.create(device)
     history: dict[bytes, set] = {}
     committed: dict = {}
-    for op in stream:
+    for op in sut.stream:
         kind, key, value = op
         if kind == "put":
             engine.put(key, value)
@@ -676,182 +796,6 @@ def run_wal_truncation(sut: SystemUnderTest, stream, seed: int) -> dict:
 # ------------------------------------------------------------------ campaign
 
 
-# ------------------------------------------- phase 5: sharded split crashes
-
-
-#: Shard-split campaign topology: two shards, one online split.
-_SHARD_OPS_DEFAULT = 80
-#: Ops per commit window while populating the sharded store.
-_SHARD_COMMIT_EVERY = 8
-
-
-def _shard_config(engine: str, partitioning: str) -> "ShardConfig":
-    from repro.shard.router import ShardConfig
-
-    return ShardConfig(
-        n_shards=2,
-        partitioning=partitioning,
-        engine=engine,
-        device_blocks=_DEVICE_BLOCKS,
-    )
-
-
-def _shard_populate(router, stream) -> dict:
-    """Apply the workload through the router, committing in small windows."""
-    committed: dict = {}
-    for index, op in enumerate(stream):
-        kind, key, value = op
-        if kind == "put":
-            router.put(key, value)
-        else:
-            router.delete(key)
-        _apply(committed, op)
-        if (index + 1) % _SHARD_COMMIT_EVERY == 0:
-            router.commit()
-    router.commit()
-    return committed
-
-
-def _shard_run(config, stream, roles, plans=None):
-    """Build a sharded deployment over ``roles`` named devices and split.
-
-    ``roles`` maps ``shard0``/``shard1``/``meta``/``dst`` to inner devices;
-    ``plans`` optionally wraps a role in a scripted
-    :class:`FaultInjectingDevice`.  Returns the populated model (the split
-    must not change KV content, so the model doubles as the reference for
-    both the pre- and post-split state).
-    """
-    from repro.shard.router import ShardRouter
-
-    plans = plans or {}
-    wrapped = {
-        name: FaultInjectingDevice(inner, plans[name]) if name in plans else inner
-        for name, inner in roles.items()
-    }
-    router = ShardRouter.create(
-        config,
-        devices=[wrapped["shard0"], wrapped["shard1"]],
-        meta_device=wrapped["meta"],
-    )
-    model = _shard_populate(router, stream)
-    markers = {
-        name: device._op_index
-        for name, device in wrapped.items()
-        if isinstance(device, FaultInjectingDevice)
-    }
-    source = max(
-        router.stacks,
-        key=lambda sid: (sum(1 for _ in router.stacks[sid].items()), -sid),
-    )
-    router.split_shard(source, device=wrapped["dst"])
-    return model, wrapped, markers
-
-
-def _shard_split_points(config, stream) -> tuple[dict, list[tuple[str, int]]]:
-    """Profile one fault-free split run; return the model and every
-    (role, op-index) device mutation boundary inside the split protocol."""
-    roles = {
-        name: FaultInjectingDevice(
-            CompressedBlockDevice(_DEVICE_BLOCKS), record_ops=True
-        )
-        for name in ("shard0", "shard1", "meta", "dst")
-    }
-    model, _wrapped, markers = _shard_run(config, stream, roles)
-    points: list[tuple[str, int]] = []
-    for name, device in roles.items():
-        for index, (kind, _lba, _count) in enumerate(device.op_log):
-            if index >= markers[name] and kind in ("write", "trim", "flush"):
-                points.append((name, index))
-    return model, points
-
-
-def run_shard_split_schedule(
-    seed: int,
-    budget: int,
-    ops: int = _SHARD_OPS_DEFAULT,
-    engine: str = "bminus",
-    partitioning: str = "hash",
-) -> CrashPointReport:
-    """Crash an online shard split at every device write/TRIM/flush boundary.
-
-    For each boundary (on either shard, the split destination, or the meta
-    routing journal) and each of drop/torn modes, the identical populate +
-    split run is repeated with a scripted crash exactly there; the crash is
-    a node-wide power cut (every other device loses its un-flushed writes
-    too).  Fault-free recovery via ``ShardRouter.open`` must then serve
-    *exactly* the populated key set — migration moves keys, never creates
-    or destroys them — with either the pre-split (2-shard) or post-split
-    (3-shard) routing table.  Any lost key, duplicated key, or hybrid table
-    is a failure.
-    """
-    from repro.shard.router import ShardRouter
-
-    config = _shard_config(engine, partitioning)
-    stream = make_workload(seed, ops)
-    report = CrashPointReport()
-    model, points = _shard_split_points(config, stream)
-    report.mutation_points = len(points)
-    picked = _sample(list(range(len(points))), budget)
-    order = {name: role_id for role_id, name in
-             enumerate(("shard0", "shard1", "meta", "dst"))}
-    for mode in ("drop", "torn"):
-        for position in picked:
-            role, op_index = points[position]
-            report.tested += 1
-            plan = FaultPlan(
-                seed=seed + op_index,
-                scripted=(
-                    ScriptedFault(op_index=op_index, kind="crash", mode=mode),
-                ),
-            )
-            roles = {
-                name: CompressedBlockDevice(_DEVICE_BLOCKS)
-                for name in ("shard0", "shard1", "meta", "dst")
-            }
-            try:
-                _shard_run(config, stream, roles, plans={role: plan})
-            except SimulatedCrashError:
-                pass
-            else:
-                # Boundary not reached in this mode (should not happen: the
-                # run is deterministic and the point was profiled).
-                continue
-            report.crashes_fired += 1
-            # Node-wide power cut: every *other* device loses its pending
-            # writes the same way the scripted device did.
-            for name, inner in roles.items():
-                if name != role:
-                    if mode == "torn":
-                        inner.simulate_crash(keep_torn=seed + op_index + order[name])
-                    else:
-                        inner.simulate_crash()
-            recovered = ShardRouter.open(
-                config,
-                devices={0: roles["shard0"], 1: roles["shard1"], 2: roles["dst"]},
-                meta_device=roles["meta"],
-            )
-            state = dict(recovered.items())
-            lookups_ok = all(recovered.get(k) == v for k, v in model.items())
-            if (
-                state != model
-                or not lookups_ok
-                or recovered.n_shards not in (2, 3)
-            ):
-                report.failures.append({
-                    "mode": mode,
-                    "role": role,
-                    "op_index": op_index,
-                    "n_shards": recovered.n_shards,
-                    "missing": sorted(
-                        k.decode() for k in set(model) - set(state)
-                    )[:5],
-                    "unexpected": sorted(
-                        k.decode() for k in set(state) - set(model)
-                    )[:5],
-                })
-    return report
-
-
 def run_faultcheck(
     systems: Optional[list[str]] = None,
     ops: int = 200,
@@ -860,55 +804,34 @@ def run_faultcheck(
     seed: int = 2022,
 ) -> dict:
     """Run the full campaign; returns the JSON-serialisable report."""
-    suts = _make_suts()
-    names = list(systems) if systems else list(FAULTCHECK_SYSTEMS)
+    suts = _make_suts(seed, ops)
+    names = list(systems) if systems else list(suts)
     for name in names:
-        if name not in suts and name != _SHARD_SPLIT_SYSTEM:
+        if name not in suts:
             raise ConfigError(
                 f"unknown faultcheck system {name!r}; "
                 f"choose from {sorted(FAULTCHECK_SYSTEMS)}"
             )
-    stream = make_workload(seed, ops)
     report: dict = {
         "seed": seed, "ops": ops, "budget": budget, "trials": trials,
         "systems": {},
     }
     passed = True
     for name in names:
-        if name == _SHARD_SPLIT_SYSTEM:
-            # The sharded SUT is multi-device: it runs its own schedule (an
-            # online split crashed at every boundary on every device) and
-            # has no single-engine fault-trial or repair phase.
-            crash = run_shard_split_schedule(seed, budget, ops=min(ops, _SHARD_OPS_DEFAULT))
-            report["systems"][name] = {
-                "crash_points": crash.as_dict(),
-                "fault_trials": FaultTrialReport().as_dict(),
-                "repair": {
-                    "style": "none", "targets": 0, "read_repairs": 0,
-                    "journal_repairs": 0, "failures": [],
-                },
-            }
-            passed = passed and not crash.failures
-            continue
         sut = suts[name]
-        crash = run_crash_schedule(sut, stream, seed, budget)
-        if sut.fault_trials:
-            trials_report = run_fault_trials(sut, stream, seed, trials)
-        else:
-            trials_report = FaultTrialReport()
-        repair = run_repair_campaign(sut, stream, seed)
+        trials_report = (
+            run_fault_trials(sut, seed, trials) if sut.fault_trials
+            else FaultTrialReport()
+        )
         entry = {
-            "crash_points": crash.as_dict(),
+            "crash_points": run_crash_schedule(sut, seed, budget).as_dict(),
             "fault_trials": trials_report.as_dict(),
-            "repair": repair.as_dict(),
+            "repair": run_repair_campaign(sut, seed).as_dict(),
         }
-        if name == "bminus":
-            entry["wal_truncation"] = run_wal_truncation(sut, stream, seed)
-            passed = passed and not entry["wal_truncation"]["failures"]
+        if sut.wal_truncation:
+            entry["wal_truncation"] = run_wal_truncation(sut, seed)
         report["systems"][name] = entry
-        passed = passed and not crash.failures
-        passed = passed and not trials_report.failures
-        passed = passed and not repair.failures
+        passed = passed and not any(phase["failures"] for phase in entry.values())
     report["passed"] = passed
     return report
 
@@ -938,37 +861,18 @@ def format_report(report: dict) -> str:
                 f"    wal-truncation: corrupt_block={wal['corrupt_block']} "
                 f"truncations={wal['wal_truncations']}"
             )
-        sections = ["crash_points", "fault_trials", "repair"]
-        if "wal_truncation" in entry:
-            sections.append("wal_truncation")
-        for section in sections:
-            for failure in entry[section]["failures"]:
+        for section, phase in entry.items():
+            for failure in phase["failures"]:
                 lines.append(f"    FAIL[{section}]: {failure}")
     lines.append("PASSED" if report["passed"] else "FAILED")
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:  # pragma: no cover - thin CLI
-    """Standalone entry point (mirrors ``repro faultcheck``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--systems", default=",".join(FAULTCHECK_SYSTEMS))
-    parser.add_argument("--ops", type=int, default=200)
-    parser.add_argument("--budget", type=int, default=24)
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    report = run_faultcheck(systems, args.ops, args.budget, args.trials, args.seed)
-    print(json.dumps(report, indent=2) if args.json else format_report(report))
-    return 0 if report["passed"] else 1
-
-
 __all__ = [
     "FAULTCHECK_SYSTEMS",
-    "SystemUnderTest",
+    "CrashSUT",
+    "EngineSUT",
+    "ShardSplitSUT",
     "format_report",
     "make_workload",
     "run_crash_schedule",

@@ -373,14 +373,22 @@ def split_complete_groups(
     durable; records past the last marker belong to a window that was never
     acknowledged and must be rolled back, not replayed.
 
+    Both engines draw one LSN per record, markers included, so the durable
+    stream is dense; the scan stops at the first LSN gap.  A gap means a
+    torn flush kept a later block but lost an earlier block's rewrite (the
+    packed ring re-writes its open block), so a marker past the gap would
+    seal a window whose first records are missing.
+
     Returns ``(replayable, discarded)``: the prefix up to and including the
-    last COMMIT marker (recovery replays it; markers themselves are ignored
-    by the replay loops), and the count of trailing unmarked records that the
-    caller must discard.  With no marker anywhere the whole scan is the
-    in-flight window and nothing replays.
+    last COMMIT marker before any gap (recovery replays it; markers
+    themselves are ignored by the replay loops), and the count of records
+    after it that the caller must discard.  With no marker anywhere the
+    whole scan is the in-flight window and nothing replays.
     """
     last_marker = -1
     for index, record in enumerate(records):
+        if index and record.lsn != records[index - 1].lsn + 1:
+            break
         if record.op == LogOp.COMMIT:
             last_marker = index
     replayable = records[: last_marker + 1]

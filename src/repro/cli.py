@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="systematic crash-point and fault-injection campaign")
     flt_p.add_argument("--systems", default="bminus,btree-det-shadow,"
                        "btree-journal,btree-shadow-table,"
-                       "bminus-group,lsm-group,lsm-vlog,shard-split",
+                       "bminus-group,lsm,lsm-group,lsm-vlog,shard-split",
                        help="comma-separated system list (see "
                             "repro.bench.faultcheck.FAULTCHECK_SYSTEMS)")
     flt_p.add_argument("--ops", type=int, default=200,

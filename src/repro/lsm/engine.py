@@ -217,6 +217,9 @@ class LSMEngine:
         self.compact_physical = 0
         self.compactions_run = 0
         self.memtable_flushes = 0
+        #: Compaction inputs ``(start_block, num_blocks)`` awaiting the
+        #: manifest persist that stops naming them.
+        self._retired: list[tuple[int, int]] = []
         self.clock.set_alarm("log_flush", self.config.log_flush_interval)
         if not _recovering:
             self._persist_manifest()
@@ -740,21 +743,21 @@ class LSMEngine:
                     job.output_level,
                     SSTableReader.open(self.device, meta.start_block, meta.num_blocks),
                 )
-            for reader in inputs:
-                # Known (and real) window the rule correctly flags: a crash
-                # between this trim and _persist_manifest strands the old
-                # manifest's table pointers on trimmed blocks.  The crash
-                # scheduler never cuts inside a compaction, and reordering
-                # the trim past the manifest persist would change the device
-                # I/O order, which `perf/run.py --check` (exact lsm_insert
-                # ledger) and the rocksdb rows under benchmarks/results/ pin.
-                self.device.trim(reader.meta.start_block, reader.meta.num_blocks)  # repro: noqa[CRS008] documented compaction window; I/O order is pinned
-                self.allocator.free(reader.meta.start_block, reader.meta.num_blocks)
+            # The durable manifest still names the inputs, so their extents
+            # are TRIMmed and freed only after the next persist (first-fit
+            # would otherwise hand one to the next job of this loop).
+            self._retired += [(r.meta.start_block, r.meta.num_blocks) for r in inputs]
             if span_args is not None:
                 span_args.update(outputs=len(metas), logical=logical,
                                  physical=physical)
 
     def _persist_manifest(self) -> None:
+        """Publish the version set, then retire the extents it stopped naming.
+
+        The barrier before the snapshot makes every table it names durable
+        first; the retired compaction inputs are TRIMmed and freed only once
+        no durable snapshot names them.
+        """
         entries = [
             ManifestEntry(
                 level, r.meta.table_id, r.meta.seq,
@@ -770,10 +773,15 @@ class LSMEngine:
                 self.config.value_separation_threshold or 0,
                 self.vlog.encode_state() if self.vlog is not None else b"",
             )
+        self.device.flush()
         self.manifest.persist(
             entries, self._next_table_id, self._next_seq, self._log_pos,
             extension,
         )
+        for start, count in self._retired:
+            self.device.trim(start, count)
+            self.allocator.free(start, count)
+        self._retired.clear()
 
     # -------------------------------------------------------------- value log
 

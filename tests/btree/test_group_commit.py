@@ -48,25 +48,38 @@ def test_group_atomic_requires_commit_flush_policy():
 # ------------------------------------------------------- marker filtering
 
 
-def _record(op, i=0):
-    return LogRecord(i, 0, op, key(i), b"v")
+def _stream(*ops):
+    """Records as the engines log them: one LSN each, markers included."""
+    return [LogRecord(lsn, 0, op, key(lsn), b"v") for lsn, op in enumerate(ops, 1)]
 
 
 def test_split_complete_groups_keeps_marked_prefix_only():
-    records = [
-        _record(LogOp.PUT, 1), _record(LogOp.PUT, 2), _record(LogOp.COMMIT),
-        _record(LogOp.PUT, 3), _record(LogOp.COMMIT),
-        _record(LogOp.PUT, 4), _record(LogOp.PUT, 5),  # in-flight tail
-    ]
+    records = _stream(
+        LogOp.PUT, LogOp.PUT, LogOp.COMMIT,
+        LogOp.PUT, LogOp.COMMIT,
+        LogOp.PUT, LogOp.PUT,  # in-flight tail
+    )
     replayable, discarded = split_complete_groups(records)
     assert replayable == records[:5]
     assert discarded == 2
 
 
 def test_split_complete_groups_without_any_marker_discards_everything():
-    records = [_record(LogOp.PUT, 1), _record(LogOp.PUT, 2)]
+    records = _stream(LogOp.PUT, LogOp.PUT)
     assert split_complete_groups(records) == ([], 2)
     assert split_complete_groups([]) == ([], 0)
+
+
+def test_split_complete_groups_stops_at_the_first_lsn_gap():
+    """A torn flush that kept a later ring block but lost the rewrite of the
+    block before it leaves an LSN gap; the marker past the gap seals a
+    window whose first records are gone, so it must not replay."""
+    records = _stream(
+        LogOp.PUT, LogOp.COMMIT,
+        LogOp.DELETE, LogOp.PUT, LogOp.PUT, LogOp.COMMIT,
+    )
+    torn = records[:2] + records[4:]  # the window's first two records lost
+    assert split_complete_groups(torn) == (records[:2], 2)
 
 
 # ----------------------------------------------------------- crash/recover

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csd.device import CompressedBlockDevice
-from repro.errors import ConfigError, KeyNotFoundError
+from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrashError
 from repro.lsm import engine as engine_module
 from repro.lsm import sstable as sstable_module
 from repro.lsm.bloom import base_hash
@@ -220,6 +220,74 @@ def test_repeated_crashes():
         device.simulate_crash(survives=lambda lba: rng.random() < 0.5)
         engine = LSMEngine.open(device, make_config())
         assert dict(engine.items()) == committed, f"round {round_no}"
+
+
+#: Blocks of the two manifest copies at the front of the device.
+MANIFEST_SPAN = 2 * LSMConfig().manifest_blocks
+
+
+class _PowerCutDevice(CompressedBlockDevice):
+    """Cuts power right after the first manifest write that follows at least
+    ``after_trims`` TRIMs, then raises.  ``survives`` picks which pending
+    blocks reach stable storage, so a test stages the worst torn outcome of
+    that one cut."""
+
+    armed = False
+    after_trims = 0
+    trims = 0
+    survives = None
+
+    def write_blocks(self, lba, data):
+        physical = super().write_blocks(lba, data)
+        if self.armed and lba < MANIFEST_SPAN and self.trims >= self.after_trims:
+            self.armed = False
+            self.simulate_crash(survives=self.survives)
+            raise SimulatedCrashError("power cut at a manifest write")
+        return physical
+
+    def trim(self, lba, count=1):
+        super().trim(lba, count)
+        self.trims += 1
+
+
+def _crash_mid_lifecycle(survives, after_trims=0, **overrides):
+    """Commit puts until the cut fires; return the reopened store, the
+    committed model and the model plus the interrupted put."""
+    device = _PowerCutDevice(num_blocks=300_000)
+    config = make_config(memtable_bytes=4 << 10, **overrides)
+    engine = LSMEngine(device, config)
+    device.armed, device.after_trims, device.survives = True, after_trims, survives
+    rng = random.Random(11)
+    committed = {}
+    with pytest.raises(SimulatedCrashError):
+        for i in range(10_000):
+            inflight = {**committed, key(i): value(rng)}
+            engine.put(key(i), inflight[key(i)])
+            engine.commit()
+            committed = inflight
+    return LSMEngine.open(device, config), committed, inflight
+
+
+def test_manifest_never_names_a_table_that_is_not_yet_durable():
+    """Torn cut at the first memtable flush's manifest write: the snapshot
+    lands and nothing else pending does.  The barrier before the snapshot
+    must already have made the new table durable."""
+    recovered, committed, inflight = _crash_mid_lifecycle(
+        survives=lambda lba: lba < MANIFEST_SPAN
+    )
+    assert dict(recovered.items()) in (committed, inflight)
+
+
+def test_compaction_inputs_outlive_the_manifest_that_names_them():
+    """Cut at the first manifest write after a compaction TRIM (the only
+    TRIMs this engine issues without a value log), keeping every pending
+    write but the snapshot: the durable manifest must not name a TRIMmed
+    input table."""
+    recovered, committed, inflight = _crash_mid_lifecycle(
+        survives=lambda lba: lba >= MANIFEST_SPAN, after_trims=1,
+        l0_compaction_trigger=2,
+    )
+    assert dict(recovered.items()) in (committed, inflight)
 
 
 def test_traffic_decomposition():

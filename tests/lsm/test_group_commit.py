@@ -11,7 +11,7 @@ stalls writers until the oldest frozen table's background flush is due.
 import pytest
 
 from repro.csd.device import CompressedBlockDevice
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulatedCrashError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.sim.clock import SimClock
 
@@ -147,6 +147,43 @@ def test_frozen_memtable_records_survive_a_crash_before_flush():
     recovered = LSMEngine.open(device, _config(), SimClock())
     for i in range(next_key):
         assert recovered.get(key(i)) == b"v" * 48, i
+
+
+class _TornFlushDevice(CompressedBlockDevice):
+    """Cuts power at the next flush once armed; only the pending writes to
+    the ``keep`` LBAs reach stable storage."""
+
+    keep = None
+
+    def flush(self):
+        if self.keep is None:
+            return super().flush()
+        keep, self.keep = self.keep, None
+        self.simulate_crash(survives=lambda lba: lba in keep)
+        raise SimulatedCrashError("power cut at flush")
+
+
+def test_torn_window_across_ring_blocks_rolls_back_whole():
+    """A window that spills from ring block N into N+1 is committed by one
+    flush that rewrites N and writes N+1 (with the marker).  A torn cut that
+    keeps N+1 but loses N's rewrite leaves a valid old N, then the marker:
+    the LSN gap must stop replay, or the window replays minus its head."""
+    device = _TornFlushDevice(num_blocks=20_000)
+    engine = LSMEngine(device, _config(memtable_bytes=64 << 10), SimClock())
+    engine.put(key(0), b"doomed")
+    engine.commit()
+    first = engine.wal.position().block_index
+    engine.delete(key(0))  # the window's head stays in block N
+    i = 1
+    while engine.wal.position().block_index == first:
+        engine.put(key(i), b"w" * 200)
+        i += 1
+    device.keep = {engine.wal.start_block + first + 1}
+    with pytest.raises(SimulatedCrashError):
+        engine.commit()
+    recovered = LSMEngine.open(device, _config(memtable_bytes=64 << 10), SimClock())
+    window = {key(j): b"w" * 200 for j in range(1, i)}
+    assert dict(recovered.items()) in ({key(0): b"doomed"}, window)
 
 
 def test_clean_close_seals_the_open_window():

@@ -1,7 +1,7 @@
 """The crash-safe shard split: manifest journal + migration protocol.
 
 The exhaustive every-boundary crash schedule lives in the faultcheck
-campaign (``run_shard_split_schedule``); here the protocol's pieces are
+campaign (``ShardSplitSUT``); here the protocol's pieces are
 pinned directly — journal framing and torn-tail recovery, rollback vs
 roll-forward resolution, id burning, and content invariance of a split.
 """

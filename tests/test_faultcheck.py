@@ -1,16 +1,18 @@
 """Smoke tests for the ``repro faultcheck`` campaign and its CLI plumbing.
 
-The full four-system campaign runs in CI's extended-fuzz job; here a scaled-
-down configuration proves the scheduler, the phase wiring, the report shape,
+The full campaign runs in CI's extended-fuzz job; here a scaled-down
+configuration proves the scheduler, the phase wiring, the report shape,
 and the exit-code contract.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.faultcheck import (
     FAULTCHECK_SYSTEMS,
+    ShardSplitSUT,
     format_report,
     make_workload,
     run_crash_schedule,
@@ -18,6 +20,20 @@ from repro.bench.faultcheck import (
     _make_suts,
 )
 from repro.cli import main
+from repro.csd.device import CompressedBlockDevice
+from repro.errors import RecoveryError
+
+
+def _drive_fault_free(sut):
+    """Run a single-engine SUT's whole workload, committing after each op."""
+    engine = sut.create(CompressedBlockDevice(4096))
+    for kind, k, v in sut.stream:
+        if kind == "put":
+            engine.put(k, v)
+        else:
+            engine.delete(k)
+        engine.commit()
+    return engine
 
 
 def test_workload_is_deterministic():
@@ -28,9 +44,8 @@ def test_workload_is_deterministic():
 
 
 def test_crash_schedule_covers_both_modes():
-    sut = _make_suts()["btree-det-shadow"]
-    stream = make_workload(5, 60)
-    crash = run_crash_schedule(sut, stream, seed=5, budget=6)
+    sut = _make_suts(seed=5, ops=60)["btree-det-shadow"]
+    crash = run_crash_schedule(sut, seed=5, budget=6)
     report = crash.as_dict()
     assert not report["failures"]
     # budget points x (drop, torn) modes, every one fired and recovered.
@@ -77,6 +92,32 @@ def test_cli_faultcheck_summary(capsys):
     assert "PASSED" in out
 
 
+def test_cli_defaults_name_every_campaign_system():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(["faultcheck"])
+    assert tuple(args.systems.split(",")) == FAULTCHECK_SYSTEMS
+
+
+def test_recovery_exception_is_a_recorded_failure():
+    """A crash point whose recovery raises is a finding about that crash
+    point, not an abort of the campaign."""
+    def broken_reopen(device):
+        raise RecoveryError("unreadable store")
+
+    sut = replace(_make_suts(seed=5, ops=60)["btree-det-shadow"],
+                  reopen=broken_reopen)
+    crash = run_crash_schedule(sut, seed=5, budget=2)
+    assert crash.crashes_fired == len(crash.failures) == 4
+    failure = crash.failures[0]
+    assert failure["system"] == "btree-det-shadow"
+    assert failure["role"] == "device"
+    assert failure["mode"] == "drop"
+    assert isinstance(failure["op_index"], int)
+    assert "RecoveryError: unreadable store" in failure["error"]
+    assert failure["raised_at"].startswith("broken_reopen (test_faultcheck.py:")
+
+
 @pytest.mark.parametrize("system", ["bminus-group", "lsm-group"])
 def test_group_commit_suts_crash_every_window_boundary(system):
     """The group-commit SUTs crash-test multi-op windows: recovery must show
@@ -92,10 +133,9 @@ def test_group_commit_suts_crash_every_window_boundary(system):
 
 
 def test_group_sut_acceptance_includes_the_full_inflight_window():
-    sut = _make_suts()["bminus-group"]
+    sut = _make_suts(seed=9, ops=80)["bminus-group"]
     assert sut.group_size > 1
-    stream = make_workload(9, 80)
-    crash = run_crash_schedule(sut, stream, seed=9, budget=5)
+    crash = run_crash_schedule(sut, seed=9, budget=5)
     assert not crash.as_dict()["failures"]
 
 
@@ -104,9 +144,9 @@ def test_shard_split_sut_recovers_pre_or_post_split_at_every_boundary():
     every device (shards, destination, meta journal) in drop and torn modes;
     recovery must serve exactly the populated keys with a 2- or 3-shard
     table — no lost keys, no duplicates, no hybrid routing."""
-    from repro.bench.faultcheck import run_shard_split_schedule
-
-    crash = run_shard_split_schedule(seed=2022, budget=4, ops=60)
+    crash = run_crash_schedule(
+        ShardSplitSUT(make_workload(2022, 60)), seed=2022, budget=4
+    )
     report = crash.as_dict()
     assert not report["failures"], report["failures"]
     assert report["tested"] == report["crashes_fired"] == 8  # 4 points x 2 modes
@@ -114,11 +154,9 @@ def test_shard_split_sut_recovers_pre_or_post_split_at_every_boundary():
 
 
 def test_shard_split_sut_covers_both_engines():
-    from repro.bench.faultcheck import run_shard_split_schedule
-
-    crash = run_shard_split_schedule(
-        seed=2022, budget=2, ops=50, engine="lsm", partitioning="range"
-    )
+    sut = ShardSplitSUT(make_workload(2022, 50), engine="lsm",
+                        partitioning="range")
+    crash = run_crash_schedule(sut, seed=2022, budget=2)
     assert not crash.as_dict()["failures"]
     assert crash.crashes_fired == 4
 
@@ -166,17 +204,23 @@ def test_lsm_vlog_registered_in_campaign_and_cli_defaults():
 def test_lsm_vlog_workload_forces_gc_passes():
     """The campaign geometry is tight enough that GC actually runs —
     otherwise the crash schedule would never cut inside the GC protocol."""
-    from repro.csd.device import CompressedBlockDevice
-
-    sut = _make_suts()["lsm-vlog"]
-    device = CompressedBlockDevice(4096)
-    engine = sut.create(device)
-    for kind, k, v in make_workload(2022, 200):
-        if kind == "put":
-            engine.put(k, v)
-        else:
-            engine.delete(k)
-        engine.commit()
+    engine = _drive_fault_free(_make_suts()["lsm-vlog"])
     assert engine.vlog is not None
     assert engine.vlog.stats.gc_passes > 0
     assert engine.vlog.stats.appended_records > 0
+
+
+def test_lsm_workload_forces_flushes_and_compactions():
+    """The plain leveled engine's campaign geometry flushes and compacts
+    within the workload, so crash points cut inside both protocols."""
+    engine = _drive_fault_free(_make_suts()["lsm"])
+    assert engine.config.compaction_strategy == "leveled"
+    assert not engine.config.group_atomic and engine.vlog is None
+    assert engine.memtable_flushes >= 4
+    assert engine.compactions_run >= 5
+
+
+def test_lsm_sut_passes_scaled_campaign():
+    report = run_faultcheck(["lsm"], ops=200, budget=6, trials=1, seed=2022)
+    assert report["passed"], format_report(report)
+    assert report["systems"]["lsm"]["crash_points"]["crashes_fired"] == 12
