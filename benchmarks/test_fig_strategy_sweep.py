@@ -82,8 +82,8 @@ def test_strategy_sweep(once):
         assert sep.wa_total < baseline.wa_total, strategy
         # Small records sit below the threshold: separation never engages
         # (the value log stays empty), so WA matches the plain run to
-        # within the manifest-trailer noise (the extension bytes compress
-        # slightly differently; the data path is untouched).
+        # within the manifest-extension noise (its threshold and vlog state
+        # compress slightly differently; the data path is untouched).
         sep_small = results[(strategy, small, THRESHOLD)]
         occ = sep_small.engine.vlog_occupancy()
         assert occ["appended_records"] == 0, strategy

@@ -53,10 +53,8 @@ from repro.metrics.counters import TrafficSnapshot
 from repro.obs.trace import maybe_instant, maybe_span
 from repro.sim.clock import SimClock
 
-# Manifest-extension framing: strategy name + separation threshold + opaque
-# vlog slot state.  Only written when the engine departs from the default
-# (leveled, no separation) configuration, so default-config manifests stay
-# byte-identical to the pre-extension format.
+# Manifest-extension framing: strategy name + separation threshold (0 for
+# none) + opaque vlog slot state; every snapshot carries it.
 _EXT_HDR = struct.Struct("<BQI")  # strategy-name length, threshold, vlog-state length
 
 
@@ -205,7 +203,6 @@ class LSMEngine:
         self._group_dirty = False
         self.memtable_freezes = 0
         self._next_table_id = 0
-        self._next_seq = 1
         self._txid = 0
         self._lsn = 0
         self._log_pos = self.wal.position() if self.wal else LogPosition(0, 1)
@@ -240,7 +237,6 @@ class LSMEngine:
             engine._persist_manifest()
             return engine
         engine._next_table_id = state.next_table_id
-        engine._next_seq = state.next_seq
         engine._adopt_extension(state.extension)
         for entry in state.entries:
             reader = SSTableReader.open(device, entry.start_block, entry.num_blocks)
@@ -279,19 +275,8 @@ class LSMEngine:
             engine.vlog.scrub_free_slots()
         return engine
 
-    def _adopt_extension(self, blob: Optional[bytes]) -> None:
+    def _adopt_extension(self, blob: bytes) -> None:
         """Check and adopt the persisted strategy/vlog state at reopen."""
-        if blob is None:
-            if self.vlog is not None or self.config.compaction_strategy != "leveled":
-                raise ConfigError(
-                    "store was created with the default configuration "
-                    "(leveled compaction, no value separation); reopen with "
-                    f"compaction_strategy='leveled' and no "
-                    f"value_separation_threshold, not "
-                    f"{self.config.compaction_strategy!r}/"
-                    f"{self.config.value_separation_threshold!r}"
-                )
-            return
         name, threshold, vlog_state = _decode_extension(blob)
         if name != self.config.compaction_strategy:
             raise ConfigError(
@@ -598,18 +583,8 @@ class LSMEngine:
         if len(self.memtable) == 0:
             return
         with maybe_span("lsm.memtable_flush", "lsm", records=len(self.memtable)):
-            if self.wal is not None:
-                self.wal.flush()  # everything in the memtable must be durable
-            writer = self._make_writer(expected_keys=len(self.memtable))
-            for key, value in self.memtable.items():
-                writer.add(key, value)
-            meta, logical, physical = writer.finish()
-            self.flush_logical += logical
-            self.flush_physical += physical
-            reader = SSTableReader.open(self.device, meta.start_block, meta.num_blocks)
-            self.versions.add_table(0, reader)
-            self.memtable = MemTable(seed=self._next_seq)
-            self.memtable_flushes += 1
+            self._write_l0(self.memtable)
+            self.memtable = MemTable(seed=self._memtable_gen)
             if self.wal is not None:
                 self._log_pos = self.wal.position()
             self._run_compactions()
@@ -649,17 +624,7 @@ class LSMEngine:
         table = self.frozen.pop(0)
         with maybe_span("lsm.frozen_flush", "lsm", records=len(table),
                         backlog=len(self.frozen)):
-            if self.wal is not None:
-                self.wal.flush()
-            writer = self._make_writer(expected_keys=len(table))
-            for key, value in table.items():
-                writer.add(key, value)
-            meta, logical, physical = writer.finish()
-            self.flush_logical += logical
-            self.flush_physical += physical
-            reader = SSTableReader.open(self.device, meta.start_block, meta.num_blocks)
-            self.versions.add_table(0, reader)
-            self.memtable_flushes += 1
+            self._write_l0(table)
             if self.wal is not None and not self.frozen and len(self.memtable) == 0:
                 self._log_pos = self.wal.position()
             self._run_compactions()
@@ -684,16 +649,27 @@ class LSMEngine:
             self._log_pos = self.wal.position()
             self._persist_manifest()
 
-    def _make_writer(self, expected_keys: int, seq: Optional[int] = None) -> SSTableWriter:
-        """New table writer; ``seq`` defaults to a fresh, highest-yet label."""
+    def _write_l0(self, table: MemTable) -> None:
+        """Write one memtable as a level-0 table — the flush both
+        :meth:`flush_memtable` and :meth:`flush_frozen` run, in their spans."""
+        if self.wal is not None:
+            self.wal.flush()  # everything in the table must be durable
+        writer = self._make_writer()
+        for key, value in table.items():
+            writer.add(key, value)
+        meta, logical, physical = writer.finish()
+        self.flush_logical += logical
+        self.flush_physical += physical
+        reader = SSTableReader.open(self.device, meta.start_block, meta.num_blocks)
+        self.versions.add_table(0, reader)
+        self.memtable_flushes += 1
+
+    def _make_writer(self) -> SSTableWriter:
+        """A table writer under the next table id."""
         table_id = self._next_table_id
         self._next_table_id += 1
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
         return SSTableWriter(
-            self.device, self.allocator, table_id, seq,
-            expected_keys, self.config.bits_per_key,
+            self.device, self.allocator, table_id, self.config.bits_per_key,
         )
 
     def _run_compactions(self) -> None:
@@ -719,9 +695,6 @@ class LSMEngine:
                 id(r) in chosen
                 for r in self.versions.overlapping(job.output_level, out_min, out_max)
             )
-        expected = sum(r.meta.n_records for r in inputs)
-        # A footer/manifest label; nothing orders by it (see lsm/version.py).
-        output_seq = max(r.meta.seq for r in inputs)
         with maybe_span("lsm.compaction", "lsm", level=job.level,
                         output_level=job.output_level,
                         inputs=len(inputs)) as span_args:
@@ -729,9 +702,7 @@ class LSMEngine:
                 [r.iter_encoded() for r in inputs], drop_tombstones=bottom
             )
             metas, logical, physical = write_merged(
-                stream,
-                lambda: self._make_writer(max(1, expected), seq=output_seq),
-                self.config.table_target_bytes,
+                stream, self._make_writer, self.config.table_target_bytes,
             )
             self.compact_logical += logical
             self.compact_physical += physical
@@ -759,25 +730,17 @@ class LSMEngine:
         no durable snapshot names them.
         """
         entries = [
-            ManifestEntry(
-                level, r.meta.table_id, r.meta.seq,
-                r.meta.start_block, r.meta.num_blocks,
-            )
+            ManifestEntry(level, r.meta.table_id, r.meta.start_block, r.meta.num_blocks)
             for level, tables in enumerate(self.versions.levels)
             for r in tables
         ]
-        extension = None
-        if self.vlog is not None or self.config.compaction_strategy != "leveled":
-            extension = _encode_extension(
-                self.config.compaction_strategy,
-                self.config.value_separation_threshold or 0,
-                self.vlog.encode_state() if self.vlog is not None else b"",
-            )
-        self.device.flush()
-        self.manifest.persist(
-            entries, self._next_table_id, self._next_seq, self._log_pos,
-            extension,
+        extension = _encode_extension(
+            self.config.compaction_strategy,
+            self.config.value_separation_threshold or 0,
+            self.vlog.encode_state() if self.vlog is not None else b"",
         )
+        self.device.flush()
+        self.manifest.persist(entries, self._next_table_id, self._log_pos, extension)
         for start, count in self._retired:
             self.device.trim(start, count)
             self.allocator.free(start, count)

@@ -1,10 +1,12 @@
 """Shadowed manifest: the durable table-of-tables.
 
 The manifest records, for every live SSTable, its level and extent, plus the
-WAL replay cursor.  It is written as a whole snapshot into one of two
-fixed regions (A/B) in alternation, each write carrying a monotonically
-increasing generation number and a CRC; on open, the valid region with the
-higher generation wins.  This is deliberately the same ping-pong idea as the
+WAL replay cursor and the engine's extension (opaque bytes after the entry
+array: strategy, separation threshold, value-log slots).  It is written as
+a whole snapshot into one of two fixed regions (A/B) in alternation, each
+write carrying a monotonically increasing generation number and a CRC; on
+open, the valid region with the higher generation wins.  This is
+deliberately the same ping-pong idea as the
 paper's deterministic page shadowing, applied to a metadata structure.
 """
 
@@ -19,24 +21,16 @@ from repro.btree.wal import LogPosition
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.errors import LsmError
 
-_MAGIC = b"MAN1"
-_HDR = struct.Struct("<4sQQIIIQ")  # magic, generation, next_table_id, count, log_idx, log_seq, seq
-_ENTRY = struct.Struct("<BQQII")  # level, table_id, seq, start_block, num_blocks
-
-# Optional trailer after the entry array: engine extension state (compaction
-# strategy + value-log bookkeeping).  Absent in pre-extension snapshots —
-# the zero padding there fails the magic check and decodes as ``None`` — and
-# never written when the engine runs the default configuration, keeping
-# those snapshots byte-identical to the pre-extension format.
-_EXT_MAGIC = b"VLG1"
-_EXT_HDR = struct.Struct("<4sI")  # magic, payload length
+_MAGIC = b"MAN2"
+# magic, generation, next_table_id, count, log_idx, log_seq, extension length
+_HDR = struct.Struct("<4sQQIIII")
+_ENTRY = struct.Struct("<BQII")  # level, table_id, start_block, num_blocks
 
 
 @dataclass
 class ManifestEntry:
     level: int
     table_id: int
-    seq: int
     start_block: int
     num_blocks: int
 
@@ -45,11 +39,10 @@ class ManifestEntry:
 class ManifestState:
     generation: int
     next_table_id: int
-    next_seq: int
     log_pos: LogPosition
     entries: list[ManifestEntry]
-    #: Opaque engine state (strategy name, vlog slots); None when absent.
-    extension: Optional[bytes] = None
+    #: Opaque engine state (strategy name, threshold, vlog slots).
+    extension: bytes
 
 
 class Manifest:
@@ -66,8 +59,9 @@ class Manifest:
         self.physical_bytes = 0
 
     @property
-    def capacity_entries(self) -> int:
-        return (self.region_blocks * BLOCK_SIZE - _HDR.size - 4) // _ENTRY.size
+    def capacity_bytes(self) -> int:
+        """Room for the entry array plus the extension."""
+        return self.region_blocks * BLOCK_SIZE - _HDR.size - 4
 
     def total_blocks(self) -> int:
         return 2 * self.region_blocks
@@ -78,37 +72,28 @@ class Manifest:
         self,
         entries: list[ManifestEntry],
         next_table_id: int,
-        next_seq: int,
         log_pos: LogPosition,
-        extension: Optional[bytes] = None,
+        extension: bytes,
     ) -> None:
-        if len(entries) > self.capacity_entries:
+        if len(entries) * _ENTRY.size + len(extension) > self.capacity_bytes:
             raise LsmError(
-                f"manifest overflow: {len(entries)} tables > "
-                f"{self.capacity_entries} capacity"
+                f"manifest overflow: {len(entries)} tables and a "
+                f"{len(extension)}-byte extension exceed {self.capacity_bytes} bytes"
             )
         self._generation += 1
         payload = bytearray(self.region_blocks * BLOCK_SIZE)
         _HDR.pack_into(
             payload, 0, _MAGIC, self._generation, next_table_id, len(entries),
-            log_pos.block_index, log_pos.sequence, next_seq,
+            log_pos.block_index, log_pos.sequence, len(extension),
         )
         offset = _HDR.size
         for entry in entries:
             _ENTRY.pack_into(
-                payload, offset, entry.level, entry.table_id, entry.seq,
+                payload, offset, entry.level, entry.table_id,
                 entry.start_block, entry.num_blocks,
             )
             offset += _ENTRY.size
-        if extension is not None:
-            if offset + _EXT_HDR.size + len(extension) > len(payload) - 4:
-                raise LsmError(
-                    f"manifest overflow: {len(extension)}-byte extension does "
-                    f"not fit after {len(entries)} tables"
-                )
-            _EXT_HDR.pack_into(payload, offset, _EXT_MAGIC, len(extension))
-            offset += _EXT_HDR.size
-            payload[offset : offset + len(extension)] = extension
+        payload[offset : offset + len(extension)] = extension
         struct.pack_into("<I", payload, len(payload) - 4, zlib.crc32(bytes(payload[:-4])))
         copy = self._generation % 2  # alternate A/B
         lba = self.start_block + copy * self.region_blocks
@@ -139,20 +124,13 @@ class Manifest:
         stored, = struct.unpack_from("<I", raw, len(raw) - 4)
         if zlib.crc32(raw[:-4]) != stored:
             return None
-        _, generation, next_table_id, count, log_idx, log_seq, next_seq = _HDR.unpack_from(raw, 0)
+        _, generation, next_table_id, count, log_idx, log_seq, ext_len = _HDR.unpack_from(raw, 0)
         entries = []
         offset = _HDR.size
         for _ in range(count):
-            level, table_id, seq, start, nblocks = _ENTRY.unpack_from(raw, offset)
-            entries.append(ManifestEntry(level, table_id, seq, start, nblocks))
+            entries.append(ManifestEntry(*_ENTRY.unpack_from(raw, offset)))
             offset += _ENTRY.size
-        extension: Optional[bytes] = None
-        if offset + _EXT_HDR.size <= len(raw) - 4:
-            magic, ext_len = _EXT_HDR.unpack_from(raw, offset)
-            if magic == _EXT_MAGIC:
-                offset += _EXT_HDR.size
-                extension = raw[offset : offset + ext_len]
         return ManifestState(
-            generation, next_table_id, next_seq,
-            LogPosition(log_idx, log_seq), entries, extension,
+            generation, next_table_id, LogPosition(log_idx, log_seq),
+            entries, raw[offset : offset + ext_len],
         )

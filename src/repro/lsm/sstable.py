@@ -28,9 +28,9 @@ from repro.errors import ConfigError, LsmError
 from repro.lsm.bloom import BloomFilter, base_hash
 from repro.lsm.vlog import ValueRef
 
-_FOOTER_MAGIC = b"SST1"
-# magic, table_id, seq, n_data_blocks, n_meta_blocks, embedded_flag, n_records
-_FOOTER = struct.Struct("<4sQQIIBQ")
+_FOOTER_MAGIC = b"SST2"
+# magic, table_id, n_data_blocks, n_meta_blocks, embedded_flag, n_records
+_FOOTER = struct.Struct("<4sQIIBQ")
 _REC_HDR = struct.Struct("<BHI")
 
 FLAG_VALUE = 1
@@ -100,7 +100,6 @@ class SSTableMeta:
     """Durable identity of one table (what the manifest records)."""
 
     table_id: int
-    seq: int
     start_block: int
     num_blocks: int
     n_records: int
@@ -133,15 +132,12 @@ class SSTableWriter:
         device: BlockDevice,
         allocator: ExtentAllocator,
         table_id: int,
-        seq: int,
-        expected_keys: int,
         bits_per_key: float = 10.0,
     ) -> None:
         self.device = device
         self.allocator = allocator
         self.table_id = table_id
-        self.seq = seq
-        self.bloom = BloomFilter(expected_keys, bits_per_key)
+        self.bits_per_key = bits_per_key
         self._blocks: list[bytes] = []
         self._records: list[bytes] = []  # encoded records of the open block
         self._fill = 0  # bytes those records occupy
@@ -193,16 +189,18 @@ class SSTableWriter:
         block's slack it is embedded there, so small tables pay a single
         metadata block — important at the reproduction's scaled-down table
         sizes, where separate index/bloom blocks would fake LSM space
-        amplification out of thin air.
+        amplification out of thin air.  The bloom is sized here, from this
+        table's own key count.
         """
         if not self._keys:
             raise LsmError("cannot finish an empty SSTable")
         if self._fill:
             self._seal_data_block()
-        self.bloom.add_all(self._keys)
+        bloom = BloomFilter(len(self._keys), self.bits_per_key)
+        bloom.add_all(self._keys)
         min_key, max_key = self._keys[0], self._keys[-1]
         n_data = len(self._blocks)
-        meta_blob = _with_len(self._encode_index()) + _with_len(self.bloom.to_bytes())
+        meta_blob = _with_len(self._encode_index()) + _with_len(bloom.to_bytes())
         footer = bytearray(BLOCK_SIZE)
         tail = bytearray()
         for key in (min_key, max_key):
@@ -215,7 +213,7 @@ class SSTableWriter:
                 chunk = meta_blob[i : i + BLOCK_SIZE]
                 meta_blocks.append(chunk + bytes(BLOCK_SIZE - len(chunk)))
         _FOOTER.pack_into(
-            footer, 0, _FOOTER_MAGIC, self.table_id, self.seq,
+            footer, 0, _FOOTER_MAGIC, self.table_id,
             n_data, len(meta_blocks), 1 if embedded else 0, len(self._keys),
         )
         footer[_FOOTER.size : fixed_end] = tail
@@ -227,8 +225,7 @@ class SSTableWriter:
         physical = self.device.write_blocks(start, b"".join(all_blocks))
         logical = len(all_blocks) * BLOCK_SIZE
         meta = SSTableMeta(
-            self.table_id, self.seq, start, len(all_blocks),
-            len(self._keys), min_key, max_key,
+            self.table_id, start, len(all_blocks), len(self._keys), min_key, max_key,
         )
         return meta, logical, physical
 
@@ -278,7 +275,7 @@ class SSTableReader:
         stored, = struct.unpack_from("<I", footer, BLOCK_SIZE - 4)
         if footer[:4] != _FOOTER_MAGIC or zlib.crc32(footer[:-4]) != stored:
             raise LsmError(f"invalid SSTable footer at block {start_block + num_blocks - 1}")
-        (_, table_id, seq, n_data, n_meta, embedded, n_records) = _FOOTER.unpack_from(footer, 0)
+        (_, table_id, n_data, n_meta, embedded, n_records) = _FOOTER.unpack_from(footer, 0)
         offset = _FOOTER.size
         keys = []
         for _ in range(2):
@@ -286,8 +283,7 @@ class SSTableReader:
             offset += 2
             keys.append(bytes(footer[offset : offset + klen]))
             offset += klen
-        meta = SSTableMeta(table_id, seq, start_block, num_blocks,
-                           n_records, keys[0], keys[1])
+        meta = SSTableMeta(table_id, start_block, num_blocks, n_records, keys[0], keys[1])
         if embedded:
             blob = bytes(footer)
             blob_offset = offset
@@ -430,7 +426,4 @@ class SSTableReader:
         return self._walk(0, encoded=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SSTableReader(id={self.meta.table_id}, seq={self.meta.seq}, "
-            f"records={self.meta.n_records})"
-        )
+        return f"SSTableReader(id={self.meta.table_id}, records={self.meta.n_records})"

@@ -11,8 +11,7 @@ consume it, point reads consume :meth:`VersionSet.tables_for_get` (its
 members whose range covers the key; on a disjoint level that is at most one
 table, picked by bisecting the level's max keys), range reads consume
 :meth:`VersionSet.runs_from` (the same order, with each disjoint level
-folded into one run), and nothing compares tables any other way.  The ``seq`` in a table's footer
-and manifest entry is a label — it takes no part in ordering.  Level lists
+folded into one run), and nothing compares tables any other way.  Level lists
 are persisted in list order and replayed through :meth:`VersionSet.
 add_table` in that order, so a reopened store has the same ages.
 

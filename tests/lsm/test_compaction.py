@@ -1,8 +1,8 @@
 """Unit tests for compaction merging.
 
-Recency is the order sources are listed in (newest first); the ``seq`` a
-table was built with is a footer label the merge never looks at — the
-duplicate-key tests give the *older* table the higher ``seq`` to prove it.
+Recency is the order sources are listed in (newest first); the merge looks
+at nothing else — the duplicate-key tests give the *older* table the higher
+table id to prove it.
 """
 
 import pytest
@@ -22,9 +22,9 @@ def rig():
     return device, ExtentAllocator(0, 8192)
 
 
-def build(rig, records, table_id, seq):
+def build(rig, records, table_id):
     device, allocator = rig
-    writer = SSTableWriter(device, allocator, table_id, seq, max(1, len(records)))
+    writer = SSTableWriter(device, allocator, table_id)
     for k, v in records:
         writer.add(k, v)
     meta, _, _ = writer.finish()
@@ -38,15 +38,15 @@ def merge_tables(newest_first, drop_tombstones):
 
 
 def test_merge_disjoint_tables(rig):
-    a = build(rig, [(key(i), b"a") for i in range(0, 10)], 1, 1)
-    b = build(rig, [(key(i), b"b") for i in range(10, 20)], 2, 2)
+    a = build(rig, [(key(i), b"a") for i in range(0, 10)], 1)
+    b = build(rig, [(key(i), b"b") for i in range(10, 20)], 2)
     merged = list(merge_tables([a, b], drop_tombstones=False))
     assert [k for k, _ in merged] == [key(i) for i in range(20)]
 
 
 def test_merge_newest_wins_on_duplicates(rig):
-    old = build(rig, [(key(i), b"old") for i in range(10)], 1, 9)
-    new = build(rig, [(key(i), b"new") for i in range(5, 15)], 2, 1)
+    old = build(rig, [(key(i), b"old") for i in range(10)], 9)
+    new = build(rig, [(key(i), b"new") for i in range(5, 15)], 1)
     merged = dict(merge_tables([new, old], drop_tombstones=False))
     for i in range(5):
         assert merged[key(i)] == b"old"
@@ -55,22 +55,22 @@ def test_merge_newest_wins_on_duplicates(rig):
 
 
 def test_merge_carries_tombstones_when_not_bottom(rig):
-    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 9)
-    deleter = build(rig, [(key(1), None)], 2, 1)
+    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 9)
+    deleter = build(rig, [(key(1), None)], 1)
     merged = dict(merge_tables([deleter, base], drop_tombstones=False))
     assert merged[key(1)] is None  # tombstone survives
 
 
 def test_merge_drops_tombstones_at_bottom(rig):
-    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 1, 9)
-    deleter = build(rig, [(key(1), None)], 2, 1)
+    base = build(rig, [(key(1), b"v"), (key(2), b"v")], 9)
+    deleter = build(rig, [(key(1), None)], 1)
     merged = dict(merge_tables([deleter, base], drop_tombstones=True))
     assert key(1) not in merged
     assert merged[key(2)] == b"v"
 
 
 def test_merge_tombstone_of_absent_key_dropped_at_bottom(rig):
-    deleter = build(rig, [(key(9), None)], 1, 1)
+    deleter = build(rig, [(key(9), None)], 1)
     assert list(merge_tables([deleter], drop_tombstones=True)) == []
 
 
@@ -80,12 +80,12 @@ def test_write_merged_splits_by_target_size(rig):
 
     def make_writer():
         table_id = next(counter)
-        return SSTableWriter(device, allocator, table_id, 50, 500)
+        return SSTableWriter(device, allocator, table_id)
 
     # Compaction inputs stream encoded records (tombstones as None) through
     # the same merge; the outputs decode to what went in.
     records = [(key(i), None if i % 50 == 7 else bytes(200)) for i in range(500)]
-    big = build(rig, records, 1, 1)
+    big = build(rig, records, 1)
     metas, logical, physical = write_merged(
         merge_newest_first([big.iter_encoded()]), make_writer,
         table_target_bytes=16 << 10,

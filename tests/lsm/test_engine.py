@@ -151,6 +151,28 @@ def test_levels_form_and_respect_targets():
     assert engine.compactions_run > 0
 
 
+def test_every_table_sizes_its_bloom_from_its_own_keys():
+    """Flushed L0 tables and compaction outputs alike carry ``bits_per_key``
+    filter bits per record of their own, not a filter sized for the whole
+    compaction job that wrote them."""
+    engine, _ = make_engine(
+        memtable_bytes=4 << 10, level_base_bytes=16 << 10, table_target_bytes=4 << 10
+    )
+    rng = random.Random(27)
+    order = list(range(4000))
+    rng.shuffle(order)
+    for i in order:
+        engine.put(key(i), value(rng, 60))
+    engine.flush_memtable()
+    levels = engine.versions.levels
+    assert all(levels[level] for level in range(4))  # the flush path and L1-L3
+    bits_per_key = engine.config.bits_per_key
+    for tables in levels:
+        for reader in tables:
+            expected_bits = max(64, int(reader.meta.n_records * bits_per_key))
+            assert reader._bloom.num_bits == expected_bits, reader
+
+
 def test_compaction_reclaims_space():
     """Old table extents are trimmed; physical usage tracks live data."""
     engine, device = make_engine()
@@ -203,6 +225,37 @@ def test_reopen_after_clean_close():
     # And it keeps working after reopen.
     reopened.put(key(99999), b"fresh")
     assert reopened.get(key(99999)) == b"fresh"
+
+
+_STORE_CONFIGS = {
+    "leveled": {},
+    "tiered": {"compaction_strategy": "tiered"},
+    "vlog": {"value_separation_threshold": 100},
+    "vlog999": {"value_separation_threshold": 999},
+}
+
+
+@pytest.mark.parametrize(
+    "created,reopened",
+    [("leveled", "tiered"), ("tiered", "leveled"), ("leveled", "vlog"),
+     ("vlog", "leveled"), ("vlog", "vlog999")],
+    ids=lambda name: name,
+)
+def test_reopen_under_another_config_is_refused(created, reopened):
+    """Every manifest snapshot names the store's strategy and separation
+    threshold, so a reopen under another one is refused in each direction —
+    and the store still opens under its own."""
+    engine, device = make_engine(**_STORE_CONFIGS[created])
+    rng = random.Random(9)
+    expected = {key(i): value(rng, 200) for i in range(300)}
+    for k, v in expected.items():
+        engine.put(k, v)
+        engine.commit()
+    engine.close()
+    with pytest.raises(ConfigError, match="store was created with"):
+        LSMEngine.open(device, make_config(**_STORE_CONFIGS[reopened]))
+    store = LSMEngine.open(device, make_config(**_STORE_CONFIGS[created]))
+    assert dict(store.items()) == expected
 
 
 def test_repeated_crashes():
@@ -335,14 +388,15 @@ def test_property_lsm_matches_dict(seed):
     assert dict(engine.items()) == reference
 
 
-def test_shallower_table_wins_over_deeper_table_with_higher_seq():
-    """The stale-read defect's own shape: a deep table whose footer ``seq``
-    was inflated past a genuinely newer shallow table's.  Position decides —
-    in get, in scan, and when the pair is compacted together."""
+def test_shallower_table_wins_over_deeper_table_built_later():
+    """The stale-read defect's own shape: a deep table written after a
+    genuinely newer shallow one (a higher table id, a later extent).
+    Position decides — in get, in scan, and when the pair is compacted
+    together."""
     engine, device = make_engine()
 
-    def install(level, seq, records):
-        writer = engine._make_writer(len(records), seq=seq)
+    def install(level, records):
+        writer = engine._make_writer()
         for k, v in records:
             writer.add(k, v)
         meta, _, _ = writer.finish()
@@ -350,8 +404,9 @@ def test_shallower_table_wins_over_deeper_table_with_higher_seq():
         engine.versions.add_table(level, reader)
         return reader
 
-    deep = install(1, 9, [(key(1), b"stale"), (key(2), b"stale"), (key(3), b"kept")])
-    shallow = install(0, 1, [(key(1), b"fresh"), (key(2), None)])
+    shallow = install(0, [(key(1), b"fresh"), (key(2), None)])
+    deep = install(1, [(key(1), b"stale"), (key(2), b"stale"), (key(3), b"kept")])
+    assert deep.meta.table_id > shallow.meta.table_id
     expected = [(key(1), b"fresh"), (key(3), b"kept")]
 
     def check():

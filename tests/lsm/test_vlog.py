@@ -3,7 +3,7 @@
 import pytest
 
 from repro.csd.device import CompressedBlockDevice
-from repro.errors import ConfigError, LsmError
+from repro.errors import LsmError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.lsm.vlog import VREF_SIZE, ValueLog, ValueRef
 
@@ -188,20 +188,6 @@ def test_occupancy_none_without_separation():
     engine = LSMEngine(device, LSMConfig(memtable_bytes=4 * 1024))
     assert engine.vlog_occupancy() is None
     engine.close()
-
-
-def test_reopen_with_mismatched_config_raises():
-    device = CompressedBlockDevice(num_blocks=1 << 14)
-    engine = LSMEngine(device, vlog_config())
-    engine.put(b"large", b"y" * 300)
-    engine.commit()
-    engine.close()
-    with pytest.raises(ConfigError):
-        LSMEngine.open(device, LSMConfig(memtable_bytes=4 * 1024,
-                                         log_blocks=512,
-                                         log_flush_policy="commit"))
-    with pytest.raises(ConfigError):
-        LSMEngine.open(device, vlog_config(value_separation_threshold=999))
 
 
 def test_vlog_traffic_lands_in_log_lane():
