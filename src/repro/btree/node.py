@@ -19,7 +19,7 @@ new cell, the shifted tail of the slot directory, and the header/trailer.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
 from repro.btree.page import PAGE_HEADER_SIZE, Page, PageType
@@ -163,8 +163,27 @@ class LeafNode(_NodeBase):
         offset, klen, vlen = self._cell_parts(index)
         return bytes(self.page.buf[offset : offset + _LEAF_CELL_HDR.size + klen + vlen])
 
+    def _search(self, key: bytes) -> tuple[int, bool]:
+        """:meth:`_bisect`'s answer, from the page's decoded key list once
+        the leaf has earned one.
+
+        The first search after a slot-directory change runs the byte
+        :meth:`_bisect`; the second decodes :attr:`Page.routing_keys`, which
+        every later search bisects in C.  A cold leaf that is loaded,
+        searched once and evicted so pays for no decode.
+        """
+        page = self.page
+        keys = page.routing_keys
+        if keys is None:
+            if not page.searched:
+                page.searched = True
+                return self._bisect(key)
+            keys = page.routing_keys = self.keys()
+        index = bisect_left(keys, key)
+        return index, index < len(keys) and keys[index] == key
+
     def get(self, key: bytes) -> Optional[bytes]:
-        index, found = self._bisect(key)
+        index, found = self._search(key)
         if not found:
             return None
         buf = self.page.buf
@@ -210,34 +229,41 @@ class LeafNode(_NodeBase):
         """
         if len(key) > _MAX_KEY or len(value) > _MAX_KEY:
             raise PageFormatError("key/value longer than 64KB is unsupported")
-        index, found = self._bisect(key)
+        index, found = self._search(key)
         if found:
             self._update_at(index, key, value)
             return False
-        needed = leaf_cell_size(key, value)
-        self._ensure_room(needed)
-        index, _ = self._bisect(key)  # compaction does not reorder, but be safe
-        offset = self.page.allocate_cell(needed)
-        self.page.write_cell(offset, _LEAF_CELL_HDR.pack(len(key), len(value)) + key + value)
-        self.page.insert_slot(index, offset)
+        self._insert_at(index, key, value)
         return True
 
+    def _insert_at(self, index: int, key: bytes, value: bytes) -> None:
+        """Store a new cell for ``(key, value)`` in slot ``index``, its sorted
+        position (compaction rewrites cells in slot order, so the position
+        found before :meth:`_ensure_room` still holds after it)."""
+        needed = leaf_cell_size(key, value)
+        self._ensure_room(needed)
+        page = self.page
+        offset = page.allocate_cell(needed)
+        page.write_cell(offset, _LEAF_CELL_HDR.pack(len(key), len(value)) + key + value)
+        page.insert_slot(index, offset)
+
     def _update_at(self, index: int, key: bytes, value: bytes) -> None:
-        offset, klen, vlen = self._cell_parts(index)
+        """Replace the value in slot ``index``, whose key is ``key``."""
+        page = self.page
+        buf = page.buf
+        slot = PAGE_HEADER_SIZE + (index << 1)
+        cell = buf[slot] | (buf[slot + 1] << 8)
+        vlen = buf[cell + 2] | (buf[cell + 3] << 8)
         if vlen == len(value):
             # Same-size update: overwrite the value bytes in place — the most
             # localized modification possible.
-            start = offset + _LEAF_CELL_HDR.size + klen
-            self.page.buf[start : start + vlen] = value
-            self.page.mark_dirty(start, start + vlen)
+            start = cell + _LEAF_CELL_HDR.size + len(key)
+            buf[start : start + vlen] = value
+            page.mark_dirty(start, start + vlen)
             return
-        self.delete_at(index)
-        needed = leaf_cell_size(key, value)
-        self._ensure_room(needed)
-        new_index, _ = self._bisect(key)
-        offset = self.page.allocate_cell(needed)
-        self.page.write_cell(offset, _LEAF_CELL_HDR.pack(len(key), len(value)) + key + value)
-        self.page.insert_slot(new_index, offset)
+        page.add_dead_bytes(_LEAF_CELL_HDR.size + len(key) + vlen)
+        page.remove_slot(index)
+        self._insert_at(index, key, value)
 
     def delete(self, key: bytes) -> None:
         index, found = self._bisect(key)
@@ -315,26 +341,36 @@ class InternalNode(_NodeBase):
         return bytes(self.page.buf[offset : offset + _INT_CELL_HDR.size + klen])
 
     def children(self) -> list[int]:
-        return [self.child_at(i) for i in range(self.page.nslots)]
+        """Every child id in slot order, from one pass over the slot directory."""
+        page = self.page
+        buf = page.buf
+        unpack_header = _INT_CELL_HDR.unpack_from
+        return [unpack_header(buf, cell)[1]
+                for cell in struct.unpack_from(f"<{page.nslots}H", buf, PAGE_HEADER_SIZE)]
 
-    def child_index_for(self, key: bytes) -> int:
-        """Index of the child whose key range contains ``key``.
+    def route(self, key: bytes) -> tuple[int, int]:
+        """``(index, child id)`` of the child whose key range contains ``key``.
 
-        Routes through the page's decoded separator list (see
-        :attr:`Page.routing_keys` for when it is dropped): an internal node
-        is searched on every descent through it, so decoding its keys once
-        turns the byte-indexing :meth:`_bisect` loop into one C bisect.
+        Routes through the page's decoded separator and child-id lists (see
+        :attr:`Page.routing_keys` and :attr:`Page.child_ids` for when they
+        are dropped): an internal node is searched on every descent through
+        it, so decoding it once turns the byte-indexing :meth:`_bisect` loop
+        and the slot unpack into one C bisect and one list index.
         """
         page = self.page
         keys = page.routing_keys
         if keys is None:
             keys = page.routing_keys = self.keys()
-        if not keys:
+        children = page.child_ids
+        if children is None:
+            children = page.child_ids = self.children()
+        index = bisect_right(keys, key) - 1
+        if index < 0:  # slot 0's empty key sorts below every key: no slots
             raise PageFormatError("internal node has no children")
-        return bisect_right(keys, key) - 1
+        return index, children[index]
 
     def child_for(self, key: bytes) -> int:
-        return self.child_at(self.child_index_for(key))
+        return self.route(key)[1]
 
     # ------------------------------------------------------------- writing
 
@@ -381,6 +417,7 @@ class InternalNode(_NodeBase):
     def replace_child_at(self, index: int, child_id: int) -> None:
         offset, _, _ = self._cell_parts(index)
         struct.pack_into("<Q", self.page.buf, offset + 2, child_id)
+        self.page.child_ids = None
         self.page.mark_dirty(offset + 2, offset + 10)
 
     def split_into(self, right: "InternalNode") -> bytes:

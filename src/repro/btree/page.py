@@ -80,7 +80,7 @@ def _check_size(size: int) -> None:
 class Page:
     """A fixed-size slotted page backed by a mutable byte buffer."""
 
-    __slots__ = ("buf", "size", "dirty_grains", "routing_keys")
+    __slots__ = ("buf", "size", "dirty_grains", "routing_keys", "child_ids", "searched")
 
     def __init__(self, size: int, page_id: int = 0, page_type: PageType = PageType.LEAF,
                  level: int = 0) -> None:
@@ -88,12 +88,19 @@ class Page:
         self.size = size
         self.buf = bytearray(size)
         self.dirty_grains: set[int] = set()
-        #: Decoded keys in slot order, kept by ``InternalNode.child_index_for``
-        #: (leaves never fill it).  Valid only while the slot directory is
-        #: unchanged: :meth:`insert_slot`, :meth:`remove_slot` and
-        #: :meth:`verify_image` — every way the slot-to-key mapping can move —
-        #: drop it.
+        #: Decoded keys in slot order: filled by ``InternalNode.route`` on an
+        #: internal page's first search and by ``LeafNode._search`` on a
+        #: leaf's second.  Valid only while the slot directory is unchanged:
+        #: :meth:`insert_slot`, :meth:`remove_slot` and :meth:`verify_image` —
+        #: every way the slot-to-key mapping can move — drop it.
         self.routing_keys: Optional[list[bytes]] = None
+        #: Decoded child ids in slot order (internal pages, filled by
+        #: ``InternalNode.route``).  Dropped where :attr:`routing_keys` is, and
+        #: by ``InternalNode.replace_child_at``, which changes ids, not keys.
+        self.child_ids: Optional[list[int]] = None
+        #: A leaf search ran since the views were last dropped, so the next
+        #: one decodes :attr:`routing_keys`.
+        self.searched = False
         self._format(page_id, page_type, level)
 
     # ----------------------------------------------------------- construction
@@ -122,14 +129,19 @@ class Page:
 
         Run by :meth:`from_bytes` and again after a delta overlay rewrote
         segments of the buffer: checks the magic and (unless ``verify`` is
-        false) the checksum, and drops the routing-key cache, which described
+        false) the checksum, and drops the decoded views, which described
         the bytes that were there before.
         """
-        self.routing_keys = None
+        self.drop_views()
         if self.buf[0:4] != PAGE_MAGIC:
             raise PageFormatError("bad page magic")
         if verify:
             self.verify_checksum()
+
+    def drop_views(self) -> None:
+        """Forget the decoded key and child lists and the leaf search mark."""
+        self.routing_keys = self.child_ids = None
+        self.searched = False
 
     # --------------------------------------------------------------- header
 
@@ -221,7 +233,7 @@ class Page:
         end = PAGE_HEADER_SIZE + n * SLOT_SIZE
         self.buf[start + SLOT_SIZE : end + SLOT_SIZE] = self.buf[start:end]
         struct.pack_into("<H", self.buf, start, offset)
-        self.routing_keys = None
+        self.drop_views()
         self._set_nslots(n + 1)
         self.mark_dirty(start, end + SLOT_SIZE)
 
@@ -233,7 +245,7 @@ class Page:
         start = PAGE_HEADER_SIZE + index * SLOT_SIZE
         end = PAGE_HEADER_SIZE + n * SLOT_SIZE
         self.buf[start : end - SLOT_SIZE] = self.buf[start + SLOT_SIZE : end]
-        self.routing_keys = None
+        self.drop_views()
         self._set_nslots(n - 1)
         self.mark_dirty(start, end)
 

@@ -251,9 +251,8 @@ class BTree:
         page = self.pool.get(self.root_id, pin=True)
         while page.buf[PAGE_TYPE_OFFSET] == _INTERNAL:
             node = InternalNode(page)
-            index = node.child_index_for(key)
+            index, child_id = node.route(key)
             path.append((node, index))
-            child_id = node.child_at(index)
             page = self.pool.get(child_id, pin=True)
             pinned.append(child_id)
         return path, LeafNode(page), pinned
@@ -266,7 +265,7 @@ class BTree:
 
         Any key inside it descends to that same leaf (absent structural
         changes), which is what lets a cursor reuse the leaf or step to the
-        next one.  Read off the separator lists ``child_index_for`` decoded
+        next one.  Read off the separator lists ``InternalNode.route`` decoded
         on the way down; the innermost bound on each side wins.
         """
         lower = b""
@@ -414,8 +413,9 @@ class BTree:
     def check_invariants(self) -> None:
         """Assert structural invariants; raises :class:`TreeError` on violation.
 
-        Checks: uniform leaf depth, sorted keys within every node, and key
-        ranges consistent with parent routing separators.
+        Checks: uniform leaf depth, sorted keys within every node, key
+        ranges consistent with parent routing separators, and every decoded
+        key or child-id list a page keeps equal to a fresh decode.
         """
         leaf_depths: set[int] = set()
         self._check_subtree(self.root_id, b"", None, 1, leaf_depths)
@@ -434,6 +434,10 @@ class BTree:
         try:
             node = node_for_page(page)
             keys = node.keys()
+            if page.routing_keys is not None and page.routing_keys != keys:
+                raise TreeError(f"page {page_id}: cached key list is stale")
+            if page.child_ids is not None and page.child_ids != node.children():
+                raise TreeError(f"page {page_id}: cached child ids are stale")
             real_keys = [k for k in keys if k != b""]
             if real_keys != sorted(set(real_keys)):
                 raise TreeError(f"page {page_id}: keys unsorted or duplicated")

@@ -74,6 +74,21 @@ def test_detects_nonempty_first_separator():
         tree.check_invariants()
 
 
+@pytest.mark.parametrize("view", ["leaf keys", "routing keys", "child ids"])
+def test_detects_stale_cached_view(view):
+    tree = grown_tree()
+    for _ in range(2):
+        assert tree.get(key(5)) == b"v" * 64  # the second search decodes the leaf
+    path, leaf, pinned = tree._descend(key(5))
+    tree._unpin(pinned)
+    root = path[0][0].page
+    cached = {"leaf keys": leaf.page.routing_keys, "routing keys": root.routing_keys,
+              "child ids": root.child_ids}[view]
+    cached.pop()
+    with pytest.raises(TreeError, match="stale"):
+        tree.check_invariants()
+
+
 def test_detects_depth_mismatch():
     tree = grown_tree()
     root = tree.pool.get(tree.root_id)

@@ -1,7 +1,11 @@
-"""Unit and property tests for in-page leaf/internal node algorithms."""
+"""Unit and property tests for in-page leaf/internal node algorithms.
+
+Set ``REPRO_FUZZ_SEED=<n>`` to pin the property tests' example generation
+(see ``tests/fuzz.py``).
+"""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.btree.node import (
@@ -13,6 +17,7 @@ from repro.btree.node import (
 )
 from repro.btree.page import Page, PageType
 from repro.errors import KeyNotFoundError, PageFormatError, PageFullError
+from tests.fuzz import fuzz_settings, seed_strategy
 
 
 def key(i: int) -> bytes:
@@ -249,7 +254,7 @@ def test_node_for_page_dispatch():
 # ----------------------------------------------------------------- property
 
 
-@settings(max_examples=30, deadline=None)
+@fuzz_settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_property_leaf_matches_dict(data):
     """Random put/update/delete sequences agree with a dict reference."""
@@ -279,8 +284,8 @@ def test_property_leaf_matches_dict(data):
     assert leaf.keys() == sorted(reference)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(10, 60))
+@fuzz_settings(max_examples=20, deadline=None)
+@given(seed=seed_strategy(0, 10_000), n=st.integers(10, 60))
 def test_property_split_is_partition(seed, n):
     import random
 
@@ -312,14 +317,17 @@ def _assert_leaf_fast_paths_match_accessors(leaf: LeafNode, probes: list) -> Non
         index, found = leaf._bisect(probe)
         assert list(leaf.records_from(probe)) == _accessor_records(leaf, index)
         assert leaf.get(probe) == (leaf.value_at(index) if found else None)
+    assert leaf.page.routing_keys in (None, leaf.keys())
 
 
-@settings(max_examples=40, deadline=None)
+@fuzz_settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_property_leaf_fast_paths_match_slot_accessors(data):
     """``records`` / ``records_from`` / ``get`` / ``keys`` read the slot
-    directory and cell headers in one pass; ``key_at`` / ``value_at`` stay
-    the reference, over histories that move cells every way a leaf can."""
+    directory and cell headers in one pass, and ``get`` / ``put`` search the
+    decoded key list once a leaf has one; ``key_at`` / ``value_at`` stay
+    the reference, over histories that move cells every way a leaf can.
+    Each edit meets the key list cold, searched once, or decoded."""
     leaf = LeafNode.create(4096, page_id=1)
     keys = [key(i) for i in range(0, 96, 2)]
     probes = [b"", key(1), key(95), key(200)]
@@ -328,6 +336,12 @@ def test_property_leaf_fast_paths_match_slot_accessors(data):
         action = data.draw(st.sampled_from(
             ["insert", "update", "resize", "delete", "compact", "split"]))
         k = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()):
+            leaf.page.drop_views()  # as a fresh load leaves the page
+        index, found = leaf._bisect(k)
+        expected = leaf.value_at(index) if found else None
+        for _ in range(data.draw(st.integers(0, 2))):
+            assert leaf.get(k) == expected
         try:
             if action == "insert":
                 leaf.put(k, data.draw(st.binary(min_size=0, max_size=48)))
@@ -353,33 +367,49 @@ def test_property_leaf_fast_paths_match_slot_accessors(data):
     assert list(leaf.records_from(key(200))) == []
 
 
-def _assert_routing_matches_bisect(node: InternalNode) -> None:
-    """``child_index_for`` (cached separator list) against the uncached
-    ``_bisect`` for keys below, between, equal to and above every separator."""
-    separators = [node.key_at(i) for i in range(node.nslots)]
+def _probes(keys: list) -> list:
+    """Keys below, between, equal to and above every non-empty key in ``keys``."""
     probes = {b"", b"\x00", b"\xff" * 9}
-    for sep in separators:
-        if sep:
-            number = int.from_bytes(sep, "big")
-            probes.update({sep, key(number - 1), key(number + 1), sep + b"\x00"})
-    for probe in sorted(probes):
+    for k in keys:
+        if k:
+            number = int.from_bytes(k, "big")
+            probes.update({k, key(number - 1), key(number + 1), k + b"\x00"})
+    return sorted(probes)
+
+
+def _assert_routing_matches_bisect(node: InternalNode) -> None:
+    """``route`` (cached separator and child-id lists) against the uncached
+    ``_bisect`` and ``child_at``."""
+    separators = [node.key_at(i) for i in range(node.nslots)]
+    for probe in _probes(separators):
         index, found = node._bisect(probe)
-        assert node.child_index_for(probe) == (index if found else index - 1), probe
+        expected = index if found else index - 1
+        assert node.route(probe) == (expected, node.child_at(expected)), probe
     assert node.page.routing_keys == separators
+    assert node.page.child_ids == [node.child_at(i) for i in range(node.nslots)]
+
+
+def _assert_leaf_search_matches_bisect(leaf: LeafNode) -> None:
+    """``_search`` (the decoded key list from the second search on) against
+    the uncached ``_bisect``."""
+    for probe in _probes(leaf.keys()):
+        assert leaf._search(probe) == leaf._bisect(probe), probe
+    assert leaf.page.routing_keys == [leaf.key_at(i) for i in range(leaf.nslots)]
 
 
 def test_routing_cache_tracks_every_slot_directory_change():
     """A stale routing cache sends descents to the wrong child (seen as a
-    scan that never ends, not as an error), so every edit is checked here."""
+    scan that never ends, not as an error), and a stale leaf key list
+    answers gets and places puts wrongly, so every edit is checked here."""
     node = InternalNode.create(4096, page_id=1, level=1)
     node.add_first_child(100)
     for i in range(10, 200, 10):
         node.insert_separator(key(i), 100 + i)
-    assert node.page.routing_keys is None
+    assert node.page.routing_keys is None and node.page.child_ids is None
     _assert_routing_matches_bisect(node)  # warms the cache
 
     node.insert_separator(key(55), 999)
-    assert node.page.routing_keys is None
+    assert node.page.routing_keys is None and node.page.child_ids is None
     _assert_routing_matches_bisect(node)
     assert node.child_for(key(57)) == 999
 
@@ -390,29 +420,116 @@ def test_routing_cache_tracks_every_slot_directory_change():
     node.remove_child(7)
     _assert_routing_matches_bisect(node)
 
-    node.replace_child_at(3, 4242)  # child ids are not cached: keys unchanged
+    node.replace_child_at(3, 4242)  # changes a child id, not a key
     assert node.page.routing_keys is not None
+    assert node.page.child_ids is None
     assert node.child_for(node.key_at(3)) == 4242
+    _assert_routing_matches_bisect(node)
 
     node._compact()  # moves cells, not slots
+    assert node.page.routing_keys is not None and node.page.child_ids is not None
     _assert_routing_matches_bisect(node)
 
     while node.nslots < 60:
         node.insert_separator(key(1000 + node.nslots), node.nslots)
     _assert_routing_matches_bisect(node)
-    assert node.child_index_for(key(5000)) == node.nslots - 1  # warm before the split
+    assert node.route(key(5000))[0] == node.nslots - 1  # warm before the split
     right = InternalNode.create(4096, page_id=2, level=1)
     promoted = node.split_into(right)
-    assert node.page.routing_keys is None
+    assert node.page.routing_keys is None and node.page.child_ids is None
     _assert_routing_matches_bisect(node)
     _assert_routing_matches_bisect(right)
-    assert node.child_index_for(promoted) == node.nslots - 1
-    assert right.child_index_for(promoted) == 0
+    assert node.route(promoted)[0] == node.nslots - 1
+    assert right.route(promoted)[0] == 0
+
+    leaf = LeafNode.create(4096, page_id=3)
+    for i in range(10, 400, 10):
+        leaf.put(key(i), b"v" * 8)
+    _assert_leaf_search_matches_bisect(leaf)  # warms the key list
+
+    leaf.put(key(55), b"new")
+    assert leaf.page.routing_keys is None
+    _assert_leaf_search_matches_bisect(leaf)
+
+    leaf.put(key(55), b"NEW")  # same size: rewritten in place, keys unchanged
+    assert leaf.page.routing_keys is not None
+
+    leaf.put(key(55), b"resized")  # a new cell: slot removed and re-inserted
+    assert leaf.page.routing_keys is None
+    _assert_leaf_search_matches_bisect(leaf)
+
+    leaf.delete(key(10))
+    assert leaf.page.routing_keys is None
+    _assert_leaf_search_matches_bisect(leaf)
+
+    leaf._compact()  # moves cells, not slots
+    assert leaf.page.routing_keys is not None
+    _assert_leaf_search_matches_bisect(leaf)
+
+    right_leaf = LeafNode.create(4096, page_id=4)
+    leaf.split_into(right_leaf)
+    assert leaf.page.routing_keys is None
+    _assert_leaf_search_matches_bisect(leaf)
+    _assert_leaf_search_matches_bisect(right_leaf)
 
 
 def test_routing_cache_empty_node_still_raises():
     node = InternalNode.create(4096, page_id=1, level=1)
     with pytest.raises(PageFormatError):
-        node.child_index_for(key(1))
+        node.route(key(1))
     node.add_first_child(7)
-    assert node.child_index_for(key(1)) == 0
+    assert node.route(key(1)) == (0, 7)
+
+
+def test_leaf_decodes_its_keys_on_its_second_search():
+    """A cold leaf that is loaded, searched once and evicted pays for no
+    decode; the second search decodes; a new key drops the list."""
+    leaf = LeafNode.create(4096, page_id=1)
+    for i in range(10, 400, 10):
+        leaf.put(key(i), b"v" * 8)
+    leaf.page.finalize(lsn=1)
+    loaded = LeafNode(Page.from_bytes(leaf.page.image()))
+    page = loaded.page
+    assert page.routing_keys is None and not page.searched
+
+    assert loaded.get(key(20)) == b"v" * 8
+    assert page.routing_keys is None  # one search: the byte bisect only
+    assert loaded.get(key(25)) is None
+    assert page.routing_keys == loaded.keys()  # the second search decodes
+
+    assert loaded.put(key(25), b"new") is True
+    assert page.routing_keys is None and not page.searched
+    assert loaded.get(key(25)) == b"new"
+    assert page.routing_keys is None
+    assert loaded.get(key(25)) == b"new"
+    assert page.routing_keys == loaded.keys()
+
+    page.verify_image(verify=False)  # what a delta overlay ends in
+    assert page.routing_keys is None and not page.searched
+
+
+def test_put_that_compacts_inserts_where_its_search_pointed():
+    """Making room may compact the page, which rewrites cells in slot order,
+    so a put inserts at the index its one search found."""
+    leaf = LeafNode.create(4096, page_id=1)
+    value = b"x" * 64
+    stored = []
+    with pytest.raises(PageFullError):
+        for i in range(10, 10_000, 10):
+            leaf.put(key(i), value)
+            stored.append(key(i))
+    for k in stored[::2]:
+        leaf.delete(k)
+    live = stored[1::2]
+    compacted = False
+    for new in [key(int.from_bytes(k, "big") + 1) for k in live]:
+        compacted = leaf.page.free_space < leaf_cell_size(new, value) + 2
+        assert leaf.get(new) is None and leaf.get(new) is None  # a decoded list
+        leaf.put(new, value)
+        live.append(new)
+        assert leaf.page.routing_keys is None
+        assert leaf.keys() == sorted(live)
+        if compacted:
+            break
+    assert compacted and leaf.page.dead_bytes == 0
+    assert all(leaf.get(k) == value for k in live)
