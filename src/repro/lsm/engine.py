@@ -443,6 +443,8 @@ class LSMEngine:
 
     def scan(self, start_key: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Ordered scan over the merged view of memtable + every level."""
+        if count <= 0:
+            return []  # before any source is opened: no block is read
         out = []
         for key, value in self._merged_from(start_key):
             if value is not None:

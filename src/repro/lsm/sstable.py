@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -38,6 +39,11 @@ FLAG_TOMBSTONE = 2
 FLAG_VPTR = 3  # value bytes are a 16-byte ValueRef into the value log
 _HEADER_SIZE = _REC_HDR.size
 _LAST_HEADER = BLOCK_SIZE - _HEADER_SIZE  # last offset a header fits at
+
+#: A decoded data block: ``(the bytes it was decoded from, its keys, the
+#: offset of each record plus the end of the last one as array('H'))``.
+_BlockView = tuple[bytes, list[bytes], array]
+_UNSEEN = object()  # SSTableReader._views' default: a block never read
 
 
 class ExtentAllocator:
@@ -267,6 +273,9 @@ class SSTableReader:
         self._index = index
         self._bloom = bloom
         self._n_data = len(index)
+        #: data block index -> its decoded view, ``None`` after its first
+        #: read (see :meth:`_view`).
+        self._views: dict[int, Optional[_BlockView]] = {}
 
     @classmethod
     def open(cls, device: BlockDevice, start_block: int, num_blocks: int) -> "SSTableReader":
@@ -338,16 +347,30 @@ class SSTableReader:
         A caller probing several tables passes ``base_hash(key)`` so the key
         is hashed once, not once per table.
 
-        Walks the record headers of one block and slices nothing but the
-        value it returns."""
+        Reads one block and slices nothing but the value it returns.  On
+        the block's first read it walks the record headers; from the second
+        on it bisects the block's decoded view (:meth:`_view`)."""
         if not self.may_contain(key, key_hash):
             return False, None
         block_index = self._block_for(key)
         if block_index < 0:
             return False, None
         raw = self.device.read_block(self.meta.start_block + block_index)
-        unpack_header = _REC_HDR.unpack_from
         key_len = len(key)
+        view = self._view(block_index, raw)
+        if view is not None:
+            keys = view[1]
+            i = bisect_left(keys, key)
+            if i == len(keys) or keys[i] != key:
+                return False, None
+            offsets = view[2]
+            at = offsets[i]
+            flag = raw[at]
+            if flag == FLAG_TOMBSTONE:
+                return True, None
+            value = raw[at + _HEADER_SIZE + key_len : offsets[i + 1]]
+            return True, value if flag == FLAG_VALUE else ValueRef(value)
+        unpack_header = _REC_HDR.unpack_from
         offset = 0
         while offset <= _LAST_HEADER:
             flag, klen, vlen = unpack_header(raw, offset)
@@ -370,6 +393,47 @@ class SSTableReader:
         """Index of the data block that could contain ``key`` (-1 if none)."""
         return bisect_right(self._index, key) - 1
 
+    def _view(self, block_index: int, raw: bytes) -> Optional[_BlockView]:
+        """The decoded view of data block ``block_index`` just read as
+        ``raw``, or ``None`` on the block's first read.
+
+        A block read once — a cold get, one pass of an iterator — keeps no
+        view, so it costs nothing extra.  The second read decodes the whole
+        block (every header checked, as the walk checks them) and keeps the
+        view for as long as the device returns the same bytes; a read of
+        other bytes decodes them afresh."""
+        views = self._views
+        view = views.get(block_index, _UNSEEN)
+        if view is _UNSEEN:
+            views[block_index] = None
+            return None
+        if view is not None and (view[0] is raw or view[0] == raw):
+            return view
+        views[block_index] = None  # a block that fails to decode keeps no view
+        view = views[block_index] = self._decode_block(block_index, raw)
+        return view
+
+    def _decode_block(self, block_index: int, raw: bytes) -> _BlockView:
+        """Every record header of ``raw`` under the walk's checks, as a view."""
+        unpack_header = _REC_HDR.unpack_from
+        keys = []
+        offsets = array("H")
+        offset = 0
+        while offset <= _LAST_HEADER:
+            flag, klen, vlen = unpack_header(raw, offset)
+            if flag == 0:
+                break  # zero padding
+            key_at = offset + _HEADER_SIZE
+            value_at = key_at + klen
+            end = value_at + vlen
+            if end > BLOCK_SIZE or flag > FLAG_VPTR:
+                raise _bad_record(self.meta, block_index, offset)
+            keys.append(raw[key_at:value_at])
+            offsets.append(offset)
+            offset = end
+        offsets.append(offset)
+        return raw, keys, offsets
+
     def _walk(
         self, first_block: int, start_key: bytes = b"", encoded: bool = False
     ) -> Iterator[tuple[bytes, Optional[bytes]]]:
@@ -381,14 +445,31 @@ class SSTableReader:
         entered block can hold any) are stepped over by their headers.  A
         scan takes a handful of records from most of the runs it merges, so
         decoding the entered block whole decoded twice what was consumed.
-        With ``encoded`` a record's value is its wire form (the slice of the
-        block), which :meth:`SSTableWriter.add_encoded` takes back as is;
-        tombstones are ``None`` either way."""
+        A block entered a second time is served from its view (:meth:`_view`):
+        the cursor bisects to ``start_key`` in its first block and takes
+        keys from the list.  With ``encoded`` a record's value is its wire
+        form (the slice of the block), which :meth:`SSTableWriter.add_encoded`
+        takes back as is; that path is a compaction's single pass, so it
+        neither keeps nor uses views.  Tombstones are ``None`` either way."""
         unpack_header = _REC_HDR.unpack_from
         read_block = self.device.read_block
         start_block = self.meta.start_block
         for block_index in range(first_block, self._n_data):
             raw = read_block(start_block + block_index)
+            view = None if encoded else self._view(block_index, raw)
+            if view is not None:
+                _, keys, offsets = view
+                skip = bisect_left(keys, start_key) if block_index == first_block else 0
+                for i in range(skip, len(keys)):
+                    key = keys[i]
+                    at = offsets[i]
+                    flag = raw[at]
+                    if flag == FLAG_TOMBSTONE:
+                        yield key, None
+                        continue
+                    value = raw[at + _HEADER_SIZE + len(key) : offsets[i + 1]]
+                    yield key, value if flag == FLAG_VALUE else ValueRef(value)
+                continue
             offset = 0
             while offset <= _LAST_HEADER:
                 flag, klen, vlen = unpack_header(raw, offset)

@@ -36,6 +36,22 @@ def test_build_each_system():
         assert engine.get(b"keykey01") == b"v" * 16
 
 
+@pytest.mark.parametrize("system", ["rocksdb", "bminus", "baseline-btree"])
+def test_scan_count_is_an_upper_bound_on_every_engine(system):
+    """``scan(start, count)`` returns at most ``count`` records; a count of
+    zero or less returns none and reads no block."""
+    engine, device, _ = build_engine(small_spec(system=system))
+    keys = [b"key%05d" % i for i in range(1000)]
+    for k in keys:
+        engine.put(k, b"v" * 120)
+    engine.commit()
+    for count in (0, -3):
+        before = device.stats.blocks_read
+        assert engine.scan(keys[10], count) == []
+        assert device.stats.blocks_read == before
+    assert engine.scan(keys[10], 2) == [(keys[10], b"v" * 120), (keys[11], b"v" * 120)]
+
+
 def test_build_bminus_returns_facade():
     engine, _, _ = build_engine(small_spec(system="bminus"))
     assert isinstance(engine, BMinusTree)

@@ -1,9 +1,12 @@
 """Unit tests for SSTables and the extent allocator."""
 
+import random
 import struct
 import zlib
+from itertools import islice
 
 import pytest
+from hypothesis import given
 
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.errors import LsmError
@@ -16,10 +19,16 @@ from repro.lsm.sstable import (
 )
 from repro.lsm.vlog import ValueRef
 from repro.sim.rng import DeterministicRng
+from tests.fuzz import fuzz_settings, seed_strategy
 
 
 def key(i: int) -> bytes:
     return i.to_bytes(8, "big")
+
+
+def viewed_blocks(reader):
+    """Data blocks the reader holds a decoded view of."""
+    return sorted(i for i, view in reader._views.items() if view is not None)
 
 
 @pytest.fixture
@@ -185,6 +194,36 @@ def test_iter_from_decodes_on_demand(device, allocator):
     assert device.stats.blocks_read == before + 2
     assert next(tail) == records[2 * per_block]
     assert device.stats.blocks_read == before + 3
+    assert viewed_blocks(reader) == []  # every block was entered once
+
+    # Block 1's second entry decodes it into a view; the cursor bisects to
+    # its start key there.  Nothing is read that the walk would not read.
+    lba = meta.start_block + 1
+    assert list(islice(reader.iter_from(key(per_block + 1)), 2)) == (
+        records[per_block + 1 : per_block + 3]
+    )
+    assert device.stats.blocks_read == before + 4
+    view = reader._views[1]
+    assert view is not None
+    # Unflushed writes read back as a fresh copy each time: equal bytes keep
+    # the view.
+    assert device.read_block(lba) is not device.read_block(lba)
+    assert list(islice(reader.iter_from(key(per_block)), 3)) == (
+        records[per_block : per_block + 3]
+    )
+    assert reader.get(key(per_block + 2)) == (True, records[per_block + 2][1])
+    assert reader._views[1] is view
+    # Other bytes are decoded afresh: a rewritten value reads back rewritten...
+    _corrupt(device, lba, 7 + 8, b"\xee" * 40)
+    assert next(reader.iter_from(key(per_block))) == (key(per_block), b"\xee" * 40)
+    assert reader.get(key(per_block)) == (True, b"\xee" * 40)
+    assert reader._views[1] is not view
+    # ...and a damaged header raises, even for a key before the damage.
+    _corrupt(device, lba, 2 * (7 + 8 + 40), b"\x07")
+    with pytest.raises(LsmError):
+        next(reader.iter_from(key(per_block)))
+    with pytest.raises(LsmError):
+        reader.get(key(per_block))
 
 
 def test_multi_block_tables(device, allocator):
@@ -253,26 +292,49 @@ def test_corrupt_record_header_is_an_error_not_a_wrong_key(
     device, allocator, field_offset, patch
 ):
     """A damaged header in a data block raises from every read path instead
-    of being sliced short or decoded as a value."""
+    of being sliced short or decoded as a value: from the header walk of a
+    block's first read, and from the decode of its second read or of bytes
+    that changed under a view."""
     records = [(key(i), bytes([i % 256]) * 40) for i in range(300)]
     reader, meta = build_table(device, allocator, records)
+    in_block = reader._index[1]
+    first = int.from_bytes(in_block, "big")
+    victim = key(first + 1)
+    # Two reads leave data block 1 with a decoded view.
+    assert reader.get(in_block) == (True, records[first][1])
+    assert reader.get(victim) == (True, records[first + 1][1])
+    assert viewed_blocks(reader) == [1]
     second_record = 7 + 8 + 40  # flag u8 | klen u16 | vlen u32 | key | value
     _corrupt(device, meta.start_block + 1, second_record + field_offset, patch)
-    in_block = reader._index[1]
-    victim = key(int.from_bytes(in_block, "big") + 1)
-    assert reader.get(in_block) == (True, records[int.from_bytes(in_block, "big")][1])
     with pytest.raises(LsmError):
-        reader.get(victim)
+        reader.get(in_block)  # a key before the damage: the new bytes are decoded
+    assert viewed_blocks(reader) == []
+
+    def fresh():
+        return SSTableReader.open(device, meta.start_block, meta.num_blocks)
+
+    reads = [
+        lambda r: r.get(victim),
+        lambda r: list(r.iter_from(in_block)),
+        lambda r: list(r.iter_from(victim)),  # stepping over headers validates them too
+        lambda r: list(r.iter_all()),
+        lambda r: list(r.iter_encoded()),
+    ]
+    for read in reads:
+        with pytest.raises(LsmError):
+            read(fresh())  # first read: the header walk
+        with pytest.raises(LsmError):
+            read(reader)  # a re-read: decoded whole (iter_encoded walks)
+    # A first read walks only as far as its key; the second read decodes
+    # the whole block, so a key before the damage raises too.
+    cold = fresh()
+    assert cold.get(in_block) == (True, records[first][1])
     with pytest.raises(LsmError):
-        list(reader.iter_from(in_block))
-    with pytest.raises(LsmError):
-        list(reader.iter_from(victim))  # stepping over headers validates them too
-    with pytest.raises(LsmError):
-        list(reader.iter_all())
-    with pytest.raises(LsmError):
-        list(reader.iter_encoded())
-    # Blocks before the damage still read.
-    assert reader.get(key(0)) == (True, records[0][1])
+        cold.get(in_block)
+    # Blocks before the damage still read, with and without a view.
+    for _ in range(3):
+        assert reader.get(key(0)) == (True, records[0][1])
+    assert viewed_blocks(reader) == [0]
 
 
 def fixed_records(n):
@@ -388,3 +450,85 @@ def test_damaged_bloom_header_is_a_typed_error_at_open(device, allocator):
     device.write_block(first_meta, pristine)
     reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
     assert reader.get(b"key000003")[0]
+
+
+# ----------------------------------------------------- decoded block views
+
+
+def _random_records(rng):
+    """Sorted records spanning several data blocks: values, tombstones and
+    value-log pointers, keys of 1-40 bytes and values of 0-600."""
+    target = rng.randint(2, 6) * BLOCK_SIZE
+    model = {}
+    size = 0
+    while size < target:
+        k = rng.randbytes(rng.randint(1, 40))
+        kind = rng.random()
+        if kind < 0.15:
+            v = None
+        elif kind < 0.3:
+            v = ValueRef.make(addr=rng.randrange(1 << 40), length=rng.randint(1, 1 << 20))
+        else:
+            v = rng.randbytes(rng.randint(0, 600))
+        if k not in model:
+            model[k] = v
+            size += len(encode_record(k, v))
+    return sorted(model.items())
+
+
+def _typed(pairs):
+    return [(k, type(v), v) for k, v in pairs]
+
+
+@fuzz_settings(max_examples=25, deadline=None)
+@given(seed=seed_strategy())
+def test_property_block_views_answer_like_the_walk(seed):
+    """``get`` and ``iter_from`` equal a dict model on the first, second and
+    third read of every block (walk, decode, view), gets and scans
+    interleaved; a single pass of an iterator keeps no view and a
+    compaction's ``iter_encoded`` never keeps one."""
+    rng = random.Random(seed)
+    device = CompressedBlockDevice(num_blocks=256)
+    records = _random_records(rng)
+    reader, meta = build_table(device, ExtentAllocator(0, 256), records)
+    assert len(reader._index) >= 2
+    model = dict(records)
+    keys = [k for k, _ in records]
+    absent = {rng.randbytes(rng.randint(1, 40)) for _ in range(40)}
+    absent |= {k + b"\x00" for k in keys[::3]}
+    absent -= model.keys()
+    probes = keys + sorted(absent) + [b"", b"\xff" * 41]  # last two: outside
+
+    def reopen():
+        return SSTableReader.open(device, meta.start_block, meta.num_blocks)
+
+    for _ in range(3):
+        ops = [("get", k) for k in probes] + [("scan", k) for k in probes]
+        rng.shuffle(ops)
+        for op, k in ops:
+            if op == "get":
+                found, value = reader.get(k)
+                assert found == (k in model), k
+                assert _typed([(k, value)]) == _typed([(k, model.get(k))]), k
+            else:
+                limit = rng.choice([1, 2, 7, len(records)])
+                got = list(islice(reader.iter_from(k), limit))
+                want = [kv for kv in records if kv[0] >= k][:limit]
+                assert _typed(got) == _typed(want), k
+    assert viewed_blocks(reader) == list(range(len(reader._index)))
+    encoded = list(reader.iter_encoded())
+    assert [(k, e) for k, e in encoded if e] == [
+        (k, encode_record(k, v)) for k, v in records if v is not None
+    ]
+
+    fresh = reopen()
+    assert _typed(fresh.iter_all()) == _typed(records)
+    assert viewed_blocks(fresh) == []
+    fresh = reopen()
+    start = rng.choice(probes)
+    assert _typed(fresh.iter_from(start)) == _typed(kv for kv in records if kv[0] >= start)
+    assert viewed_blocks(fresh) == []
+    fresh = reopen()
+    for _ in range(3):
+        assert list(fresh.iter_encoded()) == encoded
+    assert fresh._views == {}
