@@ -244,10 +244,14 @@ class ProjectIndex:
 
 
 def _module_name(path: str) -> str:
-    """Dotted module name; anchored at the ``repro`` package when present."""
+    """Dotted module name; anchored at the innermost ``repro`` segment when present.
+
+    Innermost, so the name does not depend on where the checkout lives
+    (``.../repro/src/repro/bench/parallel.py`` is ``repro.bench.parallel``).
+    """
     parts = list(Path(path).with_suffix("").parts)
     if "repro" in parts:
-        parts = parts[parts.index("repro"):]
+        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)

@@ -1,19 +1,25 @@
-"""PUR009 — transitive worker purity: the worker's *call closure* is pure.
+"""PUR009 — worker purity: a pool worker and its whole call closure are pure.
 
 Scope: the whole tree, minus ``obs/`` (see below).
 
-PAR005 checks that a function handed to a process pool does not mutate
-module-level state — but only inside the worker's **direct body**.  A
+``bench/parallel`` fans experiment points across a ``ProcessPoolExecutor``
+and promises results bit-identical to a serial run.  That only holds if a
+worker function is a pure function of its arguments: mutating module-level
+state (caches, accumulators, ``global`` rebinding) works by accident in a
+forked worker — each process sees its own copy — and then silently
+diverges from the serial path, or breaks under a spawn start method.  A
 worker that stays textually clean while calling a helper that bumps a
-module-level cache diverges from the serial path just the same; the
-mutation merely moved one frame down.  PUR009 closes that hole: it finds
-every pool worker in the project (``pool.submit``/``pool.map``,
-``run_specs``/``run_grid``/``run_tasks`` positionally or via
-``runner=``/``worker=``, including ``functools.partial(f, ...)`` wrappers
-and dispatcher parameter *defaults*), walks its full resolved call closure,
-and reports any module-level mutation in a callee.  The direct body is
-deliberately left to PAR005 — the two rules partition the property, so one
-violation never reports twice.
+module-level cache diverges just the same; the mutation merely moved one
+frame down.
+
+The rule finds every pool worker in the project (``pool.submit``/
+``pool.map`` on a ``ProcessPoolExecutor``, ``run_specs``/``run_grid``/
+``run_tasks`` positionally or via ``runner=``/``worker=``, including
+``functools.partial(f, ...)`` wrappers, dispatcher parameter *defaults*,
+and workers imported from another module), walks the worker body and its
+full resolved call closure, and reports every module-level mutation
+(``global`` declarations and rebinding, subscript/attribute stores, calls
+of mutating container methods) found there.
 
 Unknown callees are treated *optimistically* (no mutations): the rule
 bounds what resolvable project code does, and the conservative alternative
@@ -32,7 +38,35 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.framework import FileContext, Finding, ProjectRule, register
-from repro.analysis.rules.par005 import POOL_DISPATCHERS, WORKER_KEYWORDS, _pool_names
+
+#: Entry points that take a worker callable.
+POOL_DISPATCHERS = frozenset({"run_specs", "run_grid", "run_tasks"})
+
+#: Keyword names those dispatchers accept the callable under.
+WORKER_KEYWORDS = frozenset({"runner", "worker"})
+
+
+def _pool_names(tree: ast.Module) -> Set[str]:
+    """Names bound to ProcessPoolExecutor instances (assign or with-item)."""
+
+    def is_pool_call(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        return name == "ProcessPoolExecutor"
+
+    pools: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_pool_call(node.value):
+            pools.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if is_pool_call(item.context_expr) and isinstance(
+                    item.optional_vars, ast.Name
+                ):
+                    pools.add(item.optional_vars.id)
+    return pools
 
 
 def _unwrap_worker_expr(node: ast.AST) -> Optional[str]:
@@ -48,14 +82,14 @@ def _unwrap_worker_expr(node: ast.AST) -> Optional[str]:
 
 
 @register
-class TransitiveWorkerPurity(ProjectRule):
+class WorkerPurity(ProjectRule):
     id = "PUR009"
-    title = "pool worker's callee mutates module-level state"
+    title = "pool worker or its callee mutates module-level state"
     severity = "error"
     invariant = (
-        "A pool worker's entire call closure is a pure function of the "
-        "submitted arguments; mutations hidden in helpers diverge from "
-        "serial runs exactly like mutations in the worker body."
+        "Parallel figure runs are bit-identical to serial runs: a pool "
+        "worker's body and its entire call closure are a pure function of "
+        "the submitted arguments."
     )
 
     def check_project(
@@ -79,16 +113,21 @@ class TransitiveWorkerPurity(ProjectRule):
                     key = (site.path, site.line, site.col)
                     if key in findings:
                         continue
-                    via = " -> ".join(chain)
-                    findings[key] = Finding(
-                        path=site.path, line=site.line, col=site.col,
-                        rule=self.id, severity=self.severity,
-                        message=(
+                    if fid == worker_fid:
+                        message = (
+                            f"pool worker `{worker_qual}` {site.desc}; workers "
+                            f"must be pure functions of their arguments"
+                        )
+                    else:
+                        message = (
                             f"helper `{info.qualname}` {site.desc}, and is "
                             f"reached from pool worker `{worker_qual}` "
-                            f"(via {via}); the worker's whole call closure "
-                            f"must be pure"
-                        ),
+                            f"(via {' -> '.join(chain)}); the worker's whole "
+                            f"call closure must be pure"
+                        )
+                    findings[key] = Finding(
+                        path=site.path, line=site.line, col=site.col,
+                        rule=self.id, severity=self.severity, message=message,
                     )
         return [findings[key] for key in sorted(findings)]
 
@@ -165,10 +204,11 @@ class TransitiveWorkerPurity(ProjectRule):
     def _closure(
         self, project, worker_fid: str
     ) -> Iterable[Tuple[str, Tuple[str, ...]]]:
-        """Reachable callees (excluding the worker itself), with call chains."""
-        worker_qual = project.functions[worker_fid].qualname
+        """The worker itself, then every reachable callee, with call chains."""
+        worker_chain = (project.functions[worker_fid].qualname,)
+        yield worker_fid, worker_chain
         seen: Set[str] = {worker_fid}
-        queue: List[Tuple[str, Tuple[str, ...]]] = [(worker_fid, (worker_qual,))]
+        queue: List[Tuple[str, Tuple[str, ...]]] = [(worker_fid, worker_chain)]
         while queue:
             fid, chain = queue.pop(0)
             for callee in sorted(project.edges.get(fid, ())):

@@ -23,8 +23,6 @@ closed over its resolved callees:
     may-flush helper counts as a barrier for CRS008.
 ``mutations``
     Direct module-level state mutations (for PUR009's transitive check).
-``nondet``
-    Ambient randomness/clock reads anywhere in the call closure.
 ``commit_points`` / ``undominated``
     Durable commit-point writes found in the body, each classified as
     flush-dominated or not, plus undominated points *inherited* from
@@ -65,9 +63,6 @@ WRITE_PRIMITIVES = frozenset(
 
 #: Functions whose call discards blocks (the visible half of a shadow flip).
 TRIM_PRIMITIVES = frozenset({"trim", "trim_retrying"})
-
-#: Ambient nondeterminism sources (module roots of a dotted call).
-NONDET_ROOTS = frozenset({"random", "time", "datetime", "uuid", "secrets"})
 
 #: Commit-point kinds (stable strings used in findings and tests).
 KIND_WAL_MARKER = "wal-commit-marker"
@@ -116,7 +111,6 @@ class FunctionSummary:
     #: A flush barrier executes on *every* normal return path.
     must_flush: bool = False
     writes_device: bool = False
-    nondet: bool = False
     mutations: Tuple[MutationSite, ...] = ()
     commit_points: Tuple[CommitPoint, ...] = ()
     undominated: Tuple[UndominatedCommit, ...] = ()
@@ -125,7 +119,7 @@ class FunctionSummary:
     def fingerprint(self) -> Tuple:
         return (
             tuple(sorted(self.raises)), tuple(sorted(self.accounts)),
-            self.may_flush, self.must_flush, self.writes_device, self.nondet,
+            self.may_flush, self.must_flush, self.writes_device,
             len(self.commit_points),
             tuple(sorted(
                 (u.point.kind, u.point.path, u.point.line, u.point.col)
@@ -229,16 +223,6 @@ def _args_reference(call: ast.Call, needle: str) -> bool:
     return False
 
 
-def _is_nondet_call(call: ast.Call) -> bool:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        root = root_name(func)
-        return root in NONDET_ROOTS
-    if isinstance(func, ast.Name):
-        return func.id in ("urandom",)
-    return False
-
-
 # --------------------------------------------------------------------------
 # The dominance walk
 # --------------------------------------------------------------------------
@@ -271,7 +255,6 @@ class _BodyWalker:
         self.writes_device = False
         #: Barrier state at each normal exit (returns + implicit fallthrough).
         self.exit_states: List[bool] = []
-        self.nondet = False
         self.commit_points: List[CommitPoint] = []
         self.undominated: Dict[Tuple[str, str, int, int], UndominatedCommit] = {}
         #: Try frames: (caught name tuples of each handler, handler re-raises)
@@ -356,8 +339,6 @@ class _BodyWalker:
             self.may_flush = True
         if _is_write_primitive(call):
             self.writes_device = True
-        if _is_nondet_call(call):
-            self.nondet = True
         # Barrier credit is stricter than the may-flush *effect*: a callee
         # whose flush is incidental and conditional (``put`` checkpointing
         # under log pressure) must not dominate a later commit point.  A
@@ -373,8 +354,6 @@ class _BodyWalker:
                     barrier_call = True
             if summary.writes_device:
                 self.writes_device = True
-            if summary.nondet:
-                self.nondet = True
             self.accounts |= summary.accounts
             for name, origin in summary.raises.items():
                 self._record_raise(name, origin)
@@ -776,7 +755,6 @@ def compute_summaries(
             may_flush=walker.may_flush,
             must_flush=must_flush,
             writes_device=walker.writes_device,
-            nondet=walker.nondet,
             mutations=mutations,
             commit_points=tuple(walker.commit_points),
             undominated=tuple(
@@ -833,8 +811,6 @@ def format_callgraph(
             flags.append("flush")
         if summary.writes_device:
             flags.append("writes")
-        if summary.nondet:
-            flags.append("nondet")
         if summary.calls_unknown:
             flags.append("unknown-calls")
         if summary.accounts:

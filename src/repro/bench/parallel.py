@@ -102,8 +102,8 @@ def run_tasks(
     is not an :class:`ExperimentSpec` — e.g. the shard router's per-shard
     simulation tasks.  ``worker`` must be a module-level callable (picklable
     by reference) that builds all of its own state from the task alone and
-    returns a detached, picklable result; the same parallel-safety rules the
-    PAR005 lint rule enforces for ``runner`` apply to ``worker``.
+    returns a detached, picklable result; the PUR009 worker-purity lint
+    rule holds ``worker`` to the same contract as ``runner``.
 
     With ``jobs <= 1`` the tasks run serially in-process; either way the
     result list matches the task order, not completion order.

@@ -554,7 +554,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: the repo's invariant linter (see repro.analysis).
 
     Runs the AST-based checkers — per-file rules (DET001, IOD002, EXC004,
-    PAR005, TRC006, BUF007) and the whole-program interprocedural rules
+    TRC006, BUF007) and the whole-program interprocedural rules
     (FLT003, CRS008, ERR010, PUR009) — over the given files/directories
     (default ``src/repro``).  Exit code 0 means no findings; 1 means at
     least one finding (including unused ``noqa`` suppressions, NQA000).

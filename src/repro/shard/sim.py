@@ -3,7 +3,7 @@
 Shards share no state — each owns its device, engine, WAL, and clock — so a
 sharded run is embarrassingly parallel.  The worker entry point
 (:func:`run_shard_task`) is a module-level function that rebuilds *all* of
-its state from a picklable :class:`ShardTask` (the PAR005 parallel-safety
+its state from a picklable :class:`ShardTask` (the PUR009 worker-purity
 contract for pool workers): it regenerates the deterministic workload,
 keeps only the ops the routing table assigns to its shard, applies them in
 arrival order in batched commit windows, and returns a detached result —

@@ -1,9 +1,9 @@
-"""PUR009 fixture: pool workers whose *helpers* mutate module state.
+"""PUR009 fixture: pool workers whose body or *helpers* mutate module state.
 
-Every worker body here is textually pure — PAR005 must stay silent (the
-two rules partition the property) — but the helpers they call bump
-module-level caches, which diverges forked runs from serial ones just the
-same.  ``clean_worker`` exercises the sanctioned shape: a pure helper.
+``work`` and ``work_partial`` are textually pure, but the helpers they call
+bump module-level caches; the workers below ``_pure_shape`` mutate state in
+their own body, behind a ``partial``, a dispatcher default and an import.
+``clean_worker`` exercises the sanctioned shape: a pure helper.
 """
 
 from functools import partial
@@ -14,7 +14,7 @@ _TOTAL = 0
 
 
 def work(point: int) -> int:
-    # Direct body is pure; the helper is not (PUR009, not PAR005).
+    # Direct body is pure; the helper is not (PUR009 walks the closure).
     return _cached_shape(point)
 
 
@@ -44,8 +44,26 @@ def _pure_shape(point: int) -> int:
     return local[point]
 
 
+def partial_direct(scale: int, point: int) -> int:
+    _SHAPE_CACHE[point] = point * scale  # PUR009: worker body, behind partial
+    return point * scale
+
+
+def default_direct(point: int) -> int:
+    _SEEN.append(point)  # PUR009: worker body, named only as a default
+    return point
+
+
+def run_grid(specs, runner=default_direct):
+    return [runner(spec) for spec in specs]
+
+
 def fan_out(points):
+    from repro.pur009_imported import imported_worker
+
     mapped = run_tasks(points, work)
     scaled = run_tasks(points, worker=partial(work_partial, 2))
     clean = run_tasks(points, clean_worker)
-    return mapped, scaled, clean
+    direct = run_tasks(points, worker=partial(partial_direct, 3))
+    imported = run_tasks(points, imported_worker)
+    return mapped, scaled, clean, direct, imported

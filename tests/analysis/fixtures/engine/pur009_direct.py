@@ -1,4 +1,4 @@
-"""PAR005 fixture: pool workers mutating module-level state."""
+"""PUR009 fixture: pool workers mutating module state in their own body."""
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,14 +8,14 @@ TOTAL = 0
 
 
 def work(point: int) -> int:
-    CACHE[point] = point * 2  # PAR005: module-level subscript store
-    RESULTS.append(point)  # PAR005: module-level mutator call
+    CACHE[point] = point * 2  # PUR009: module-level subscript store
+    RESULTS.append(point)  # PUR009: module-level mutator call
     return point * 2
 
 
 def work_global(point: int) -> int:
-    global TOTAL  # PAR005: global declaration in a worker
-    TOTAL += point  # PAR005: rebinding the global
+    global TOTAL  # PUR009: global declaration in a worker
+    TOTAL += point  # PUR009: rebinding the global
     return point
 
 

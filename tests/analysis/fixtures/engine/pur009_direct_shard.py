@@ -1,16 +1,16 @@
-"""PAR005 fixture: shard-pool workers (run_tasks) mutating module state."""
+"""PUR009 fixture: shard-pool workers (run_tasks) mutating module state."""
 
 SHARD_STATS = {}
 MERGED = []
 
 
 def shard_worker(task):
-    SHARD_STATS[task] = task * 2  # PAR005: module-level subscript store
+    SHARD_STATS[task] = task * 2  # PUR009: module-level subscript store
     return task * 2
 
 
 def gather_worker(task):
-    MERGED.append(task)  # PAR005: module-level mutator call
+    MERGED.append(task)  # PUR009: module-level mutator call
     return task
 
 

@@ -22,7 +22,7 @@ from repro.analysis.framework import (
 from repro.errors import ConfigError
 
 EXPECTED_RULE_IDS = ["BUF007", "CRS008", "DET001", "ERR010", "EXC004", "FLT003",
-                     "IOD002", "PAR005", "PUR009", "TRC006"]
+                     "IOD002", "PUR009", "TRC006"]
 
 
 def test_registry_has_all_expected_rules():

@@ -1,6 +1,6 @@
 """Per-rule behaviour over the fixture files + the golden findings report.
 
-Each of the ten rule ids must produce at least one fixture-triggered
+Each of the nine rule ids must produce at least one fixture-triggered
 finding (an acceptance criterion of the analysis subsystem), and the full
 fixture report is pinned as golden JSON.  Regenerate after intentional rule
 changes with::
@@ -103,25 +103,6 @@ def test_exc004_skips_cli_boundary():
 
     source = "def f(op):\n    try:\n        return op()\n    except Exception:\n        pass\n"
     assert analyze_source(source, "src/repro/cli.py", rules_only("EXC004")) == []
-
-
-# ------------------------------------------------------------------ PAR005
-
-
-def test_par005_flags_worker_mutations_only():
-    findings = fixture_findings("engine/par005_bad.py", rules_only("PAR005"))
-    workers = {f.message.split("`")[1] for f in findings}
-    assert workers == {"work", "work_global"}  # pure_worker stays clean
-    assert len(findings) == 4
-
-
-def test_par005_covers_shard_pool_workers():
-    """Workers handed to the generic run_tasks dispatcher (the shard pool)
-    are held to the same purity rules, positionally and via worker=."""
-    findings = fixture_findings("engine/par005_shard_bad.py", rules_only("PAR005"))
-    workers = {f.message.split("`")[1] for f in findings}
-    assert workers == {"shard_worker", "gather_worker"}
-    assert len(findings) == 2  # clean_shard_worker stays clean
 
 
 # ------------------------------------------------------------------ TRC006
@@ -250,22 +231,50 @@ def test_err010_scope_is_the_api_basenames():
 # ------------------------------------------------------------------ PUR009
 
 
+def test_pur009_flags_direct_worker_mutations():
+    findings = fixture_findings("engine/pur009_direct.py", rules_only("PUR009"))
+    workers = {f.message.split("`")[1] for f in findings}
+    assert workers == {"work", "work_global"}  # pure_worker stays clean
+    assert len(findings) == 4
+    assert all(f.message.startswith("pool worker") for f in findings)
+
+
+def test_pur009_covers_shard_pool_workers():
+    """Workers handed to the generic run_tasks dispatcher (the shard pool)
+    are held to the same purity rules, positionally and via worker=."""
+    findings = fixture_findings("engine/pur009_direct_shard.py", rules_only("PUR009"))
+    workers = {f.message.split("`")[1] for f in findings}
+    assert workers == {"shard_worker", "gather_worker"}
+    assert len(findings) == 2  # clean_shard_worker stays clean
+
+
 def test_pur009_flags_helper_mutations_behind_pure_workers():
     findings = fixture_findings("engine/pur009_bad.py", rules_only("PUR009"))
-    assert [f.line for f in findings] == [31, 32, 37, 38]
+    helpers = [f for f in findings if f.message.startswith("helper")]
+    assert [f.line for f in helpers] == [31, 32, 37, 38]
     messages = " | ".join(f.message for f in findings)
     assert "via work -> _cached_shape" in messages
     assert "worker `work_partial`" in messages  # through functools.partial
     assert "clean_worker" not in messages
 
 
-def test_pur009_and_par005_partition_the_property():
-    """A mutation in the worker's direct body is PAR005's; the same
-    mutation one call down is PUR009's — never both."""
-    findings = fixture_findings("engine/pur009_bad.py")
-    assert [f.rule for f in findings] == ["PUR009"] * 4
-    direct = fixture_findings("engine/par005_bad.py")
-    assert "PUR009" not in {f.rule for f in direct}
+def test_pur009_checks_the_body_of_every_worker_shape():
+    """A worker wrapped in partial, named only as a dispatcher default, or
+    imported from another module has its own body checked, not just its
+    callees."""
+    findings, _ = analyze_paths(
+        [str(FIXTURES / "engine" / "pur009_bad.py"), str(FIXTURES / "repro")],
+        rules_only("PUR009"),
+    )
+    direct = {
+        f.message.split("`")[1]: (Path(f.path).name, f.line)
+        for f in findings if f.message.startswith("pool worker")
+    }
+    assert direct == {
+        "partial_direct": ("pur009_bad.py", 48),
+        "default_direct": ("pur009_bad.py", 53),
+        "imported_worker": ("pur009_imported.py", 11),
+    }
 
 
 # ------------------------------------------------- FLT003 helper delegation
@@ -308,8 +317,10 @@ def test_fixture_findings_match_golden():
 
 
 def test_report_does_not_depend_on_where_the_tree_lives(tmp_path):
-    """No finding may quote an absolute path (ERR010's origin witness did)."""
-    copy = tmp_path / "elsewhere" / "fixtures"
+    """No finding may quote an absolute path (ERR010's origin witness did),
+    and a checkout under a directory named ``repro`` must still resolve the
+    fixtures' ``repro.*`` imports."""
+    copy = tmp_path / "repro" / "elsewhere" / "fixtures"
     shutil.copytree(FIXTURES, copy)
     assert _relative_report(copy) == json.loads(GOLDEN.read_text())
 
@@ -317,7 +328,7 @@ def test_report_does_not_depend_on_where_the_tree_lives(tmp_path):
 def test_every_rule_id_has_a_fixture_triggered_finding():
     payload = _relative_report()
     by_rule = payload["findings_by_rule"]
-    for rule_id in ("DET001", "IOD002", "FLT003", "EXC004", "PAR005", "TRC006",
+    for rule_id in ("DET001", "IOD002", "FLT003", "EXC004", "TRC006",
                     "BUF007", "CRS008", "ERR010", "PUR009"):
         assert by_rule.get(rule_id, 0) >= 1, f"no fixture finding for {rule_id}"
     assert by_rule.get(UNUSED_SUPPRESSION_ID, 0) >= 2

@@ -115,7 +115,7 @@ class TestRunGrid:
 
 
 def square_worker(task):
-    """Module-level (picklable by reference), pure: PAR005's worker contract."""
+    """Module-level (picklable by reference), pure: PUR009's worker contract."""
     return task * task
 
 
