@@ -9,7 +9,7 @@ makes the new state the one recovery will choose:
 
 * the WAL ``LogOp.COMMIT`` marker (group boundary in the redo ring),
 * the shadow-flip trim (discarding the superseded page image publishes the
-  new slot — ``DeterministicShadowPager.flush``),
+  new slot — ``DeterministicShadowPager._flip``),
 * the meta-page / manifest ``STATE_ACTIVE`` record (root pointer and shard
   routing epoch).
 

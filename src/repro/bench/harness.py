@@ -43,7 +43,6 @@ SYSTEMS = (
     "wiredtiger",
     "baseline-btree",
     "bminus",
-    "bminus-journal",
     # Ablation variants, one per technique increment:
     "btree-journal",      # in-place + double-write, packed WAL (no techniques)
     "btree-det-shadow",   # technique 1 only
@@ -236,7 +235,6 @@ def build_engine(spec: ExperimentSpec):
     atomicity = {
         "wiredtiger": "shadow-table",
         "baseline-btree": "shadow-table",
-        "bminus-journal": "journal",  # legacy alias
         "btree-journal": "journal",
         "btree-det-shadow": "det-shadow",
     }[spec.system]

@@ -91,7 +91,6 @@ class SpeedModel:
             # Reconstruction memcpy when loading pages through the delta path.
             loaded_kb = (phase.device.logical_bytes_read / 1024)
             cpu += loaded_kb * self.host.page_reconstruct_per_kb
-        cpu += (phase.puts + phase.reads) * 0  # placeholder symmetry
         return cpu
 
     def _sync_latency(self, phase: PhaseStats, kind: str) -> float:

@@ -29,12 +29,7 @@ from typing import Iterator, Optional
 from repro.btree.buffer_pool import BufferPool
 from repro.btree.node import InternalNode
 from repro.btree.page import Page, PageType
-from repro.btree.pager import (
-    JournalPager,
-    Pager,
-    ShadowTablePager,
-    make_pager,
-)
+from repro.btree.pager import Pager, make_pager
 from repro.btree.tree import BTree
 from repro.btree.wal import (
     LogOp,
@@ -485,10 +480,7 @@ class BTreeEngine:
                 f"on-storage page size {meta['page_size']} does not match "
                 f"configured {self.config.page_size}"
             )
-        if isinstance(self.pager, JournalPager):
-            self.pager.recover_torn_pages()
-        if isinstance(self.pager, ShadowTablePager):
-            self.pager.rebuild_table()
+        self.pager.recover()
         self._lsn = meta["lsn"]
         self._txid = meta["txid"]
         self.tree = BTree(

@@ -21,14 +21,16 @@ report the paper's ``WA_pg`` / ``WA_e`` decomposition.
 
 Fault hardening: all device I/O goes through the bounded-retry helpers of
 :mod:`repro.csd.faults` (transient errors and torn writes are re-issued), and
-the shadowing pagers self-heal latent corruption on the read path — a cached
-valid slot that fails its CRC is re-read once (transient corruption), then
-arbitrated against its sibling and *read-repaired* (the corrupt slot is
-rewritten from the surviving image); the journal pager restores a corrupt
-in-place image from its double-write ring copy.  Every detection and repair
-is counted in the pager's :class:`~repro.metrics.faults.FaultStats`.  On a
-fault-free run none of these paths activate and the write traffic is
-bit-identical to the unhardened pager.
+every pager reads pages through one verified load
+(:meth:`Pager._verified_load`): an image that fails its CRC is re-read once
+(transient corruption), and only then does the pager's own fallback run —
+the shadowing pagers arbitrate against the sibling slot and *read-repair*
+the corrupt one (rewrite it from the surviving image); the journal pager
+restores the in-place image from its double-write ring copy.  Every
+detection and repair is counted in the pager's
+:class:`~repro.metrics.faults.FaultStats`.  On a fault-free run none of
+these paths activate and the write traffic is bit-identical to the
+unhardened pager.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterator, Optional
+
 from repro.btree.page import Page
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import (
@@ -168,9 +172,15 @@ class Pager(ABC):
     def region_blocks(self) -> int:
         """Device blocks this pager needs from ``region_start``."""
 
-    @abstractmethod
     def load(self, page_id: int) -> Page:
         """Read a page from storage, verifying its checksum."""
+        self.stats.page_loads += 1
+        maybe_instant("pager.load", "btree", page_id=page_id)
+        return self._read_page(page_id)
+
+    @abstractmethod
+    def _read_page(self, page_id: int) -> Page:
+        """Read and verify ``page_id``'s image, falling back on corruption."""
 
     @abstractmethod
     def flush(self, page: Page) -> None:
@@ -179,6 +189,11 @@ class Pager(ABC):
     @abstractmethod
     def _release_storage(self, page_id: int) -> None:
         """Reclaim device space for a freed page."""
+
+    def recover(self) -> None:
+        """Restart hook, run by the engine before it reopens the tree:
+        rebuild or repair what the pager keeps beside its pages.  Nothing to
+        do for a pager that rebuilds such state lazily on load."""
 
     # --------------------------------------------------------------- common
 
@@ -200,6 +215,32 @@ class Pager(ABC):
 
     def _trim(self, lba: int, count: int) -> None:
         trim_retrying(self.device, lba, count, self.fault_stats)
+
+    def _verified_load(
+        self, lba: int, count: int, offset: int = 0
+    ) -> tuple[Optional[Page], memoryview]:
+        """Read ``count`` blocks at ``lba`` and verify the page image at byte
+        ``offset`` of the read; return the page and a view of the read.
+
+        A failed verification counts a checksum failure and re-reads once:
+        a clean re-read (transient bus corruption) counts a heal.  If the
+        re-read fails too (latent media corruption) the page is ``None`` and
+        the caller picks its fallback.  Only verification failures are
+        caught — any other error is a bug, not rot, and propagates.
+        """
+        end = offset + self.page_size
+        raw = memoryview(self._read_blocks(lba, count))
+        try:
+            return Page.from_bytes(raw[offset:end]), raw
+        except (ChecksumError, PageFormatError):
+            self.fault_stats.checksum_failures += 1
+        raw = memoryview(self._read_blocks(lba, count))
+        try:
+            page = Page.from_bytes(raw[offset:end])
+        except (ChecksumError, PageFormatError):
+            return None, raw
+        self.fault_stats.reread_heals += 1
+        return page, raw
 
     def _finalize(self, page: Page) -> bytes:
         page.finalize()
@@ -251,26 +292,19 @@ class JournalPager(Pager):
             self._account_page_write(physical, page.page_id)
             page.clear_dirty()
 
-    def load(self, page_id: int) -> Page:
-        self.stats.page_loads += 1
-        maybe_instant("pager.load", "btree", page_id=page_id)
-        lba = self._page_lba(page_id)
-        image = self._read_blocks(lba, self.page_blocks)
-        try:
-            return Page.from_bytes(image)
-        except Exception:
-            self.fault_stats.checksum_failures += 1
-        # One clean re-read distinguishes transient (bus) corruption from
-        # latent media corruption.
-        image = self._read_blocks(lba, self.page_blocks)
-        try:
-            page = Page.from_bytes(image)
-        except Exception:
-            pass
-        else:
-            self.fault_stats.reread_heals += 1
-            return page
-        return self._restore_from_journal(page_id)
+    def _read_page(self, page_id: int) -> Page:
+        page, _ = self._verified_load(self._page_lba(page_id), self.page_blocks)
+        return page if page is not None else self._restore_from_journal(page_id)
+
+    def _ring(self) -> Iterator[tuple[Page, bytes]]:
+        """Scan the journal ring: each entry that verifies, with its image."""
+        for index in range(self.JOURNAL_PAGES):
+            raw = self._read_blocks(self._journal_lba(index), self.page_blocks)
+            try:
+                entry = Page.from_bytes(raw)
+            except (ChecksumError, PageFormatError):  # ring scan: stale/torn entries are expected
+                continue
+            yield entry, raw
 
     def _restore_from_journal(self, page_id: int) -> Page:
         """Self-heal a corrupt in-place image from its double-write ring copy.
@@ -281,12 +315,7 @@ class JournalPager(Pager):
         """
         best = None
         best_image = b""
-        for index in range(self.JOURNAL_PAGES):
-            raw = self._read_blocks(self._journal_lba(index), self.page_blocks)
-            try:
-                candidate = Page.from_bytes(raw)
-            except (ChecksumError, PageFormatError):  # ring scan: stale/torn entries are expected
-                continue
+        for candidate, raw in self._ring():
             if candidate.page_id != page_id:
                 continue
             if best is None or candidate.lsn > best.lsn:
@@ -303,15 +332,11 @@ class JournalPager(Pager):
         self.fault_stats.journal_repairs += 1
         return best
 
-    def recover_torn_pages(self) -> list[int]:
-        """Repair in-place images that fail their checksum from journal copies."""
-        repaired = []
-        for index in range(self.JOURNAL_PAGES):
-            image = self._read_blocks(self._journal_lba(index), self.page_blocks)
-            try:
-                journal_page = Page.from_bytes(image)
-            except (ChecksumError, PageFormatError):  # ring scan: stale/torn entries are expected
-                continue
+    def recover(self) -> None:
+        """Rewrite each in-place image that is torn or older than its
+        journal copy from that copy."""
+        repaired = False
+        for journal_page, image in self._ring():
             lba = self._page_lba(journal_page.page_id)
             current = self._read_blocks(lba, self.page_blocks)
             try:
@@ -322,10 +347,9 @@ class JournalPager(Pager):
                 pass
             self._write_blocks(lba, image)
             self.fault_stats.journal_repairs += 1
-            repaired.append(journal_page.page_id)
+            repaired = True
         if repaired:
             self.device.flush()
-        return repaired
 
     def _release_storage(self, page_id: int) -> None:
         self._trim(self._page_lba(page_id), self.page_blocks)
@@ -403,26 +427,20 @@ class ShadowTablePager(Pager):
             cache[block_index] = block
         return block
 
-    def load(self, page_id: int) -> Page:
-        self.stats.page_loads += 1
-        maybe_instant("pager.load", "btree", page_id=page_id)
+    def _read_page(self, page_id: int) -> Page:
         slot = self._table.get(page_id)
         if slot is None:
             raise RecoveryError(f"page {page_id} has no shadow-table mapping")
-        image = self._read_blocks(self._slot_lba(slot), self.page_blocks)
-        try:
-            return Page.from_bytes(image)
-        except Exception:
-            self.fault_stats.checksum_failures += 1
-        # A shadow-table page has exactly one live copy; re-reading is the
-        # only self-healing available (heals transient corruption).
-        image = self._read_blocks(self._slot_lba(slot), self.page_blocks)
-        page = Page.from_bytes(image)
-        self.fault_stats.reread_heals += 1
+        page, raw = self._verified_load(self._slot_lba(slot), self.page_blocks)
+        if page is None:
+            # A shadow-table page has exactly one live copy, so the re-read
+            # was the only healing available: parsing the re-read image once
+            # more raises its verification error.
+            page = Page.from_bytes(raw)
         return page
 
-    def rebuild_table(self) -> None:
-        """Reload the mapping from the persisted table region (restart path)."""
+    def recover(self) -> None:
+        """Reload the mapping from the persisted table region."""
         self._table.clear()
         self._table_block_cache = {}
         used = set()
@@ -454,8 +472,9 @@ class DeterministicShadowPager(Pager):
     when both verify the higher LSN wins.
     """
 
-    #: Extra blocks reserved after the two slots of each page (the B⁻-tree
-    #: delta pager sets this to 1 for its dedicated modification-log block).
+    #: Blocks reserved between the two slots of each page, which a load of
+    #: either slot reads along with it: ``[slot 0 | aux | slot 1]``.  The
+    #: B⁻-tree delta pager sets this to 1 for its modification-log block.
     aux_blocks_per_page = 0
 
     def __init__(self, *args, **kwargs) -> None:
@@ -463,60 +482,76 @@ class DeterministicShadowPager(Pager):
         self._valid_slot: dict[int, int] = {}
 
     def region_blocks(self) -> int:
-        return self.max_pages * (2 * self.page_blocks + self.aux_blocks_per_page)
+        return self.max_pages * self._page_region_blocks()
+
+    def _page_region_blocks(self) -> int:
+        return 2 * self.page_blocks + self.aux_blocks_per_page
 
     def _page_base(self, page_id: int) -> int:
-        return self.region_start + page_id * (2 * self.page_blocks + self.aux_blocks_per_page)
+        return self.region_start + page_id * self._page_region_blocks()
 
     def _slot_lba(self, page_id: int, slot: int) -> int:
-        return self._page_base(page_id) + slot * self.page_blocks
+        return self._page_base(page_id) + slot * (self.page_blocks + self.aux_blocks_per_page)
 
     # ------------------------------------------------------------- flushing
 
     def flush(self, page: Page) -> None:
-        target = 1 - self._valid_slot.get(page.page_id, 1)
-        with maybe_span("pager.shadow_flip", "btree",
-                        page_id=page.page_id, slot=target):
-            image = self._finalize(page)
-            physical = self._write_blocks(self._slot_lba(page.page_id, target), image)
+        self._flip(page, self._finalize(page), "pager.shadow_flip")
+
+    def _flip(self, page: Page, image: bytes, span: str) -> None:
+        """Publish ``image`` in the page's other slot: write it, flush, then
+        TRIM the superseded sibling and record the new valid slot."""
+        page_id = page.page_id
+        target = 1 - self._valid_slot.get(page_id, 1)
+        with maybe_span(span, "btree", page_id=page_id, slot=target):
+            physical = self._write_blocks(self._slot_lba(page_id, target), image)
             self.device.flush()
-            self._trim(self._slot_lba(page.page_id, 1 - target), self.page_blocks)
-            self._valid_slot[page.page_id] = target
-            self._account_page_write(physical, page.page_id)
+            self._trim(self._slot_lba(page_id, 1 - target), self.page_blocks)
+            self._valid_slot[page_id] = target
+            self._account_page_write(physical, page_id)
+            self._after_flip(page)
             page.clear_dirty()
+
+    def _after_flip(self, page: Page) -> None:
+        """Hook run inside the flip once ``page``'s new slot is published."""
 
     # -------------------------------------------------------------- loading
 
-    def load(self, page_id: int) -> Page:
-        self.stats.page_loads += 1
-        maybe_instant("pager.load", "btree", page_id=page_id)
+    def _read_page(self, page_id: int) -> Page:
+        return self._load_valid_slot(page_id)[0]
+
+    def _load_valid_slot(self, page_id: int) -> tuple[Page, memoryview]:
+        """Load ``page_id`` from its valid slot; also return a view of the
+        aux blocks read along with it.
+
+        With the valid slot known, one verified load reads the slot and the
+        aux blocks beside it: ``[slot 0 | aux]`` or ``[aux | slot 1]``.
+        Otherwise — after a restart, or when that slot turns out latently
+        corrupt — the page's whole region ``[slot 0 | aux | slot 1]`` is
+        read and arbitrated.
+        """
+        aux_bytes = self.aux_blocks_per_page * BLOCK_SIZE
         slot = self._valid_slot.get(page_id)
         if slot is not None:
-            image = self._read_blocks(self._slot_lba(page_id, slot), self.page_blocks)
-            try:
-                return Page.from_bytes(image)
-            except Exception:
-                self.fault_stats.checksum_failures += 1
-            # One clean re-read distinguishes transient (bus) corruption
-            # from latent media corruption.
-            image = self._read_blocks(self._slot_lba(page_id, slot), self.page_blocks)
-            try:
-                page = Page.from_bytes(image)
-            except Exception:
-                pass
-            else:
-                self.fault_stats.reread_heals += 1
-                return page
+            page, raw = self._verified_load(
+                self._page_base(page_id) + slot * self.page_blocks,
+                self.page_blocks + self.aux_blocks_per_page,
+                slot * aux_bytes,
+            )
+            if page is not None:
+                aux = (1 - slot) * self.page_size
+                return page, raw[aux : aux + aux_bytes]
             # Latent corruption on the known-valid slot: fall back to full
             # arbitration, which can serve the sibling and scrub the rot.
             self.fault_stats.arbitration_fallbacks += 1
             del self._valid_slot[page_id]
-        page, slot = self._arbitrate_slots(page_id)
+        page, slot, region = self._arbitrate_slots(page_id)
         self._valid_slot[page_id] = slot
-        return page
+        return page, memoryview(region)[self.page_size : self.page_size + aux_bytes]
 
-    def _arbitrate_slots(self, page_id: int) -> tuple[Page, int]:
-        """Read both slots in one request and pick the valid, newest image.
+    def _arbitrate_slots(self, page_id: int) -> tuple[Page, int, bytes]:
+        """Read the page's whole region in one request and pick the valid,
+        newest slot image; returns the page, its slot and the region read.
 
         When one slot is corrupt (nonzero but failing its CRC — a torn write
         or latent rot) while the other verifies, the corrupt slot is
@@ -524,16 +559,18 @@ class DeterministicShadowPager(Pager):
         the media in place.  Both slots then hold the served image, which the
         ping-pong flush protocol tolerates (the next flush overwrites one).
         """
-        raw = self._read_blocks(self._page_base(page_id), 2 * self.page_blocks)
+        base = self._page_base(page_id)
+        region = self._read_blocks(base, self._page_region_blocks())
         candidates: list[tuple[int, Page]] = []
         corrupt_slots: list[int] = []
         for slot in (0, 1):
-            image = raw[slot * self.page_size : (slot + 1) * self.page_size]
+            offset = (self._slot_lba(page_id, slot) - base) * BLOCK_SIZE
+            image = region[offset : offset + self.page_size]
             if image.count(0) == len(image):
                 continue  # trimmed slot
             try:
                 candidate = Page.from_bytes(image)
-            except Exception:
+            except (ChecksumError, PageFormatError):
                 corrupt_slots.append(slot)  # torn write or latent rot
                 continue
             if candidate.page_id == page_id:
@@ -545,7 +582,7 @@ class DeterministicShadowPager(Pager):
         slot, page = max(candidates, key=lambda item: item[1].lsn)
         for bad_slot in corrupt_slots:
             self._repair_slot(page_id, bad_slot, page.image())
-        return page, slot
+        return page, slot, region
 
     def _repair_slot(self, page_id: int, slot: int, image: bytes) -> None:
         """Rewrite a corrupt slot from the surviving sibling's image."""
@@ -563,8 +600,7 @@ class DeterministicShadowPager(Pager):
         self.fault_stats.read_repairs += 1
 
     def _release_storage(self, page_id: int) -> None:
-        blocks = 2 * self.page_blocks + self.aux_blocks_per_page
-        self._trim(self._page_base(page_id), blocks)
+        self._trim(self._page_base(page_id), self._page_region_blocks())
         self._valid_slot.pop(page_id, None)
 
     def forget_volatile_state(self) -> None:

@@ -40,8 +40,8 @@ from repro.btree.page import DIRTY_GRAIN, Page
 from repro.btree.pager import DeterministicShadowPager
 from repro.csd.arena import ScratchArena
 from repro.csd.device import BLOCK_SIZE
-from repro.errors import ChecksumError, ConfigError, PageFormatError, RecoveryError
-from repro.obs.trace import maybe_instant, maybe_span
+from repro.errors import ConfigError
+from repro.obs.trace import maybe_span
 
 DELTA_MAGIC = b"DLT1"
 _HDR = struct.Struct("<4sQQQHHI")  # magic, page_id, base_lsn, lsn, seg_size, nsegs, crc
@@ -216,11 +216,6 @@ class DeltaShadowPager(DeterministicShadowPager):
 
     # -------------------------------------------------------------- layout
 
-    def _slot_lba(self, page_id: int, slot: int) -> int:
-        # Slot 1 sits beyond the delta block: [slot0 | delta | slot1].
-        base = self._page_base(page_id)
-        return base if slot == 0 else base + self.page_blocks + 1
-
     def _delta_lba(self, page_id: int) -> int:
         return self._page_base(page_id) + self.page_blocks
 
@@ -234,7 +229,7 @@ class DeltaShadowPager(DeterministicShadowPager):
         base_lsn = self._base_lsn.get(page_id)
         delta_size = len(segments) * self.segment_size
         if base_lsn is None or delta_size > self.threshold:
-            self._full_flush(page)
+            self._flip(page, page.image(), "pager.full_flush")
             return
         ordered = sorted(segments)
         with maybe_span("pager.delta_flush", "btree", page_id=page_id,
@@ -259,26 +254,16 @@ class DeltaShadowPager(DeterministicShadowPager):
             self._fvec[page_id] = segments
             page.clear_dirty()
 
-    def _full_flush(self, page: Page) -> None:
-        """Write the whole page via shadowing and reset the logging process."""
-        page_id = page.page_id
-        target = 1 - self._valid_slot.get(page_id, 1)
-        with maybe_span("pager.full_flush", "btree", page_id=page_id, slot=target):
-            image = page.image()
-            physical = self._write_blocks(self._slot_lba(page_id, target), image)
-            self.device.flush()
-            self._trim(self._slot_lba(page_id, 1 - target), self.page_blocks)
-            self._trim(self._delta_lba(page_id), 1)
-            self._valid_slot[page_id] = target
-            self._account_page_write(physical, page_id)
-            self.stats.full_flushes += 1
-            self._fvec[page_id] = set()
-            self._base_lsn[page_id] = page.lsn
-            page.clear_dirty()
+    def _after_flip(self, page: Page) -> None:
+        """A full image went out: drop its delta block, restart the log."""
+        self._trim(self._delta_lba(page.page_id), 1)
+        self.stats.full_flushes += 1
+        self._fvec[page.page_id] = set()
+        self._base_lsn[page.page_id] = page.lsn
 
     # -------------------------------------------------------------- loading
 
-    def load(self, page_id: int) -> Page:
+    def _read_page(self, page_id: int) -> Page:
         """Load a page plus its modification log in one read request.
 
         With the valid slot known, the request covers exactly ``l_pg + 4KB``
@@ -287,20 +272,7 @@ class DeltaShadowPager(DeterministicShadowPager):
         the delta padding cost nothing physically; the extra volume is PCIe
         transfer only, exactly the trade the paper makes (§3.1).
         """
-        self.stats.page_loads += 1
-        maybe_instant("pager.load", "btree", page_id=page_id)
-        slot = self._valid_slot.get(page_id)
-        known = self._load_known_slot(page_id, slot) if slot is not None else None
-        if known is not None:
-            base_page, delta_raw = known
-        else:
-            region_blocks = 2 * self.page_blocks + 1
-            raw = self._read_blocks(self._page_base(page_id), region_blocks)
-            base_page, slot = self._arbitrate_images(page_id, raw)
-            self._valid_slot[page_id] = slot
-            # In the full-region request the delta block always sits between
-            # the slots, at offset l_pg.
-            delta_raw = memoryview(raw)[self.page_size : self.page_size + BLOCK_SIZE]
+        base_page, delta_raw = self._load_valid_slot(page_id)
         delta = DeltaBlock.decode(delta_raw, self.page_size)
         if (delta is None or delta.page_id != page_id) and (
             bytes(delta_raw).count(0) != len(delta_raw)
@@ -331,66 +303,6 @@ class DeltaShadowPager(DeterministicShadowPager):
         self._fvec[page_id] = set()
         self._base_lsn[page_id] = base_page.lsn
         return base_page
-
-    def _load_known_slot(
-        self, page_id: int, slot: int
-    ) -> Optional[tuple[Page, memoryview]]:
-        """Single-request load of the cached valid slot plus its delta block.
-
-        Returns ``None`` when the slot image fails verification even after a
-        clean re-read — the caller then falls back to full-region
-        arbitration, which serves the sibling and read-repairs the rot.
-        """
-        if slot == 0:
-            lba, base_off, delta_off = self._page_base(page_id), 0, self.page_size
-        else:
-            lba, base_off, delta_off = self._delta_lba(page_id), BLOCK_SIZE, 0
-        # The page buffer is the only copy made of the read: both it and the
-        # delta decode work from views of ``raw``.
-        raw = memoryview(self._read_blocks(lba, self.page_blocks + 1))
-        try:
-            base_page = Page.from_bytes(raw[base_off : base_off + self.page_size])
-        except (ChecksumError, PageFormatError):
-            self.fault_stats.checksum_failures += 1
-        else:
-            return base_page, raw[delta_off : delta_off + BLOCK_SIZE]
-        # One clean re-read distinguishes transient (bus) corruption from
-        # latent media corruption.
-        raw = memoryview(self._read_blocks(lba, self.page_blocks + 1))
-        try:
-            base_page = Page.from_bytes(raw[base_off : base_off + self.page_size])
-        except (ChecksumError, PageFormatError):
-            self.fault_stats.arbitration_fallbacks += 1
-            del self._valid_slot[page_id]
-            return None
-        self.fault_stats.reread_heals += 1
-        return base_page, raw[delta_off : delta_off + BLOCK_SIZE]
-
-    def _arbitrate_images(self, page_id: int, raw: bytes) -> tuple[Page, int]:
-        """Pick the valid, newest slot image; read-repair a corrupt sibling."""
-        slot_offsets = {0: 0, 1: self.page_size + BLOCK_SIZE}
-        candidates: list[tuple[int, Page]] = []
-        corrupt_slots: list[int] = []
-        for slot in (0, 1):
-            offset = slot_offsets[slot]
-            image = raw[offset : offset + self.page_size]
-            if image.count(0) == len(image):
-                continue
-            try:
-                candidate = Page.from_bytes(image)
-            except (ChecksumError, PageFormatError):
-                corrupt_slots.append(slot)  # torn write or latent rot
-                continue
-            if candidate.page_id == page_id:
-                candidates.append((slot, candidate))
-            else:
-                corrupt_slots.append(slot)  # misdirected write landed here
-        if not candidates:
-            raise RecoveryError(f"page {page_id}: neither slot holds a valid image")
-        slot, page = max(candidates, key=lambda item: item[1].lsn)
-        for bad_slot in corrupt_slots:
-            self._repair_slot(page_id, bad_slot, page.image())
-        return page, slot
 
     # ------------------------------------------------------------ bookkeeping
 

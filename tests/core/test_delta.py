@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.btree.node import InternalNode
 from repro.btree.page import Page
+from repro.btree.pager import make_pager as make_btree_pager
 from repro.core.delta import (
     DELTA_HEADER_SIZE,
     DeltaBlock,
@@ -14,6 +15,7 @@ from repro.core.delta import (
 )
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.errors import ChecksumError, ConfigError
+from repro.metrics.faults import FaultStats
 from repro.sim.rng import DeterministicRng
 
 PAGE_SIZE = 8192
@@ -332,23 +334,32 @@ def test_routing_cache_does_not_survive_a_delta_overlay():
     assert InternalNode(base).child_for(sep(36)) == 77
 
 
-def test_programming_error_in_page_parse_is_not_healed(monkeypatch):
-    """Only verification failures are media corruption: anything else that
-    escapes ``Page.from_bytes`` propagates instead of being "re-read"."""
-    pager = make_pager()
+@pytest.mark.parametrize(
+    "strategy", ["journal", "shadow-table", "det-shadow", "delta-shadow"])
+def test_programming_error_in_page_parse_is_not_healed(monkeypatch, strategy):
+    """Only verification failures are media corruption: in every pager,
+    anything else that escapes ``Page.from_bytes`` propagates instead of
+    being "re-read", on a known page and after a restart alike."""
+    def open_pager(device):
+        if strategy == "delta-shadow":
+            return DeltaShadowPager(device, PAGE_SIZE, MAX_PAGES, 1)
+        return make_btree_pager(strategy, device, PAGE_SIZE, MAX_PAGES, 1)
+
+    pager = open_pager(CompressedBlockDevice(num_blocks=8192))
     page = dirty_page(pager)
     pager.flush(page)
+    pager.device.flush()
+    restarted = open_pager(pager.device)
+    restarted.recover()
 
     def broken(image, verify=True):
         raise TypeError("bug, not rot")
 
     monkeypatch.setattr(Page, "from_bytes", broken)
-    with pytest.raises(TypeError):
-        pager.load(page.page_id)
-    with pytest.raises(TypeError):
-        pager_reload(pager).load(page.page_id)
-    assert pager.fault_stats.checksum_failures == 0
-    assert pager.fault_stats.arbitration_fallbacks == 0
+    for loader in (pager, restarted):
+        with pytest.raises(TypeError):
+            loader.load(page.page_id)
+        assert loader.fault_stats == FaultStats()
 
 
 def test_free_page_clears_delta_state():
