@@ -44,7 +44,9 @@ class DeterministicRng(random.Random):
         return DeterministicRng(self._root_seed, self._path + tuple(labels))
 
     def random_bytes(self, n: int) -> bytes:
-        """Return ``n`` pseudo-random bytes from this stream."""
+        """Return ``n`` pseudo-random bytes from this stream: exactly
+        ``getrandbits(8 * n).to_bytes(n, "little")``, which is how the
+        workload op streams draw values inline.  ``n == 0`` draws nothing."""
         if n < 0:
             raise ConfigError("byte count must be non-negative")
-        return self.getrandbits(8 * n).to_bytes(n, "little") if n else b""
+        return self.getrandbits(8 * n).to_bytes(n, "little")

@@ -10,6 +10,8 @@ random, half zeros, giving a ~0.5 standalone compression ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.sim.rng import DeterministicRng
@@ -27,13 +29,24 @@ def decode_key(key: bytes) -> int:
     return int.from_bytes(key, "big")
 
 
-def record_value(rng: DeterministicRng, record_size: int) -> bytes:
-    """A value of ``record_size - KEY_SIZE`` bytes: half random, half zeros."""
+@lru_cache(maxsize=None)
+def value_layout(record_size: int) -> Tuple[int, bytes]:
+    """How a value of ``record_size - KEY_SIZE`` bytes is made: the length of
+    its random head (``value_size // 2``, 0 when the value is one byte long)
+    and its all-zero tail.  Cached (a run uses a handful of record sizes) so
+    that :func:`record_value`, called once per populated record, looks the
+    layout up instead of building it."""
     if record_size <= KEY_SIZE:
         raise ConfigError(f"record size must exceed the {KEY_SIZE}-byte key")
     value_size = record_size - KEY_SIZE
     random_half = value_size // 2
-    return rng.random_bytes(random_half) + bytes(value_size - random_half)
+    return random_half, bytes(value_size - random_half)
+
+
+def record_value(rng: DeterministicRng, record_size: int) -> bytes:
+    """A value of ``record_size - KEY_SIZE`` bytes: half random, half zeros."""
+    random_half, zero_tail = value_layout(record_size)
+    return rng.random_bytes(random_half) + zero_tail
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,11 @@ from repro.workloads.generator import (
     Op,
     OpKind,
     point_read_ops,
+    put_ops,
     random_write_ops,
     range_scan_ops,
 )
-from repro.workloads.records import KeySpace, record_value
+from repro.workloads.records import KeySpace
 
 
 @dataclass
@@ -92,11 +93,7 @@ class WorkloadRunner:
         """Load every record once, in fully random order (§4.1)."""
         order = list(range(keyspace.n_records))
         rng.shuffle(order)
-        ops = (
-            Op(OpKind.PUT, keyspace.key(i), record_value(rng, keyspace.record_size))
-            for i in order
-        )
-        return self._execute(ops, keyspace.n_records)
+        return self._execute(put_ops(keyspace, order, rng), keyspace.n_records)
 
     def run_random_writes(
         self, keyspace: KeySpace, n_ops: int, rng: DeterministicRng

@@ -16,8 +16,8 @@ from typing import Iterator
 
 from repro.errors import ConfigError
 from repro.sim.rng import DeterministicRng
-from repro.workloads.generator import Op, OpKind
-from repro.workloads.records import KeySpace, record_value
+from repro.workloads.generator import Op, put_ops
+from repro.workloads.records import KeySpace
 
 
 class ZipfGenerator:
@@ -52,15 +52,27 @@ class ZipfGenerator:
             total += ((n ** (1.0 - theta)) - (cutoff ** (1.0 - theta))) / (1.0 - theta)
         return total
 
+    def ranks(self, rng: DeterministicRng) -> Iterator[int]:
+        """Endless ranks (0 = hottest), one ``rng.random()`` each, with the
+        constants bound once.  The analytic formula can round up to ``n``;
+        such a draw is the coldest rank, ``n - 1``."""
+        random = rng.random
+        n, zetan, eta, alpha = self.n, self._zetan, self._eta, self._alpha
+        second = 1.0 + 0.5 ** self.theta
+        while True:
+            u = random()
+            uz = u * zetan
+            if uz < 1.0:
+                yield 0
+            elif uz < second:
+                yield 1
+            else:
+                rank = int(n * ((eta * u - eta + 1.0) ** alpha))
+                yield rank if rank < n else n - 1
+
     def sample(self, rng: DeterministicRng) -> int:
         """Draw one rank (0 = hottest)."""
-        u = rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.n * ((self._eta * u - self._eta + 1.0) ** self._alpha))
+        return next(self.ranks(rng))
 
     def head_mass(self, k: int) -> float:
         """Probability mass of the ``k`` hottest ranks (diagnostics)."""
@@ -79,10 +91,7 @@ def zipfian_write_ops(
     by composing with a permutation.
     """
     zipf = ZipfGenerator(keyspace.n_records, theta)
-    while True:
-        rank = min(zipf.sample(rng), keyspace.n_records - 1)
-        yield Op(OpKind.PUT, keyspace.key(rank),
-                 record_value(rng, keyspace.record_size))
+    return put_ops(keyspace, zipf.ranks(rng), rng)
 
 
 def scattered_zipfian_write_ops(
@@ -95,10 +104,6 @@ def scattered_zipfian_write_ops(
     Applies a fixed multiplicative-hash permutation to the rank so hot keys
     land on distinct pages — the worst case for page-flush coalescing.
     """
-    zipf = ZipfGenerator(keyspace.n_records, theta)
     n = keyspace.n_records
-    while True:
-        rank = min(zipf.sample(rng), n - 1)
-        scattered = (rank * 0x9E3779B1 + 0x7F4A7C15) % n
-        yield Op(OpKind.PUT, keyspace.key(scattered),
-                 record_value(rng, keyspace.record_size))
+    ranks = ZipfGenerator(n, theta).ranks(rng)
+    return put_ops(keyspace, ((rank * 0x9E3779B1 + 0x7F4A7C15) % n for rank in ranks), rng)

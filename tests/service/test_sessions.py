@@ -37,6 +37,12 @@ def test_session_rejects_bad_parameters():
         ClientSession(0, puts(), n_ops=1, arrival_interval=0.0)
 
 
+def test_make_sessions_rejects_bad_fractions_before_any_op():
+    with pytest.raises(ValueError):
+        make_sessions(2, 5, KS, DeterministicRng(0), arrival_interval=0.01,
+                      write_fraction=0.8, scan_fraction=0.4)
+
+
 def _streams(seed):
     sessions = make_sessions(4, 5, KS, DeterministicRng(seed),
                              arrival_interval=0.01)

@@ -6,13 +6,14 @@ import pytest
 
 from repro.sim.rng import DeterministicRng
 from repro.workloads.generator import (
+    Op,
     OpKind,
     mixed_ops,
     point_read_ops,
     random_write_ops,
     range_scan_ops,
 )
-from repro.workloads.records import KeySpace, decode_key
+from repro.workloads.records import KeySpace, decode_key, record_value
 
 
 @pytest.fixture
@@ -50,8 +51,9 @@ def test_scan_ops_shape(keyspace, rng):
 
 
 def test_scan_length_validation(keyspace, rng):
+    # Raised by the call itself, before any op is drawn.
     with pytest.raises(ValueError):
-        next(range_scan_ops(keyspace, rng, scan_length=0))
+        range_scan_ops(keyspace, rng, scan_length=0)
 
 
 def test_mixed_ops_fractions(keyspace, rng):
@@ -65,6 +67,26 @@ def test_mixed_ops_fractions(keyspace, rng):
 
 def test_mixed_ops_validation(keyspace, rng):
     with pytest.raises(ValueError):
-        next(mixed_ops(keyspace, rng, write_fraction=0.8, scan_fraction=0.4))
+        mixed_ops(keyspace, rng, write_fraction=0.8, scan_fraction=0.4)
     with pytest.raises(ValueError):
-        next(mixed_ops(keyspace, rng, write_fraction=-0.1))
+        mixed_ops(keyspace, rng, write_fraction=-0.1)
+    with pytest.raises(ValueError):
+        mixed_ops(keyspace, rng, scan_length=0)
+
+
+def test_ops_are_immutable_tuples(keyspace, rng):
+    op = next(random_write_ops(keyspace, rng))
+    assert op == (OpKind.PUT, op.key, op.value, 0)
+    with pytest.raises(AttributeError):
+        op.key = b"x"
+    assert Op(OpKind.READ, b"k") == Op(OpKind.READ, b"k", None, 0)
+
+
+def test_write_values_match_record_value(keyspace):
+    """A write stream's value is the one ``record_value`` draws after the key."""
+    rng = DeterministicRng(11)
+    op = next(random_write_ops(keyspace, rng))
+    replay = DeterministicRng(11)
+    assert op.key == keyspace.key(replay.randrange(keyspace.n_records))
+    assert op.value == record_value(replay, keyspace.record_size)
+    assert rng.getstate() == replay.getstate()

@@ -140,3 +140,15 @@ def test_hub_leaves_run_bit_identical():
     obs = hub.summary()
     assert obs["op_latency"]["put"]["n"] == 2000 + 600
     assert obs["op_latency"]["read"]["n"] == 200
+
+
+@pytest.mark.parametrize("phase", [
+    lambda runner, ks, rng: runner.run_range_scans(ks, 0, rng, scan_length=0),
+    lambda runner, ks, rng: runner.run_zipfian_writes(ks, 0, rng, theta=1.5),
+    lambda runner, ks, rng: runner.run_zipfian_writes(ks, 0, rng, theta=1.0, scattered=True),
+], ids=["scan_length=0", "theta=1.5", "scattered-theta=1.0"])
+def test_bad_stream_arguments_fail_the_phase(phase, rng):
+    """Even a phase of 0 ops rejects the arguments of its op streams."""
+    runner, _, _ = make_bminus()
+    with pytest.raises(ValueError):
+        phase(runner, KeySpace(100, 64), rng)

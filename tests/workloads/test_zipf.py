@@ -27,7 +27,30 @@ def test_samples_in_range():
     zipf = ZipfGenerator(1000, 0.99)
     rng = DeterministicRng(1)
     for _ in range(2000):
-        assert 0 <= zipf.sample(rng) < 1001  # analytic method may touch n
+        assert 0 <= zipf.sample(rng) < 1000
+
+
+class _LargestDraw:
+    """An RNG stand-in whose every ``random()`` is the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_sample_clamps_a_draw_that_rounds_up_to_n():
+    # With eta < 0.5 the analytic formula rounds the largest draw up to
+    # exactly 1.0, i.e. rank n; the sample is the coldest rank instead.
+    zipf = ZipfGenerator(1000, 0.99)
+    assert zipf._eta < 0.5
+    assert zipf.sample(_LargestDraw()) == 999
+    assert next(zipf.ranks(_LargestDraw())) == 999
+
+
+def test_stream_arguments_checked_at_the_call():
+    keyspace = KeySpace(100, 64)
+    for stream in (zipfian_write_ops, scattered_zipfian_write_ops):
+        with pytest.raises(ValueError):
+            stream(keyspace, DeterministicRng(1), theta=1.0)
 
 
 def test_skew_concentrates_on_head():
