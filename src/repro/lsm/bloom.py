@@ -4,6 +4,10 @@ The paper configures RocksDB with a 10-bits-per-record bloom filter, which is
 what "almost completely obviates the read amplification problem" for point
 reads (§4.5).  The filter here uses Kirsch-Mitzenmacher double hashing over a
 64-bit FNV-1a base hash — the same construction RocksDB's legacy bloom uses.
+
+In memory a filter holds one byte per bit (0 or 1), so a probe is a byte
+load; it is packed into the usual bit array only when serialized, and
+unpacked when loaded, so the bytes on storage are the packed bits.
 """
 
 from __future__ import annotations
@@ -16,16 +20,29 @@ from repro.errors import ConfigError, LsmError
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+#: ``_UNPACK[j]`` maps a packed byte to its bit ``j`` (0 or 1).
+_UNPACK = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]
 
 
 def base_hash(key: bytes) -> int:
-    """The filter's base hash: 64-bit FNV-1a of ``key``.  Every probe
-    position of every filter derives from it, so it is computed once per key
-    however many filters the key is probed against."""
+    """The filter's base hash: 64-bit FNV-1a of ``key``."""
     h = _FNV_OFFSET
     for byte in key:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+def probe_sequence(key: bytes) -> list[int]:
+    """The start of ``key``'s double-hashing sequence: ``h_0`` is the base
+    hash, ``h_{i+1} = h_i + delta mod 2**64`` with ``delta`` the 64-bit
+    rotation of ``h_0`` by 31, and probe ``i`` of an ``n``-bit filter is
+    bit ``h_i % n``.
+
+    The sequence is the same for every filter, so a point read computes it
+    once and hands it to each candidate table's filter; it holds ``h_0`` (the
+    base hash) at first and :meth:`BloomFilter.probe` extends it in place to
+    as many values as the filter has probes."""
+    return [base_hash(key)]
 
 
 class BloomFilter:
@@ -40,27 +57,22 @@ class BloomFilter:
         self.num_bits = max(64, int(expected_keys * bits_per_key))
         # Optimal probe count k = ln(2) * bits/key, clamped like RocksDB.
         self.num_probes = max(1, min(30, int(round(bits_per_key * math.log(2)))))
-        self._probes = range(self.num_probes)
-        self._bits = bytearray((self.num_bits + 7) // 8)
+        #: Bit ``i`` as byte ``i`` (0 or 1), padded to whole packed bytes.
+        self._bitmap = bytearray(8 * ((self.num_bits + 7) // 8))
 
     def add(self, key: bytes) -> None:
         """Set one key's probe bits."""
-        self._set_bits(base_hash(key))
+        self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
         """Set every key's probe bits; a table build adds thousands of keys
         at once, in key order.  Sorted neighbours mostly differ in their last
         byte only, so the FNV-1a state after ``key[:-1]`` is carried from one
         key to the next and the hash restarts at byte 0 only when that prefix
-        changes — same hash, any keys in any order.
-
-        Each probe stores a 1 in a byte-per-bit scratch map, which is then
-        packed into the filter with eight strided slices (slice ``j`` holds
-        bits ``j, j + 8, …``, i.e. bit ``j`` of every filter byte) — the same
-        bits as :meth:`add`, at one byte store per probe."""
+        changes — same hash, any keys in any order."""
         num_bits = self.num_bits
-        probes = self._probes
-        scratch = bytearray(num_bits)
+        probes = range(self.num_probes)
+        bitmap = self._bitmap
         head, head_state = b"", _FNV_OFFSET
         for key in keys:
             if key[:-1] != head:
@@ -71,45 +83,43 @@ class BloomFilter:
                 h = ((h ^ key[-1]) * _FNV_PRIME) & _MASK64
             delta = ((h >> 33) | (h << 31)) & _MASK64
             for _ in probes:
-                scratch[h % num_bits] = 1
+                bitmap[h % num_bits] = 1
                 h = (h + delta) & _MASK64
-        packed = int.from_bytes(self._bits, "little")
-        for j in range(8):
-            packed |= int.from_bytes(scratch[j::8], "little") << j
-        self._bits = bytearray(packed.to_bytes(len(self._bits), "little"))
-
-    def _set_bits(self, h: int) -> None:
-        bits = self._bits
-        num_bits = self.num_bits
-        delta = ((h >> 33) | (h << 31)) & _MASK64
-        for _ in self._probes:
-            pos = h % num_bits
-            bits[pos >> 3] |= 1 << (pos & 7)
-            h = (h + delta) & _MASK64
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        return self.probe(base_hash(key))
+        return self.probe(probe_sequence(key))
 
-    def probe(self, h: int) -> bool:
-        """:meth:`may_contain` for a key whose :func:`base_hash` is ``h`` —
-        the filter's one probe loop.  A point read hashes its key once and
-        probes every candidate table's filter with that hash."""
-        bits = self._bits
+    def probe(self, sequence: list[int]) -> bool:
+        """:meth:`may_contain` for a key whose :func:`probe_sequence` is
+        ``sequence``, extended here if it is shorter than this filter's
+        probe count: one byte load per probe, up to the first 0."""
+        k = self.num_probes
+        if len(sequence) < k:
+            first = sequence[0]
+            delta = ((first >> 33) | (first << 31)) & _MASK64
+            h = sequence[-1]
+            while len(sequence) < k:
+                h = (h + delta) & _MASK64
+                sequence.append(h)
+        bitmap = self._bitmap
         num_bits = self.num_bits
-        delta = ((h >> 33) | (h << 31)) & _MASK64
-        for _ in self._probes:
-            pos = h % num_bits
-            if not bits[pos >> 3] & (1 << (pos & 7)):
+        for h in sequence if len(sequence) == k else sequence[:k]:
+            if not bitmap[h % num_bits]:
                 return False
-            h = (h + delta) & _MASK64
         return True
 
     # --------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
+        """Header, then the bits packed eight to a byte: slice ``j`` of the
+        bitmap (bits ``j, j + 8, …``) is bit ``j`` of every packed byte."""
+        bitmap = self._bitmap
+        packed = 0
+        for j in range(8):
+            packed |= int.from_bytes(bitmap[j::8], "little") << j
         header = self.num_bits.to_bytes(8, "little") + self.num_probes.to_bytes(2, "little")
-        return header + bytes(self._bits)
+        return header + packed.to_bytes(len(bitmap) // 8, "little")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
@@ -128,13 +138,16 @@ class BloomFilter:
                 f"corrupt or truncated bloom filter: {len(data)} bytes for "
                 f"num_bits={num_bits}, num_probes={num_probes}"
             )
+        packed = bytes(data[10 : 10 + (num_bits + 7) // 8])
+        bitmap = bytearray(8 * len(packed))
+        for j, unpack in enumerate(_UNPACK):
+            bitmap[j::8] = packed.translate(unpack)
         filt = cls.__new__(cls)
         filt.bits_per_key = 0.0  # unknown after deserialization
         filt.num_bits = num_bits
         filt.num_probes = num_probes
-        filt._probes = range(num_probes)
-        filt._bits = bytearray(data[10 : 10 + (num_bits + 7) // 8])
+        filt._bitmap = bitmap
         return filt
 
     def serialized_size(self) -> int:
-        return 10 + len(self._bits)
+        return 10 + len(self._bitmap) // 8

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from repro.btree.wal import (
@@ -41,7 +41,7 @@ from repro.btree.wal import (
 )
 from repro.csd.device import BlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, LsmError
-from repro.lsm.bloom import base_hash
+from repro.lsm.bloom import probe_sequence
 from repro.lsm.compaction import merge_newest_first, write_merged
 from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
@@ -198,7 +198,6 @@ class LSMEngine:
         #: Frozen (immutable) memtables awaiting background flush, oldest
         #: first (group_atomic mode; always empty otherwise).
         self.frozen: list[MemTable] = []
-        self._memtable_gen = 0
         self._flush_due = 0.0
         self._group_dirty = False
         self.memtable_freezes = 0
@@ -427,9 +426,9 @@ class LSMEngine:
                 return self._resolve(key, value)
         tables = self.versions.tables_for_get(key)
         if tables:
-            key_hash = base_hash(key)  # once, for every table's filter
+            probes = probe_sequence(key)  # once, for every table's filter
             for reader in tables:
-                found, value = reader.get(key, key_hash)
+                found, value = reader.get(key, probes)
                 if found:
                     return self._resolve(key, value)
         return None
@@ -445,21 +444,23 @@ class LSMEngine:
         """Ordered scan over the merged view of memtable + every level."""
         if count <= 0:
             return []  # before any source is opened: no block is read
-        out = []
-        for key, value in self._merged_from(start_key):
-            if value is not None:
-                out.append((key, self._resolve(key, value)))
-                if len(out) >= count:
-                    break
-        return out
+        merged = self._merged_from(start_key)
+        vlog = self.vlog
+        if vlog is not None:  # each pointer is followed as the merge reaches it
+            merged = (
+                (key, vlog.read(key, value) if isinstance(value, ValueRef) else value)
+                for key, value in merged
+            )
+        return list(islice(merged, count))
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         for key, value in self._merged_from(b""):
-            if value is not None:
-                yield key, self._resolve(key, value)
+            yield key, self._resolve(key, value)
 
     def _merged_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """Newest-wins merge of all sorted sources, tombstones included.
+        """Newest-wins merge of all sorted sources: every live record with
+        key >= ``start_key``, once (a tombstone hides the older versions
+        beneath it and is dropped).
 
         Same source order as :meth:`get`: active memtable, frozen memtables
         newest first, then the version set's sorted runs newest first.  A
@@ -472,7 +473,7 @@ class LSMEngine:
             chain.from_iterable(reader.iter_from(start_key) for reader in run)
             for run in self.versions.runs_from(start_key)
         ]
-        return merge_newest_first(sources)
+        return merge_newest_first(sources, drop_tombstones=True)
 
     # ---------------------------------------------------------- transactions
 
@@ -586,7 +587,7 @@ class LSMEngine:
             return
         with maybe_span("lsm.memtable_flush", "lsm", records=len(self.memtable)):
             self._write_l0(self.memtable)
-            self.memtable = MemTable(seed=self._memtable_gen)
+            self.memtable = MemTable()
             if self.wal is not None:
                 self._log_pos = self.wal.position()
             self._run_compactions()
@@ -607,8 +608,7 @@ class LSMEngine:
         if len(self.memtable) == 0:
             return
         self.frozen.append(self.memtable)
-        self._memtable_gen += 1
-        self.memtable = MemTable(seed=self._memtable_gen)
+        self.memtable = MemTable()
         if len(self.frozen) == 1:
             self._flush_due = self.clock.now + self.config.flush_latency
         self.memtable_freezes += 1

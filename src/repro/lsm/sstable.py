@@ -22,11 +22,12 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.errors import ConfigError, LsmError
-from repro.lsm.bloom import BloomFilter, base_hash
+from repro.lsm.bloom import BloomFilter, probe_sequence
 from repro.lsm.vlog import ValueRef
 
 _FOOTER_MAGIC = b"SST2"
@@ -41,8 +42,9 @@ _HEADER_SIZE = _REC_HDR.size
 _LAST_HEADER = BLOCK_SIZE - _HEADER_SIZE  # last offset a header fits at
 
 #: A decoded data block: ``(the bytes it was decoded from, its keys, the
-#: offset of each record plus the end of the last one as array('H'))``.
-_BlockView = tuple[bytes, list[bytes], array]
+#: offset of each record plus the end of the last one as array('H'), its
+#: values (value, ``None`` or ValueRef) once a range cursor asked for them)``.
+_BlockView = tuple[bytes, list[bytes], array, Optional[list]]
 _UNSEEN = object()  # SSTableReader._views' default: a block never read
 
 
@@ -335,27 +337,25 @@ class SSTableReader:
 
     # ------------------------------------------------------------- reading
 
-    def may_contain(self, key: bytes, key_hash: Optional[int] = None) -> bool:
-        """Range + bloom pre-check (no I/O).  ``key_hash`` is
-        ``base_hash(key)`` when the caller already has it."""
-        if not self.meta.min_key <= key <= self.meta.max_key:
-            return False
-        return self._bloom.probe(base_hash(key) if key_hash is None else key_hash)
-
-    def get(self, key: bytes, key_hash: Optional[int] = None) -> tuple[bool, Optional[bytes]]:
+    def get(self, key: bytes, probes: Optional[list[int]] = None) -> tuple[bool, Optional[bytes]]:
         """Return ``(found, value)``; ``(True, None)`` is a tombstone hit.
-        A caller probing several tables passes ``base_hash(key)`` so the key
-        is hashed once, not once per table.
+        A key outside the table's range or rejected by its bloom filter
+        costs no I/O.  A caller probing several tables passes
+        ``probe_sequence(key)``, so the key is hashed once, not once per
+        table.
 
         Reads one block and slices nothing but the value it returns.  On
         the block's first read it walks the record headers; from the second
-        on it bisects the block's decoded view (:meth:`_view`)."""
-        if not self.may_contain(key, key_hash):
+        on it bisects the block's keys (:meth:`_view`)."""
+        meta = self.meta
+        if not meta.min_key <= key <= meta.max_key or not self._bloom.probe(
+            probe_sequence(key) if probes is None else probes
+        ):
             return False, None
         block_index = self._block_for(key)
         if block_index < 0:
             return False, None
-        raw = self.device.read_block(self.meta.start_block + block_index)
+        raw = self.device.read_block(meta.start_block + block_index)
         key_len = len(key)
         view = self._view(block_index, raw)
         if view is not None:
@@ -379,7 +379,7 @@ class SSTableReader:
             value_at = offset + _HEADER_SIZE + klen
             end = value_at + vlen
             if end > BLOCK_SIZE or flag > FLAG_VPTR:
-                raise _bad_record(self.meta, block_index, offset)
+                raise _bad_record(meta, block_index, offset)
             if klen == key_len and raw.startswith(key, offset + _HEADER_SIZE):
                 if flag == FLAG_VALUE:
                     return True, raw[value_at:end]
@@ -414,7 +414,8 @@ class SSTableReader:
         return view
 
     def _decode_block(self, block_index: int, raw: bytes) -> _BlockView:
-        """Every record header of ``raw`` under the walk's checks, as a view."""
+        """Every record header of ``raw`` under the walk's checks, as a view
+        whose values are not sliced yet."""
         unpack_header = _REC_HDR.unpack_from
         keys = []
         offsets = array("H")
@@ -432,79 +433,99 @@ class SSTableReader:
             offsets.append(offset)
             offset = end
         offsets.append(offset)
-        return raw, keys, offsets
+        return raw, keys, offsets, None
+
+    def _values(self, block_index: int, view: _BlockView) -> list[Optional[bytes]]:
+        """The viewed block's values, sliced on the first range cursor that
+        enters the view and kept in it: a get slices the one value it
+        returns, so only a block that range reads come back to holds its
+        values twice (in ``raw`` and here)."""
+        raw, keys, offsets, values = view
+        if values is None:
+            values = [value for _, value in self._walk(block_index, raw)]
+            self._views[block_index] = (raw, keys, offsets, values)
+        return values
 
     def _walk(
-        self, first_block: int, start_key: bytes = b"", encoded: bool = False
+        self, block_index: int, raw: bytes, start_key: bytes = b"", encoded: bool = False
     ) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """The cursor behind every iterator: records with key >=
-        ``start_key`` from data block ``first_block`` on, one at a time.
-
-        A block is read when the cursor enters it and a record is decoded
-        when the consumer asks for it; records below ``start_key`` (only the
-        entered block can hold any) are stepped over by their headers.  A
-        scan takes a handful of records from most of the runs it merges, so
-        decoding the entered block whole decoded twice what was consumed.
-        A block entered a second time is served from its view (:meth:`_view`):
-        the cursor bisects to ``start_key`` in its first block and takes
-        keys from the list.  With ``encoded`` a record's value is its wire
-        form (the slice of the block), which :meth:`SSTableWriter.add_encoded`
-        takes back as is; that path is a compaction's single pass, so it
-        neither keeps nor uses views.  Tombstones are ``None`` either way."""
+        """The header walk over one block: its records with key >=
+        ``start_key``, each decoded when the consumer asks for it.  Records
+        below ``start_key`` are stepped over by their headers, and a damaged
+        header raises when the walk reaches it.  With ``encoded`` a record's
+        value is its wire form (the slice of the block), which
+        :meth:`SSTableWriter.add_encoded` takes back as is.  Tombstones are
+        ``None`` either way."""
         unpack_header = _REC_HDR.unpack_from
+        offset = 0
+        while offset <= _LAST_HEADER:
+            flag, klen, vlen = unpack_header(raw, offset)
+            if flag == 0:
+                break  # zero padding
+            key_at = offset + _HEADER_SIZE
+            value_at = key_at + klen
+            end = value_at + vlen
+            if end > BLOCK_SIZE or flag > FLAG_VPTR:
+                raise _bad_record(self.meta, block_index, offset)
+            key = raw[key_at:value_at]
+            if key >= start_key:
+                if flag == FLAG_TOMBSTONE:
+                    yield key, None
+                elif encoded:
+                    yield key, raw[offset:end]
+                elif flag == FLAG_VALUE:
+                    yield key, raw[value_at:end]
+                else:
+                    yield key, ValueRef(raw[value_at:end])
+            offset = end
+
+    def _blocks(
+        self, first_block: int, start_key: bytes = b"", encoded: bool = False
+    ) -> Iterator[Iterable[tuple[bytes, Optional[bytes]]]]:
+        """The cursor behind every iterator, one entered block at a time:
+        for each data block from ``first_block`` on, its records with key
+        >= ``start_key`` (only the first block can hold smaller ones).
+
+        ``chain.from_iterable`` flattens it, so a block is read only when
+        the consumer runs off the one before.  A block entered for the first
+        time is walked lazily (:meth:`_walk`): a scan takes a handful of
+        records from most of the runs it merges, so decoding the entered
+        block whole decoded twice what was consumed.  A block entered again
+        is its view's keys zipped with its values (:meth:`_values`), which
+        the consumer steps through without a Python frame per record — from
+        the bisected start key in the first block.  ``encoded`` is a
+        compaction's single pass, so it neither keeps nor uses views."""
         read_block = self.device.read_block
         start_block = self.meta.start_block
         for block_index in range(first_block, self._n_data):
             raw = read_block(start_block + block_index)
             view = None if encoded else self._view(block_index, raw)
-            if view is not None:
-                _, keys, offsets = view
-                skip = bisect_left(keys, start_key) if block_index == first_block else 0
-                for i in range(skip, len(keys)):
-                    key = keys[i]
-                    at = offsets[i]
-                    flag = raw[at]
-                    if flag == FLAG_TOMBSTONE:
-                        yield key, None
-                        continue
-                    value = raw[at + _HEADER_SIZE + len(key) : offsets[i + 1]]
-                    yield key, value if flag == FLAG_VALUE else ValueRef(value)
+            if view is None:
+                yield self._walk(block_index, raw, start_key, encoded)
                 continue
-            offset = 0
-            while offset <= _LAST_HEADER:
-                flag, klen, vlen = unpack_header(raw, offset)
-                if flag == 0:
-                    break  # zero padding
-                key_at = offset + _HEADER_SIZE
-                value_at = key_at + klen
-                end = value_at + vlen
-                if end > BLOCK_SIZE or flag > FLAG_VPTR:
-                    raise _bad_record(self.meta, block_index, offset)
-                key = raw[key_at:value_at]
-                if key >= start_key:
-                    if flag == FLAG_TOMBSTONE:
-                        yield key, None
-                    elif encoded:
-                        yield key, raw[offset:end]
-                    elif flag == FLAG_VALUE:
-                        yield key, raw[value_at:end]
-                    else:
-                        yield key, ValueRef(raw[value_at:end])
-                offset = end
+            keys = view[1]
+            values = self._values(block_index, view)
+            if start_key and block_index == first_block:
+                i = bisect_left(keys, start_key)
+                yield zip(islice(keys, i, None), islice(values, i, None))
+            else:
+                yield zip(keys, values)
 
     def iter_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """All records with key >= ``start_key``, in order."""
-        return self._walk(max(0, self._block_for(start_key)), start_key)
+        return chain.from_iterable(
+            self._blocks(max(0, self._block_for(start_key)), start_key)
+        )
 
     def iter_all(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """Every record, in order."""
-        return self._walk(0)
+        return chain.from_iterable(self._blocks(0))
 
     def iter_encoded(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """Every record as ``(key, wire-form record)``, ``None`` for a
         tombstone: what a compaction merges and hands to
         :meth:`SSTableWriter.add_encoded`."""
-        return self._walk(0, encoded=True)
+        return chain.from_iterable(self._blocks(0, encoded=True))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSTableReader(id={self.meta.table_id}, records={self.meta.n_records})"

@@ -80,9 +80,6 @@ class KeySpace:
             raise IndexError(f"record index {index} outside key space")
         return encode_key(index)
 
-    def random_key(self, rng: DeterministicRng) -> bytes:
-        return encode_key(rng.randrange(self.n_records))
-
     @classmethod
     def from_dataset(cls, dataset_bytes: int, record_size: int) -> "KeySpace":
         return cls(max(1, dataset_bytes // record_size), record_size)

@@ -1,11 +1,12 @@
 """Unit tests for the bloom filter."""
 
+import math
 import random
 
 import pytest
 
 from repro.errors import LsmError
-from repro.lsm.bloom import BloomFilter, base_hash
+from repro.lsm.bloom import BloomFilter, base_hash, probe_sequence
 
 
 def keys(start, n):
@@ -141,10 +142,10 @@ def test_add_all_carrying_the_hash_state_matches_sequential_add(key_list, oversi
 @pytest.mark.parametrize("bits_per_key", [10.0, 60.0])
 @pytest.mark.parametrize("preset", [False, True], ids=["blank", "preset"])
 def test_add_all_scratch_map_packs_to_the_bits_add_sets(key_list, bits_per_key, preset):
-    """The byte-per-bit scratch map packs into the filter bytes one ``add``
-    per key sets, for a bit count that is not a multiple of 8, at a flushed
-    table's density (10 bits/key) and a compaction output's (~60), and ORs
-    over bits already set."""
+    """The byte-per-bit map packs into the filter bytes one ``add`` per key
+    sets and the plain reference computes, for a bit count that is not a
+    multiple of 8, at a flushed table's density (10 bits/key) and a
+    compaction output's (~60), over bits already set."""
     expected_keys = max(len(key_list), 7)
     while int(expected_keys * bits_per_key) % 8 == 0:
         expected_keys += 1
@@ -163,14 +164,76 @@ def test_add_all_scratch_map_packs_to_the_bits_add_sets(key_list, bits_per_key, 
 
 
 def test_may_contain_is_the_probe_loop_applied_to_the_base_hash():
+    """``may_contain`` is ``probe`` over the key's probe sequence, which
+    starts at the base hash and is extended to the filter's probe count."""
     filt = BloomFilter(500)
     filt.add_all(keys(0, 500))
     for k in keys(0, 500) + keys(10_000, 2_000) + [b"", b"\x00"]:
-        assert filt.may_contain(k) == filt.probe(base_hash(k))
-    assert all(filt.probe(base_hash(k)) for k in keys(0, 500))
-    assert not all(filt.probe(base_hash(k)) for k in keys(10_000, 2_000))
+        sequence = probe_sequence(k)
+        assert sequence == [base_hash(k)]
+        assert filt.may_contain(k) == filt.probe(sequence)
+        assert len(sequence) == filt.num_probes == 7
+    assert all(filt.probe(probe_sequence(k)) for k in keys(0, 500))
+    assert not all(filt.probe(probe_sequence(k)) for k in keys(10_000, 2_000))
     assert base_hash(b"") == 0xCBF29CE484222325
     assert base_hash(b"a") == 0xAF63DC4C8601EC8C  # published FNV-1a 64 vector
+
+
+def _reference_answer(blob: bytes, reference_bits: bytes, key: bytes) -> bool:
+    """Membership written out plainly against ``_reference_bits``: every
+    probe position of the double-hashing sequence, under the serialized
+    filter's own bit and probe counts."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    num_bits = int.from_bytes(blob[0:8], "little")
+    num_probes = int.from_bytes(blob[8:10], "little")
+    h = base_hash(key)
+    delta = ((h >> 33) | (h << 31)) & mask
+    for _ in range(num_probes):
+        pos = h % num_bits
+        if not reference_bits[pos // 8] & (1 << (pos % 8)):
+            return False
+        h = (h + delta) & mask
+    return True
+
+
+@pytest.mark.parametrize("order", [(1, 7, 30), (30, 7, 1), (7, 30, 1)])
+def test_filters_with_mixed_probe_counts_share_one_probe_sequence(order):
+    """Tables written under different ``bits_per_key`` meet in one get: a
+    sequence extended by one filter serves the next, longer or shorter, and
+    each answers exactly as its reference bits say, for members and not."""
+    members = keys(0, 300)
+    blobs, bits = {}, {}
+    for num_probes in (1, 7, 30):
+        filt = BloomFilter(len(members), num_probes / math.log(2))
+        assert filt.num_probes == num_probes
+        filt.add_all(members)
+        blobs[num_probes] = filt.to_bytes()
+        bits[num_probes] = _reference_bits(filt, members)
+        assert blobs[num_probes][10:] == bits[num_probes]
+    loaded = [(n, BloomFilter.from_bytes(blobs[n])) for n in order]
+    assert [filt.num_probes for _, filt in loaded] == list(order)
+    answers = {n: set() for n in order}
+    for k in members + keys(10_000, 3_000):
+        sequence = probe_sequence(k)
+        for n, filt in loaded:
+            answer = filt.probe(sequence)
+            assert answer == _reference_answer(blobs[n], bits[n], k), (n, k)
+            answers[n].add(answer)
+        assert len(sequence) == 30
+    assert answers[1] == {True, False}  # the sparse filter passes some strangers
+
+
+def test_bitmap_round_trips_through_the_packed_bytes():
+    """A loaded filter serializes to the bytes it was loaded from, trailing
+    bits past ``num_bits`` in the last byte included."""
+    filt = BloomFilter(37, bits_per_key=3)
+    assert filt.num_bits % 8
+    filt.add_all(keys(0, 37))
+    blob = filt.to_bytes()
+    assert BloomFilter.from_bytes(blob).to_bytes() == blob
+    noisy = blob[:-1] + bytes([blob[-1] | 0x80])
+    assert BloomFilter.from_bytes(noisy + b"tail").to_bytes() == noisy
+    assert BloomFilter.from_bytes(noisy).serialized_size() == len(noisy)
 
 
 @pytest.mark.parametrize(

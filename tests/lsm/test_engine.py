@@ -10,7 +10,7 @@ from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrashError
 from repro.lsm import engine as engine_module
 from repro.lsm import sstable as sstable_module
-from repro.lsm.bloom import base_hash
+from repro.lsm.bloom import BloomFilter, probe_sequence
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.lsm.sstable import SSTableReader
 from repro.lsm.version import CompactionJob
@@ -465,8 +465,8 @@ def test_scan_reads_one_run_per_level_not_one_block_per_table():
 
 
 def test_get_hashes_the_key_once_for_all_candidate_tables(monkeypatch):
-    """A point read that has to ask several tables computes the filter's
-    base hash once and hands it to each of them."""
+    """A point read that has to ask several tables computes the key's probe
+    sequence once and hands the same list to each of their filters."""
     engine, _ = make_engine(l0_compaction_trigger=8)
     rng = random.Random(11)
     for _ in range(5):  # five overlapping L0 tables, none holding key(1)
@@ -475,18 +475,28 @@ def test_get_hashes_the_key_once_for_all_candidate_tables(monkeypatch):
         engine.flush_memtable()
     assert len(engine.versions.tables_for_get(key(1))) >= 3
     hashed = []
+    handed = []
 
     def counting(k):
         hashed.append(k)
-        return base_hash(k)
+        return probe_sequence(k)
 
-    monkeypatch.setattr(engine_module, "base_hash", counting)
-    monkeypatch.setattr(sstable_module, "base_hash", counting)
+    def recording(self, sequence):
+        handed.append(sequence)
+        return real_probe(self, sequence)
+
+    real_probe = BloomFilter.probe
+    monkeypatch.setattr(engine_module, "probe_sequence", counting)
+    monkeypatch.setattr(sstable_module, "probe_sequence", counting)
+    monkeypatch.setattr(BloomFilter, "probe", recording)
     assert engine.get(key(1)) is None
+    assert len(handed) >= 3
+    assert all(sequence is handed[0] for sequence in handed)
     assert engine.get(key(2)) is not None
     assert hashed == [key(1), key(2)]
     hashed.clear()
+    handed.clear()
     engine.put(key(7), b"in the memtable")
     assert engine.get(key(7)) == b"in the memtable"
     assert engine.get(key(100_000)) is None  # no table covers it
-    assert hashed == []  # neither read reached a filter
+    assert hashed == handed == []  # neither read reached a filter

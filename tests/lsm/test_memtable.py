@@ -1,4 +1,4 @@
-"""Unit and property tests for the skiplist memtable."""
+"""Unit and property tests for the memtable (a dict plus a sorted key list)."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ def test_empty():
     assert table.get(key(1)) == (False, None)
     assert list(table.items()) == []
     assert table.min_key() is None
+    assert table.max_key() is None
 
 
 def test_put_get():
@@ -67,6 +68,21 @@ def test_items_from():
     assert [k for k, _ in table.items_from(key(7))] == [key(i) for i in range(8, 20, 2)]
 
 
+def test_items_from_walks_the_keys_as_of_the_call():
+    """A put behind or ahead of an open cursor neither repeats nor inserts a
+    key; an update ahead of it is read when the cursor reaches the key."""
+    table = MemTable()
+    for i in range(0, 10, 2):
+        table.put(key(i), b"old")
+    cursor = table.items_from(key(3))
+    assert next(cursor) == (key(4), b"old")
+    table.put(key(1), b"new")
+    table.put(key(5), b"new")
+    table.put(key(8), b"updated")
+    assert list(cursor) == [(key(6), b"old"), (key(8), b"updated")]
+    assert [k for k, _ in table.items()] == [key(i) for i in (0, 1, 2, 4, 5, 6, 8)]
+
+
 def test_min_max_keys():
     table = MemTable()
     for i in [4, 2, 8]:
@@ -99,7 +115,7 @@ def test_large_insert_order_independent():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_property_memtable_matches_dict(data):
-    table = MemTable(seed=data.draw(st.integers(0, 100)))
+    table = MemTable()
     reference: dict[bytes, bytes] = {}
     universe = [key(i) for i in range(64)]
     for _ in range(data.draw(st.integers(1, 150))):

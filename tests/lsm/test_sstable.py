@@ -225,6 +225,56 @@ def test_iter_from_decodes_on_demand(device, allocator):
     with pytest.raises(LsmError):
         reader.get(key(per_block))
 
+    # A fully viewed table: every block holds a view with its values, and a
+    # cursor still reads block b + 1 only when it runs off block b.
+    warm, _ = build_table(device, allocator, records, table_id=2)
+    for _ in range(2):
+        assert list(warm.iter_all()) == records
+    assert viewed_blocks(warm) == list(range(len(warm._index)))
+    before = device.stats.blocks_read
+    cursor = warm.iter_from(key(per_block - 3))
+    assert device.stats.blocks_read == before
+    assert list(islice(cursor, 3)) == records[per_block - 3 : per_block]
+    assert device.stats.blocks_read == before + 1  # block 0's last record
+    assert next(cursor) == records[per_block]
+    assert device.stats.blocks_read == before + 2
+    assert list(islice(cursor, per_block - 1)) == records[per_block + 1 : 2 * per_block]
+    assert device.stats.blocks_read == before + 2
+    assert next(cursor) == records[2 * per_block]
+    assert device.stats.blocks_read == before + 3
+    # A cursor stopped mid-block reads nothing more.
+    stopped = warm.iter_from(key(2 * per_block + 5))
+    assert list(islice(stopped, 4)) == records[2 * per_block + 5 : 2 * per_block + 9]
+    assert device.stats.blocks_read == before + 4
+    del stopped
+    assert list(islice(warm.iter_all(), 1)) == records[:1]
+    assert device.stats.blocks_read == before + 5
+
+
+def test_block_values_are_sliced_for_range_reads_only(device, allocator):
+    """A view that only gets have used holds keys and offsets; the first
+    range cursor to enter it slices its values once, keeps them, and hands
+    out the same objects every later cursor does.  A rewritten block starts
+    over without values."""
+    records = [(key(i), bytes([i % 256]) * 40) for i in range(300)]
+    reader, meta = build_table(device, allocator, records)
+    per_block = int.from_bytes(reader._index[1], "big")
+    for _ in range(3):
+        assert reader.get(key(3)) == (True, records[3][1])
+    view = reader._views[0]
+    assert view[3] is None
+    assert list(islice(reader.iter_from(key(3)), 2)) == records[3:5]
+    values = reader._views[0][3]
+    assert values == [v for _, v in records[:per_block]]
+    assert reader._views[0][1] is view[1]  # the keys are not decoded again
+    first = next(reader.iter_all())
+    assert first[1] is values[0]
+    assert reader.get(key(4)) == (True, records[4][1])
+    _corrupt(device, meta.start_block, 7 + 8, b"\xee" * 40)
+    assert reader.get(key(0)) == (True, b"\xee" * 40)
+    assert reader._views[0][3] is None
+    assert next(reader.iter_all()) == (key(0), b"\xee" * 40)
+
 
 def test_multi_block_tables(device, allocator):
     rng = DeterministicRng(1)
@@ -485,8 +535,9 @@ def _typed(pairs):
 def test_property_block_views_answer_like_the_walk(seed):
     """``get`` and ``iter_from`` equal a dict model on the first, second and
     third read of every block (walk, decode, view), gets and scans
-    interleaved; a single pass of an iterator keeps no view and a
-    compaction's ``iter_encoded`` never keeps one."""
+    interleaved, so each meets views with and without sliced values; a
+    single pass of an iterator keeps no view and a compaction's
+    ``iter_encoded`` never keeps one."""
     rng = random.Random(seed)
     device = CompressedBlockDevice(num_blocks=256)
     records = _random_records(rng)
@@ -516,6 +567,7 @@ def test_property_block_views_answer_like_the_walk(seed):
                 want = [kv for kv in records if kv[0] >= k][:limit]
                 assert _typed(got) == _typed(want), k
     assert viewed_blocks(reader) == list(range(len(reader._index)))
+    assert all(view[3] is not None for view in reader._views.values())
     encoded = list(reader.iter_encoded())
     assert [(k, e) for k, e in encoded if e] == [
         (k, encode_record(k, v)) for k, v in records if v is not None

@@ -64,9 +64,3 @@ def test_keyspace_validation():
 def test_keyspace_from_dataset():
     ks = KeySpace.from_dataset(150 << 20, 128)
     assert ks.n_records == (150 << 20) // 128
-
-
-def test_random_key_in_range(rng):
-    ks = KeySpace(50, 128)
-    for _ in range(100):
-        assert 0 <= decode_key(ks.random_key(rng)) < 50
