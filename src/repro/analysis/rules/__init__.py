@@ -16,10 +16,9 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     flt003,
     iod002,
     pur009,
-    trc006,
 )
 
 __all__ = [
     "buf007", "crs008", "det001", "err010", "exc004", "flt003", "iod002",
-    "pur009", "trc006",
+    "pur009",
 ]

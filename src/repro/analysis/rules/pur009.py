@@ -1,6 +1,6 @@
 """PUR009 — worker purity: a pool worker and its whole call closure are pure.
 
-Scope: the whole tree, minus ``obs/`` (see below).
+Scope: the whole tree.
 
 ``bench/parallel`` fans experiment points across a ``ProcessPoolExecutor``
 and promises results bit-identical to a serial run.  That only holds if a
@@ -24,17 +24,11 @@ of mutating container methods) found there.
 Unknown callees are treated *optimistically* (no mutations): the rule
 bounds what resolvable project code does, and the conservative alternative
 would flag every worker that calls a builtin.
-
-``obs/`` modules are exempt: the process-global tracer
-(``obs/trace.TRACER`` install/uninstall) is deliberately fork-local state —
-each worker installs its own tracer and ships the buffer back in its
-result, which is exactly the sanctioned pattern.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.framework import FileContext, Finding, ProjectRule, register
@@ -104,8 +98,6 @@ class WorkerPurity(ProjectRule):
             worker_qual = project.functions[worker_fid].qualname
             for fid, chain in self._closure(project, worker_fid):
                 info = project.functions[fid]
-                if "obs" in Path(info.path).parts:
-                    continue
                 summary = summaries.get(fid)
                 if summary is None:
                     continue

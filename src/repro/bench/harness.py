@@ -26,7 +26,6 @@ from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice, default_compress
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.metrics.counters import WaReport, compute_wa
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsHub
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
@@ -50,14 +49,23 @@ SYSTEMS = (
 )
 
 
+def _env_switch(name: str) -> bool:
+    """Read a 0/1 environment switch: unset, empty or ``0`` is off, ``1`` is
+    on, and any other value is a :class:`ConfigError` rather than off."""
+    raw = os.environ.get(name, "").strip()
+    if raw not in ("", "0", "1"):
+        raise ConfigError(f"{name} must be 0 or 1, got {raw!r}")
+    return raw == "1"
+
+
 def fast_mode() -> bool:
     """REPRO_FAST=1 swaps real zlib for the calibrated zero-run estimator."""
-    return os.environ.get("REPRO_FAST", "0") == "1"
+    return _env_switch("REPRO_FAST")
 
 
 def full_mode() -> bool:
     """REPRO_FULL=1 expands benchmark grids to the paper's full sweeps."""
-    return os.environ.get("REPRO_FULL", "0") == "1"
+    return _env_switch("REPRO_FULL")
 
 
 @dataclass
@@ -170,9 +178,6 @@ def build_engine(spec: ExperimentSpec):
     """Construct (engine, device, clock) for a spec."""
     spec.validate()
     clock = SimClock()
-    if obs_trace.TRACER is not None:
-        # Trace timestamps follow this run's simulated clock.
-        obs_trace.TRACER.attach_clock(clock)
     if spec.system == "rocksdb":
         # Scale RocksDB's 64MB memtable / 256MB L1 to the dataset so the
         # level count approaches the paper's dataset:memtable ratio of ~2400.
@@ -269,14 +274,11 @@ def run_wa_experiment(
 ) -> ExperimentResult:
     """Populate, run the steady random-write phase, and measure everything.
 
-    ``hub`` attaches an explicit :class:`~repro.obs.metrics.MetricsHub`;
-    without one, a hub is created automatically whenever tracing is enabled
-    (``REPRO_TRACE``), so a traced ``repro run`` gets the WA-over-time
-    series for free.  The hub only reads counters — results are unaffected.
+    ``hub`` attaches an optional :class:`~repro.obs.metrics.MetricsHub`
+    for the WA-over-time series.  The hub only reads counters — results are
+    unaffected.
     """
     engine, device, clock = build_engine(spec)
-    if hub is None and obs_trace.tracing_enabled():
-        hub = MetricsHub()
     rng = DeterministicRng(spec.seed)
     runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads,
                             hub=hub)

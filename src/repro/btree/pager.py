@@ -59,7 +59,6 @@ from repro.errors import (
     TreeError,
 )
 from repro.metrics.faults import FaultStats
-from repro.obs.trace import maybe_instant, maybe_span
 
 
 @dataclass
@@ -175,7 +174,6 @@ class Pager(ABC):
     def load(self, page_id: int) -> Page:
         """Read a page from storage, verifying its checksum."""
         self.stats.page_loads += 1
-        maybe_instant("pager.load", "btree", page_id=page_id)
         return self._read_page(page_id)
 
     @abstractmethod
@@ -278,19 +276,18 @@ class JournalPager(Pager):
         self._journal_cursor = 0
 
     def flush(self, page: Page) -> None:
-        with maybe_span("pager.journal_flush", "btree", page_id=page.page_id):
-            image = self._finalize(page)
-            journal_physical = self._write_blocks(
-                self._journal_lba(self._journal_cursor), image
-            )
-            self._journal_cursor = (self._journal_cursor + 1) % self.JOURNAL_PAGES
-            self.device.flush()
-            self.stats.extra_logical_bytes += self.page_size
-            self.stats.extra_physical_bytes += journal_physical
-            physical = self._write_blocks(self._page_lba(page.page_id), image)
-            self.device.flush()
-            self._account_page_write(physical, page.page_id)
-            page.clear_dirty()
+        image = self._finalize(page)
+        journal_physical = self._write_blocks(
+            self._journal_lba(self._journal_cursor), image
+        )
+        self._journal_cursor = (self._journal_cursor + 1) % self.JOURNAL_PAGES
+        self.device.flush()
+        self.stats.extra_logical_bytes += self.page_size
+        self.stats.extra_physical_bytes += journal_physical
+        physical = self._write_blocks(self._page_lba(page.page_id), image)
+        self.device.flush()
+        self._account_page_write(physical, page.page_id)
+        page.clear_dirty()
 
     def _read_page(self, page_id: int) -> Page:
         page, _ = self._verified_load(self._page_lba(page_id), self.page_blocks)
@@ -386,21 +383,20 @@ class ShadowTablePager(Pager):
         return self.region_start + self._table_blocks() + slot * self.page_blocks
 
     def flush(self, page: Page) -> None:
-        with maybe_span("pager.table_flush", "btree", page_id=page.page_id):
-            image = self._finalize(page)
-            if not self._free_slots:
-                raise TreeError("shadow slot pool exhausted")
-            new_slot = self._free_slots.pop()
-            physical = self._write_blocks(self._slot_lba(new_slot), image)
-            self.device.flush()
-            self._account_page_write(physical, page.page_id)
-            old_slot = self._table.get(page.page_id)
-            self._table[page.page_id] = new_slot
-            self._persist_table_entry(page.page_id)
-            if old_slot is not None:
-                self._trim(self._slot_lba(old_slot), self.page_blocks)
-                self._free_slots.append(old_slot)
-            page.clear_dirty()
+        image = self._finalize(page)
+        if not self._free_slots:
+            raise TreeError("shadow slot pool exhausted")
+        new_slot = self._free_slots.pop()
+        physical = self._write_blocks(self._slot_lba(new_slot), image)
+        self.device.flush()
+        self._account_page_write(physical, page.page_id)
+        old_slot = self._table.get(page.page_id)
+        self._table[page.page_id] = new_slot
+        self._persist_table_entry(page.page_id)
+        if old_slot is not None:
+            self._trim(self._slot_lba(old_slot), self.page_blocks)
+            self._free_slots.append(old_slot)
+        page.clear_dirty()
 
     def _persist_table_entry(self, page_id: int) -> None:
         """Write the 4KB table block containing ``page_id``'s mapping."""
@@ -496,21 +492,20 @@ class DeterministicShadowPager(Pager):
     # ------------------------------------------------------------- flushing
 
     def flush(self, page: Page) -> None:
-        self._flip(page, self._finalize(page), "pager.shadow_flip")
+        self._flip(page, self._finalize(page))
 
-    def _flip(self, page: Page, image: bytes, span: str) -> None:
+    def _flip(self, page: Page, image: bytes) -> None:
         """Publish ``image`` in the page's other slot: write it, flush, then
         TRIM the superseded sibling and record the new valid slot."""
         page_id = page.page_id
         target = 1 - self._valid_slot.get(page_id, 1)
-        with maybe_span(span, "btree", page_id=page_id, slot=target):
-            physical = self._write_blocks(self._slot_lba(page_id, target), image)
-            self.device.flush()
-            self._trim(self._slot_lba(page_id, 1 - target), self.page_blocks)
-            self._valid_slot[page_id] = target
-            self._account_page_write(physical, page_id)
-            self._after_flip(page)
-            page.clear_dirty()
+        physical = self._write_blocks(self._slot_lba(page_id, target), image)
+        self.device.flush()
+        self._trim(self._slot_lba(page_id, 1 - target), self.page_blocks)
+        self._valid_slot[page_id] = target
+        self._account_page_write(physical, page_id)
+        self._after_flip(page)
+        page.clear_dirty()
 
     def _after_flip(self, page: Page) -> None:
         """Hook run inside the flip once ``page``'s new slot is published."""

@@ -163,6 +163,8 @@ class BTree:
         for key, value in items:
             if not key:
                 raise TreeError("empty keys are reserved for internal routing")
+            if value is None:
+                raise TreeError("None is not a storable value; use delete()")
             if leaf_cell_size(key, value) > max_record:
                 raise TreeError(
                     f"record of {leaf_cell_size(key, value)} bytes exceeds the "

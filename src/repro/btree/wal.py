@@ -35,7 +35,6 @@ from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import read_block_retrying, write_block_retrying
 from repro.errors import ConfigError, WalError
 from repro.metrics.faults import FaultStats
-from repro.obs.trace import maybe_instant, maybe_span
 
 _BLOCK_MAGIC = 0x42474F4C  # "LOGB"
 _BLOCK_HDR = struct.Struct("<II")  # magic, sequence
@@ -230,28 +229,24 @@ class RedoLog:
         record opens a fresh block — the zero padding this leaves behind is
         what the in-storage compressor removes.
         """
-        with maybe_span("wal.flush", "wal", sparse=self.sparse,
-                        sealed=len(self._pending_full)):
-            wrote = False
-            for ring_index, image in self._pending_full:
-                self._write_ring_block(ring_index, image)
+        wrote = False
+        for ring_index, image in self._pending_full:
+            self._write_ring_block(ring_index, image)
+            wrote = True
+        self._pending_full.clear()
+        if self._used > _BLOCK_HDR.size:
+            if self.sparse or not self._block_written_once or self._dirty_tail():
+                self._write_ring_block(self._ring_index, bytes(self._block))
+                self._block_written_once = True
                 wrote = True
-            self._pending_full.clear()
-            if self._used > _BLOCK_HDR.size:
-                if self.sparse or not self._block_written_once or self._dirty_tail():
-                    self._write_ring_block(self._ring_index, bytes(self._block))
-                    self._block_written_once = True
-                    wrote = True
-            if wrote:
-                self.device.flush()
-                self.stats.flushes += 1
-            if self.sparse and self._used > _BLOCK_HDR.size:
-                # The paper's technique 3: the sealed block's zero tail is
-                # the padding the in-storage compressor removes.
-                maybe_instant("wal.sparse_pad", "wal",
-                              pad_bytes=BLOCK_SIZE - self._used, used=self._used)
-                self._seal_block(already_durable=True)
-            self._flushed_used = self._used
+        if wrote:
+            self.device.flush()
+            self.stats.flushes += 1
+        if self.sparse and self._used > _BLOCK_HDR.size:
+            # The paper's technique 3: the sealed block's zero tail is
+            # the padding the in-storage compressor removes.
+            self._seal_block(already_durable=True)
+        self._flushed_used = self._used
 
     def _dirty_tail(self) -> bool:
         """True if records were appended to the current block since last flush."""

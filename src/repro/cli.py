@@ -175,46 +175,6 @@ def cmd_speed(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """``repro trace``: run one experiment with event tracing on.
-
-    Installs the global tracer, runs the same experiment as ``repro run``,
-    and exports the captured events — Chrome ``trace_event`` JSON to
-    ``--out`` (load it in ``chrome://tracing`` / Perfetto), or the plain-text
-    timeline to stdout with ``--out -``.  The export is validated against the
-    documented schema first; a validation failure or an unwritable output
-    path exits nonzero.  The tracer is uninstalled on the way out, so the
-    process-global state never leaks past the command.
-    """
-    from repro.obs import trace as obs_trace
-
-    obs_trace.install_tracer(capacity=args.capacity)
-    try:
-        result = _run_wa(args, args.system)
-        tracer = obs_trace.TRACER
-        summary = (f"{tracer.emitted} events captured "
-                   f"({tracer.dropped} dropped by the ring)")
-        if args.out == "-":
-            print(tracer.format_timeline(limit=args.limit))
-            print(summary, file=sys.stderr)
-        else:
-            problems = obs_trace.validate_chrome_trace(tracer.to_chrome())
-            if problems:
-                for problem in problems:
-                    print(f"repro trace: invalid event: {problem}",
-                          file=sys.stderr)
-                return 1
-            tracer.export_chrome(args.out)
-            print(f"{summary}; wrote {args.out}", file=sys.stderr)
-    finally:
-        obs_trace.uninstall_tracer()
-    print(format_table(
-        f"Write amplification: {result.spec.label()}",
-        _WA_HEADERS, [_wa_row(result)],
-    ))
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     """``repro stats``: per-op latency histograms + WA-over-time windows.
 
@@ -554,7 +514,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: the repo's invariant linter (see repro.analysis).
 
     Runs the AST-based checkers — per-file rules (DET001, IOD002, EXC004,
-    TRC006, BUF007) and the whole-program interprocedural rules
+    BUF007) and the whole-program interprocedural rules
     (FLT003, CRS008, ERR010, PUR009) — over the given files/directories
     (default ``src/repro``).  Exit code 0 means no findings; 1 means at
     least one finding (including unused ``noqa`` suppressions, NQA000).
@@ -646,20 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "points (default: REPRO_JOBS or 1)")
     _add_spec_arguments(cmp_p)
     cmp_p.set_defaults(func=cmd_compare)
-
-    trc_p = sub.add_parser(
-        "trace", help="run one experiment with event tracing, export the trace")
-    trc_p.add_argument("--system", choices=SYSTEMS, default="bminus")
-    trc_p.add_argument("--capacity", type=int, default=65536,
-                       help="trace ring-buffer capacity in events "
-                            "(oldest events drop beyond this)")
-    trc_p.add_argument("--out", default="trace.json",
-                       help="Chrome trace_event JSON output path; "
-                            "'-' prints the text timeline to stdout instead")
-    trc_p.add_argument("--limit", type=int, default=None,
-                       help="with --out -, print only the last N events")
-    _add_spec_arguments(trc_p)
-    trc_p.set_defaults(func=cmd_trace)
 
     sts_p = sub.add_parser(
         "stats", help="per-op latency histograms and WA-over-time windows")
@@ -771,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable findings report")
     lnt_p.add_argument("--rules", default=None, metavar="IDS",
                        help="comma-separated rule ids to run "
-                            "(e.g. DET001,TRC006; default: all)")
+                            "(e.g. DET001,EXC004; default: all)")
     lnt_p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="fan per-file rules out over N worker processes "
                             "(default: REPRO_JOBS or 1; output is identical "

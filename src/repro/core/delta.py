@@ -41,7 +41,6 @@ from repro.btree.pager import DeterministicShadowPager
 from repro.csd.arena import ScratchArena
 from repro.csd.device import BLOCK_SIZE
 from repro.errors import ConfigError
-from repro.obs.trace import maybe_span
 
 DELTA_MAGIC = b"DLT1"
 _HDR = struct.Struct("<4sQQQHHI")  # magic, page_id, base_lsn, lsn, seg_size, nsegs, crc
@@ -229,30 +228,28 @@ class DeltaShadowPager(DeterministicShadowPager):
         base_lsn = self._base_lsn.get(page_id)
         delta_size = len(segments) * self.segment_size
         if base_lsn is None or delta_size > self.threshold:
-            self._flip(page, page.image(), "pager.full_flush")
+            self._flip(page, page.image())
             return
         ordered = sorted(segments)
-        with maybe_span("pager.delta_flush", "btree", page_id=page_id,
-                        delta_bytes=delta_size, nsegs=len(ordered)):
-            # Frame the delta block in a recycled slab: segments are copied
-            # once, page buffer -> slab; the device journal takes the one
-            # unavoidable snapshot at the write boundary.
-            slab = self._arena.borrow()
-            try:
-                DeltaBlock.encode_into(
-                    slab, self.page_size, page_id, base_lsn, page.lsn,
-                    self.segment_size, ordered, page.buf,
-                )
-                physical = self._write_block(self._delta_lba(page_id), slab)
-            finally:
-                self._arena.release(slab)
-            self.device.flush()
-            self.stats.delta_flushes += 1
-            self.stats.page_flushes += 1
-            self.stats.page_logical_bytes += BLOCK_SIZE
-            self.stats.page_physical_bytes += physical
-            self._fvec[page_id] = segments
-            page.clear_dirty()
+        # Frame the delta block in a recycled slab: segments are copied
+        # once, page buffer -> slab; the device journal takes the one
+        # unavoidable snapshot at the write boundary.
+        slab = self._arena.borrow()
+        try:
+            DeltaBlock.encode_into(
+                slab, self.page_size, page_id, base_lsn, page.lsn,
+                self.segment_size, ordered, page.buf,
+            )
+            physical = self._write_block(self._delta_lba(page_id), slab)
+        finally:
+            self._arena.release(slab)
+        self.device.flush()
+        self.stats.delta_flushes += 1
+        self.stats.page_flushes += 1
+        self.stats.page_logical_bytes += BLOCK_SIZE
+        self.stats.page_physical_bytes += physical
+        self._fvec[page_id] = segments
+        page.clear_dirty()
 
     def _after_flip(self, page: Page) -> None:
         """A full image went out: drop its delta block, restart the log."""

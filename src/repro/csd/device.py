@@ -40,7 +40,6 @@ from repro.errors import (
     FaultInjectionError,
     OutOfRangeError,
 )
-from repro.obs import trace as _trace
 
 #: I/O unit of the simulated devices, matching the paper's 4KB LBA blocks.
 BLOCK_SIZE = 4096
@@ -136,9 +135,6 @@ class BlockDevice(ABC):
         self.stats.logical_bytes_written += BLOCK_SIZE
         physical = self.ftl.record_write(lba, self.compressor.compressed_size(data))
         self._journal_put(lba, data)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.write", "csd", lba=lba, blocks=1, physical=physical)
         return physical
 
     def write_blocks(self, lba: int, data: BytesLike) -> int:
@@ -172,9 +168,6 @@ class BlockDevice(ABC):
         journal_put = self._journal_put
         for i, chunk in enumerate(chunks):
             journal_put(lba + i, chunk)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.write", "csd", lba=lba, blocks=count, physical=physical)
         return physical
 
     def read_block(self, lba: int) -> bytes:
@@ -183,9 +176,6 @@ class BlockDevice(ABC):
         self.stats.read_ios += 1
         self.stats.blocks_read += 1
         data = self._fetch(lba)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.read", "csd", lba=lba, blocks=1)
         return data if isinstance(data, bytes) else bytes(data)
 
     def read_blocks(self, lba: int, count: int) -> bytes:
@@ -197,9 +187,6 @@ class BlockDevice(ABC):
         self.stats.blocks_read += count
         fetch = self._fetch
         data = b"".join(fetch(lba + i) for i in range(count))
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.read", "csd", lba=lba, blocks=count)
         return data
 
     def trim(self, lba: int, count: int = 1) -> None:
@@ -212,9 +199,6 @@ class BlockDevice(ABC):
         for i in range(count):
             self.ftl.record_trim(lba + i)
             self._journal_put(lba + i, _TRIMMED)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.trim", "csd", lba=lba, blocks=count)
 
     def flush(self) -> None:
         """Durability barrier: make all buffered writes/TRIMs crash-safe.
@@ -224,9 +208,6 @@ class BlockDevice(ABC):
         write time, so the walk is exactly one pass over the live entries.
         """
         self.stats.flush_ios += 1
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant("dev.flush", "csd", pending=len(self._pending))
         stable = self._stable
         for lba, data in self._pending.items():
             if data is _TRIMMED or data == _ZERO_BLOCK:

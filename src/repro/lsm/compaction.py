@@ -14,7 +14,6 @@ import heapq
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.lsm.sstable import SSTableWriter
-from repro.obs.trace import maybe_instant
 
 
 def merge_newest_first(
@@ -68,16 +67,12 @@ def write_merged(
         writer.add_encoded(key, encoded)
         if writer.estimated_bytes >= table_target_bytes:
             meta, lo, ph = writer.finish()
-            maybe_instant("lsm.table_written", "lsm", table_id=meta.table_id,
-                          records=meta.n_records, logical=lo, physical=ph)
             metas.append(meta)
             logical += lo
             physical += ph
             writer = None
     if writer is not None and writer.count:
         meta, lo, ph = writer.finish()
-        maybe_instant("lsm.table_written", "lsm", table_id=meta.table_id,
-                      records=meta.n_records, logical=lo, physical=ph)
         metas.append(meta)
         logical += lo
         physical += ph

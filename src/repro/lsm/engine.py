@@ -50,7 +50,6 @@ from repro.lsm.strategy import STRATEGIES, get_strategy
 from repro.lsm.version import VersionSet
 from repro.lsm.vlog import VREF_SIZE, ValueLog, ValueRef
 from repro.metrics.counters import TrafficSnapshot
-from repro.obs.trace import maybe_instant, maybe_span
 from repro.sim.clock import SimClock
 
 # Manifest-extension framing: strategy name + separation threshold (0 for
@@ -585,13 +584,12 @@ class LSMEngine:
             return
         if len(self.memtable) == 0:
             return
-        with maybe_span("lsm.memtable_flush", "lsm", records=len(self.memtable)):
-            self._write_l0(self.memtable)
-            self.memtable = MemTable()
-            if self.wal is not None:
-                self._log_pos = self.wal.position()
-            self._run_compactions()
-            self._persist_manifest()
+        self._write_l0(self.memtable)
+        self.memtable = MemTable()
+        if self.wal is not None:
+            self._log_pos = self.wal.position()
+        self._run_compactions()
+        self._persist_manifest()
         self._maybe_gc_vlog()
 
     # ------------------------------------------------- frozen-memtable handoff
@@ -612,7 +610,6 @@ class LSMEngine:
         if len(self.frozen) == 1:
             self._flush_due = self.clock.now + self.config.flush_latency
         self.memtable_freezes += 1
-        maybe_instant("lsm.memtable_freeze", "lsm", frozen=len(self.frozen))
 
     def flush_frozen(self) -> None:
         """Write the oldest frozen memtable as a level-0 table.
@@ -624,13 +621,11 @@ class LSMEngine:
         if not self.frozen:
             return
         table = self.frozen.pop(0)
-        with maybe_span("lsm.frozen_flush", "lsm", records=len(table),
-                        backlog=len(self.frozen)):
-            self._write_l0(table)
-            if self.wal is not None and not self.frozen and len(self.memtable) == 0:
-                self._log_pos = self.wal.position()
-            self._run_compactions()
-            self._persist_manifest()
+        self._write_l0(table)
+        if self.wal is not None and not self.frozen and len(self.memtable) == 0:
+            self._log_pos = self.wal.position()
+        self._run_compactions()
+        self._persist_manifest()
         self._maybe_gc_vlog()
         if self.frozen:
             self._flush_due = self.clock.now + self.config.flush_latency
@@ -697,32 +692,26 @@ class LSMEngine:
                 id(r) in chosen
                 for r in self.versions.overlapping(job.output_level, out_min, out_max)
             )
-        with maybe_span("lsm.compaction", "lsm", level=job.level,
-                        output_level=job.output_level,
-                        inputs=len(inputs)) as span_args:
-            stream = merge_newest_first(
-                [r.iter_encoded() for r in inputs], drop_tombstones=bottom
+        stream = merge_newest_first(
+            [r.iter_encoded() for r in inputs], drop_tombstones=bottom
+        )
+        metas, logical, physical = write_merged(
+            stream, self._make_writer, self.config.table_target_bytes,
+        )
+        self.compact_logical += logical
+        self.compact_physical += physical
+        self.compactions_run += 1
+        self.versions.remove_tables(job.level, job.inputs)
+        self.versions.remove_tables(job.output_level, job.overlaps)
+        for meta in metas:
+            self.versions.add_table(
+                job.output_level,
+                SSTableReader.open(self.device, meta.start_block, meta.num_blocks),
             )
-            metas, logical, physical = write_merged(
-                stream, self._make_writer, self.config.table_target_bytes,
-            )
-            self.compact_logical += logical
-            self.compact_physical += physical
-            self.compactions_run += 1
-            self.versions.remove_tables(job.level, job.inputs)
-            self.versions.remove_tables(job.output_level, job.overlaps)
-            for meta in metas:
-                self.versions.add_table(
-                    job.output_level,
-                    SSTableReader.open(self.device, meta.start_block, meta.num_blocks),
-                )
-            # The durable manifest still names the inputs, so their extents
-            # are TRIMmed and freed only after the next persist (first-fit
-            # would otherwise hand one to the next job of this loop).
-            self._retired += [(r.meta.start_block, r.meta.num_blocks) for r in inputs]
-            if span_args is not None:
-                span_args.update(outputs=len(metas), logical=logical,
-                                 physical=physical)
+        # The durable manifest still names the inputs, so their extents
+        # are TRIMmed and freed only after the next persist (first-fit
+        # would otherwise hand one to the next job of this loop).
+        self._retired += [(r.meta.start_block, r.meta.num_blocks) for r in inputs]
 
     def _persist_manifest(self) -> None:
         """Publish the version set, then retire the extents it stopped naming.
@@ -816,23 +805,22 @@ class LSMEngine:
             for key, value in self._merged_from(b"")
             if isinstance(value, ValueRef) and vlog.slot_of(value) == victim
         ]
-        with maybe_span("lsm.vlog_gc", "lsm", victim=victim, live=len(live)):
-            for key, ref in live:
-                value = vlog.read(key, ref)
-                new_ref = vlog.append(key, value)
-                self._log(LogOp.PUT_VPTR, key, new_ref)
-                self.memtable.put(key, new_ref)
-                vlog.stats.gc_rewritten_records += 1
-                vlog.stats.gc_rewritten_bytes += len(value)
-            if self.wal is not None and live:
-                if self.config.group_atomic:
-                    self._seal_group()
-                self.wal.flush()
-            vlog.retire(victim)
-            vlog.stats.gc_passes += 1
-            self._persist_manifest()
-            self.device.trim(vlog.slot_lba(victim), vlog.segment_blocks)
-            vlog.stats.segments_trimmed += 1
+        for key, ref in live:
+            value = vlog.read(key, ref)
+            new_ref = vlog.append(key, value)
+            self._log(LogOp.PUT_VPTR, key, new_ref)
+            self.memtable.put(key, new_ref)
+            vlog.stats.gc_rewritten_records += 1
+            vlog.stats.gc_rewritten_bytes += len(value)
+        if self.wal is not None and live:
+            if self.config.group_atomic:
+                self._seal_group()
+            self.wal.flush()
+        vlog.retire(victim)
+        vlog.stats.gc_passes += 1
+        self._persist_manifest()
+        self.device.trim(vlog.slot_lba(victim), vlog.segment_blocks)
+        vlog.stats.segments_trimmed += 1
 
     # ------------------------------------------------------------ accounting
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.obs import trace as _trace
-
 
 @dataclass
 class FaultStats:
@@ -55,22 +53,6 @@ class FaultStats:
     #: Unmarked commit-window tails rolled back during group-atomic recovery
     #: (the window crashed before its COMMIT marker became durable).
     group_rollbacks: int = 0
-
-    def __setattr__(self, name: str, value) -> None:
-        """Counter increments surface as ``fault.<counter>`` trace instants.
-
-        The healing sites all bump counters with ``+=``, so an increment
-        always sees a previous value; ``__init__``'s first assignments (and
-        the fresh instances ``__add__`` builds) see none and stay silent.
-        With no tracer installed the extra cost is one dict lookup on the
-        rare fault paths only.
-        """
-        previous = self.__dict__.get(name)
-        object.__setattr__(self, name, value)
-        if previous is not None and value > previous and _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                "fault." + name, "fault", delta=value - previous, total=value
-            )
 
     @property
     def total_detected(self) -> int:

@@ -1,37 +1,10 @@
-"""Observability: structured tracing, latency histograms, windowed metrics.
+"""Observability: latency histograms and windowed metrics.
 
-Import discipline: this package ``__init__`` re-exports only the
-dependency-free core (:mod:`repro.obs.trace`, :mod:`repro.obs.hist`) so the
-hot-path hook sites — ``repro.csd.device`` in particular — can import it
-without cycles.  :class:`~repro.obs.metrics.MetricsHub` depends on the csd
-latency model; import it explicitly from :mod:`repro.obs.metrics`.
+This package ``__init__`` re-exports only the dependency-free core
+(:mod:`repro.obs.hist`).  :class:`~repro.obs.metrics.MetricsHub` depends on
+the csd latency model; import it explicitly from :mod:`repro.obs.metrics`.
 """
 
 from repro.obs.hist import LatencyHistogram, WindowedSeries
-from repro.obs.trace import (
-    DEFAULT_CAPACITY,
-    TraceEvent,
-    Tracer,
-    configure_from_env,
-    install_tracer,
-    maybe_instant,
-    maybe_span,
-    tracing_enabled,
-    uninstall_tracer,
-    validate_chrome_trace,
-)
 
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "LatencyHistogram",
-    "TraceEvent",
-    "Tracer",
-    "WindowedSeries",
-    "configure_from_env",
-    "install_tracer",
-    "maybe_instant",
-    "maybe_span",
-    "tracing_enabled",
-    "uninstall_tracer",
-    "validate_chrome_trace",
-]
+__all__ = ["LatencyHistogram", "WindowedSeries"]

@@ -17,8 +17,8 @@ three robustness mechanisms (DESIGN.md §14):
   execution, and deterministic exponential backoff (seeded via ``sim/rng``,
   clocked via ``sim/clock``) around transient device faults.
 
-Every shed/expiry/retry/stall is counted on :class:`ServiceStats` and traced
-on the obs timeline; nothing is dropped without a counter moving.
+Every shed/expiry/retry/stall is counted on :class:`ServiceStats`; nothing
+is dropped without a counter moving.
 """
 
 from repro.service.session import ClientSession, SessionStats, make_sessions

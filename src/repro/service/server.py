@@ -42,7 +42,6 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.obs.hist import LatencyHistogram
-from repro.obs.trace import maybe_instant, maybe_span
 from repro.service.session import ClientSession, fairness_spread
 from repro.service.stats import ServiceStats
 from repro.sim.clock import SimClock
@@ -255,10 +254,6 @@ class StorageService:
         """Reject one arrival at admission — typed and counted, never silent."""
         self.stats.shed_overload += 1
         session.stats.shed += 1
-        maybe_instant(
-            "service.shed", "service",
-            session=session.session_id, kind=op.kind.value,
-        )
         if self.config.strict_admission:
             raise ServiceOverloadError(
                 f"queue depth {self.config.queue_depth} exceeded "
@@ -282,21 +277,20 @@ class StorageService:
             return
         self.stats.write_stalls += 1
         stalled_at = self.clock.now
-        with maybe_span("service.write_stall", "service"):
-            rounds = 0
-            while engine.write_stalled:
-                rounds += 1
-                if rounds > self.config.max_stall_rounds:
-                    raise ServiceError(
-                        "write stall did not clear within "
-                        f"{self.config.max_stall_rounds} relief rounds"
-                    )
-                relief = max(
-                    engine.stall_relief_at(),
-                    self.clock.now + self.config.per_op_interval,
+        rounds = 0
+        while engine.write_stalled:
+            rounds += 1
+            if rounds > self.config.max_stall_rounds:
+                raise ServiceError(
+                    "write stall did not clear within "
+                    f"{self.config.max_stall_rounds} relief rounds"
                 )
-                self._advance_to(relief)
-                self._tick()
+            relief = max(
+                engine.stall_relief_at(),
+                self.clock.now + self.config.per_op_interval,
+            )
+            self._advance_to(relief)
+            self._tick()
         self.stats.stall_seconds += self.clock.now - stalled_at
 
     # --------------------------------------------------------- commit window
@@ -313,15 +307,14 @@ class StorageService:
                 self._expire(pending)
                 continue
             window.append(pending)
-        with maybe_span("service.window", "service", ops=len(window)):
-            completed: List[_Pending] = []
-            for kind, run in self._coalesce(window):
-                if self._apply_run(kind, run):
-                    completed.extend(run)
-            self._commit()
-            self.stats.group_commits += 1
-            self._advance(config.per_op_interval)
-            self._tick()
+        completed: List[_Pending] = []
+        for kind, run in self._coalesce(window):
+            if self._apply_run(kind, run):
+                completed.extend(run)
+        self._commit()
+        self.stats.group_commits += 1
+        self._advance(config.per_op_interval)
+        self._tick()
         done_at = self.clock.now
         for pending in completed:
             self.stats.completed += 1
@@ -335,11 +328,6 @@ class StorageService:
         """Drop one op whose deadline passed in queue — typed and counted."""
         self.stats.deadline_expired += 1
         pending.session.stats.expired += 1
-        maybe_instant(
-            "service.deadline_expired", "service",
-            session=pending.session.session_id,
-            waited=self.clock.now - pending.submitted_at,
-        )
         # The op never touched the engine, so expiry needs no undo; the
         # client-side error is typed for callers that want to raise it.
         pending.session.last_error = DeadlineExceededError(
@@ -375,10 +363,6 @@ class StorageService:
             except (TransientIOError, TornWriteError) as fault:
                 self.stats.transient_retries += 1
                 attempts += 1
-                maybe_instant(
-                    "service.retry", "service",
-                    attempt=attempts, kind=kind.value, ops=len(run),
-                )
                 if attempts > self.config.max_retries:
                     self._fail_run(run, fault)
                     return False
@@ -394,7 +378,6 @@ class StorageService:
             pending.session.last_error = RetryExhaustedError(
                 f"{self.config.max_retries} service retries exhausted: {fault}"
             )
-        maybe_instant("service.retry_exhausted", "service", ops=len(run))
 
     def _apply(self, kind: OpKind, run: List[_Pending]) -> None:
         engine = self.engine

@@ -7,17 +7,11 @@ the group-commit and write-stall activity behind them.  The counters form a
 closed ledger: :meth:`ServiceStats.unaccounted` is zero on every run, which
 is how tests (and the ``repro serve-sim`` CLI) prove graceful degradation
 never turned into silent loss.
-
-Like :class:`repro.metrics.faults.FaultStats`, counter increments surface as
-``service.<counter>`` instants on the obs timeline when a tracer is
-installed, so the p999/stall story can be read off one trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-from repro.obs import trace as _trace
 
 
 @dataclass
@@ -52,21 +46,6 @@ class ServiceStats:
     stall_seconds: float = 0.0
     #: Submission-queue high watermark (gauge, not a flow counter).
     queue_peak: int = 0
-
-    def __setattr__(self, name: str, value) -> None:
-        """Counter increments surface as ``service.<counter>`` instants.
-
-        Mirrors ``FaultStats``: the serving sites bump counters with ``+=``,
-        so an increment always sees a previous value; ``__init__``'s first
-        assignments see none and stay silent.  One dict lookup of overhead
-        when no tracer is installed.
-        """
-        previous = self.__dict__.get(name)
-        object.__setattr__(self, name, value)
-        if previous is not None and value > previous and _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                "service." + name, "service", delta=value - previous, total=value
-            )
 
     def unaccounted(self) -> int:
         """Operations not covered by the ledger — zero on every run.

@@ -31,17 +31,6 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def now_us(self) -> float:
-        """Current simulated time in microseconds.
-
-        The trace timestamp base: Chrome ``trace_event`` timestamps are in
-        microseconds, and the observability layer stamps every event with
-        this value (plus a sub-microsecond monotone tick) so exported
-        traces line up with the simulated clock.
-        """
-        return self._now * 1e6
-
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         if seconds < 0:

@@ -22,7 +22,7 @@ from repro.analysis.framework import (
 from repro.errors import ConfigError
 
 EXPECTED_RULE_IDS = ["BUF007", "CRS008", "DET001", "ERR010", "EXC004", "FLT003",
-                     "IOD002", "PUR009", "TRC006"]
+                     "IOD002", "PUR009"]
 
 
 def test_registry_has_all_expected_rules():
@@ -41,8 +41,8 @@ def test_get_rule_unknown_id_is_config_error():
 
 
 def test_select_rules_parses_csv_case_insensitively():
-    rules = select_rules("det001, trc006")
-    assert [r.id for r in rules] == ["DET001", "TRC006"]
+    rules = select_rules("det001, exc004")
+    assert [r.id for r in rules] == ["DET001", "EXC004"]
     assert [r.id for r in select_rules(None)] == EXPECTED_RULE_IDS
 
 

@@ -23,12 +23,12 @@ def test_lint_violation_exits_one(capsys):
 
 
 def test_lint_json_output_is_machine_readable(capsys):
-    rc = main(["lint", "--json", str(FIXTURES / "engine" / "trc006_bad.py")])
+    rc = main(["lint", "--json", str(FIXTURES / "engine" / "exc004_bad.py")])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert payload["version"] == 1
-    assert payload["findings_by_rule"] == {"TRC006": 2}
-    assert all(f["path"].endswith("trc006_bad.py") for f in payload["findings"])
+    assert payload["findings_by_rule"] == {"EXC004": 2}
+    assert all(f["path"].endswith("exc004_bad.py") for f in payload["findings"])
 
 
 def test_lint_rules_filter(capsys):

@@ -105,16 +105,6 @@ def test_exc004_skips_cli_boundary():
     assert analyze_source(source, "src/repro/cli.py", rules_only("EXC004")) == []
 
 
-# ------------------------------------------------------------------ TRC006
-
-
-def test_trc006_flags_unguarded_and_truthy_hooks():
-    findings = fixture_findings("engine/trc006_bad.py", rules_only("TRC006"))
-    assert [f.line for f in findings] == [7, 13]
-    assert "unguarded tracer hook" in findings[0].message
-    assert "truthiness" in findings[1].message
-
-
 # ------------------------------------------------------------------ BUF007
 
 
@@ -328,7 +318,7 @@ def test_report_does_not_depend_on_where_the_tree_lives(tmp_path):
 def test_every_rule_id_has_a_fixture_triggered_finding():
     payload = _relative_report()
     by_rule = payload["findings_by_rule"]
-    for rule_id in ("DET001", "IOD002", "FLT003", "EXC004", "TRC006",
-                    "BUF007", "CRS008", "ERR010", "PUR009"):
+    for rule_id in ("DET001", "IOD002", "FLT003", "EXC004", "BUF007",
+                    "CRS008", "ERR010", "PUR009"):
         assert by_rule.get(rule_id, 0) >= 1, f"no fixture finding for {rule_id}"
     assert by_rule.get(UNUSED_SUPPRESSION_ID, 0) >= 2

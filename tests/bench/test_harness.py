@@ -6,6 +6,8 @@ from repro.bench.harness import (
     ExperimentSpec,
     _compressor,
     build_engine,
+    fast_mode,
+    full_mode,
     run_speed_experiment,
     run_wa_experiment,
 )
@@ -78,6 +80,23 @@ def test_zero_run_estimator_is_not_wrapped_in_fast_mode(monkeypatch):
     compressor = _compressor()
     assert type(compressor) is ZeroRunEstimator
     assert compressor.entropy_factor == pytest.approx(0.98)
+
+
+@pytest.mark.parametrize("switch, name", [(fast_mode, "REPRO_FAST"),
+                                          (full_mode, "REPRO_FULL")])
+def test_env_switches_are_strict(monkeypatch, switch, name):
+    """Unset or 0 is off and 1 is on; any other value is a ConfigError, so
+    ``REPRO_FULL=true`` cannot quietly run the reduced grid."""
+    monkeypatch.delenv(name, raising=False)
+    assert switch() is False
+    monkeypatch.setenv(name, "0")
+    assert switch() is False
+    monkeypatch.setenv(name, "1")
+    assert switch() is True
+    for raw in ("true", "yes", "2", "on"):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigError, match=name):
+            switch()
 
 
 def test_spec_properties():

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.trace import tracing_enabled, validate_chrome_trace
 
 
 def small(*extra):
@@ -61,35 +60,6 @@ def test_run_with_zipf_distribution(capsys):
                "--theta", "0.9"] + small())
     assert rc == 0
     assert "Write amplification" in capsys.readouterr().out
-
-
-# ------------------------------------------------------------ repro trace
-
-
-def test_trace_command_exports_valid_chrome_json(tmp_path, capsys):
-    out = tmp_path / "trace.json"
-    assert main(tiny("trace", "--out", str(out))) == 0
-    doc = json.loads(out.read_text())
-    assert validate_chrome_trace(doc) == []
-    assert doc["traceEvents"], "expected a non-empty trace"
-    assert doc["otherData"]["emitted"] > 0
-    assert "Write amplification" in capsys.readouterr().out
-    # The command must uninstall the process-global tracer on the way out.
-    assert not tracing_enabled()
-
-
-def test_trace_command_text_timeline(capsys):
-    assert main(tiny("trace", "--out", "-", "--limit", "10")) == 0
-    out = capsys.readouterr().out
-    assert "events emitted" in out
-    assert not tracing_enabled()
-
-
-def test_trace_command_unwritable_path_exits_nonzero(capsys):
-    rc = main(tiny("trace", "--out", "/nonexistent-dir/trace.json"))
-    assert rc == 1
-    assert "repro: error" in capsys.readouterr().err
-    assert not tracing_enabled()
 
 
 # ------------------------------------------------------------ repro stats

@@ -108,59 +108,6 @@ def test_property_engines_agree(seed):
     trio.check_items()
 
 
-def _driven_engine(make_engine, n_ops: int = 400):
-    """Run a fixed deterministic workload; return (device, engine)."""
-    device = CompressedBlockDevice(num_blocks=50_000)
-    engine = make_engine(device)
-    rng = random.Random(7)
-    live = set()
-    for _ in range(n_ops):
-        k = key(rng.randrange(150))
-        if rng.random() < 0.15 and k in live:
-            engine.delete(k)
-            live.discard(k)
-        else:
-            engine.put(k, rng.randbytes(rng.randrange(16, 90)))
-            live.add(k)
-        engine.commit()
-    device.flush()
-    return device, engine
-
-
-_TRACE_ENGINES = {
-    "bminus": lambda device: BMinusTree(
-        device, BMinusConfig(cache_bytes=1 << 16, max_pages=2048,
-                             log_blocks=512, log_flush_policy="commit")),
-    "lsm": lambda device: LSMEngine(
-        device, LSMConfig(memtable_bytes=8 << 10, level_base_bytes=32 << 10,
-                          table_target_bytes=8 << 10, log_blocks=1024,
-                          log_flush_policy="commit")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_TRACE_ENGINES))
-def test_tracing_leaves_run_bit_identical(name):
-    """The observability overhead guarantee: with the tracer installed
-    (what ``REPRO_TRACE=1`` does at import time), the on-device bytes and
-    every WA/IOPS counter must be bit-identical to an untraced run."""
-    from repro.obs.trace import install_tracer, uninstall_tracer
-
-    make_engine = _TRACE_ENGINES[name]
-    base_device, base_engine = _driven_engine(make_engine)
-    # A deliberately tiny ring so the buffer wraps mid-run: dropping events
-    # must be as side-effect-free as recording them.
-    install_tracer(capacity=128)
-    try:
-        traced_device, traced_engine = _driven_engine(make_engine)
-    finally:
-        tracer = uninstall_tracer()
-    assert tracer.emitted > tracer.capacity, "ring never wrapped"
-    assert traced_device._stable == base_device._stable
-    assert traced_device.stats == base_device.stats
-    assert traced_device.physical_bytes_used == base_device.physical_bytes_used
-    assert traced_engine.traffic_snapshot() == base_engine.traffic_snapshot()
-
-
 # --------------------------------------------------------------------------
 # Batch API vs single-op sequence: the PR-6 bit-identity guarantee.
 

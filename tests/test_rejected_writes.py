@@ -69,9 +69,11 @@ def _view_survives_crash(cls, config, device, store) -> dict:
 #: 16-byte pointer are logged, so its oversize case is a long key.
 _REJECTED_PUTS = {
     "bminus-empty-key": ("bminus", 8192, (b"", b"x"), TreeError),
+    "bminus-none-value": ("bminus", 8192, (b"none", None), TreeError),
     "bminus-over-leaf": ("bminus", 8192, (b"big", b"y" * 3000), TreeError),
     "bminus-16k-over-wal-block": ("bminus", 16384, (b"wide", b"y" * 4070), WalError),
     "btree-empty-key": ("btree", 8192, (b"", b"x"), TreeError),
+    "btree-none-value": ("btree", 8192, (b"none", None), TreeError),
     "btree-over-leaf": ("btree", 8192, (b"big", b"y" * 3000), TreeError),
     "btree-16k-over-wal-block": ("btree", 16384, (b"wide", b"y" * 4070), WalError),
     "lsm-empty-key": ("lsm", 8192, (b"", b"x"), ConfigError),
@@ -90,12 +92,15 @@ _REJECTED_PUTS = {
 def test_rejected_put_leaves_no_trace(name, page_size, bad, error, mid_batch):
     cls, config, device, store = _loaded(name, page_size)
     lsn = _lsn(store)
+    wal_stats = getattr(store, "engine", store).wal.stats
+    appended = wal_stats.records_appended
     with pytest.raises(error):
         if mid_batch:
             store.put_batch([(b"n1", b"v" * 100), bad, (b"n2", b"v" * 100)])
         else:
             store.put(*bad)
     assert _lsn(store) == lsn, "the rejected call consumed an LSN"
+    assert wal_stats.records_appended == appended, "the rejected call was logged"
     view = _view_survives_crash(cls, config, device, store)
     assert view == {**{key(i): b"v%d" % i for i in range(10)}, b"after": b"good"}
 
