@@ -1,7 +1,7 @@
 """CRS008 — crash-consistency ordering: commit points are flush-dominated.
 
-Scope: the storage protocols (``btree/``, ``core/``, ``lsm/``, ``shard/``,
-``service/``, and fixture files under an ``engine``/``shard`` segment).
+Scope: the storage protocols (``btree/``, ``core/``, ``lsm/``, ``service/``,
+and fixture files under an ``engine`` segment).
 
 The paper's WA parity rests on three crash-safe publication protocols, and
 each has exactly one *commit point* — the durable write whose persistence
@@ -10,8 +10,7 @@ makes the new state the one recovery will choose:
 * the WAL ``LogOp.COMMIT`` marker (group boundary in the redo ring),
 * the shadow-flip trim (discarding the superseded page image publishes the
   new slot — ``DeterministicShadowPager._flip``),
-* the meta-page / manifest ``STATE_ACTIVE`` record (root pointer and shard
-  routing epoch).
+* the meta-page write (root pointer).
 
 Writing a commit point while earlier data may still sit in a volatile
 device cache is the classic crash-consistency bug: after a crash the commit
@@ -42,7 +41,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.analysis.framework import FileContext, Finding, ProjectRule, register
 
 #: Path segments inside which commit points are reported.
-PROTOCOL_SEGMENTS = ("btree", "core", "lsm", "shard", "service", "engine")
+PROTOCOL_SEGMENTS = ("btree", "core", "lsm", "service", "engine")
 
 #: Path segments whose commit-point *look-alikes* are device internals or
 #: probes, not protocols (the FTL trims freely; faultcheck writes garbage).
@@ -56,7 +55,7 @@ class CrashConsistencyOrdering(ProjectRule):
     severity = "error"
     invariant = (
         "Every durable commit-point write (WAL COMMIT marker, shadow-flip "
-        "trim, meta-page/manifest ACTIVE record) is preceded by a device "
+        "trim, meta-page write) is preceded by a device "
         "flush barrier on every path from every entry point, so recovery "
         "never sees a commit record that outlived the data it commits."
     )
@@ -111,7 +110,7 @@ class CrashConsistencyOrdering(ProjectRule):
         # "analysis" exemption must not swallow them, so fixture trees scope
         # purely by their protocol segment.
         if ctx.has_path_segment("fixtures"):
-            return ctx.has_path_segment("engine", "shard")
+            return ctx.has_path_segment("engine")
         if ctx.has_path_segment(*EXEMPT_SEGMENTS):
             return False
         return ctx.has_path_segment(*PROTOCOL_SEGMENTS)

@@ -1,10 +1,10 @@
 """ERR010 — exception contracts: public APIs leak only ReproError subclasses.
 
-Scope: the public engine/shard/service facades — files named ``engine.py``,
-``bminus.py``, ``router.py``, or ``server.py`` (outside ``csd/``).
+Scope: the public engine/service facades — files named ``engine.py``,
+``bminus.py`` or ``server.py`` (outside ``csd/``).
 
-Callers of :class:`~repro.core.bminus.BMinusTree`, the engines, the shard
-router, and the serving layer are promised a single exception taxonomy:
+Callers of :class:`~repro.core.bminus.BMinusTree`, the engines and the
+serving layer are promised a single exception taxonomy:
 everything the reproduction raises derives from
 :class:`~repro.errors.ReproError`, so ``except ReproError`` is a complete
 guard and typed subfamilies (``DeviceError``, ``ServiceError``…) are
@@ -29,7 +29,7 @@ from typing import Iterable, List, Sequence
 from repro.analysis.framework import FileContext, Finding, ProjectRule, register
 
 #: File basenames whose public classes form the supported API surface.
-API_BASENAMES = ("engine.py", "bminus.py", "router.py", "server.py")
+API_BASENAMES = ("engine.py", "bminus.py", "server.py")
 
 #: Escapes that are part of Python's own protocol, not the error taxonomy.
 ALLOWED_ESCAPES = frozenset(
@@ -47,7 +47,7 @@ class ExceptionContracts(ProjectRule):
     title = "public API method can leak a non-ReproError"
     severity = "error"
     invariant = (
-        "Public engine/shard/service methods raise only ReproError "
+        "Public engine/service methods raise only ReproError "
         "subclasses: `except ReproError` is a complete guard for callers "
         "and the typed error families stay meaningful."
     )

@@ -68,7 +68,6 @@ TRIM_PRIMITIVES = frozenset({"trim", "trim_retrying"})
 KIND_WAL_MARKER = "wal-commit-marker"
 KIND_SHADOW_FLIP = "shadow-flip-trim"
 KIND_META_WRITE = "meta-page-write"
-KIND_ACTIVE_RECORD = "manifest-active-record"
 
 
 @dataclass(frozen=True)
@@ -216,13 +215,6 @@ def _references(node: ast.AST, needle: str) -> bool:
     return False
 
 
-def _args_reference(call: ast.Call, needle: str) -> bool:
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        if _references(arg, needle):
-            return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # The dominance walk
 # --------------------------------------------------------------------------
@@ -262,8 +254,8 @@ class _BodyWalker:
         #: True once a durable write ran earlier in this body (flip detection).
         self.wrote_earlier = False
         #: Call ids nested inside an already-classified commit point — only
-        #: the outermost matching call reports (``append(_record(ACTIVE))``
-        #: is one commit point, not two).
+        #: the outermost matching call reports (``append(LogRecord(...,
+        #: LogOp.COMMIT, ...))`` is one commit point, not two).
         self._covered: Set[int] = set()
 
     # ------------------------------------------------------------- helpers
@@ -303,12 +295,6 @@ class _BodyWalker:
                         KIND_WAL_MARKER, call,
                         "WAL COMMIT marker append",
                     )
-        # (d) manifest ACTIVE record: STATE_ACTIVE flows into the call's args.
-        if _args_reference(call, "STATE_ACTIVE"):
-            return self._point(
-                KIND_ACTIVE_RECORD, call,
-                "routing-manifest ACTIVE record append",
-            )
         # (b) meta-page write: a durable write whose LBA names a META block.
         if _is_write_primitive(call):
             lba_args = list(call.args) + [kw.value for kw in call.keywords]

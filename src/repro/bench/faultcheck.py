@@ -1,22 +1,20 @@
 """The ``repro faultcheck`` campaign: systematic crash points + fault plans.
 
 Random crash fuzzing samples the failure space; this module *enumerates* it.
-Every system under test implements one small protocol, :class:`CrashSUT`: it
-names its devices (roles), drives its workload on them, and recovers from a
-set of crashed devices.  One scheduler, :func:`run_crash_schedule`, serves
-them all.  A profiling run records every device mutation (block write, TRIM,
-flush) on every role; the scheduler then re-runs the identical workload once
-per recorded (role, boundary), crashing exactly there — in ``drop`` mode (no
-pending write survives) and ``torn`` mode (each pending 4KB block survives a
-seeded coin flip) — while every other role loses its pending writes the same
-way (a node-wide power cut).  Recovery must reproduce one of the states the
-system declared acceptable for that cut, and ``get`` must agree with the
-scan.  Because the single-engine workloads commit after every operation (or
-every group window), the acceptable states are the committed model and the
-model plus the one in-flight window.
+Every system under test is an :class:`EngineSUT`: one engine on one device,
+driving a workload and recovering from the crashed device.  One scheduler,
+:func:`run_crash_schedule`, serves them all.  A profiling run records every
+device mutation (block write, TRIM, flush); the scheduler then re-runs the
+identical workload once per recorded boundary, crashing exactly there — in
+``drop`` mode (no pending write survives) and ``torn`` mode (each pending 4KB
+block survives a seeded coin flip).  Recovery must reproduce one of the
+states the system declared acceptable for that cut, and ``get`` must agree
+with the scan.  Because the workloads commit after every operation (or every
+group window), the acceptable states are the committed model and the model
+plus the one in-flight window.
 
 Three further phases exercise the self-healing paths the scheduler cannot
-reach, on the single-engine systems that opt in:
+reach, on the systems that opt in:
 
 * **fault trials** — seeded probabilistic :class:`~repro.csd.faults.
   FaultPlan`s (transient read/write errors, transient read corruption, torn
@@ -43,7 +41,7 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Optional
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.btree.page import Page
@@ -56,11 +54,9 @@ from repro.errors import (
     ChecksumError,
     ConfigError,
     PageFormatError,
-    RecoveryError,
     SimulatedCrashError,
 )
 from repro.lsm.engine import LSMConfig, LSMEngine
-from repro.shard.router import ShardConfig, ShardRouter
 
 #: Device span shared by every campaign configuration (all layouts fit).
 _DEVICE_BLOCKS = 4096
@@ -256,28 +252,15 @@ def _state(engine) -> dict:
 # --------------------------------------------------------- systems under test
 
 
-class CrashSUT(Protocol):
-    """What the crash-point scheduler needs from a system under test.
-
-    ``roles`` names the system's devices.  :meth:`drive` runs the workload
-    on them and calls ``arm()`` where crash-eligible I/O begins (boundaries
-    before it are setup, never cut).  When a scripted crash cut the run it
-    returns every state recovery may legitimately produce; ``None`` means
-    the scripted boundary was never reached.  :meth:`recover` re-opens the
-    store from crashed devices and returns it (``items()`` and ``get()``).
-    """
-
-    name: str
-    roles: tuple[str, ...]
-
-    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]: ...
-
-    def recover(self, devices: dict) -> Any: ...
-
-
 @dataclass
 class EngineSUT:
-    """One engine on one device, committing every ``group_size`` ops."""
+    """One engine on one device, committing every ``group_size`` ops.
+
+    :meth:`drive` runs the workload on a device; when a scripted crash cut
+    the run it returns every state recovery may legitimately produce, and
+    ``None`` means the scripted boundary was never reached.  ``reopen``
+    recovers the store from the crashed device.
+    """
 
     name: str
     stream: list
@@ -299,12 +282,10 @@ class EngineSUT:
     #: Whether the WAL-truncation phase applies (it reads the B-tree ring).
     wal_truncation: bool = False
 
-    roles = ("device",)
-
-    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]:
+    def drive(self, device) -> Optional[list[dict]]:
         committed: dict = {}
         try:
-            engine = self.create(devices["device"])
+            engine = self.create(device)
         except SimulatedCrashError:
             return [committed]  # crash during store genesis: comes up empty
         inflight = _run_workload(engine, self.stream, committed, self.group_size)
@@ -317,80 +298,8 @@ class EngineSUT:
             _apply(with_inflight, self.stream[i])
         return [committed, with_inflight]
 
-    def recover(self, devices: dict) -> Any:
-        return self.reopen(devices["device"])
 
-
-#: Ops per commit window while populating the sharded store.
-_SHARD_COMMIT_EVERY = 8
-#: Shard-split workloads are capped at this many ops.
-_SHARD_OPS_MAX = 80
-
-
-@dataclass
-class ShardSplitSUT:
-    """Two shards populated through the router, then one online split.
-
-    Crash points fall inside the split protocol only, on either shard, the
-    split destination, or the meta routing journal.  Migration moves keys
-    and never creates or destroys them, so recovery must serve *exactly*
-    the populated model, with the pre-split (2-shard) or post-split
-    (3-shard) routing table; any other table is a recovery failure.
-    """
-
-    stream: list
-    engine: str = "bminus"
-    partitioning: str = "hash"
-
-    name = "shard-split"
-    roles = ("shard0", "shard1", "meta", "dst")
-    # Multi-device: the single-engine fault-trial, repair and WAL phases
-    # do not apply.
-    fault_trials = False
-    repair_style = "none"
-    wal_truncation = False
-
-    def _config(self) -> ShardConfig:
-        return ShardConfig(
-            n_shards=2, partitioning=self.partitioning, engine=self.engine,
-            device_blocks=_DEVICE_BLOCKS,
-        )
-
-    def drive(self, devices: dict, arm: Callable[[], None]) -> Optional[list[dict]]:
-        router = ShardRouter.create(
-            self._config(),
-            devices=[devices["shard0"], devices["shard1"]],
-            meta_device=devices["meta"],
-        )
-        model: dict = {}
-        crashed = _run_workload(router, self.stream, model, _SHARD_COMMIT_EVERY)
-        assert crashed is None, "crash points lie after arm()"
-        arm()
-        source = max(
-            router.stacks,
-            key=lambda sid: (sum(1 for _ in router.stacks[sid].items()), -sid),
-        )
-        try:
-            router.split_shard(source, device=devices["dst"])
-        except SimulatedCrashError:
-            return [model]
-        return None
-
-    def recover(self, devices: dict) -> Any:
-        router = ShardRouter.open(
-            self._config(),
-            devices={0: devices["shard0"], 1: devices["shard1"], 2: devices["dst"]},
-            meta_device=devices["meta"],
-        )
-        if router.n_shards not in (2, 3):
-            raise RecoveryError(
-                f"recovered a {router.n_shards}-shard routing table; "
-                f"a split of 2 shards leaves 2 or 3"
-            )
-        return router
-
-
-def _make_suts(seed: int = 2022, ops: int = 200) -> dict[str, Any]:
+def _make_suts(seed: int = 2022, ops: int = 200) -> dict[str, EngineSUT]:
     """Every campaign system, each driving ``make_workload(seed, ops)``."""
     stream = make_workload(seed, ops)
 
@@ -422,7 +331,6 @@ def _make_suts(seed: int = 2022, ops: int = 200) -> dict[str, Any]:
                group_size=_GROUP_SIZE, fault_trials=False),
         engine("lsm-vlog", _lsm_vlog_config, LSMEngine, repair_style="none",
                fault_trials=False),
-        ShardSplitSUT(make_workload(seed, min(ops, _SHARD_OPS_MAX))),
     ]
     return {sut.name: sut for sut in suts}
 
@@ -451,26 +359,17 @@ class CrashPointReport:
         }
 
 
-def _profile_mutations(sut: CrashSUT) -> list[tuple[str, int]]:
-    """Run once, fault-free; every armed (role, op index) device mutation."""
-    devices = {
-        role: FaultInjectingDevice(
-            CompressedBlockDevice(_DEVICE_BLOCKS), record_ops=True
-        )
-        for role in sut.roles
-    }
-    armed = dict.fromkeys(sut.roles, 0)
-
-    def arm() -> None:
-        armed.update((role, len(device.op_log)) for role, device in devices.items())
-
-    crashed = sut.drive(devices, arm)
+def _profile_mutations(sut: EngineSUT) -> list[int]:
+    """Run once, fault-free; the op index of every device mutation."""
+    device = FaultInjectingDevice(
+        CompressedBlockDevice(_DEVICE_BLOCKS), record_ops=True
+    )
+    crashed = sut.drive(device)
     assert crashed is None, "profiling run must not crash"
     return [
-        (role, index)
-        for role, device in devices.items()
+        index
         for index, (kind, _lba, _count) in enumerate(device.op_log)
-        if index >= armed[role] and kind in ("write", "trim", "flush")
+        if kind in ("write", "trim", "flush")
     ]
 
 
@@ -484,11 +383,11 @@ def _sample(points: list, budget: int) -> list:
     return [points[i] for i in sorted(picked)]
 
 
-def _check_recovery(sut: CrashSUT, devices: dict, acceptable: list[dict]) -> Optional[dict]:
+def _check_recovery(sut: EngineSUT, device, acceptable: list[dict]) -> Optional[dict]:
     """None if recovery lands on an acceptable state, else the failure."""
     keys = set().union(*acceptable)
     try:
-        recovered = sut.recover(devices)
+        recovered = sut.reopen(device)
         state = _state(recovered)
         # get must tell the same story as the scan, deleted keys included.
         lookups_ok = all(recovered.get(k) == state.get(k) for k in keys)
@@ -507,35 +406,28 @@ def _check_recovery(sut: CrashSUT, devices: dict, acceptable: list[dict]) -> Opt
     }
 
 
-def run_crash_schedule(sut: CrashSUT, seed: int, budget: int) -> CrashPointReport:
+def run_crash_schedule(sut: EngineSUT, seed: int, budget: int) -> CrashPointReport:
     """Crash-test every (sampled) mutation boundary in drop and torn modes."""
     report = CrashPointReport()
     points = _profile_mutations(sut)
     report.mutation_points = len(points)
     picked = _sample(points, budget)
     for mode in ("drop", "torn"):
-        for role, op_index in picked:
+        for op_index in picked:
             report.tested += 1
             plan = FaultPlan(
                 seed=seed + op_index,
                 scripted=(ScriptedFault(op_index=op_index, kind="crash", mode=mode),),
             )
-            inner = {name: CompressedBlockDevice(_DEVICE_BLOCKS) for name in sut.roles}
-            devices = {**inner, role: FaultInjectingDevice(inner[role], plan)}
-            acceptable = sut.drive(devices, lambda: None)
+            device = CompressedBlockDevice(_DEVICE_BLOCKS)
+            acceptable = sut.drive(FaultInjectingDevice(device, plan))
             if acceptable is None:
                 continue  # the boundary was never reached
             report.crashes_fired += 1
-            # Node-wide power cut: every other role loses its pending
-            # writes the same way the scripted device did.
-            for order, name in enumerate(sut.roles):
-                if name != role:
-                    keep_torn = seed + op_index + order if mode == "torn" else None
-                    inner[name].simulate_crash(keep_torn=keep_torn)
-            failure = _check_recovery(sut, inner, acceptable)  # fault-free
+            failure = _check_recovery(sut, device, acceptable)  # fault-free
             if failure is not None:
                 report.failures.append({
-                    "system": sut.name, "role": role, "mode": mode,
+                    "system": sut.name, "mode": mode,
                     "op_index": op_index, **failure,
                 })
     return report
@@ -803,7 +695,8 @@ def run_faultcheck(
     trials: int = 3,
     seed: int = 2022,
 ) -> dict:
-    """Run the full campaign; returns the JSON-serialisable report."""
+    """Run the campaign over ``systems`` (every system when empty or None);
+    returns the JSON-serialisable report."""
     suts = _make_suts(seed, ops)
     names = list(systems) if systems else list(suts)
     for name in names:
@@ -870,9 +763,7 @@ def format_report(report: dict) -> str:
 
 __all__ = [
     "FAULTCHECK_SYSTEMS",
-    "CrashSUT",
     "EngineSUT",
-    "ShardSplitSUT",
     "format_report",
     "make_workload",
     "run_crash_schedule",

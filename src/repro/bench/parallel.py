@@ -99,8 +99,8 @@ def run_tasks(
     """Fan arbitrary picklable tasks across the pool; results in task order.
 
     The generic sibling of :func:`run_specs` for callers whose unit of work
-    is not an :class:`ExperimentSpec` — e.g. the shard router's per-shard
-    simulation tasks.  ``worker`` must be a module-level callable (picklable
+    is not an :class:`ExperimentSpec` — e.g. the linter's per-file analysis
+    tasks.  ``worker`` must be a module-level callable (picklable
     by reference) that builds all of its own state from the task alone and
     returns a detached, picklable result; the PUR009 worker-purity lint
     rule holds ``worker`` to the same contract as ``runner``.

@@ -183,7 +183,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     the time-windowed WA decomposition.  ``--watch`` streams each window to
     stdout as it closes (the windows are simulated time, so they appear at
     the simulation's pace, not wall clock); ``--json`` exports the full hub
-    (mergeable histograms + window series) for offline analysis.
+    (histograms + window series) for offline analysis.
     """
     import json as _json
 
@@ -266,7 +266,7 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
 
     from repro.bench.faultcheck import format_report, run_faultcheck
 
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
+    systems = [s.strip() for s in (args.systems or "").split(",") if s.strip()]
     report = run_faultcheck(
         systems, ops=args.ops, budget=args.budget,
         trials=args.trials, seed=args.seed,
@@ -313,50 +313,6 @@ def cmd_compact_compare(args: argparse.Namespace) -> int:
         note="WA on the simulated stack; 'vlog live' is live/data bytes "
              "in the value log after the run",
     ))
-    return 0
-
-
-def cmd_shard_sim(args: argparse.Namespace) -> int:
-    """``repro shard-sim``: the sharded multi-device scale-out simulation.
-
-    Partitions a deterministic workload across ``--shards`` independent
-    engine+device stacks (one pool worker per shard when ``--jobs`` > 1),
-    then prints the topology, the per-shard WA table, and the merged fleet
-    WA/latency summary — the merge is exact (summed counters, bucket-exact
-    histogram merge), so ``--jobs N`` output equals a serial run.
-    """
-    import json as _json
-
-    from repro.shard import ShardConfig, run_shard_sim
-
-    config = ShardConfig(
-        n_shards=args.shards,
-        partitioning=args.partitioning,
-        engine=args.system,
-        device_blocks=args.device_blocks,
-    )
-    result = run_shard_sim(config, ops=args.ops, seed=args.seed, jobs=args.jobs)
-    payload = result.as_dict()
-    if args.json:
-        print(_json.dumps(payload, indent=2))
-        return 0
-    merged = payload["merged"]
-    print(f"shard-sim: {args.shards} x {args.system} "
-          f"({args.partitioning}-partitioned), ops={args.ops} "
-          f"seed={args.seed} jobs={result.jobs}")
-    print(f"{'shard':>5} {'ops':>6} {'keys':>6} {'WA':>6} {'phys MB':>8}")
-    for row in payload["shards"]:
-        print(f"{row['shard']:>5} {row['ops_applied']:>6} "
-              f"{row['final_keys']:>6} {row['wa_total']:>6.2f} "
-              f"{row['physical_bytes_written'] / 1e6:>8.2f}")
-    print(f"merged: WA={merged['wa_total']:.2f} "
-          f"(log={merged['wa_log']:.2f}, pg={merged['wa_pg']:.2f}, "
-          f"e={merged['wa_e']:.2f}) "
-          f"keys={merged['final_keys']} "
-          f"physical={merged['physical_bytes_written'] / 1e6:.2f}MB")
-    for kind, digest in merged["op_latency"].items():
-        print(f"  {kind}: n={digest['n']} p50={digest['p50'] * 1e6:.1f}us "
-              f"p99={digest['p99'] * 1e6:.1f}us")
     return 0
 
 
@@ -623,11 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
     flt_p = sub.add_parser(
         "faultcheck",
         help="systematic crash-point and fault-injection campaign")
-    flt_p.add_argument("--systems", default="bminus,btree-det-shadow,"
-                       "btree-journal,btree-shadow-table,"
-                       "bminus-group,lsm,lsm-group,lsm-vlog,shard-split",
-                       help="comma-separated system list (see "
-                            "repro.bench.faultcheck.FAULTCHECK_SYSTEMS)")
+    flt_p.add_argument("--systems", default=None,
+                       help="comma-separated system list (default: every "
+                            "system in repro.bench.faultcheck."
+                            "FAULTCHECK_SYSTEMS)")
     flt_p.add_argument("--ops", type=int, default=200,
                        help="operations per campaign workload")
     flt_p.add_argument("--budget", type=int, default=24,
@@ -654,25 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="key-space size (each run overwrites it twice)")
     cc_p.add_argument("--seed", type=int, default=2022)
     cc_p.set_defaults(func=cmd_compact_compare)
-
-    shd_p = sub.add_parser(
-        "shard-sim",
-        help="sharded multi-device scale-out simulation (merged WA tables)")
-    shd_p.add_argument("--system", choices=("bminus", "lsm"), default="bminus")
-    shd_p.add_argument("--shards", type=int, default=4,
-                       help="independent engine+device stacks")
-    shd_p.add_argument("--partitioning", choices=("hash", "range"),
-                       default="hash")
-    shd_p.add_argument("--ops", type=int, default=400,
-                       help="operations in the deterministic workload")
-    shd_p.add_argument("--device-blocks", type=int, default=4096,
-                       help="4KB blocks per shard device")
-    shd_p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: REPRO_JOBS or 1)")
-    shd_p.add_argument("--seed", type=int, default=2022)
-    shd_p.add_argument("--json", action="store_true",
-                       help="emit the full JSON report")
-    shd_p.set_defaults(func=cmd_shard_sim)
 
     srv_p = sub.add_parser(
         "serve-sim",

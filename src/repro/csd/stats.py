@@ -63,11 +63,3 @@ class DeviceStats:
         if self.logical_bytes_written == 0:
             return 1.0
         return self.physical_bytes_written / self.logical_bytes_written
-
-    def __add__(self, other: "DeviceStats") -> "DeviceStats":
-        return DeviceStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )

@@ -119,31 +119,6 @@ class ConfigError(ReproError, ValueError):
     """
 
 
-class ShardError(ReproError):
-    """Base class for shard-router (multi-device scale-out) failures."""
-
-
-class ShardManifestError(ShardError):
-    """The routing-table manifest journal is unusable.
-
-    Raised when the meta device holds no valid routing record (the journal
-    was never initialised, or every record failed its checksum) or when the
-    journal region is exhausted.  A *torn* tail record is not an error — the
-    scan treats it as the end of the journal and recovery falls back to the
-    last complete record, which is exactly the crash-safety contract.
-    """
-
-
-class ShardMigrationError(ShardError):
-    """A shard split/migration was invoked incorrectly.
-
-    Covers logic errors only (splitting an unknown shard, a split token
-    outside the owner's interval, concurrent splits); crash-interrupted
-    migrations are *not* errors — recovery resolves them to the pre-split
-    or post-split routing table via the journaled migration manifest.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for serving-layer (multi-client front-end) failures."""
 

@@ -846,9 +846,8 @@ class LSMEngine:
     def vlog_occupancy(self) -> Optional[dict]:
         """Integer value-log occupancy counters plus the live sweep.
 
-        All fields are exact integers so multi-shard reports can sum them
-        without float drift; live ratio (``live_bytes / data_bytes``) is a
-        display-time division.  ``None`` when separation is disabled.
+        All fields are exact integers; the live ratio
+        (``live_bytes / data_bytes``) is a display-time division.  ``None`` when separation is disabled.
         """
         if self.vlog is None:
             return None

@@ -377,7 +377,7 @@ class ValueLog:
     # ------------------------------------------------------------ reporting
 
     def occupancy(self) -> dict:
-        """Integer occupancy counters (summable exactly across shards)."""
+        """Integer occupancy counters."""
         sealed = sum(1 for s in self.slots if s.state == SLOT_SEALED)
         data = sum(s.data_bytes for s in self.slots)
         return {

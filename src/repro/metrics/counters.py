@@ -42,20 +42,6 @@ class TrafficSnapshot:
             }
         )
 
-    def __add__(self, other: "TrafficSnapshot") -> "TrafficSnapshot":
-        """Field-wise sum — merged traffic across independent shards.
-
-        Every field is a cumulative byte/op count, so cross-stack merging is
-        exact addition; ``compute_wa`` over the sum is then the fleet-wide
-        write amplification (total physical over total user bytes).
-        """
-        return TrafficSnapshot(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
     @property
     def total_logical(self) -> int:
         return self.log_logical + self.page_logical + self.extra_logical

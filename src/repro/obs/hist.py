@@ -6,11 +6,8 @@ to integer units of ``min_unit`` (default 1 ns) and bucketed with a shared
 exponent and ``2**sub_bits`` linear sub-buckets per octave, so the relative
 quantisation error of any recorded value is bounded by ``2**(1 - sub_bits)``
 (~0.8% at the default ``sub_bits=7``) while the whole dynamic range from
-nanoseconds to hours fits in a small sparse dict.  Histograms with the same
-parameters merge exactly — merging per-worker histograms from
-``repro.bench.parallel`` shards yields bucket-for-bucket the histogram a
-single worker would have recorded over the concatenated stream — and
-serialise to plain JSON-safe dicts.
+nanoseconds to hours fits in a small sparse dict.  Histograms serialise to
+plain JSON-safe dicts.
 
 :class:`WindowedSeries` turns sampled *cumulative* counters into per-window
 deltas on the simulated clock.  Deltas are computed by exact subtraction of
@@ -114,28 +111,10 @@ class LatencyHistogram:
     def quantiles(self, qs: Iterable[float]) -> List[float]:
         return [self.quantile(q) for q in qs]
 
-    # ------------------------------------------------------- merge/serialise
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold ``other`` into this histogram in place (same parameters)."""
-        if (self.min_unit, self.sub_bits) != (other.min_unit, other.sub_bits):
-            raise ConfigError(
-                "cannot merge histograms with different bucket parameters"
-            )
-        for index, count in other.counts.items():
-            self.counts[index] = self.counts.get(index, 0) + count
-        self.n += other.n
-        self.total += other.total
-        for bound in (other.min_value,):
-            if bound is not None and (self.min_value is None or bound < self.min_value):
-                self.min_value = bound
-        for bound in (other.max_value,):
-            if bound is not None and (self.max_value is None or bound > self.max_value):
-                self.max_value = bound
-        return self
+    # ----------------------------------------------------------- serialise
 
     def to_dict(self) -> dict:
-        """JSON-safe representation; :meth:`from_dict` round-trips exactly."""
+        """JSON-safe representation."""
         return {
             "min_unit": self.min_unit,
             "sub_bits": self.sub_bits,
@@ -145,29 +124,6 @@ class LatencyHistogram:
             "min": self.min_value,
             "max": self.max_value,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyHistogram":
-        hist = cls(min_unit=data["min_unit"], sub_bits=data["sub_bits"])
-        hist.counts = {int(index): count for index, count in data["counts"].items()}
-        hist.n = data["n"]
-        hist.total = data["total"]
-        hist.min_value = data["min"]
-        hist.max_value = data["max"]
-        return hist
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatencyHistogram):
-            return NotImplemented
-        return (
-            self.min_unit == other.min_unit
-            and self.sub_bits == other.sub_bits
-            and self.counts == other.counts
-            and self.n == other.n
-            and self.total == other.total
-            and self.min_value == other.min_value
-            and self.max_value == other.max_value
-        )
 
     def summary(self) -> dict:
         """Headline statistics (used by ``repro stats`` reporting)."""

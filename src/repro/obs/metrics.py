@@ -12,9 +12,8 @@ observability is on.  It owns
   and device counters, from which per-window WA decompositions
   (:func:`wa_windows`) are derived.
 
-Hubs merge across ``repro.bench.parallel`` worker shards (histograms merge
-bucket-exactly; window rows concatenate) and serialise to JSON-safe dicts
-that survive pickling through ``detach_result``.
+Hubs serialise to JSON-safe dicts that survive pickling through
+``detach_result``.
 """
 
 from __future__ import annotations
@@ -175,20 +174,7 @@ class MetricsHub:
             }
         return out
 
-    # ------------------------------------------------------ merge/serialise
-
-    def merge(self, other: "MetricsHub") -> "MetricsHub":
-        """Fold another hub (e.g. a parallel worker's shard) into this one."""
-        for kind, hist in other.op_latency.items():
-            self.histogram(kind).merge(hist)
-        self.series.windows.extend(other.series.windows)
-        if other.service_series is not None:
-            if self.service_series is None:
-                self.service_series = WindowedSeries(self.series.window)
-                self.queue_depth = LatencyHistogram(min_unit=1.0)
-            self.service_series.windows.extend(other.service_series.windows)
-            self.queue_depth.merge(other.queue_depth)
-        return self
+    # ----------------------------------------------------------- serialise
 
     def to_dict(self) -> dict:
         out = {
@@ -201,19 +187,3 @@ class MetricsHub:
             out["service_series"] = self.service_series.to_dict()
             out["queue_depth"] = self.queue_depth.to_dict()
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsHub":
-        hub = cls(window_seconds=data["series"]["window_seconds"])
-        for kind, hist_data in data["op_latency"].items():
-            hub.op_latency[kind] = LatencyHistogram.from_dict(hist_data)
-        hub.series.windows = [dict(window) for window in data["series"]["windows"]]
-        if "service_series" in data:
-            hub.service_series = WindowedSeries(
-                data["service_series"]["window_seconds"]
-            )
-            hub.service_series.windows = [
-                dict(window) for window in data["service_series"]["windows"]
-            ]
-            hub.queue_depth = LatencyHistogram.from_dict(data["queue_depth"])
-        return hub

@@ -59,16 +59,6 @@ class ServiceStats:
             self.admitted - self.completed - self.deadline_expired - self.retry_exhausted
         )
 
-    def __add__(self, other: "ServiceStats") -> "ServiceStats":
-        merged = ServiceStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-        merged.queue_peak = max(self.queue_peak, other.queue_peak)
-        return merged
-
     def as_dict(self) -> dict:
         """Plain-dict view (for the ``repro serve-sim --json`` report)."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}

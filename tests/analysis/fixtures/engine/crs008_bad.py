@@ -1,7 +1,7 @@
 """CRS008 fixture: the three commit-point protocols with the flush deleted.
 
 Each function is a stripped copy of a real publication protocol from the
-tree (``btree/engine.py``, ``btree/pager.py``, ``shard/router.py``) with
+tree (``btree/engine.py``, ``btree/pager.py``, ``lsm/vlog.py``) with
 the device flush barrier removed — the acceptance check that the rule
 catches exactly the bug class it was built for.  The flush-present
 counterparts live in ``crs008_clean.py`` and must report nothing.

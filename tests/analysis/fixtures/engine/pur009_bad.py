@@ -1,8 +1,8 @@
 """PUR009 fixture: pool workers whose body or *helpers* mutate module state.
 
-``work`` and ``work_partial`` are textually pure, but the helpers they call
-bump module-level caches; the workers below ``_pure_shape`` mutate state in
-their own body, behind a ``partial``, a dispatcher default and an import.
+``work`` and ``work_partial`` are textually pure, but their helpers bump
+module-level caches; the workers below ``_pure_shape`` mutate state in their
+own body, behind a ``partial``, a default, a ``worker=`` keyword, an import.
 ``clean_worker`` exercises the sanctioned shape: a pure helper.
 """
 
@@ -58,6 +58,11 @@ def run_grid(specs, runner=default_direct):
     return [runner(spec) for spec in specs]
 
 
+def keyword_direct(point: int) -> int:
+    _SHAPE_CACHE[point] = point  # PUR009: worker body, passed as worker=
+    return point
+
+
 def fan_out(points):
     from repro.pur009_imported import imported_worker
 
@@ -66,4 +71,5 @@ def fan_out(points):
     clean = run_tasks(points, clean_worker)
     direct = run_tasks(points, worker=partial(partial_direct, 3))
     imported = run_tasks(points, imported_worker)
-    return mapped, scaled, clean, direct, imported
+    keyed = run_tasks(points, worker=keyword_direct, jobs=4)
+    return mapped, scaled, clean, direct, imported, keyed

@@ -163,14 +163,6 @@ def test_crs008_clean_counterparts_pass():
     assert fixture_findings("engine/crs008_clean.py", rules_only("CRS008")) == []
 
 
-def test_crs008_covers_the_shard_activation_protocol():
-    findings = fixture_findings(
-        "shard/crs008_shard_bad.py", rules_only("CRS008"))
-    assert [f.line for f in findings] == [19]
-    assert "manifest-active-record" in findings[0].message
-    assert "activate_bad" in findings[0].message  # activate_clean stays clean
-
-
 def test_crs008_out_of_scope_segments_are_skipped():
     from repro.analysis import analyze_source
 
@@ -230,12 +222,16 @@ def test_pur009_flags_direct_worker_mutations():
 
 
 def test_pur009_covers_shard_pool_workers():
-    """Workers handed to the generic run_tasks dispatcher (the shard pool)
-    are held to the same purity rules, positionally and via worker=."""
-    findings = fixture_findings("engine/pur009_direct_shard.py", rules_only("PUR009"))
-    workers = {f.message.split("`")[1] for f in findings}
-    assert workers == {"shard_worker", "gather_worker"}
-    assert len(findings) == 2  # clean_shard_worker stays clean
+    """Workers handed to the generic run_tasks dispatcher (the pool the
+    shard sim used) are held to the same purity rules, positionally and
+    via worker=."""
+    findings = fixture_findings("engine/pur009_bad.py", rules_only("PUR009"))
+    keyed = [f for f in findings if "`keyword_direct`" in f.message]
+    assert [(f.line, f.message.startswith("pool worker")) for f in keyed] == [
+        (62, True)]
+    positional = [f for f in findings if "via work -> " in f.message]
+    assert [f.line for f in positional] == [31, 32]
+    assert not any("clean_worker" in f.message for f in findings)
 
 
 def test_pur009_flags_helper_mutations_behind_pure_workers():
@@ -249,9 +245,9 @@ def test_pur009_flags_helper_mutations_behind_pure_workers():
 
 
 def test_pur009_checks_the_body_of_every_worker_shape():
-    """A worker wrapped in partial, named only as a dispatcher default, or
-    imported from another module has its own body checked, not just its
-    callees."""
+    """A worker wrapped in partial, named only as a dispatcher default,
+    passed to run_tasks as worker=, or imported from another module has its
+    own body checked, not just its callees."""
     findings, _ = analyze_paths(
         [str(FIXTURES / "engine" / "pur009_bad.py"), str(FIXTURES / "repro")],
         rules_only("PUR009"),
@@ -263,6 +259,7 @@ def test_pur009_checks_the_body_of_every_worker_shape():
     assert direct == {
         "partial_direct": ("pur009_bad.py", 48),
         "default_direct": ("pur009_bad.py", 53),
+        "keyword_direct": ("pur009_bad.py", 62),
         "imported_worker": ("pur009_imported.py", 11),
     }
 

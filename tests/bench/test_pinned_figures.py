@@ -1,4 +1,4 @@
-"""Pinned sim-clock figures of the serving, sharded and compaction-strategy paths.
+"""Pinned sim-clock figures of the serving and compaction-strategy paths.
 
 Everything measured here runs on the simulated clock over seeded streams, so
 each number is a function of the code alone: drift is a behaviour change,
@@ -20,8 +20,6 @@ from repro.csd.device import CompressedBlockDevice
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.lsm.strategy import STRATEGIES
 from repro.service import ServiceConfig, StorageService, make_sessions
-from repro.shard.router import ShardConfig, ShardRouter
-from repro.shard.sim import make_shard_workload
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
 from repro.workloads.records import KeySpace
@@ -40,10 +38,6 @@ PINNED = {
         "completed": 305, "shed_overload": 859, "deadline_expired": 276,
         "write_stalls": 6, "unaccounted": 0, "fairness_spread": 0.944262,
         "p99_put_us": 8159.23, "p999_put_us": 8159.23,
-    },
-    # 4-shard hash-partitioned B⁻-tree fleet: integer-exact merged accounting.
-    "sharded-merged": {
-        "wa_total": 0.806703, "user_bytes": 45205, "final_keys": 174,
     },
     # WA per strategy x value size, 600 keys x 2 passes, KV separation at
     # 256B; "baseline" is leveled with separation off.
@@ -99,25 +93,6 @@ def _serving(scenario: str) -> dict:
     }
 
 
-def _sharded_merged() -> dict:
-    router = ShardRouter.create(ShardConfig(n_shards=4, engine="bminus"))
-    for index, (kind, key, value) in enumerate(make_shard_workload(2022, 240)):
-        if kind == "put":
-            router.put(key, value)
-        else:
-            router.delete(key)
-        if (index + 1) % 16 == 0:
-            router.commit()
-    router.commit()
-    merged = {
-        "wa_total": round(router.wa_report().wa_total, 6),
-        "user_bytes": router.traffic_snapshot().user_bytes,
-        "final_keys": sum(1 for _ in router.items()),
-    }
-    router.close()
-    return merged
-
-
 @lru_cache(maxsize=None)
 def _compaction_strategies() -> dict:
     def row(strategy, threshold):
@@ -134,7 +109,6 @@ def _compaction_strategies() -> dict:
 MEASURE = {
     "serving-contention": lambda: _serving("contention"),
     "serving-stall": lambda: _serving("stall"),
-    "sharded-merged": _sharded_merged,
     "compaction-strategies": _compaction_strategies,
 }
 

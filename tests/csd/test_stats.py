@@ -40,14 +40,6 @@ def test_compression_ratio_no_writes_is_one():
     assert DeviceStats().compression_ratio == 1.0
 
 
-def test_add_combines_fieldwise():
-    a = DeviceStats(logical_bytes_written=1, read_ios=2)
-    b = DeviceStats(logical_bytes_written=3, read_ios=4)
-    c = a + b
-    assert c.logical_bytes_written == 4
-    assert c.read_ios == 6
-
-
 def test_block_counters_default_zero_and_combine():
     stats = DeviceStats()
     assert stats.blocks_written == 0
@@ -58,6 +50,3 @@ def test_block_counters_default_zero_and_combine():
     delta = stats.delta(snap)
     assert delta.blocks_written == 4
     assert delta.blocks_read == 2
-    total = stats + DeviceStats(blocks_written=1, blocks_read=1)
-    assert total.blocks_written == 5
-    assert total.blocks_read == 3

@@ -1,6 +1,5 @@
 """Property tests for the log-bucketed histogram and the windowed series."""
 
-import json
 import math
 import random
 
@@ -71,33 +70,6 @@ def test_mean_min_max_are_exact():
 
 @fuzz_settings(max_examples=40, deadline=None)
 @given(seed=seed_strategy())
-def test_property_merge_equals_single_stream(seed):
-    """merge(h1, h2) must equal the histogram of the concatenated stream —
-    bucket for bucket, so every quantile matches exactly too."""
-    rng = random.Random(seed)
-    values = _latency_stream(rng, rng.randrange(1, 400))
-    split = rng.randrange(len(values) + 1)
-    h1, h2, whole = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-    for value in values[:split]:
-        h1.record(value)
-    for value in values[split:]:
-        h2.record(value)
-    for value in values:
-        whole.record(value)
-    h1.merge(h2)
-    with report_seed(seed):
-        # Buckets merge exactly; `total` is a float sum, so only approx.
-        assert h1.counts == whole.counts
-        assert h1.n == whole.n
-        assert h1.min_value == whole.min_value
-        assert h1.max_value == whole.max_value
-        assert h1.total == pytest.approx(whole.total)
-        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert h1.quantile(q) == whole.quantile(q)
-
-
-@fuzz_settings(max_examples=40, deadline=None)
-@given(seed=seed_strategy())
 def test_property_quantiles_within_resolution(seed):
     """Estimated quantiles stay within the documented relative error of the
     true (sorted-stream) quantiles, up to the min_unit quantisation floor."""
@@ -114,36 +86,6 @@ def test_property_quantiles_within_resolution(seed):
             true = ordered[rank - 1]
             estimate = hist.quantile(q)
             assert abs(estimate - true) <= true * hist.relative_error + 2 * hist.min_unit
-
-
-@fuzz_settings(max_examples=40, deadline=None)
-@given(seed=seed_strategy())
-def test_property_serialisation_round_trips(seed):
-    rng = random.Random(seed)
-    hist = LatencyHistogram()
-    for value in _latency_stream(rng, rng.randrange(0, 200)):
-        hist.record(value)
-    wire = json.loads(json.dumps(hist.to_dict()))
-    with report_seed(seed):
-        assert LatencyHistogram.from_dict(wire) == hist
-
-
-def test_merge_rejects_mismatched_parameters():
-    with pytest.raises(ValueError):
-        LatencyHistogram(sub_bits=7).merge(LatencyHistogram(sub_bits=8))
-    with pytest.raises(ValueError):
-        LatencyHistogram(min_unit=1e-9).merge(LatencyHistogram(min_unit=1e-6))
-
-
-def test_merge_tracks_min_max_from_both_sides():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    a.record(5e-6)
-    b.record(1e-6)
-    b.record(9e-6)
-    a.merge(b)
-    assert a.min_value == 1e-6
-    assert a.max_value == 9e-6
-    assert a.n == 3
 
 
 # --------------------------------------------------------- windowed series

@@ -94,22 +94,3 @@ def test_on_window_streams_in_order():
     assert seen == hub.series.windows
     starts = [w["start"] for w in seen]
     assert starts == sorted(starts)
-
-
-def test_merge_and_serialisation_round_trip():
-    h1 = MetricsHub(window_seconds=0.05)
-    h2 = MetricsHub(window_seconds=0.05)
-    run_wa_experiment(_small_spec(), hub=h1)
-    run_wa_experiment(_small_spec(seed=7), hub=h2)
-    n1 = {kind: hist.n for kind, hist in h1.op_latency.items()}
-    windows1 = len(h1.series.windows)
-    h1.merge(h2)
-    for kind, hist in h2.op_latency.items():
-        assert h1.op_latency[kind].n == n1.get(kind, 0) + hist.n
-    assert len(h1.series.windows) == windows1 + len(h2.series.windows)
-
-    wire = json.loads(json.dumps(h1.to_dict()))
-    back = MetricsHub.from_dict(wire)
-    assert back.op_latency == h1.op_latency
-    assert back.series.windows == h1.series.windows
-    assert back.series.window == h1.series.window

