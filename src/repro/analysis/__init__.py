@@ -1,23 +1,24 @@
 """Static enforcement of the reproduction's source-level invariants.
 
-The headline claim of this repository — WA/IOPS numbers bit-identical across
-fast-path, fault-injected, and traced runs — rests on contracts that
-differential tests can only probe after the fact:
+Some of the repository's guarantees are properties of every call site,
+which differential tests can only probe after the fact:
 
-* all randomness flows through :mod:`repro.sim.rng` and all timestamps
-  through :mod:`repro.sim.clock` (determinism);
 * all device bytes move through the sanctioned :mod:`repro.csd.device`
-  write path (I/O discipline);
-* every healed fault increments a :class:`repro.metrics.faults.FaultStats`
-  counter (fault-path accounting);
-* observability hook points stay behind a single ``is None`` test
-  (zero-overhead tracing).
+  block API (I/O discipline);
+* every durable commit point is preceded by a flush barrier on every path
+  (crash-consistency ordering);
+* public engine and service methods raise only
+  :class:`~repro.errors.ReproError` subclasses (exception contracts);
+* pool workers and their whole call closure are pure (parallel runs are
+  bit-identical to serial ones).
 
 This package checks those contracts at the *source* level with a small
 plugin-style AST analysis framework (see :mod:`repro.analysis.framework`)
 and one checker module per rule under :mod:`repro.analysis.rules`.  The
 ``repro lint`` CLI subcommand and the CI ``lint`` job run them over the
-tree; DESIGN.md §12 documents the paper-level invariant behind each rule.
+tree; DESIGN.md §12 documents the paper-level invariant behind each rule,
+and the two invariants checked at run time instead (hash-seed
+independence, fault-retry accounting).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The analysis framework: rule registry, AST walk, findings, suppressions.
 
 A *rule* is a plugin: a subclass of :class:`Rule` registered with the
-:func:`register` decorator.  Each rule declares an ``id`` (``DET001``), a
+:func:`register` decorator.  Each rule declares an ``id`` (``EXC004``), a
 ``severity``, a one-line ``title``, and implements :meth:`Rule.check` over a
 parsed module.  The framework owns everything rules should not re-implement:
 
@@ -128,18 +128,13 @@ class Rule:
 
     ``id`` is the stable identifier used in output, ``--rules`` filters and
     ``# repro: noqa[ID]`` suppressions.  ``invariant`` is the paper-level
-    contract the rule protects (shown in ``repro lint --explain``-style docs
-    and DESIGN.md §12).
+    contract the rule protects (documented in DESIGN.md §12).
     """
 
     id: str = ""
     title: str = ""
     severity: str = "error"
     invariant: str = ""
-    #: True for per-file rules that consult ``ctx.project`` (summaries); the
-    #: parallel driver keeps these in the parent process, where the shared
-    #: whole-program index lives.
-    needs_project: bool = False
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Scope hook: return False to skip this file entirely."""
@@ -160,8 +155,6 @@ class ProjectRule(Rule):
     the per-file streams *before* suppressions apply, so ``# repro: noqa``
     markers work identically for both rule kinds.
     """
-
-    needs_project = True
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:  # pragma: no cover
         return ()
@@ -386,7 +379,7 @@ def analyze_source(
     """Run ``rules`` over one in-memory module; returns sorted findings.
 
     The module is analyzed as a one-file project, so interprocedural rules
-    (and ``ctx.project`` consumers like FLT003) see same-file helpers.
+    see same-file helpers.
     Inline ``# repro: noqa[RULE]`` suppressions are applied here, and any
     suppression that matched nothing is reported as ``NQA000`` — an unused
     escape hatch is treated as lint debt, exactly like a violation.
@@ -429,45 +422,20 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return sorted(seen)
 
 
-def _lint_file_task(task: Tuple[str, Tuple[str, ...]]) -> List[Finding]:
-    """Pool worker: run the project-independent rules over one file.
-
-    Module-level and returning picklable :class:`Finding` rows, per the
-    ``run_tasks`` contract.  Syntax errors return nothing — the parent
-    parses every file anyway (for the project index) and owns ``AST000``.
-    """
-    path, selected_ids = task
-    rules = [get_rule(rule_id) for rule_id in selected_ids]
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        tree = ast.parse(source, filename=path)
-    except (OSError, SyntaxError):
-        return []
-    ctx = FileContext(path, source, tree)
-    return _run_file_rules(ctx, rules)
-
-
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    jobs: Optional[int] = None,
 ) -> Tuple[List[Finding], int]:
     """Analyze every ``.py`` under ``paths``; returns (findings, files_scanned).
 
     One project index is built over the full file set and shared by every
-    rule (summaries are computed once).  With ``jobs > 1`` the
-    project-independent per-file rules fan out over the ``bench/parallel``
-    worker pool; rules that consult the shared project (``needs_project``)
-    and :class:`ProjectRule` subclasses always run in the parent, and the
-    merged output is sorted, so the report is identical at any job count.
+    rule (summaries are computed once), and the merged output is sorted.
     """
     if rules is None:
         rules = all_rules()
     files = iter_python_files(paths)
 
     contexts: List[FileContext] = []
-    sources: Dict[str, str] = {}
     parse_errors: List[Finding] = []
     for path in files:
         try:
@@ -477,31 +445,12 @@ def analyze_paths(
         except SyntaxError as exc:
             parse_errors.append(_parse_error_finding(path, exc))
             continue
-        sources[path] = source
         contexts.append(FileContext(path, source, tree))
 
-    parallel_rules = [
-        r for r in rules if not isinstance(r, ProjectRule) and not r.needs_project
-    ]
-    parent_rules = [
-        r for r in rules if not isinstance(r, ProjectRule) and r.needs_project
-    ]
-
-    raw_by_path: Dict[str, List[Finding]] = {ctx.path: [] for ctx in contexts}
-    if jobs is not None and jobs > 1 and len(contexts) > 1 and parallel_rules:
-        from repro.bench.parallel import run_tasks
-
-        selected = tuple(rule.id for rule in parallel_rules)
-        tasks = [(ctx.path, selected) for ctx in contexts]
-        for ctx, found in zip(contexts, run_tasks(tasks, _lint_file_task, jobs=jobs)):
-            raw_by_path[ctx.path].extend(found)
-    else:
-        for ctx in contexts:
-            raw_by_path[ctx.path].extend(_run_file_rules(ctx, parallel_rules))
-
     project = _build_project(contexts, [p for p in paths if Path(p).is_dir()])
-    for ctx in contexts:
-        raw_by_path[ctx.path].extend(_run_file_rules(ctx, parent_rules))
+    raw_by_path: Dict[str, List[Finding]] = {
+        ctx.path: _run_file_rules(ctx, rules) for ctx in contexts
+    }
     for finding in _run_project_rules(project, contexts, rules):
         raw_by_path.setdefault(finding.path, []).append(finding)
 
@@ -509,7 +458,7 @@ def analyze_paths(
     findings: List[Finding] = list(parse_errors)
     for ctx in contexts:
         findings.extend(
-            _apply_suppressions(ctx.path, sources[ctx.path], raw_by_path[ctx.path], selected_ids)
+            _apply_suppressions(ctx.path, ctx.source, raw_by_path[ctx.path], selected_ids)
         )
     return sorted(findings, key=Finding.sort_key), len(files)
 

@@ -143,8 +143,6 @@ class ProjectIndex:
         self.edges: Dict[str, Set[str]] = {}
         #: fid → caller fids (resolved only).
         self.callers: Dict[str, Set[str]] = {}
-        #: fid → this function makes at least one unresolvable call.
-        self.calls_unknown: Dict[str, bool] = {}
         #: fids whose *value* escapes (stored/passed as a callback).
         self.escaping: Set[str] = set()
         #: id(ast.Call) → CallSite, for per-node lookups by rules.
@@ -239,7 +237,6 @@ class ProjectIndex:
         self.functions[info.fid] = info
         self.edges.setdefault(info.fid, set())
         self.callers.setdefault(info.fid, set())
-        self.calls_unknown.setdefault(info.fid, False)
         self.sites.setdefault(info.fid, [])
 
 
@@ -454,25 +451,15 @@ class _Resolver:
                 site = CallSite(node=node, callees=tuple(c.fid for c in callees))
                 self.project.sites[fid].append(site)
                 self.project._site_by_node[id(node)] = site
-                if callees:
-                    for callee in callees:
-                        self.project.edges[fid].add(callee.fid)
-                        self.project.callers[callee.fid].add(fid)
-                elif self._is_project_relevant(node):
-                    self.project.calls_unknown[fid] = True
+                for callee in callees:
+                    self.project.edges[fid].add(callee.fid)
+                    self.project.callers[callee.fid].add(fid)
             elif (
                 isinstance(node, (ast.Name, ast.Attribute))
                 and isinstance(getattr(node, "ctx", None), ast.Load)
                 and id(node) not in call_position
             ):
                 self._record_escape(node, class_info)
-
-    def _is_project_relevant(self, call: ast.Call) -> bool:
-        """Unknown-edge filter: plain builtins don't poison the summary."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id not in _BUILTIN_NAMES
-        return True
 
     def _record_escape(self, node: ast.AST, class_info: Optional[ClassInfo]) -> None:
         """A function referenced as a value (not called) escapes as a callback."""
@@ -567,23 +554,6 @@ class _Resolver:
             for info in self.project.lookup_method(cls, method):
                 found[info.fid] = info
         return list(found.values())
-
-
-#: Builtins whose unresolved calls carry no project-relevant effects; calls
-#: to anything else unresolved mark the caller ``calls_unknown``.
-_BUILTIN_NAMES = frozenset(
-    {
-        "abs", "all", "any", "bool", "bytearray", "bytes", "callable", "chr",
-        "dict", "divmod", "enumerate", "filter", "float", "format", "frozenset",
-        "getattr", "hasattr", "hash", "hex", "id", "int", "isinstance",
-        "issubclass", "iter", "len", "list", "map", "max", "min", "next",
-        "object", "ord", "pow", "print", "range", "repr", "reversed", "round",
-        "set", "setattr", "sorted", "str", "sum", "tuple", "type", "vars", "zip",
-        "super", "memoryview", "slice", "open", "min", "max", "ValueError",
-        "KeyError", "TypeError", "RuntimeError", "NotImplementedError",
-        "AssertionError", "StopIteration", "OSError", "IndexError",
-    }
-)
 
 
 # --------------------------------------------------------------------------

@@ -10,15 +10,10 @@ from __future__ import annotations
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     buf007,
     crs008,
-    det001,
     err010,
     exc004,
-    flt003,
     iod002,
     pur009,
 )
 
-__all__ = [
-    "buf007", "crs008", "det001", "err010", "exc004", "flt003", "iod002",
-    "pur009",
-]
+__all__ = ["buf007", "crs008", "err010", "exc004", "iod002", "pur009"]

@@ -35,11 +35,6 @@ def walk_body(stmts) -> Iterator[ast.AST]:
         yield from ast.walk(stmt)
 
 
-def same_expr(a: ast.AST, b: ast.AST) -> bool:
-    """Structural equality of two expressions (ignores locations)."""
-    return ast.dump(a) == ast.dump(b)
-
-
 def exception_names(handler: ast.ExceptHandler) -> Tuple[str, ...]:
     """The caught exception names of a handler ('' for a bare ``except:``).
 

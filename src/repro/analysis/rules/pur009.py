@@ -13,8 +13,8 @@ module-level cache diverges just the same; the mutation merely moved one
 frame down.
 
 The rule finds every pool worker in the project (``pool.submit``/
-``pool.map`` on a ``ProcessPoolExecutor``, ``run_specs``/``run_grid``/
-``run_tasks`` positionally or via ``runner=``/``worker=``, including
+``pool.map`` on a ``ProcessPoolExecutor``, ``run_specs``/``run_grid``
+positionally or via ``runner=``, including
 ``functools.partial(f, ...)`` wrappers, dispatcher parameter *defaults*,
 and workers imported from another module), walks the worker body and its
 full resolved call closure, and reports every module-level mutation
@@ -34,10 +34,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.framework import FileContext, Finding, ProjectRule, register
 
 #: Entry points that take a worker callable.
-POOL_DISPATCHERS = frozenset({"run_specs", "run_grid", "run_tasks"})
+POOL_DISPATCHERS = frozenset({"run_specs", "run_grid"})
 
-#: Keyword names those dispatchers accept the callable under.
-WORKER_KEYWORDS = frozenset({"runner", "worker"})
+#: Keyword name those dispatchers accept the callable under.
+WORKER_KEYWORD = "runner"
 
 
 def _pool_names(tree: ast.Module) -> Set[str]:
@@ -141,7 +141,7 @@ class WorkerPurity(ProjectRule):
                         + list(args.defaults) + list(args.kw_defaults)
                     )
                     for arg, default in zip(named, defaults):
-                        if arg.arg in WORKER_KEYWORDS and default is not None:
+                        if arg.arg == WORKER_KEYWORD and default is not None:
                             name = _unwrap_worker_expr(default)
                             if name:
                                 self._add_worker(project, ctx, name, workers)
@@ -168,7 +168,7 @@ class WorkerPurity(ProjectRule):
                         if name:
                             self._add_worker(project, ctx, name, workers)
                     for kw in node.keywords:
-                        if kw.arg in WORKER_KEYWORDS:
+                        if kw.arg == WORKER_KEYWORD:
                             name = _unwrap_worker_expr(kw.value)
                             if name:
                                 self._add_worker(project, ctx, name, workers)

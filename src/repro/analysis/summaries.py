@@ -9,11 +9,6 @@ closed over its resolved callees:
     ``raise`` statements plus callee raise-sets, filtered through the
     enclosing ``try``/``except`` structure (a handler that catches the
     class absorbs it unless it re-raises).
-``accounts``
-    :class:`~repro.metrics.faults.FaultStats` /
-    :class:`~repro.service.stats.ServiceStats` counters the function bumps,
-    directly or through any resolved callee (what lets FLT003 accept
-    accounting delegated to a helper).
 ``may_flush`` / ``writes_device``
     Whether the function can issue a device flush barrier / durable write,
     directly (``<device>.flush()``, ``write_block[s][_retrying]``) or via a
@@ -54,7 +49,7 @@ from repro.analysis.project import (
     ProjectIndex,
     strongly_connected_components,
 )
-from repro.analysis.rules._common import dotted_name, root_name
+from repro.analysis.rules._common import dotted_name, exception_names, root_name
 
 #: Functions whose call is a durable write to a device.
 WRITE_PRIMITIVES = frozenset(
@@ -105,7 +100,6 @@ class FunctionSummary:
     """Externally visible effects of one function, closed over callees."""
 
     raises: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-    accounts: Set[str] = field(default_factory=set)
     may_flush: bool = False
     #: A flush barrier executes on *every* normal return path.
     must_flush: bool = False
@@ -113,11 +107,10 @@ class FunctionSummary:
     mutations: Tuple[MutationSite, ...] = ()
     commit_points: Tuple[CommitPoint, ...] = ()
     undominated: Tuple[UndominatedCommit, ...] = ()
-    calls_unknown: bool = False
 
     def fingerprint(self) -> Tuple:
         return (
-            tuple(sorted(self.raises)), tuple(sorted(self.accounts)),
+            tuple(sorted(self.raises)),
             self.may_flush, self.must_flush, self.writes_device,
             len(self.commit_points),
             tuple(sorted(
@@ -233,16 +226,11 @@ class _BodyWalker:
         info: FunctionInfo,
         project: ProjectIndex,
         summaries: Dict[str, FunctionSummary],
-        counters: Set[str],
-        stats_roots: Tuple[str, ...],
     ) -> None:
         self.info = info
         self.project = project
         self.summaries = summaries
-        self.counters = counters
-        self.stats_roots = stats_roots
         self.raises: Dict[str, Tuple[str, int]] = {}
-        self.accounts: Set[str] = set()
         self.may_flush = False
         self.writes_device = False
         #: Barrier state at each normal exit (returns + implicit fallthrough).
@@ -340,7 +328,6 @@ class _BodyWalker:
                     barrier_call = True
             if summary.writes_device:
                 self.writes_device = True
-            self.accounts |= summary.accounts
             for name, origin in summary.raises.items():
                 self._record_raise(name, origin)
             # Propagate the callee's unresolved commit points through this
@@ -354,12 +341,6 @@ class _BodyWalker:
                             chain=undom.chain + (self.info.qualname,),
                         )
                     )
-
-        # Stats-object accounting by argument (delegation to a helper).
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            name = root_name(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
-            if name is not None and any(r in name for r in self.stats_roots):
-                self.accounts.add("<delegated>")
 
         # Commit-point classification for this call itself.
         point = None if id(call) in self._covered else self._detect_commit_point(call)
@@ -475,7 +456,7 @@ class _BodyWalker:
         if isinstance(stmt, ast.Try):
             frame = []
             for handler in stmt.handlers:
-                frame.append((_exception_names(handler), _handler_reraises(handler)))
+                frame.append((exception_names(handler), _handler_reraises(handler)))
             self.try_stack.append(frame)
             body_state, body_term = self.walk(stmt.body, state)
             self.try_stack.pop()
@@ -520,11 +501,7 @@ class _BodyWalker:
             return state, True
         if isinstance(stmt, (ast.Break, ast.Continue)):
             return state, True
-        if isinstance(stmt, ast.AugAssign):
-            state = self._scan_expression(stmt.value, state)
-            self._check_counter_increment(stmt)
-            return state, False
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             value = stmt.value
             if value is not None:
                 state = self._scan_expression(value, state)
@@ -565,17 +542,6 @@ class _BodyWalker:
         if name is not None and name[:1].isupper():
             self._record_raise(name, origin)
 
-    def _check_counter_increment(self, stmt: ast.AugAssign) -> None:
-        target = stmt.target
-        if not isinstance(target, ast.Attribute):
-            return
-        if target.attr in self.counters:
-            self.accounts.add(target.attr)
-            return
-        root = root_name(target)
-        if root is not None and any(r in root for r in self.stats_roots):
-            self.accounts.add(target.attr)
-
 
 def _handler_reraises(handler: ast.ExceptHandler) -> bool:
     """Does the handler re-raise the *caught* exception (bare ``raise`` or
@@ -593,20 +559,6 @@ def _handler_reraises(handler: ast.ExceptHandler) -> bool:
         ):
             return True
     return False
-
-
-def _exception_names(handler: ast.ExceptHandler) -> Tuple[str, ...]:
-    node = handler.type
-    if node is None:
-        return ("",)
-    elements = node.elts if isinstance(node, ast.Tuple) else [node]
-    names = []
-    for element in elements:
-        if isinstance(element, ast.Name):
-            names.append(element.id)
-        elif isinstance(element, ast.Attribute):
-            names.append(element.attr)
-    return tuple(names)
 
 
 # --------------------------------------------------------------------------
@@ -711,25 +663,17 @@ def compute_direct_mutations(
 # --------------------------------------------------------------------------
 
 
-def _counter_names() -> Tuple[Set[str], Tuple[str, ...]]:
-    from repro.analysis.rules.flt003 import _ALL_COUNTERS, _STATS_ROOTS
-
-    return set(_ALL_COUNTERS), tuple(_STATS_ROOTS)
-
-
 def compute_summaries(
     project: ProjectIndex, trees: Dict[str, ast.Module]
 ) -> Dict[str, FunctionSummary]:
     """Compute every function's summary, callee-first, cycles to fixpoint."""
-    counters, stats_roots = _counter_names()
     summaries: Dict[str, FunctionSummary] = {
-        fid: FunctionSummary(calls_unknown=project.calls_unknown.get(fid, False))
-        for fid in project.functions
+        fid: FunctionSummary() for fid in project.functions
     }
 
     def analyze(fid: str) -> FunctionSummary:
         info = project.functions[fid]
-        walker = _BodyWalker(info, project, summaries, counters, stats_roots)
+        walker = _BodyWalker(info, project, summaries)
         end_state, terminated = walker.walk(info.node.body, state=False)
         if not terminated:
             walker.exit_states.append(end_state)
@@ -737,7 +681,6 @@ def compute_summaries(
         mutations = compute_direct_mutations(info, trees[info.path])
         return FunctionSummary(
             raises=walker.raises,
-            accounts=walker.accounts,
             may_flush=walker.may_flush,
             must_flush=must_flush,
             writes_device=walker.writes_device,
@@ -746,7 +689,6 @@ def compute_summaries(
             undominated=tuple(
                 walker.undominated[k] for k in sorted(walker.undominated)
             ),
-            calls_unknown=project.calls_unknown.get(fid, False),
         )
 
     for scc in strongly_connected_components(project):
@@ -777,43 +719,3 @@ def entry_functions(project: ProjectIndex) -> Set[str]:
             entries.add(fid)
     entries |= set(project.escaping) & set(project.functions)
     return entries
-
-
-def format_callgraph(
-    project: ProjectIndex, summaries: Dict[str, FunctionSummary]
-) -> str:
-    """Human-readable dump: one line per function, effects + callees."""
-    lines: List[str] = []
-    entries = entry_functions(project)
-    for fid in sorted(project.functions):
-        info = project.functions[fid]
-        summary = summaries[fid]
-        flags = []
-        if fid in entries:
-            flags.append("entry")
-        if summary.must_flush:
-            flags.append("must-flush")
-        elif summary.may_flush:
-            flags.append("flush")
-        if summary.writes_device:
-            flags.append("writes")
-        if summary.calls_unknown:
-            flags.append("unknown-calls")
-        if summary.accounts:
-            flags.append("accounts=" + ",".join(sorted(summary.accounts)))
-        if summary.raises:
-            flags.append("raises=" + ",".join(sorted(summary.raises)))
-        if summary.commit_points:
-            flags.append(
-                "commits=" + ",".join(p.kind for p in summary.commit_points)
-            )
-        callees = sorted(
-            project.functions[c].qualname
-            for c in project.edges.get(fid, ())
-            if c in project.functions
-        )
-        suffix = f" [{' '.join(flags)}]" if flags else ""
-        lines.append(f"{info.path}::{info.qualname}{suffix}")
-        for callee in callees:
-            lines.append(f"    -> {callee}")
-    return "\n".join(lines)

@@ -454,13 +454,25 @@ class FaultTrialReport:
         }
 
 
+#: (engine retry counter, device injection counter) pairs that must be equal
+#: after every fault trial: every transient or torn fault the device injects
+#: is absorbed by exactly one counted retry.
+_RETRY_LEDGER = (
+    ("transient_read_retries", "transient_reads"),
+    ("transient_write_retries", "transient_writes"),
+    ("torn_write_retries", "torn_writes"),
+)
+
+
 def run_fault_trials(sut: EngineSUT, seed: int, trials: int) -> FaultTrialReport:
     """Run seeded fault plans end to end; every fault must heal invisibly.
 
     Rates cover only the fault kinds that are *always* recoverable without a
     surviving replica (transient errors, transient corruption, torn writes,
     dropped TRIMs) — latent corruption and misdirected writes are exercised
-    by the targeted phases, where a replica is arranged to exist.
+    by the targeted phases, where a replica is arranged to exist.  A healed
+    fault must also be accounted: the engine's retry counters must equal
+    what the device injected (:data:`_RETRY_LEDGER`).
     """
     report = FaultTrialReport()
     injected_total: dict = {}
@@ -493,6 +505,15 @@ def run_fault_trials(sut: EngineSUT, seed: int, trials: int) -> FaultTrialReport
                 "trial": trial,
                 "error": "final state diverged from the committed model",
             })
+        for retries, injected in _RETRY_LEDGER:
+            counted = getattr(engine.fault_stats, retries)
+            caused = getattr(device.injected, injected)
+            if counted != caused:
+                report.failures.append({
+                    "trial": trial,
+                    "error": f"fault_stats.{retries}={counted} but the device "
+                             f"injected {injected}={caused}",
+                })
         for name, count in device.injected.as_dict().items():
             injected_total[name] = injected_total.get(name, 0) + count
         for name, count in engine.fault_stats.as_dict().items():

@@ -91,33 +91,6 @@ def run_specs(
         return list(pool.map(_run_point, [(runner, spec) for spec in spec_list]))
 
 
-def run_tasks(
-    tasks: Iterable,
-    worker: Callable,
-    jobs: Optional[int] = None,
-) -> List:
-    """Fan arbitrary picklable tasks across the pool; results in task order.
-
-    The generic sibling of :func:`run_specs` for callers whose unit of work
-    is not an :class:`ExperimentSpec` — e.g. the linter's per-file analysis
-    tasks.  ``worker`` must be a module-level callable (picklable
-    by reference) that builds all of its own state from the task alone and
-    returns a detached, picklable result; the PUR009 worker-purity lint
-    rule holds ``worker`` to the same contract as ``runner``.
-
-    With ``jobs <= 1`` the tasks run serially in-process; either way the
-    result list matches the task order, not completion order.
-    """
-    task_list = list(tasks)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(task_list) <= 1:
-        return [worker(task) for task in task_list]
-    workers = min(jobs, len(task_list))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, task_list))
-
-
 def run_grid(
     keyed_specs: Dict,
     runner: Callable[[ExperimentSpec], ExperimentResult] = run_wa_experiment,

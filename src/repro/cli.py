@@ -431,108 +431,25 @@ def _build_serve_engine(system: str, clock):
     return device, engine
 
 
-def _changed_python_files(paths: list, base: str) -> list:
-    """``.py`` files changed vs ``base`` (plus untracked), under ``paths``.
-
-    The file list comes from ``git diff --name-only`` against the merge
-    base, plus untracked files — i.e. exactly what a pre-commit run cares
-    about.  Deleted files are skipped (nothing to parse).
-    """
-    import subprocess
-
-    from pathlib import Path as _Path
-
-    root = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    names = subprocess.run(
-        ["git", "diff", "--name-only", "--merge-base", base],
-        capture_output=True, text=True, check=True, cwd=root,
-    ).stdout.splitlines()
-    names += subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        capture_output=True, text=True, check=True, cwd=root,
-    ).stdout.splitlines()
-    scopes = [_Path(p).resolve() for p in paths]
-    out = []
-    for name in sorted(set(names)):
-        candidate = _Path(root, name)
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        resolved = candidate.resolve()
-        if any(scope == resolved or scope in resolved.parents for scope in scopes):
-            out.append(str(candidate))
-    return out
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: the repo's invariant linter (see repro.analysis).
 
-    Runs the AST-based checkers — per-file rules (DET001, IOD002, EXC004,
-    BUF007) and the whole-program interprocedural rules
-    (FLT003, CRS008, ERR010, PUR009) — over the given files/directories
-    (default ``src/repro``).  Exit code 0 means no findings; 1 means at
-    least one finding (including unused ``noqa`` suppressions, NQA000).
+    Runs the AST-based checkers — per-file rules (IOD002, EXC004, BUF007)
+    and the whole-program interprocedural rules (CRS008, ERR010, PUR009) —
+    over the given files/directories (default ``src/repro``) in one serial
+    pass.  Exit code 0 means no findings; 1 means at least one finding
+    (including unused ``noqa`` suppressions, NQA000).
 
     ``--json`` emits the machine-readable report the CI ``lint`` job
-    archives.  ``--jobs N`` (or ``REPRO_JOBS``) fans the per-file rules out
-    over a process pool; the report is identical at any job count.
-    ``--changed`` reports only findings in files changed vs ``--base``
-    (default HEAD).  The *analysis* still covers the full scope — the
-    interprocedural rules and ``noqa`` bookkeeping are only sound over a
-    whole program, and a full scan is a few seconds — so ``--changed``
-    narrows the report, not the precision.  ``--callgraph`` prints the
-    resolved call graph with per-function effect summaries instead of
-    linting.
+    archives.
     """
     import json as _json
 
     from repro.analysis import analyze_paths, findings_to_json, format_findings
     from repro.analysis.framework import select_rules
-    from repro.bench.parallel import default_jobs
 
     rules = select_rules(args.rules)
-    paths = args.paths or ["src/repro"]
-    changed: "set[str] | None" = None
-    if args.changed:
-        changed = set(_changed_python_files(paths, args.base))
-        if not changed:
-            print("clean: 0 findings in 0 files (no changed Python files)")
-            return 0
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-
-    if args.callgraph:
-        import ast as _ast
-
-        from repro.analysis.framework import FileContext, iter_python_files
-        from repro.analysis.project import build_project
-        from repro.analysis.summaries import compute_summaries, format_callgraph
-
-        contexts = []
-        for path in iter_python_files(paths):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            try:
-                tree = _ast.parse(source, filename=path)
-            except SyntaxError:
-                continue
-            contexts.append(FileContext(path, source, tree))
-        project = build_project(contexts)
-        summaries = compute_summaries(
-            project, {ctx.path: ctx.tree for ctx in contexts}
-        )
-        print(format_callgraph(project, summaries))
-        return 0
-
-    findings, files_scanned = analyze_paths(paths, rules, jobs=jobs)
-    if changed is not None:
-        from pathlib import Path as _Path
-
-        resolved = {str(_Path(p).resolve()) for p in changed}
-        findings = [
-            f for f in findings if str(_Path(f.path).resolve()) in resolved
-        ]
+    findings, files_scanned = analyze_paths(args.paths or ["src/repro"], rules)
     if args.json:
         print(_json.dumps(findings_to_json(findings, files_scanned),
                           indent=2, sort_keys=True))
@@ -653,20 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable findings report")
     lnt_p.add_argument("--rules", default=None, metavar="IDS",
                        help="comma-separated rule ids to run "
-                            "(e.g. DET001,EXC004; default: all)")
-    lnt_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="fan per-file rules out over N worker processes "
-                            "(default: REPRO_JOBS or 1; output is identical "
-                            "at any job count)")
-    lnt_p.add_argument("--changed", action="store_true",
-                       help="lint only files changed vs --base (plus "
-                            "untracked); the project index covers only the "
-                            "changed set, so CI still runs the full tree")
-    lnt_p.add_argument("--base", default="HEAD", metavar="REF",
-                       help="git ref --changed diffs against (default: HEAD)")
-    lnt_p.add_argument("--callgraph", action="store_true",
-                       help="print the resolved call graph with effect "
-                            "summaries instead of linting")
+                            "(e.g. CRS008,EXC004; default: all)")
     lnt_p.set_defaults(func=cmd_lint)
 
     spd_p = sub.add_parser("speed", help="estimate TPS for several systems")

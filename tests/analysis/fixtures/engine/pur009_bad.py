@@ -2,7 +2,7 @@
 
 ``work`` and ``work_partial`` are textually pure, but their helpers bump
 module-level caches; the workers below ``_pure_shape`` mutate state in their
-own body, behind a ``partial``, a default, a ``worker=`` keyword, an import.
+own body, behind a ``partial``, a default, a ``runner=`` keyword, an import.
 ``clean_worker`` exercises the sanctioned shape: a pure helper.
 """
 
@@ -59,17 +59,17 @@ def run_grid(specs, runner=default_direct):
 
 
 def keyword_direct(point: int) -> int:
-    _SHAPE_CACHE[point] = point  # PUR009: worker body, passed as worker=
+    _SHAPE_CACHE[point] = point  # PUR009: worker body, passed as runner=
     return point
 
 
 def fan_out(points):
     from repro.pur009_imported import imported_worker
 
-    mapped = run_tasks(points, work)
-    scaled = run_tasks(points, worker=partial(work_partial, 2))
-    clean = run_tasks(points, clean_worker)
-    direct = run_tasks(points, worker=partial(partial_direct, 3))
-    imported = run_tasks(points, imported_worker)
-    keyed = run_tasks(points, worker=keyword_direct, jobs=4)
+    mapped = run_specs(points, work)
+    scaled = run_specs(points, runner=partial(work_partial, 2))
+    clean = run_specs(points, clean_worker)
+    direct = run_specs(points, runner=partial(partial_direct, 3))
+    imported = run_specs(points, imported_worker)
+    keyed = run_specs(points, runner=keyword_direct, jobs=4)
     return mapped, scaled, clean, direct, imported, keyed

@@ -9,7 +9,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_lint_clean_file_exits_zero(capsys):
-    rc = main(["lint", str(FIXTURES / "core" / "det001_clean.py")])
+    rc = main(["lint", str(FIXTURES / "engine" / "crs008_clean.py")])
     out = capsys.readouterr().out
     assert rc == 0
     assert "clean: 0 findings in 1 file" in out
@@ -32,8 +32,8 @@ def test_lint_json_output_is_machine_readable(capsys):
 
 
 def test_lint_rules_filter(capsys):
-    # Only DET001 selected: the EXC004 fixture comes back clean.
-    rc = main(["lint", "--rules", "DET001",
+    # Only IOD002 selected: the EXC004 fixture comes back clean.
+    rc = main(["lint", "--rules", "IOD002",
                str(FIXTURES / "engine" / "exc004_bad.py")])
     capsys.readouterr()
     assert rc == 0
@@ -60,7 +60,7 @@ def test_lint_default_target_is_src_repro(capsys, monkeypatch):
 
     targets = []
 
-    def record_paths(paths, rules=None, jobs=None):
+    def record_paths(paths, rules=None):
         targets.append(list(paths))
         return [], 0
 
@@ -69,69 +69,3 @@ def test_lint_default_target_is_src_repro(capsys, monkeypatch):
     capsys.readouterr()
     assert rc == 0
     assert targets == [["src/repro"]]
-
-
-def test_lint_jobs_output_identical_to_serial(capsys):
-    rc_serial = main(["lint", "--json", str(FIXTURES)])
-    serial = json.loads(capsys.readouterr().out)
-    rc_parallel = main(["lint", "--json", "--jobs", "2", str(FIXTURES)])
-    parallel = json.loads(capsys.readouterr().out)
-    assert rc_serial == rc_parallel == 1
-    assert serial == parallel  # merged+sorted report at any job count
-
-
-def test_lint_changed_narrows_the_report(capsys, monkeypatch, tmp_path):
-    import subprocess
-
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv], cwd=tmp_path, check=True, capture_output=True)
-
-    git("init", "-q")
-    git("config", "user.email", "t@example.com")
-    git("config", "user.name", "t")
-    bad = "def f(op):\n    try:\n        return op()\n    except Exception:\n        pass\n"
-    (tmp_path / "committed_bad.py").write_text(bad)
-    git("add", "committed_bad.py")
-    git("commit", "-q", "-m", "seed")
-    (tmp_path / "new_bad.py").write_text(bad)  # untracked
-    monkeypatch.chdir(tmp_path)
-
-    rc = main(["lint", str(tmp_path)])
-    full = capsys.readouterr().out
-    assert rc == 1 and "committed_bad.py" in full and "new_bad.py" in full
-
-    rc = main(["lint", "--changed", str(tmp_path)])
-    narrowed = capsys.readouterr().out
-    assert rc == 1
-    assert "new_bad.py" in narrowed  # the file being committed
-    assert "committed_bad.py" not in narrowed  # pre-existing debt elsewhere
-
-
-def test_lint_changed_clean_when_nothing_changed(capsys, monkeypatch, tmp_path):
-    import subprocess
-
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv], cwd=tmp_path, check=True, capture_output=True)
-
-    git("init", "-q")
-    git("config", "user.email", "t@example.com")
-    git("config", "user.name", "t")
-    (tmp_path / "mod.py").write_text("x = 1\n")
-    git("add", "mod.py")
-    git("commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tmp_path)
-    rc = main(["lint", "--changed", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "no changed Python files" in out
-
-
-def test_lint_callgraph_dump(capsys):
-    rc = main(["lint", "--callgraph",
-               str(FIXTURES / "engine" / "pur009_bad.py")])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "-> _cached_shape" in out  # resolved edge
-    assert "[entry" in out  # entry flag on uncalled functions

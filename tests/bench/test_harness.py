@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.harness import (
+    SYSTEMS,
     ExperimentSpec,
     _compressor,
     build_engine,
@@ -121,6 +122,18 @@ def test_run_wa_experiment_deterministic():
     b = run_wa_experiment(small_spec(system="bminus"))
     assert a.wa.wa_total == b.wa.wa_total
     assert a.physical_usage == b.physical_usage
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_engine_ledger_closes_on_the_device_counters(system):
+    """Every byte the device was asked to write is on the engine's ledger,
+    and nothing else is: the WA numerators are the device's own counts."""
+    result = run_wa_experiment(small_spec(system=system, n_records=1000,
+                                          steady_ops=1000))
+    snap = result.engine.traffic_snapshot()
+    stats = result.device.stats
+    assert snap.total_physical == stats.physical_bytes_written
+    assert snap.total_logical == stats.logical_bytes_written
 
 
 def test_wa_ordering_bminus_vs_baseline():

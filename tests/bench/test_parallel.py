@@ -16,7 +16,6 @@ from repro.bench.parallel import (
     detach_result,
     run_grid,
     run_specs,
-    run_tasks,
 )
 from repro.errors import ConfigError
 
@@ -114,39 +113,17 @@ class TestRunGrid:
         assert fingerprint(grid["only"]) == fingerprint(direct)
 
 
-def square_worker(task):
-    """Module-level (picklable by reference), pure: PUR009's worker contract."""
-    return task * task
-
-
-class TestRunTasks:
-    def test_results_in_task_order(self):
-        assert run_tasks([3, 1, 2], square_worker, jobs=1) == [9, 1, 4]
-
-    def test_pool_path_matches_serial(self):
-        tasks = list(range(7))
-        assert run_tasks(tasks, square_worker, jobs=2) == [
-            square_worker(t) for t in tasks
-        ]
-
-    def test_single_task_stays_serial(self):
-        # Same shortcut run_specs takes: no pool for a single unit of work,
-        # so a local closure is fine here (nothing gets pickled).
-        assert run_tasks([5], lambda t: t + 1, jobs=4) == [6]
-
-    def test_empty_task_list(self):
-        assert run_tasks([], square_worker, jobs=3) == []
-
-
 #: Run as its own process by the fork test below.  The parent sizes a 6-block
 #: request on two threads, so its compressor's worker thread is alive when
-#: ``run_tasks`` forks; every pool worker then issues 6-block writes through
-#: that inherited compressor and through a fresh one.
+#: the process pool (the one ``run_specs`` uses) forks; every pool worker
+#: then issues 6-block writes through that inherited compressor and through
+#: a fresh one.
 _FORK_AFTER_SPLIT = """
+import multiprocessing
 import random
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.bench.parallel import run_tasks
 from repro.csd.compression import ZlibCompressor
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 
@@ -166,7 +143,9 @@ def work(seed):
 if __name__ == "__main__":
     INHERITED.write_blocks(0, payload(-1))
     assert threading.active_count() == 2, threading.enumerate()
-    pooled = run_tasks(range(8), work, jobs=2)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
+        pooled = list(pool.map(work, range(8)))
     assert pooled == [work(seed) for seed in range(8)], pooled
     print("fork after two-thread sizing: ok")
 """

@@ -15,10 +15,12 @@ from repro.bench.faultcheck import (
     format_report,
     make_workload,
     run_crash_schedule,
+    run_fault_trials,
     run_faultcheck,
     _make_suts,
 )
 from repro.cli import main
+from repro.csd import faults
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import RecoveryError
 
@@ -118,6 +120,31 @@ def test_recovery_exception_is_a_recorded_failure():
     assert isinstance(failure["op_index"], int)
     assert "RecoveryError: unreadable store" in failure["error"]
     assert failure["raised_at"].startswith("broken_reopen (test_faultcheck.py:")
+
+
+def test_fault_trial_counts_every_retry():
+    """The engine's retry counters match what the device injected."""
+    report = run_fault_trials(_make_suts()["bminus"], seed=2022, trials=1)
+    assert report.failures == []
+    assert report.injected["transient_writes"] == 1
+    assert report.healed["transient_write_retries"] == 1
+
+
+def test_uncounted_retry_fails_the_fault_trial(monkeypatch):
+    """A write retry that heals the fault but bumps no counter is a failure
+    of the trial, not a clean run."""
+    retrying = faults._retrying
+
+    def uncounted_writes(op, stats, attempts, writes):
+        return retrying(op, None if writes else stats, attempts, writes)
+
+    monkeypatch.setattr(faults, "_retrying", uncounted_writes)
+    report = run_fault_trials(_make_suts()["bminus"], seed=2022, trials=1)
+    assert report.failures == [{
+        "trial": 0,
+        "error": "fault_stats.transient_write_retries=0 but the device "
+                 "injected transient_writes=1",
+    }]
 
 
 @pytest.mark.parametrize("system", ["bminus-group", "lsm-group"])
