@@ -11,25 +11,26 @@ Environment knobs:
 * ``REPRO_FULL=1``  — expand grids to the paper's full sweeps (slow).
 * ``REPRO_FAST=1``  — use the calibrated zero-run compressor model instead
   of real zlib (~3x faster, within ~6% on WA).
-* ``REPRO_SCALE=<float>`` — multiply default record counts (default 1.0).
+* ``REPRO_SCALE=<float>`` — multiply default record counts (default 1.0;
+  must be a positive number).
+* ``REPRO_JOBS=<int>`` — worker processes for the figure grids (default 1).
+
+A malformed value of any of them is a ``ConfigError`` naming the variable.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
+from repro.bench.harness import record_scale
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
-
-
 def scaled(n: int) -> int:
-    return max(2000, int(n * scale()))
+    return max(2000, int(n * record_scale()))
 
 
 def emit(name: str, text: str) -> None:

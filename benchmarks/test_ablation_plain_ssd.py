@@ -3,19 +3,20 @@
 The paper's §3.2 argues that page-modification logging "is not practically
 viable" on normal storage: without in-storage compression, every zero-padded
 4KB delta block and every sparse log block costs its full 4KB physically.
-This bench runs the B⁻-tree and the baseline on both device kinds and shows
-the techniques' advantage collapses on a conventional SSD.
+This bench runs the B⁻-tree and the conventional shadowing B-tree
+(``wiredtiger``, the paper's baseline) on both device kinds and shows the
+techniques' advantage collapses on a conventional SSD.
 """
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.reporting import format_table
 
 
 def run_plain_ssd_ablation():
     results = {}
-    for system in ("baseline-btree", "bminus"):
+    for system in ("wiredtiger", "bminus"):
         for device_kind in ("csd", "plain"):
             spec = ExperimentSpec(
                 system=system,
@@ -26,7 +27,7 @@ def run_plain_ssd_ablation():
                 log_flush_policy="commit",
                 device_kind=device_kind,
             )
-            results[(system, device_kind)] = run_wa_experiment(spec)
+            results[(system, device_kind)] = run_experiment(spec)
     return results
 
 
@@ -46,8 +47,8 @@ def test_ablation_plain_ssd(once):
              "full price: the B- advantage collapses (paper §3.2)",
     ))
     wa = lambda sys, dev: results[(sys, dev)].wa_total
-    gain_csd = wa("baseline-btree", "csd") / wa("bminus", "csd")
-    gain_plain = wa("baseline-btree", "plain") / wa("bminus", "plain")
+    gain_csd = wa("wiredtiger", "csd") / wa("bminus", "csd")
+    gain_plain = wa("wiredtiger", "plain") / wa("bminus", "plain")
     # On the compressing drive the B- advantage is several-fold...
     assert gain_csd > 3.0
     # ... on a plain SSD it shrinks dramatically (techniques need the drive).

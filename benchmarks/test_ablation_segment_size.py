@@ -9,7 +9,7 @@ The β overhead moves only marginally (paper Table 2).
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.reporting import format_table
 
 SEGMENT_SIZES = [64, 128, 256, 512]
@@ -27,7 +27,7 @@ def run_segment_ablation():
                 n_threads=4,
                 steady_ops=scaled(30_000),
             )
-            results[(record_size, seg)] = run_wa_experiment(spec)
+            results[(record_size, seg)] = run_experiment(spec)
     return results
 
 

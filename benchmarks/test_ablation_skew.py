@@ -9,41 +9,28 @@ scattered worst case.
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, build_engine
+from repro.bench.harness import ExperimentSpec
+from repro.bench.parallel import run_grid
 from repro.bench.reporting import format_table
-from repro.metrics.counters import compute_wa
-from repro.sim.rng import DeterministicRng
-from repro.workloads.runner import WorkloadRunner
 
-WORKLOADS = ["uniform", "zipf-clustered", "zipf-scattered"]
-
-
-def run_one(system: str, workload: str):
-    spec = ExperimentSpec(
-        system=system, n_records=scaled(40_000), record_size=128,
-        n_threads=4, steady_ops=scaled(30_000),
-    )
-    engine, device, clock = build_engine(spec)
-    rng = DeterministicRng(spec.seed)
-    runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads)
-    runner.populate(spec.keyspace, rng.split("populate"))
-    if workload == "uniform":
-        phase = runner.run_random_writes(spec.keyspace, spec.steady_op_count,
-                                         rng.split("steady"))
-    else:
-        phase = runner.run_zipfian_writes(
-            spec.keyspace, spec.steady_op_count, rng.split("steady"),
-            theta=0.99, scattered=(workload == "zipf-scattered"),
-        )
-    return compute_wa(phase.traffic)
+#: Column label -> the harness workload that produces it.
+COLUMNS = {
+    "uniform": "write",
+    "zipf-clustered": "zipf",
+    "zipf-scattered": "zipf-scattered",
+}
 
 
 def run_skew_ablation():
-    results = {}
-    for system in ("wiredtiger", "bminus"):
-        for workload in WORKLOADS:
-            results[(system, workload)] = run_one(system, workload)
-    return results
+    specs = {
+        (system, column): ExperimentSpec(
+            system=system, n_records=scaled(40_000), record_size=128,
+            n_threads=4, steady_ops=scaled(30_000), workload=workload,
+        )
+        for system in ("wiredtiger", "bminus")
+        for column, workload in COLUMNS.items()
+    }
+    return run_grid(specs)  # fans out across REPRO_JOBS workers
 
 
 def test_ablation_skew(once):
@@ -51,12 +38,12 @@ def test_ablation_skew(once):
     rows = []
     for system in ("wiredtiger", "bminus"):
         row = [system]
-        for workload in WORKLOADS:
+        for workload in COLUMNS:
             row.append(results[(system, workload)].wa_total)
         rows.append(row)
     emit("ablation_skew", format_table(
         "Ablation: WA under uniform vs Zipf(0.99) updates (128B, 8KB pages)",
-        ["system"] + WORKLOADS,
+        ["system"] + list(COLUMNS),
         rows,
         note="skew coalesces updates on hot pages: WA falls for every "
              "variant; clustering hot keys helps most",

@@ -5,7 +5,8 @@ from an in-place B-tree with a double-write journal, apply the techniques
 one at a time and measure the WA decomposition after each step:
 
     journal          in-place + double-write, packed WAL   (W_e = W_pg)
-    shadow-table     conventional COW + persisted table    (W_e = 4KB/flush)
+    shadow-table     conventional COW + persisted table    (W_e = 4KB/flush;
+                     the ``wiredtiger`` configuration)
     det-shadow       technique 1: W_e -> 0
     + delta logging  technique 2: W_pg collapses
     + sparse WAL     technique 3: W_log collapses (per-commit flushing)
@@ -15,12 +16,12 @@ Run under log-flush-per-commit so all three components are visible.
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.reporting import format_table
 
 STEPS = [
     ("btree-journal", "in-place + journal (none)"),
-    ("baseline-btree", "conventional shadowing"),
+    ("wiredtiger", "conventional shadowing"),
     ("btree-det-shadow", "+ deterministic shadowing (T1)"),
     ("bminus-packedlog", "+ delta logging (T1+T2)"),
     ("bminus", "+ sparse redo log (T1+T2+T3)"),
@@ -38,7 +39,7 @@ def run_ablation():
             steady_ops=scaled(30_000),
             log_flush_policy="commit",
         )
-        results[system] = run_wa_experiment(spec)
+        results[system] = run_experiment(spec)
     return results
 
 
@@ -60,7 +61,7 @@ def test_ablation_techniques(once):
     # Technique 1 eliminates W_e entirely (journal pays W_e ~= W_pg).
     assert wa["btree-journal"].wa_e > 0.8 * wa["btree-journal"].wa_pg
     assert wa["btree-det-shadow"].wa_e == 0.0
-    assert wa["baseline-btree"].wa_e > wa["btree-det-shadow"].wa_e
+    assert wa["wiredtiger"].wa_e > wa["btree-det-shadow"].wa_e
     # Technique 2 collapses the page component by several fold.
     assert wa["bminus-packedlog"].wa_pg < 0.4 * wa["btree-det-shadow"].wa_pg
     # Technique 3 collapses the log component.

@@ -9,7 +9,7 @@ RocksDB = 38).
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.paper import FIG10_WA_32B_4T
 from repro.bench.parallel import run_grid
 from repro.bench.reporting import format_table
@@ -82,7 +82,7 @@ def test_fig10_wa_500g(once):
     assert wa("bminus", 32) < 0.45 * wa("wiredtiger", 32)
     # The paper's Fig 9-vs-10 observation: a larger dataset means more LSM
     # levels and higher RocksDB WA, while the B-trees barely move.
-    control = run_wa_experiment(ExperimentSpec(
+    control = run_experiment(ExperimentSpec(
         system="rocksdb", n_records=records_for(32) // 3, record_size=32,
         cache_fraction=CACHE_FRACTION, n_threads=t,
         steady_ops=min(records_for(32) // 3, scaled(40_000)),

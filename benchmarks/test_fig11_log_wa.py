@@ -10,7 +10,7 @@ Expected shapes:
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.reporting import format_table
 
 
@@ -36,7 +36,7 @@ def run_fig11():
                     steady_ops=scaled(25_000),
                     log_flush_policy="commit",
                 )
-                results[(record_size, system, t)] = run_wa_experiment(spec)
+                results[(record_size, system, t)] = run_experiment(spec)
     return results
 
 

@@ -16,7 +16,7 @@ from repro.bench.reporting import format_table
 def grid():
     threads = [1, 2, 4, 8, 16] if full_mode() else [1, 4, 16]
     record_sizes = [128, 32, 16] if full_mode() else [128]
-    systems = ["rocksdb", "wiredtiger", "baseline-btree", "bminus"]
+    systems = ["rocksdb", "wiredtiger", "bminus"]
     return record_sizes, threads, systems
 
 

@@ -1,4 +1,4 @@
-"""Fig. 13: logical and physical storage usage of all four systems.
+"""Fig. 13: logical and physical storage usage of RocksDB, WiredTiger and B⁻.
 
 Expected shapes (8KB pages):
 
@@ -10,11 +10,11 @@ Expected shapes (8KB pages):
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.paper import FIG13_PHYSICAL_GB
 from repro.bench.reporting import format_table
 
-SYSTEMS = ["rocksdb", "wiredtiger", "baseline-btree", "bminus"]
+SYSTEMS = ["rocksdb", "wiredtiger", "bminus"]
 
 
 def run_fig13():
@@ -28,7 +28,7 @@ def run_fig13():
             steady_ops=scaled(110_000),
             wal_enabled=False,
         )
-        results[system] = run_wa_experiment(spec)
+        results[system] = run_experiment(spec)
     return results
 
 
@@ -53,7 +53,7 @@ def test_fig13_storage(once):
              f"B- {FIG13_PHYSICAL_GB['bminus_t2k']}GB (~5% apart)",
     ))
     # B- has the largest logical footprint (extra delta block per page).
-    for system in ("rocksdb", "wiredtiger", "baseline-btree"):
+    for system in ("rocksdb", "wiredtiger"):
         assert results["bminus"].logical_usage > results[system].logical_usage
     # Conventional B-trees use the least flash after compression.
     for system in ("rocksdb", "bminus"):

@@ -7,7 +7,7 @@ before a full-page reset, so WA falls monotonically as T grows from 1KB to
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.reporting import format_table
 
 THRESHOLDS = [1024, 2048, 4096]
@@ -35,7 +35,7 @@ def run_fig14():
                     steady_ops=scaled(40_000),
                     log_flush_policy="interval",
                 )
-                results[(record_size, threshold, t)] = run_wa_experiment(spec)
+                results[(record_size, threshold, t)] = run_experiment(spec)
     return results
 
 

@@ -11,7 +11,7 @@ repro.bench.speed).  Expected shapes:
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_speed_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.paper import FIG15_POINT_READ_TPS
 from repro.bench.reporting import format_series
 from repro.bench.speed import SpeedModel
@@ -34,9 +34,10 @@ def run_fig15():
                 record_size=128,
                 n_threads=t,
                 steady_ops=scaled(20_000),
+                workload="read",
             )
-            result, phase = run_speed_experiment(spec, "read")
-            tps[(system, t)] = model.tps(phase, result.engine, t)
+            result = run_experiment(spec)
+            tps[(system, t)] = model.tps(result.steady, result.engine, t)
     return tps
 
 

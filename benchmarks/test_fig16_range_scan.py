@@ -13,7 +13,7 @@ Expected shapes:
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_speed_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.reporting import format_series
 from repro.bench.speed import SpeedModel
 
@@ -36,9 +36,11 @@ def run_fig16():
                 record_size=128,
                 n_threads=t,
                 steady_ops=scaled(3_000),  # scans touch 100 records each
+                workload="scan",
+                scan_length=SCAN_LENGTH,
             )
-            result, phase = run_speed_experiment(spec, "scan", scan_length=SCAN_LENGTH)
-            tps[(system, t)] = model.tps(phase, result.engine, t)
+            result = run_experiment(spec)
+            tps[(system, t)] = model.tps(result.steady, result.engine, t)
     return tps
 
 

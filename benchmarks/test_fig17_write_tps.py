@@ -9,12 +9,12 @@ factors, not the absolute numbers.
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_speed_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.paper import FIG17_WRITE_TPS
 from repro.bench.reporting import format_series
 from repro.bench.speed import SpeedModel
 
-SYSTEMS = ["bminus", "rocksdb", "wiredtiger", "baseline-btree"]
+SYSTEMS = ["bminus", "rocksdb", "wiredtiger"]
 
 
 def thread_counts():
@@ -34,8 +34,9 @@ def run_fig17():
                 steady_ops=scaled(30_000),
                 log_flush_policy="interval",
             )
-            result, phase = run_speed_experiment(spec, "write")
-            out[(system, t)] = (model.tps(phase, result.engine, t), result.wa.wa_total)
+            result = run_experiment(spec)
+            out[(system, t)] = (model.tps(result.steady, result.engine, t),
+                                result.wa.wa_total)
     return out
 
 

@@ -1,8 +1,9 @@
 """Fig. 9: WA under log-flush-per-minute, "150GB" dataset, 1GB:150GB cache.
 
-Grid: record size {128, 32, 16}B x systems {RocksDB, WiredTiger, baseline
-B-tree, B⁻-tree} x client threads, 8KB pages (REPRO_FULL adds 16KB pages and
-D_s = 256B).  Expected shapes:
+Grid: record size {128, 32, 16}B x systems {RocksDB, WiredTiger, B⁻-tree} x
+client threads, 8KB pages (REPRO_FULL adds 16KB pages and D_s = 256B).  The
+paper's WiredTiger and baseline B-tree coincide (both shadow pages
+conventionally), so the ``wiredtiger`` rows stand for both.  Expected shapes:
 
 * normal B-tree WA scales ~linearly with page_size/record_size; B⁻ scales
   sub-linearly, closing the gap with RocksDB;
@@ -21,7 +22,7 @@ from repro.bench.reporting import format_table
 def grid():
     record_sizes = [128, 32, 16]
     threads = [1, 2, 4, 8, 16] if full_mode() else [1, 16]
-    systems = ["rocksdb", "wiredtiger", "baseline-btree", "bminus"]
+    systems = ["rocksdb", "wiredtiger", "bminus"]
     page_sizes = [8192, 16384] if full_mode() else [8192]
     return record_sizes, threads, systems, page_sizes
 
@@ -74,9 +75,9 @@ def test_fig9_wa_150g(once):
     t_hi = threads[-1]
     for page_size in page_sizes:
         wa = lambda sys, rs, t=t_hi: results[(page_size, rs, sys, t)].wa_total
-        # B- slashes baseline B-tree WA at every record size.
+        # B- slashes the conventional B-tree's WA at every record size.
         for rs in record_sizes:
-            assert wa("bminus", rs) < 0.5 * wa("baseline-btree", rs), (page_size, rs)
+            assert wa("bminus", rs) < 0.5 * wa("wiredtiger", rs), (page_size, rs)
         # At 128B records, B- lands at or near RocksDB (paper: 8 vs 14; at
         # our scale RocksDB holds ~2 fewer levels, so its WA is lower than
         # the paper's and the comparison is tighter — see EXPERIMENTS.md).
@@ -87,9 +88,5 @@ def test_fig9_wa_150g(once):
         if rocks_levels >= 4:
             assert wa("bminus", 128) < 1.6 * wa("rocksdb", 128)
         # Normal B-tree WA grows as records shrink; RocksDB barely moves.
-        assert wa("baseline-btree", 16) > 2.5 * wa("baseline-btree", 128)
+        assert wa("wiredtiger", 16) > 2.5 * wa("wiredtiger", 128)
         assert wa("rocksdb", 16) < 3.0 * wa("rocksdb", 128)
-        # WiredTiger and the baseline (both conventional shadowing) coincide.
-        for rs in record_sizes:
-            assert abs(wa("wiredtiger", rs) - wa("baseline-btree", rs)) < 0.35 * wa(
-                "baseline-btree", rs)

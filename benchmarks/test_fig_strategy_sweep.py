@@ -15,7 +15,7 @@ matches the unseparated run of the same strategy.
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.reporting import format_table
 from repro.lsm.strategy import STRATEGIES
 
@@ -42,7 +42,7 @@ def run_sweep():
                     value_separation_threshold=threshold,
                 )
                 results[(strategy, record_size, threshold)] = (
-                    run_wa_experiment(spec)
+                    run_experiment(spec)
                 )
     return results
 

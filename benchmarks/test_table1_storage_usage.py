@@ -8,7 +8,7 @@ but *more physical* space (LSM space amplification) than the B-tree.
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.paper import TABLE1_STORAGE_GB
 from repro.bench.reporting import format_table
 
@@ -24,7 +24,7 @@ def run_table1():
             steady_ops=scaled(110_000),
             wal_enabled=False,  # the paper disables the WAL for this table
         )
-        results[system] = run_wa_experiment(spec)
+        results[system] = run_experiment(spec)
     return results
 
 

@@ -8,7 +8,7 @@ moves only marginally with the segment size D_s.  The paper's values at
 
 from conftest import emit, scaled
 
-from repro.bench.harness import ExperimentSpec, full_mode, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, full_mode, run_experiment
 from repro.bench.paper import TABLE2_BETA
 from repro.bench.reporting import format_table
 
@@ -36,7 +36,7 @@ def run_table2():
                     n_threads=4,
                     steady_ops=scaled(40_000),
                 )
-                results[(page_size, seg, threshold)] = run_wa_experiment(spec)
+                results[(page_size, seg, threshold)] = run_experiment(spec)
     return results
 
 

@@ -10,7 +10,7 @@ full-page resets (lower WA) but more delta bytes resident on flash
 Run:  python examples/threshold_tradeoff.py
 """
 
-from repro.bench import ExperimentSpec, format_table, run_wa_experiment
+from repro.bench import ExperimentSpec, format_table, run_experiment
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
                 steady_ops=25_000,
             )
             print(f"running {spec.label()} ...")
-            result = run_wa_experiment(spec)
+            result = run_experiment(spec)
             rows.append([
                 f"{page_size // 1024}KB",
                 f"{threshold // 1024}KB",

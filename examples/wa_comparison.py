@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Head-to-head write-amplification comparison (a miniature Fig. 9).
 
-Runs the same random-write workload against all four systems — RocksDB-like
-LSM, WiredTiger-like B-tree, the baseline B-tree, and the B⁻-tree — on
-identical simulated compressing drives, and prints the paper's WA
-decomposition for each.
+Runs the same random-write workload against the three systems — RocksDB-like
+LSM, the conventional (WiredTiger-like, the paper's baseline) B-tree, and the
+B⁻-tree — on identical simulated compressing drives, and prints the paper's
+WA decomposition for each.
 
 Run:  python examples/wa_comparison.py
 """
 
-from repro.bench import ExperimentSpec, format_table, run_wa_experiment
+from repro.bench import ExperimentSpec, format_table, run_experiment
 
-SYSTEMS = ["rocksdb", "wiredtiger", "baseline-btree", "bminus"]
+SYSTEMS = ["rocksdb", "wiredtiger", "bminus"]
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
             log_flush_policy="commit",
         )
         print(f"running {spec.label()} ...")
-        result = run_wa_experiment(spec)
+        result = run_experiment(spec)
         wa = result.wa
         rows.append([
             system,

@@ -4,10 +4,10 @@ from repro.bench.harness import (
     ExperimentResult,
     ExperimentSpec,
     build_engine,
-    run_speed_experiment,
-    run_wa_experiment,
+    default_jobs,
+    run_experiment,
 )
-from repro.bench.parallel import default_jobs, run_grid, run_specs
+from repro.bench.parallel import run_grid, run_specs
 from repro.bench.reporting import format_series, format_table
 from repro.bench.speed import SpeedModel
 
@@ -19,8 +19,7 @@ __all__ = [
     "default_jobs",
     "format_series",
     "format_table",
+    "run_experiment",
     "run_grid",
     "run_specs",
-    "run_speed_experiment",
-    "run_wa_experiment",
 ]

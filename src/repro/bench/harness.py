@@ -2,9 +2,9 @@
 
 An :class:`ExperimentSpec` names a system and a workload point exactly the
 way the paper's figures do (system, page size, record size, threads, T, D_s,
-log-flush policy, dataset scale); :func:`run_wa_experiment` populates the
-store, runs the steady-state random-write phase, and returns every quantity
-the figures plot.
+log-flush policy, dataset scale) plus the measured phase (its ``workload``);
+:func:`run_experiment` populates the store, runs that phase, and returns
+every quantity the figures plot.
 
 Scaling (DESIGN.md §3): experiments are defined by *record count* instead of
 the paper's dataset bytes, with the cache sized to the paper's
@@ -15,6 +15,7 @@ match the paper's regime at MB scale.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,14 +34,12 @@ from repro.workloads.records import KeySpace
 from repro.workloads.runner import PhaseStats, WorkloadRunner
 
 #: Systems the evaluation compares.  The paper shows WiredTiger and its own
-#: baseline B-tree nearly coincide (both use conventional page shadowing);
-#: they differ here only in that the baseline persists its page table and the
-#: WiredTiger model additionally checkpoints like a COW engine — both map to
-#: the shadow-table pager.
+#: baseline B-tree nearly coincide (both use conventional page shadowing), so
+#: one configuration, ``wiredtiger`` on the shadow-table pager, stands for
+#: both.
 SYSTEMS = (
     "rocksdb",
     "wiredtiger",
-    "baseline-btree",
     "bminus",
     # Ablation variants, one per technique increment:
     "btree-journal",      # in-place + double-write, packed WAL (no techniques)
@@ -49,23 +48,64 @@ SYSTEMS = (
 )
 
 
-def _env_switch(name: str) -> bool:
-    """Read a 0/1 environment switch: unset, empty or ``0`` is off, ``1`` is
-    on, and any other value is a :class:`ConfigError` rather than off."""
+#: The measured phase :func:`run_experiment` runs after populating, keyed to
+#: the RNG split label its op stream draws from: uniform updates, Zipf
+#: updates with hot keys clustered or scattered, point reads, range scans.
+WORKLOADS = {
+    "write": "steady",
+    "zipf": "steady",
+    "zipf-scattered": "steady",
+    "read": "reads",
+    "scan": "scans",
+}
+
+
+def _env(name: str, default, parse, expect: str):
+    """Read one run-config environment variable strictly: unset or empty is
+    ``default``, and a value ``parse`` rejects is a :class:`ConfigError`
+    naming the variable, never a silent fallback."""
     raw = os.environ.get(name, "").strip()
-    if raw not in ("", "0", "1"):
-        raise ConfigError(f"{name} must be 0 or 1, got {raw!r}")
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be {expect}, got {raw!r}") from None
+
+
+def _switch(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(raw)
     return raw == "1"
+
+
+def _positive(raw: str, kind: type = int):
+    value = kind(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(raw)
+    return value
 
 
 def fast_mode() -> bool:
     """REPRO_FAST=1 swaps real zlib for the calibrated zero-run estimator."""
-    return _env_switch("REPRO_FAST")
+    return _env("REPRO_FAST", False, _switch, "0 or 1")
 
 
 def full_mode() -> bool:
     """REPRO_FULL=1 expands benchmark grids to the paper's full sweeps."""
-    return _env_switch("REPRO_FULL")
+    return _env("REPRO_FULL", False, _switch, "0 or 1")
+
+
+def default_jobs() -> int:
+    """REPRO_JOBS=N runs independent experiment points on N worker processes
+    (unset: 1, serial)."""
+    return _env("REPRO_JOBS", 1, _positive, "a positive integer")
+
+
+def record_scale() -> float:
+    """REPRO_SCALE=x multiplies the figure benchmarks' record counts."""
+    return _env("REPRO_SCALE", 1.0, lambda raw: _positive(raw, float),
+                "a positive number")
 
 
 @dataclass
@@ -91,10 +131,18 @@ class ExperimentSpec:
     compaction_strategy: str = "leveled"
     value_separation_threshold: Optional[int] = None
     seed: int = 2022
+    #: The measured phase after populate (see WORKLOADS), its Zipf skew and
+    #: its records per scan.
+    workload: str = "write"
+    theta: float = 0.99
+    scan_length: int = 100
 
     def validate(self) -> None:
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
+        if self.workload not in WORKLOADS:
+            raise ConfigError(
+                f"unknown workload {self.workload!r}; choose from {tuple(WORKLOADS)}")
 
     @property
     def keyspace(self) -> KeySpace:
@@ -239,7 +287,6 @@ def build_engine(spec: ExperimentSpec):
 
     atomicity = {
         "wiredtiger": "shadow-table",
-        "baseline-btree": "shadow-table",
         "btree-journal": "journal",
         "btree-det-shadow": "det-shadow",
     }[spec.system]
@@ -269,10 +316,23 @@ def build_engine(spec: ExperimentSpec):
 # ----------------------------------------------------------------- running
 
 
-def run_wa_experiment(
+def _run_phase(runner: WorkloadRunner, spec: ExperimentSpec,
+               rng: DeterministicRng) -> PhaseStats:
+    keyspace, n_ops = spec.keyspace, spec.steady_op_count
+    if spec.workload == "write":
+        return runner.run_random_writes(keyspace, n_ops, rng)
+    if spec.workload == "read":
+        return runner.run_point_reads(keyspace, n_ops, rng)
+    if spec.workload == "scan":
+        return runner.run_range_scans(keyspace, n_ops, rng, spec.scan_length)
+    return runner.run_zipfian_writes(keyspace, n_ops, rng, theta=spec.theta,
+                                     scattered=spec.workload == "zipf-scattered")
+
+
+def run_experiment(
     spec: ExperimentSpec, hub: Optional[MetricsHub] = None
 ) -> ExperimentResult:
-    """Populate, run the steady random-write phase, and measure everything.
+    """Populate, run the spec's measured phase, and measure everything.
 
     ``hub`` attaches an optional :class:`~repro.obs.metrics.MetricsHub`
     for the WA-over-time series.  The hub only reads counters — results are
@@ -283,9 +343,7 @@ def run_wa_experiment(
     runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads,
                             hub=hub)
     populate = runner.populate(spec.keyspace, rng.split("populate"))
-    steady = runner.run_random_writes(
-        spec.keyspace, spec.steady_op_count, rng.split("steady")
-    )
+    steady = _run_phase(runner, spec, rng.split(WORKLOADS[spec.workload]))
     beta = engine.beta() if hasattr(engine, "beta") else 0.0
     level_shape = engine.level_shape() if hasattr(engine, "level_shape") else []
     if hub is not None:
@@ -306,37 +364,6 @@ def run_wa_experiment(
     )
 
 
-def run_speed_experiment(
-    spec: ExperimentSpec, workload: str, scan_length: int = 100
-) -> tuple[ExperimentResult, PhaseStats]:
-    """Populate, then run a read/scan/write phase for TPS estimation.
-
-    Returns the populate-phase result (for context) and the measured phase.
-    """
-    engine, device, clock = build_engine(spec)
-    rng = DeterministicRng(spec.seed)
-    runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads)
-    populate = runner.populate(spec.keyspace, rng.split("populate"))
-    if workload == "write":
-        phase = runner.run_random_writes(spec.keyspace, spec.steady_op_count,
-                                         rng.split("steady"))
-    elif workload == "read":
-        phase = runner.run_point_reads(spec.keyspace, spec.steady_op_count,
-                                       rng.split("reads"))
-    elif workload == "scan":
-        phase = runner.run_range_scans(spec.keyspace, spec.steady_op_count,
-                                       rng.split("scans"), scan_length)
-    else:
-        raise ConfigError(f"unknown workload {workload!r}")
-    result = ExperimentResult(
-        spec=spec, populate=populate, steady=phase, wa=phase.wa(),
-        logical_usage=device.logical_bytes_used,
-        physical_usage=device.physical_bytes_used,
-        engine=engine, device=device, clock=clock,
-    )
-    return result, phase
-
-
 def run_strategy_point(
     strategy: str,
     value_size: int,
@@ -354,10 +381,14 @@ def run_strategy_point(
     seeded value stream, so the cell's ``wa_total`` (and ``vlog`` occupancy,
     with separation on) is bit-reproducible across hosts —
     ``tests/bench/test_pinned_figures.py`` pins it exactly.  Raises
-    :class:`~repro.errors.ConfigError` for an unknown strategy or a
-    nonsensical threshold — ``repro compact-compare`` turns that into a
-    nonzero exit.
+    :class:`~repro.errors.ConfigError` for an unknown strategy, a
+    nonsensical threshold, or fewer than one key or pass — ``repro
+    compact-compare`` turns that into a nonzero exit.
     """
+    if n_keys < 1 or passes < 1:
+        raise ConfigError(
+            f"a strategy point needs at least one key and one pass, got "
+            f"{n_keys} keys x {passes} passes")
     config = LSMConfig(
         memtable_bytes=8 * 1024,
         log_flush_policy="commit",

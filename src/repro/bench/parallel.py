@@ -12,7 +12,8 @@ to a serial run.
 Job count resolution, in priority order:
 
 1. the explicit ``jobs`` argument,
-2. the ``REPRO_JOBS`` environment variable,
+2. the ``REPRO_JOBS`` environment variable (a positive integer; anything
+   else is a :class:`~repro.errors.ConfigError`),
 3. 1 (serial — no worker processes, results keep their live engine objects).
 
 Results returned from worker processes are *detached*: ``engine``,
@@ -24,24 +25,15 @@ need the engine (the simulated-TPS figures) should run serially.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.bench.harness import ExperimentResult, ExperimentSpec, run_wa_experiment
-from repro.errors import ConfigError
-
-
-def default_jobs() -> int:
-    """Resolve the worker count from the ``REPRO_JOBS`` environment knob."""
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
-    return max(1, jobs)
+from repro.bench.harness import (
+    ExperimentResult,
+    ExperimentSpec,
+    default_jobs,
+    run_experiment,
+)
 
 
 def detach_result(result: ExperimentResult) -> ExperimentResult:
@@ -66,7 +58,7 @@ def _run_point(job) -> ExperimentResult:
 
 def run_specs(
     specs: Iterable[ExperimentSpec],
-    runner: Callable[[ExperimentSpec], ExperimentResult] = run_wa_experiment,
+    runner: Callable[[ExperimentSpec], ExperimentResult] = run_experiment,
     jobs: Optional[int] = None,
 ) -> List[ExperimentResult]:
     """Run every spec and return results in the same order as ``specs``.
@@ -79,7 +71,7 @@ def run_specs(
     simulation, and the merge order is the spec order, not completion order.
 
     ``runner`` must be a module-level callable (picklable by reference), e.g.
-    :func:`run_wa_experiment`.
+    :func:`run_experiment`.
     """
     spec_list = list(specs)
     if jobs is None:
@@ -93,7 +85,7 @@ def run_specs(
 
 def run_grid(
     keyed_specs: Dict,
-    runner: Callable[[ExperimentSpec], ExperimentResult] = run_wa_experiment,
+    runner: Callable[[ExperimentSpec], ExperimentResult] = run_experiment,
     jobs: Optional[int] = None,
 ) -> Dict:
     """Run a ``{key: spec}`` grid; returns ``{key: result}``, keys preserved.

@@ -2,9 +2,14 @@
 
 Examples::
 
-    python -m repro run --system bminus --records 40000 --threads 4
+    python -m repro compare --systems bminus --records 40000 --threads 4
     python -m repro compare --systems rocksdb,bminus,wiredtiger --record-size 32
+    python -m repro stats --system bminus --workload zipf --window 0.5
     python -m repro speed --workload write --systems bminus,rocksdb --threads 16
+
+Every experiment command populates the store, then runs one measured phase:
+``--workload`` picks uniform updates (``write``), Zipf updates (``zipf``,
+``zipf-scattered``), point reads (``read``) or range scans (``scan``).
 
 The paper-figure reproductions live in ``benchmarks/`` (pytest); this CLI is
 for exploring the parameter space interactively.
@@ -18,15 +23,16 @@ from typing import Optional, Sequence
 
 from repro.bench.harness import (
     SYSTEMS,
+    WORKLOADS,
     ExperimentSpec,
-    run_speed_experiment,
+    default_jobs,
+    run_experiment,
     run_strategy_point,
-    run_wa_experiment,
 )
-from repro.bench.parallel import default_jobs, run_specs
+from repro.bench.parallel import run_specs
 from repro.bench.reporting import format_table
 from repro.bench.speed import SpeedModel
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -48,10 +54,12 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="steady-phase operations (default: one turnover)")
     parser.add_argument("--log-policy", choices=("commit", "interval"),
                         default="interval", help="redo-log flush policy")
-    parser.add_argument("--distribution", choices=("uniform", "zipf"),
-                        default="uniform", help="update key distribution")
+    parser.add_argument("--workload", choices=tuple(WORKLOADS), default="write",
+                        help="measured phase after populating the store")
     parser.add_argument("--theta", type=float, default=0.99,
-                        help="Zipf skew parameter (with --distribution zipf)")
+                        help="Zipf skew (zipf workloads)")
+    parser.add_argument("--scan-length", type=int, default=100,
+                        help="records per scan (scan workload)")
     parser.add_argument("--seed", type=int, default=2022)
 
 
@@ -68,6 +76,9 @@ def _spec_from_args(args: argparse.Namespace, system: str) -> ExperimentSpec:
         steady_ops=args.steady_ops,
         log_flush_policy=args.log_policy,
         seed=args.seed,
+        workload=args.workload,
+        theta=args.theta,
+        scan_length=args.scan_length,
     )
 
 
@@ -90,62 +101,20 @@ _WA_HEADERS = ["system", "WA", "WA_log", "WA_pg", "WA_e", "WA(logical)",
                "logical", "physical", "beta"]
 
 
-def _run_wa(args: argparse.Namespace, system: str, hub=None):
-    spec = _spec_from_args(args, system)
-    if args.distribution == "uniform":
-        return run_wa_experiment(spec, hub=hub)
-    # Zipfian variant: same phases, skewed steady stream.
-    from repro.bench.harness import ExperimentResult, build_engine
-    from repro.sim.rng import DeterministicRng
-    from repro.workloads.runner import WorkloadRunner
-
-    engine, device, clock = build_engine(spec)
-    rng = DeterministicRng(spec.seed)
-    runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads,
-                            hub=hub)
-    populate = runner.populate(spec.keyspace, rng.split("populate"))
-    steady = runner.run_zipfian_writes(
-        spec.keyspace, spec.steady_op_count, rng.split("steady"), theta=args.theta)
-    if hub is not None:
-        hub.finish(clock.now, engine.traffic_snapshot(), device.stats)
-    return ExperimentResult(
-        spec=spec, populate=populate, steady=steady, wa=steady.wa(),
-        logical_usage=device.logical_bytes_used,
-        physical_usage=device.physical_bytes_used,
-        beta=engine.beta() if hasattr(engine, "beta") else 0.0,
-        engine=engine, device=device, clock=clock,
-        obs=hub.summary() if hub is not None else None,
-    )
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: measure WA for one system."""
-    result = _run_wa(args, args.system)
-    print(format_table(
-        f"Write amplification: {result.spec.label()}",
-        _WA_HEADERS, [_wa_row(result)],
-    ))
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    """``repro compare``: measure WA for several systems side by side.
+    """``repro compare``: measure WA for one or more systems side by side.
 
     With ``--jobs N`` (or ``REPRO_JOBS=N``) the systems run as independent
     worker processes; results are merged in the order the systems were named.
     """
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs > 1 and args.distribution == "uniform":
-        print(f"running {len(systems)} systems across {jobs} jobs ...",
-              file=sys.stderr)
-        specs = [_spec_from_args(args, system) for system in systems]
-        rows = [_wa_row(result) for result in run_specs(specs, jobs=jobs)]
-    else:
-        rows = []
-        for system in systems:
-            print(f"running {system} ...", file=sys.stderr)
-            rows.append(_wa_row(_run_wa(args, system)))
+    jobs = default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {jobs}")
+    print(f"running {len(systems)} systems across {jobs} jobs ...",
+          file=sys.stderr)
+    specs = [_spec_from_args(args, system) for system in systems]
+    rows = [_wa_row(result) for result in run_specs(specs, jobs=jobs)]
     print(format_table(
         f"Write amplification, {args.record_size}B records, "
         f"{args.threads} threads, log-flush-per-{args.log_policy}",
@@ -161,8 +130,8 @@ def cmd_speed(args: argparse.Namespace) -> int:
     rows = []
     for system in systems:
         print(f"running {system} ...", file=sys.stderr)
-        result, phase = run_speed_experiment(
-            _spec_from_args(args, system), args.workload, args.scan_length)
+        result = run_experiment(_spec_from_args(args, system))
+        phase = result.steady
         tps = model.tps(phase, result.engine, args.threads)
         rows.append([system, f"{tps:,.0f}", phase.ops,
                      f"{phase.elapsed_seconds:.1f}s"])
@@ -201,7 +170,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     hub = MetricsHub(window_seconds=args.window,
                      on_window=_print_window if args.watch else None)
-    result = _run_wa(args, args.system, hub=hub)
+    result = run_experiment(_spec_from_args(args, args.system), hub=hub)
     summary = result.obs
 
     lat_rows = [
@@ -466,12 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="measure WA for one system")
-    run_p.add_argument("--system", choices=SYSTEMS, default="bminus")
-    _add_spec_arguments(run_p)
-    run_p.set_defaults(func=cmd_run)
-
-    cmp_p = sub.add_parser("compare", help="measure WA for several systems")
+    cmp_p = sub.add_parser("compare",
+                           help="measure WA for one or more systems")
     cmp_p.add_argument("--systems", default="rocksdb,wiredtiger,bminus",
                        help="comma-separated system list")
     cmp_p.add_argument("--jobs", type=int, default=None,
@@ -575,9 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     spd_p = sub.add_parser("speed", help="estimate TPS for several systems")
     spd_p.add_argument("--systems", default="rocksdb,wiredtiger,bminus")
-    spd_p.add_argument("--workload", choices=("write", "read", "scan"),
-                       default="write")
-    spd_p.add_argument("--scan-length", type=int, default=100)
     _add_spec_arguments(spd_p)
     spd_p.set_defaults(func=cmd_speed)
 

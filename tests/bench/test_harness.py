@@ -4,13 +4,14 @@ import pytest
 
 from repro.bench.harness import (
     SYSTEMS,
+    WORKLOADS,
     ExperimentSpec,
     _compressor,
     build_engine,
     fast_mode,
     full_mode,
-    run_speed_experiment,
-    run_wa_experiment,
+    record_scale,
+    run_experiment,
 )
 from repro.bench.reporting import format_series, format_table, ratio
 from repro.bench.speed import SpeedModel, engine_kind
@@ -19,6 +20,8 @@ from repro.csd.compression import ZeroRunEstimator, ZlibCompressor
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMEngine
+from repro.sim.rng import DeterministicRng
+from repro.workloads.runner import WorkloadRunner
 
 
 def small_spec(**overrides):
@@ -33,13 +36,13 @@ def test_unknown_system_rejected():
 
 
 def test_build_each_system():
-    for system in ("rocksdb", "wiredtiger", "baseline-btree", "bminus"):
+    for system in ("rocksdb", "wiredtiger", "bminus"):
         engine, device, clock = build_engine(small_spec(system=system))
         engine.put(b"keykey01", b"v" * 16)
         assert engine.get(b"keykey01") == b"v" * 16
 
 
-@pytest.mark.parametrize("system", ["rocksdb", "bminus", "baseline-btree"])
+@pytest.mark.parametrize("system", ["rocksdb", "bminus", "wiredtiger"])
 def test_scan_count_is_an_upper_bound_on_every_engine(system):
     """``scan(start, count)`` returns at most ``count`` records; a count of
     zero or less returns none and reads no block."""
@@ -100,6 +103,19 @@ def test_env_switches_are_strict(monkeypatch, switch, name):
             switch()
 
 
+def test_repro_scale_is_strict(monkeypatch):
+    """A positive finite float; anything else is a ConfigError naming the
+    variable, never a raw ValueError or a silent floor on the record count."""
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    assert record_scale() == 1.0
+    monkeypatch.setenv("REPRO_SCALE", "0.25")
+    assert record_scale() == 0.25
+    for raw in ("abc", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ConfigError, match="REPRO_SCALE"):
+            record_scale()
+
+
 def test_spec_properties():
     spec = small_spec(cache_fraction=0.1)
     assert spec.dataset_bytes == 4000 * 128
@@ -108,7 +124,7 @@ def test_spec_properties():
 
 
 def test_run_wa_experiment_end_to_end():
-    result = run_wa_experiment(small_spec(system="bminus"))
+    result = run_experiment(small_spec(system="bminus"))
     assert result.populate.ops == 4000
     assert result.steady.ops == 3000
     assert result.wa.wa_total > 0
@@ -118,8 +134,8 @@ def test_run_wa_experiment_end_to_end():
 
 
 def test_run_wa_experiment_deterministic():
-    a = run_wa_experiment(small_spec(system="bminus"))
-    b = run_wa_experiment(small_spec(system="bminus"))
+    a = run_experiment(small_spec(system="bminus"))
+    b = run_experiment(small_spec(system="bminus"))
     assert a.wa.wa_total == b.wa.wa_total
     assert a.physical_usage == b.physical_usage
 
@@ -128,8 +144,8 @@ def test_run_wa_experiment_deterministic():
 def test_engine_ledger_closes_on_the_device_counters(system):
     """Every byte the device was asked to write is on the engine's ledger,
     and nothing else is: the WA numerators are the device's own counts."""
-    result = run_wa_experiment(small_spec(system=system, n_records=1000,
-                                          steady_ops=1000))
+    result = run_experiment(small_spec(system=system, n_records=1000,
+                                       steady_ops=1000))
     snap = result.engine.traffic_snapshot()
     stats = result.device.stats
     assert snap.total_physical == stats.physical_bytes_written
@@ -137,33 +153,66 @@ def test_engine_ledger_closes_on_the_device_counters(system):
 
 
 def test_wa_ordering_bminus_vs_baseline():
-    bm = run_wa_experiment(small_spec(system="bminus"))
-    base = run_wa_experiment(small_spec(system="baseline-btree"))
+    bm = run_experiment(small_spec(system="bminus"))
+    base = run_experiment(small_spec(system="wiredtiger"))
     assert bm.wa.wa_total < base.wa.wa_total
 
 
-def test_run_speed_experiment_workloads():
+def test_run_experiment_workloads():
     model = SpeedModel()
-    for workload in ("write", "read", "scan"):
-        result, phase = run_speed_experiment(
-            small_spec(system="bminus", steady_ops=500), workload)
-        tps = model.tps(phase, result.engine, 1)
-        assert tps > 0
+    for workload in WORKLOADS:
+        result = run_experiment(small_spec(system="bminus", n_records=1500,
+                                           steady_ops=300, workload=workload))
+        assert result.steady.ops == 300
+        assert model.tps(result.steady, result.engine, 1) > 0
+
+
+def _by_hand(spec):
+    """Populate and run the spec's phase straight on the runner, with the
+    RNG split labels every committed figure row was recorded with."""
+    engine, device, clock = build_engine(spec)
+    rng = DeterministicRng(spec.seed)
+    runner = WorkloadRunner(engine, device, clock, n_threads=spec.n_threads)
+    runner.populate(spec.keyspace, rng.split("populate"))
+    n = spec.steady_op_count
+    if spec.workload == "write":
+        return runner.run_random_writes(spec.keyspace, n, rng.split("steady"))
+    if spec.workload == "read":
+        return runner.run_point_reads(spec.keyspace, n, rng.split("reads"))
+    if spec.workload == "scan":
+        return runner.run_range_scans(spec.keyspace, n, rng.split("scans"),
+                                      spec.scan_length)
+    return runner.run_zipfian_writes(
+        spec.keyspace, n, rng.split("steady"), theta=spec.theta,
+        scattered=spec.workload == "zipf-scattered")
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_run_experiment_matches_the_runner_by_hand(workload):
+    spec = small_spec(system="bminus", n_records=1500, steady_ops=400,
+                      n_threads=2, workload=workload, theta=0.9,
+                      scan_length=20)
+    phase = _by_hand(spec)
+    result = run_experiment(spec)
+    assert result.steady == phase
+    assert result.wa == phase.wa()
 
 
 def test_run_speed_unknown_workload():
-    with pytest.raises(ConfigError):
-        run_speed_experiment(small_spec(), "mixed")
+    with pytest.raises(ConfigError, match="unknown workload"):
+        run_experiment(small_spec(workload="mixed"))
 
 
 def test_speed_model_scales_with_threads():
     model = SpeedModel()
-    result, phase = run_speed_experiment(
-        small_spec(system="wiredtiger", steady_ops=800, n_threads=1), "read")
-    one = model.tps(phase, result.engine, 1)
-    result16, phase16 = run_speed_experiment(
-        small_spec(system="wiredtiger", steady_ops=800, n_threads=16), "read")
-    sixteen = model.tps(phase16, result16.engine, 16)
+    result = run_experiment(
+        small_spec(system="wiredtiger", steady_ops=800, n_threads=1,
+                   workload="read"))
+    one = model.tps(result.steady, result.engine, 1)
+    result16 = run_experiment(
+        small_spec(system="wiredtiger", steady_ops=800, n_threads=16,
+                   workload="read"))
+    sixteen = model.tps(result16.steady, result16.engine, 16)
     assert sixteen > 2 * one
 
 

@@ -18,7 +18,7 @@ import dataclasses
 import json
 import sys
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 
 SPECS = [
     ExperimentSpec(system="bminus", n_records=3000),
@@ -29,7 +29,7 @@ SPECS = [
 ]
 runs = []
 for spec in SPECS:
-    result = run_wa_experiment(spec)
+    result = run_experiment(spec)
     runs.append({
         "spec": spec.label(),
         "wa": dataclasses.asdict(result.wa),

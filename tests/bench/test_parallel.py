@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.parallel import (
     default_jobs,
     detach_result,
@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 def tiny_specs():
     return [
         ExperimentSpec(system="bminus", n_records=600, steady_ops=300),
-        ExperimentSpec(system="baseline-btree", n_records=600, steady_ops=300),
+        ExperimentSpec(system="wiredtiger", n_records=600, steady_ops=300),
         ExperimentSpec(system="rocksdb", n_records=600, steady_ops=300),
     ]
 
@@ -49,16 +49,17 @@ class TestDefaultJobs:
         monkeypatch.setenv("REPRO_JOBS", "4")
         assert default_jobs() == 4
 
-    def test_zero_and_negative_clamp_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert default_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "-3")
-        assert default_jobs() == 1
+    def test_zero_and_negative_are_config_errors(self, monkeypatch):
+        for raw in ("0", "-3"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            with pytest.raises(ConfigError, match="REPRO_JOBS"):
+                default_jobs()
 
     def test_garbage_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ConfigError):
-            default_jobs()
+        for raw in ("many", "2.5"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            with pytest.raises(ConfigError):
+                default_jobs()
 
 
 class TestRunSpecs:
@@ -109,7 +110,7 @@ class TestRunGrid:
     def test_grid_matches_direct_runs(self):
         spec = tiny_specs()[0]
         grid = run_grid({"only": spec}, jobs=1)
-        direct = run_wa_experiment(spec)
+        direct = run_experiment(spec)
         assert fingerprint(grid["only"]) == fingerprint(direct)
 
 
@@ -179,7 +180,7 @@ def test_pool_forked_after_two_thread_sizing_does_not_hang(tmp_path):
 
 class TestDetachResult:
     def test_strips_live_objects_in_place(self):
-        result = run_wa_experiment(tiny_specs()[0])
+        result = run_experiment(tiny_specs()[0])
         detached = detach_result(result)
         assert detached is result
         assert result.engine is None and result.device is None and result.clock is None

@@ -48,6 +48,13 @@ PINNED = {
         "partial": {"small": 3.443844, "large": 1.549458},
         "tiered": {"small": 2.570089, "large": 1.546043},
     },
+    # The one measured regime where ``partial`` pays: 1024B values, 600 keys
+    # x 2 passes, separation off.  It reads lowest here, while at figure
+    # geometry (6,000 records, 64-1024B) it ranked last in 9 of 10 cells.
+    "strategies-unseparated-1024B": {
+        "lazy-leveled": 3.362097, "leveled": 2.634634,
+        "partial": 2.359612, "tiered": 3.36136,
+    },
 }
 
 
@@ -106,10 +113,18 @@ def _compaction_strategies() -> dict:
     return cells
 
 
+def _unseparated_1024b() -> dict:
+    return {
+        strategy: run_strategy_point(strategy, 1024, None, 600)["wa_total"]
+        for strategy in sorted(STRATEGIES)
+    }
+
+
 MEASURE = {
     "serving-contention": lambda: _serving("contention"),
     "serving-stall": lambda: _serving("stall"),
     "compaction-strategies": _compaction_strategies,
+    "strategies-unseparated-1024B": _unseparated_1024b,
 }
 
 

@@ -5,7 +5,7 @@ Verifies the per-operation read volumes the paper's speed arguments rest on:
 * a warm B⁻ point read transfers ``l_pg + 4KB`` (page + delta block) but
   fetches barely more *physical* bytes than the baseline (trimmed slots and
   delta padding are free);
-* the baseline B-tree transfers ``l_pg``;
+* the baseline B-tree (the ``wiredtiger`` configuration) transfers ``l_pg``;
 * an LSM point read touches at most a handful of 4KB data blocks thanks to
   the bloom filters;
 * an LSM scan reads from every level (read amplification scans can't avoid).
@@ -58,7 +58,7 @@ def test_bminus_point_read_transfers_page_plus_delta(read_phase):
 
 
 def test_baseline_point_read_transfers_one_page(read_phase):
-    phase, engine = read_phase("baseline-btree")
+    phase, engine = read_phase("wiredtiger")
     per_read = phase.device.logical_bytes_read / READS
     assert 0.85 * 8192 <= per_read < 1.3 * 8192
 
@@ -66,7 +66,7 @@ def test_baseline_point_read_transfers_one_page(read_phase):
 def test_bminus_physical_reads_near_baseline(read_phase):
     """The extra 4KB logical transfer costs almost nothing physically."""
     bm_phase, _ = read_phase("bminus")
-    base_phase, _ = read_phase("baseline-btree")
+    base_phase, _ = read_phase("wiredtiger")
     bm = bm_phase.device.physical_bytes_read / READS
     base = base_phase.device.physical_bytes_read / READS
     assert bm < 1.4 * base

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_wa_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.csd.stats import DeviceStats
 from repro.obs.metrics import WINDOW_FIELDS, MetricsHub
 
@@ -32,7 +32,7 @@ def test_windows_sum_exactly_to_phase_traffic():
     """The tentpole invariant: the windowed series sums to the end-of-run
     totals exactly, field by field, for a real experiment."""
     hub = MetricsHub(window_seconds=0.05)
-    result = run_wa_experiment(_small_spec(), hub=hub)
+    result = run_experiment(_small_spec(), hub=hub)
     totals = hub.series.totals()
     expected = {
         "user_bytes": result.populate.traffic.user_bytes
@@ -63,7 +63,7 @@ def test_windows_sum_exactly_to_phase_traffic():
 
 def test_result_obs_summary_attached():
     hub = MetricsHub(window_seconds=0.1)
-    result = run_wa_experiment(_small_spec(), hub=hub)
+    result = run_experiment(_small_spec(), hub=hub)
     obs = result.obs
     assert obs is not None
     assert obs["window_seconds"] == 0.1
@@ -73,12 +73,12 @@ def test_result_obs_summary_attached():
 
 
 def test_no_hub_means_no_obs():
-    assert run_wa_experiment(_small_spec()).obs is None
+    assert run_experiment(_small_spec()).obs is None
 
 
 def test_wa_windows_decomposition_consistent():
     hub = MetricsHub(window_seconds=0.05)
-    run_wa_experiment(_small_spec(), hub=hub)
+    run_experiment(_small_spec(), hub=hub)
     for window in hub.wa_windows():
         if window["user_bytes"] > 0:
             assert window["wa_total"] == pytest.approx(
@@ -90,7 +90,7 @@ def test_wa_windows_decomposition_consistent():
 def test_on_window_streams_in_order():
     seen = []
     hub = MetricsHub(window_seconds=0.05, on_window=seen.append)
-    run_wa_experiment(_small_spec(), hub=hub)
+    run_experiment(_small_spec(), hub=hub)
     assert seen == hub.series.windows
     starts = [w["start"] for w in seen]
     assert starts == sorted(starts)

@@ -20,17 +20,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_run_command(capsys):
-    assert main(["run", "--system", "bminus"] + small()) == 0
+def test_compare_single_system(capsys):
+    assert main(["compare", "--systems", "bminus"] + small()) == 0
     out = capsys.readouterr().out
     assert "Write amplification" in out
     assert "bminus" in out
     assert "WA_pg" in out
 
 
-def test_run_rejects_unknown_system():
-    with pytest.raises(SystemExit):
-        main(["run", "--system", "leveldb"] + small())
+def test_run_rejects_unknown_system(capsys):
+    assert main(["compare", "--systems", "leveldb"] + small()) == 1
+    assert "unknown system 'leveldb'" in capsys.readouterr().err
 
 
 def test_compare_command(capsys):
@@ -48,7 +48,7 @@ def test_speed_command(capsys):
 
 
 def test_run_with_knobs(capsys):
-    rc = main(["run", "--system", "bminus", "--threshold-t", "1024",
+    rc = main(["compare", "--systems", "bminus", "--threshold-t", "1024",
                "--segment-size", "256", "--record-size", "32",
                "--log-policy", "commit"] + small())
     assert rc == 0
@@ -56,10 +56,38 @@ def test_run_with_knobs(capsys):
 
 
 def test_run_with_zipf_distribution(capsys):
-    rc = main(["run", "--system", "bminus", "--distribution", "zipf",
+    rc = main(["compare", "--systems", "bminus", "--workload", "zipf",
                "--theta", "0.9"] + small())
     assert rc == 0
     assert "Write amplification" in capsys.readouterr().out
+
+
+def _bminus_row(out):
+    return next(line for line in out.splitlines() if line.startswith("bminus"))
+
+
+def test_speed_runs_the_zipf_workload(capsys):
+    """``--workload zipf`` reaches speed's measured phase: no experiment
+    flag is accepted and then ignored."""
+    rows = {}
+    for workload in ("write", "zipf"):
+        assert main(tiny("speed", "--systems", "bminus",
+                         "--workload", workload)) == 0
+        rows[workload] = _bminus_row(capsys.readouterr().out)
+    assert rows["zipf"] != rows["write"]
+
+
+def test_run_subcommand_is_gone(capsys):
+    """`repro compare --systems X` covers one system; `repro run` is gone."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--system", "bminus"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'run'" in capsys.readouterr().err
+
+
+def test_compare_rejects_nonpositive_jobs(capsys):
+    assert main(tiny("compare", "--systems", "bminus", "--jobs", "0")) == 1
+    assert "--jobs" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ repro stats
@@ -88,7 +116,7 @@ def test_stats_json_export(tmp_path, capsys):
 
 
 def test_stats_zipf_distribution(capsys):
-    rc = main(tiny("stats", "--window", "0.1", "--distribution", "zipf"))
+    rc = main(tiny("stats", "--window", "0.1", "--workload", "zipf"))
     assert rc == 0
     assert "WA over time" in capsys.readouterr().out
 
@@ -179,6 +207,14 @@ def test_compact_compare_unknown_strategy_exits_nonzero(capsys):
     rc = main(["compact-compare", "--strategies", "universal", "--keys", "20"])
     assert rc == 1
     assert "unknown compaction_strategy" in capsys.readouterr().err
+
+
+def test_compact_compare_zero_keys_exits_nonzero(capsys):
+    """No keys means no user bytes: a ConfigError, not a ZeroDivisionError
+    traceback from the WA ratio."""
+    rc = main(["compact-compare", "--strategies", "leveled", "--keys", "0"])
+    assert rc == 1
+    assert "repro: error" in capsys.readouterr().err
 
 
 def test_compact_compare_bad_threshold_exits_nonzero(capsys):
