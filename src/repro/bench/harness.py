@@ -22,8 +22,14 @@ from typing import Optional
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.core.bminus import BMinusConfig, BMinusTree
-from repro.csd.compression import Compressor, NullCompressor, ZeroRunEstimator
-from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice, default_compressor
+from repro.csd.compression import Compressor, ZeroRunEstimator
+from repro.csd.device import (
+    BLOCK_SIZE,
+    BlockDevice,
+    CompressedBlockDevice,
+    PlainSSD,
+    default_compressor,
+)
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.metrics.counters import WaReport, compute_wa
@@ -58,6 +64,10 @@ WORKLOADS = {
     "read": "reads",
     "scan": "scans",
 }
+
+#: The drives an experiment can run on: the paper's compressing drive, or a
+#: conventional SSD (the plain-SSD ablation).
+DEVICE_KINDS = ("csd", "plain")
 
 
 def _env(name: str, default, parse, expect: str):
@@ -143,6 +153,9 @@ class ExperimentSpec:
         if self.workload not in WORKLOADS:
             raise ConfigError(
                 f"unknown workload {self.workload!r}; choose from {tuple(WORKLOADS)}")
+        if self.device_kind not in DEVICE_KINDS:
+            raise ConfigError(
+                f"unknown device_kind {self.device_kind!r}; choose from {DEVICE_KINDS}")
 
     @property
     def keyspace(self) -> KeySpace:
@@ -211,15 +224,18 @@ def _estimate_btree_pages(spec: ExperimentSpec) -> int:
     return int(leaves * 1.8) + 64
 
 
-def _compressor(spec: Optional[ExperimentSpec] = None) -> Compressor:
-    if spec is not None and spec.device_kind == "plain":
-        # Ablation: a conventional SSD without in-storage compression.
-        return NullCompressor()
+def _compressor() -> Compressor:
     if fast_mode():
         # The estimator is already ~50x faster than zlib; wrap nothing so its
         # instance semantics (plain ZeroRunEstimator) stay unchanged.
         return ZeroRunEstimator(entropy_factor=0.98)
     return default_compressor()
+
+
+def _device(spec: ExperimentSpec, num_blocks: int) -> BlockDevice:
+    if spec.device_kind == "plain":
+        return PlainSSD(num_blocks)
+    return CompressedBlockDevice(num_blocks, compressor=_compressor())
 
 
 def build_engine(spec: ExperimentSpec):
@@ -257,9 +273,8 @@ def build_engine(spec: ExperimentSpec):
         data_blocks = int(spec.dataset_bytes * 14 / BLOCK_SIZE) + 4096
         if spec.value_separation_threshold is not None:
             data_blocks += segment_blocks * vlog_segments
-        device = CompressedBlockDevice(
-            num_blocks=lsm_config.manifest_blocks * 2 + lsm_config.log_blocks + data_blocks,
-            compressor=_compressor(spec),
+        device = _device(
+            spec, lsm_config.manifest_blocks * 2 + lsm_config.log_blocks + data_blocks
         )
         return LSMEngine(device, lsm_config, clock=clock), device, clock
 
@@ -282,7 +297,7 @@ def build_engine(spec: ExperimentSpec):
             log_blocks=log_blocks,
         )
         blocks = 1 + log_blocks + max_pages * (2 * spec.page_size // BLOCK_SIZE + 1) + 64
-        device = CompressedBlockDevice(num_blocks=blocks, compressor=_compressor(spec))
+        device = _device(spec, blocks)
         return BMinusTree(device, config, clock=clock), device, clock
 
     atomicity = {
@@ -309,7 +324,7 @@ def build_engine(spec: ExperimentSpec):
         1 + log_blocks + max_pages * per_page_blocks
         + (16 + max_pages) * (spec.page_size // BLOCK_SIZE) + 1024
     )
-    device = CompressedBlockDevice(num_blocks=blocks, compressor=_compressor(spec))
+    device = _device(spec, blocks)
     return BTreeEngine(device, config, clock=clock), device, clock
 
 

@@ -31,14 +31,7 @@ from repro.btree.node import InternalNode
 from repro.btree.page import Page, PageType
 from repro.btree.pager import Pager, make_pager
 from repro.btree.tree import BTree
-from repro.btree.wal import (
-    LogOp,
-    LogPosition,
-    LogRecord,
-    RedoLog,
-    check_record_fits,
-    split_complete_groups,
-)
+from repro.btree.wal import LogOp, LogPosition, LogRecord, RedoLog, check_log_config
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import read_block_retrying, write_block_retrying
 from repro.errors import ConfigError, KeyNotFoundError, RecoveryError
@@ -80,18 +73,9 @@ class BTreeConfig:
     def validate(self) -> None:
         if self.page_size % BLOCK_SIZE != 0 or self.page_size < BLOCK_SIZE:
             raise ConfigError("page_size must be a positive multiple of 4KB")
-        if self.wal_mode not in ("packed", "sparse", "none"):
-            raise ConfigError(f"unknown wal_mode {self.wal_mode!r}")
-        if self.log_flush_policy not in ("commit", "interval"):
-            raise ConfigError(f"unknown log_flush_policy {self.log_flush_policy!r}")
-        if self.cache_bytes <= 0 or self.max_pages <= 0 or self.log_blocks < 2:
-            raise ConfigError("cache_bytes/max_pages/log_blocks out of range")
-        if self.group_atomic and (
-            self.wal_mode == "none" or self.log_flush_policy != "commit"
-        ):
-            raise ConfigError(
-                "group_atomic requires a WAL with log_flush_policy='commit'"
-            )
+        if self.cache_bytes <= 0 or self.max_pages <= 0:
+            raise ConfigError("cache_bytes/max_pages out of range")
+        check_log_config(self)
 
 
 class BTreeEngine:
@@ -123,16 +107,7 @@ class BTreeEngine:
             loader=self.pager.load,
             flusher=self._flush_with_dependencies,
         )
-        self.wal: Optional[RedoLog] = None
-        if self.config.wal_mode != "none":
-            self.wal = RedoLog(
-                device, self.LOG_START, self.config.log_blocks,
-                sparse=(self.config.wal_mode == "sparse"),
-            )
-        self._lsn = 0
-        self._txid = 0
-        #: Ops appended since the last COMMIT marker (group_atomic mode).
-        self._group_dirty = False
+        self.wal = RedoLog.for_config(self.config, device, self.LOG_START, self.clock)
         #: Root-id change awaiting the group boundary (group_atomic mode).
         self._root_persist_pending = False
         #: Dirty-page flushes forced mid-window (evictions under cache
@@ -145,15 +120,13 @@ class BTreeEngine:
         self.operations = 0
         self.meta_logical_bytes = 0
         self.meta_physical_bytes = 0
-        self._checkpoint_pos = self.wal.position() if self.wal else LogPosition(0, 1)
         self._flushing: set[int] = set()
         if not _recovering:
             self.tree = BTree(
-                self.pool, self.pager, self.config.page_size, self._next_lsn,
+                self.pool, self.pager, self.config.page_size, self.wal.next_lsn,
                 on_root_change=self._on_root_change,
             )
             self.checkpoint()
-        self.clock.set_alarm("log_flush", self.config.log_flush_interval)
         self.clock.set_alarm("checkpoint", self.config.checkpoint_interval)
 
     # ------------------------------------------------------------- open/close
@@ -179,13 +152,9 @@ class BTreeEngine:
         return engine
 
     def close(self) -> None:
-        """Flush everything and persist a clean checkpoint."""
-        if self.wal is not None:
-            if self.config.group_atomic and self._group_dirty:
-                # A clean shutdown acknowledges the open window: seal it so
-                # recovery replays it instead of rolling it back.
-                self._seal_group()
-            self.wal.flush()
+        """Flush everything and persist a clean checkpoint (a clean shutdown
+        acknowledges the open window: it is sealed, not rolled back)."""
+        self.wal.seal()
         self.checkpoint()
 
     # --------------------------------------------------------------- KV API
@@ -211,27 +180,15 @@ class BTreeEngine:
             items = list(items)
         self.tree.validate_puts(items)
         wal = self.wal
-        if wal is not None:
-            for key, value in items:
-                check_record_fits(len(key), len(value))
-        half_ring = self.config.log_blocks // 2
+        for key, value in items:
+            wal.check_fits(len(key), len(value))
         start = 0
         while start < len(items):
-            if wal is None:
-                run = items[start:]
-            else:
-                room = half_ring - wal.blocks_since(self._checkpoint_pos)
-                run = items[start : start + max(1, room)]
-                append_kv = wal.append_kv
-                txid = self._txid
-                lsn = self._lsn  # the tree draws these same LSNs as it applies
-                for key, value in run:
-                    lsn += 1
-                    append_kv(lsn, txid, LogOp.PUT, key, value)
+            run = items[start : start + max(1, wal.blocks_before_relief())]
+            wal.append_ahead(LogOp.PUT, run)  # the tree draws these LSNs
             self.tree.apply_puts(run)
             self.user_bytes += sum(len(key) + len(value) for key, value in run)
             self.operations += len(run)
-            self._group_dirty = True
             self._checkpoint_if_log_pressure()
             start += len(run)
 
@@ -251,12 +208,10 @@ class BTreeEngine:
         pre-framed DELETE of a live key that a failing call never reached
         would remove an acknowledged record at recovery.
         """
-        if self.wal is not None:
-            self.wal.append_kv(self._lsn + 1, self._txid, LogOp.DELETE, key, b"")
+        self.wal.append_ahead(LogOp.DELETE, ((key, b""),))
         self.tree.delete(key)
         self.user_bytes += len(key)
         self.operations += 1
-        self._group_dirty = True
         self._checkpoint_if_log_pressure()
 
     def delete_batch(self, keys: list[bytes]) -> None:
@@ -284,29 +239,13 @@ class BTreeEngine:
         (the workload runner calls it once per *group* of concurrent client
         commits, which is how group commit batches transactions).
         """
-        self._txid += 1
-        if self.wal is not None and self.config.group_atomic and self._group_dirty:
-            self._seal_group()
-        if self.wal is not None and self.config.log_flush_policy == "commit":
-            self.wal.flush()
-        if self.config.group_atomic and self._root_persist_pending:
+        self.wal.commit()
+        if self._root_persist_pending:
             # Deferred from _on_root_change: the marker is durable now, so
             # persisting pages/meta can no longer leak an unacknowledged
             # window past a crash.
             self._persist_root()
         self._checkpoint_if_log_pressure()
-
-    def _seal_group(self) -> None:
-        """Append the COMMIT marker that makes the open window replayable."""
-        assert self.wal is not None
-        # Marker durability IS the log_flush_policy knob: commit() flushes
-        # right after under the "commit" policy, and weaker policies trade
-        # the acknowledgment window for I/O by design (the crash harness
-        # replays both ways).
-        self.wal.append(  # repro: noqa[CRS008] durability deferred to log_flush_policy
-            LogRecord(self._next_lsn(), self._txid, LogOp.COMMIT, b"", b"")
-        )
-        self._group_dirty = False
 
     @property
     def write_stalled(self) -> bool:
@@ -315,12 +254,8 @@ class BTreeEngine:
         over the last checkpoint).  The serving layer polls this to drive
         its backpressure state machine; relief is a checkpoint, which
         :meth:`tick` performs at the next group boundary."""
-        if self.wal is None:
-            return False
-        return (
-            self.wal.blocks_since(self._checkpoint_pos)
-            > (3 * self.config.log_blocks) // 4
-        )
+        wal = self.wal
+        return wal.blocks_since(wal.cursor) > (3 * self.config.log_blocks) // 4
 
     def stall_relief_at(self) -> float:
         """Simulated time at which stall-relief work can run (now: the
@@ -332,15 +267,9 @@ class BTreeEngine:
 
         The workload runner calls this after advancing the simulated clock.
         """
-        if (
-            self.wal is not None
-            and self.config.log_flush_policy == "interval"
-            and self.clock.alarm_due("log_flush")
-        ):
-            self.wal.flush()
-            self.clock.set_alarm("log_flush", self.config.log_flush_interval)
+        self.wal.tick()
         if self.clock.alarm_due("checkpoint"):
-            if not (self.config.group_atomic and self._group_dirty):
+            if not self.wal.window_open:
                 self.checkpoint()
         else:
             self._checkpoint_if_log_pressure()
@@ -348,36 +277,24 @@ class BTreeEngine:
     def _checkpoint_if_log_pressure(self) -> None:
         """Checkpoint before the log ring wraps over un-checkpointed records.
 
-        Without this, replay after a crash could find its start position
-        overwritten.  Triggering at half the ring leaves ample headroom.
-
-        In group-atomic mode a checkpoint never runs while a window is open:
-        it would flush the window's pages and advance the replay cursor past
-        its records, making the unacknowledged window durable without its
-        marker.  Pressure is re-checked at the commit boundary instead, so a
-        window must stay well under half the ring (the serving layer's
-        bounded commit windows do by orders of magnitude).
+        Never inside an open group-atomic window: the checkpoint would make
+        the window's pages durable without its marker.  The commit boundary
+        re-checks, so a window must stay well under half the ring (the
+        serving layer's bounded commit windows do by orders of magnitude).
         """
-        if self.config.group_atomic and self._group_dirty:
-            return
-        if (
-            self.wal is not None
-            and self.wal.blocks_since(self._checkpoint_pos) > self.config.log_blocks // 2
-        ):
+        if self.wal.relief_due():
             self.checkpoint()
 
     # ------------------------------------------------------------ checkpoint
 
     def checkpoint(self) -> None:
         """Flush all dirty pages and persist the meta page."""
-        if self.wal is not None:
-            self.wal.flush()
+        self.wal.flush()
         self.pool.flush_all()
         # Parents that unlinked freed pages are durable now, so their storage
         # can be reclaimed and their ids recycled.
         self.pager.apply_deferred_frees()
-        if self.wal is not None:
-            self._checkpoint_pos = self.wal.position()
+        self.wal.advance_cursor()
         self._root_persist_pending = False
         self._write_meta()
         self.clock.set_alarm("checkpoint", self.config.checkpoint_interval)
@@ -411,11 +328,12 @@ class BTreeEngine:
     def _write_meta(self) -> None:
         next_id, free_ids = self.pager.allocator_state()
         free_ids = free_ids[:_MAX_META_FREE_IDS]
+        wal = self.wal
         block = bytearray(BLOCK_SIZE)
         _META_HDR.pack_into(
             block, 0, _META_MAGIC, 1, self.config.page_size, self.tree.root_id,
-            next_id, self._lsn, self._txid, self._checkpoint_pos.block_index,
-            self._checkpoint_pos.sequence, len(free_ids),
+            next_id, wal.lsn, wal.txid, wal.cursor.block_index,
+            wal.cursor.sequence, len(free_ids),
         )
         offset = _META_HDR.size
         for fid in free_ids:
@@ -481,35 +399,26 @@ class BTreeEngine:
                 f"configured {self.config.page_size}"
             )
         self.pager.recover()
-        self._lsn = meta["lsn"]
-        self._txid = meta["txid"]
+        self.wal.lsn = meta["lsn"]
+        self.wal.txid = meta["txid"]
         self.tree = BTree(
-            self.pool, self.pager, self.config.page_size, self._next_lsn,
+            self.pool, self.pager, self.config.page_size, self.wal.next_lsn,
             root_id=meta["root_id"], on_root_change=self._on_root_change,
         )
         self._rebuild_allocator(meta)
-        if self.wal is not None:
-            records, end = self.wal.scan(meta["log_pos"])
-            if self.config.group_atomic:
-                # Roll back the in-flight window: replay only the prefix
-                # sealed by a COMMIT marker.  The checkpoint below advances
-                # the replay cursor past the discarded tail, so a second
-                # crash can never resurrect it.
-                records, discarded = split_complete_groups(records)
-                if discarded:
-                    self._fault_stats.group_rollbacks += 1
-            for record in records:
-                self._lsn = max(self._lsn, record.lsn)
-                self._txid = max(self._txid, record.txid)
-                if record.op == LogOp.PUT:
-                    self.tree.put(record.key, record.value)
-                elif record.op == LogOp.DELETE:
-                    try:
-                        self.tree.delete(record.key)
-                    except KeyNotFoundError:
-                        pass  # already applied before the crash
-            self.wal.reset_to(end)
+        # The checkpoint advances the replay cursor past a rolled-back tail,
+        # so a second crash can never resurrect it.
+        self.wal.replay(meta["log_pos"], self._replay_record)
         self.checkpoint()
+
+    def _replay_record(self, record: LogRecord) -> None:
+        if record.op == LogOp.PUT:
+            self.tree.put(record.key, record.value)
+        elif record.op == LogOp.DELETE:
+            try:
+                self.tree.delete(record.key)
+            except KeyNotFoundError:
+                pass  # already applied before the crash
 
     def _rebuild_allocator(self, meta: dict) -> None:
         """Recompute the page allocator by walking the reachable tree, and
@@ -564,14 +473,10 @@ class BTreeEngine:
                 node.delete_at(index)
             else:
                 node.remove_separator_at(index)
-        node.page.lsn = self._next_lsn()
+        node.page.lsn = self.wal.next_lsn()
         self.pool.mark_dirty(node.page.page_id)
 
     # ------------------------------------------------------------ internals
-
-    def _next_lsn(self) -> int:
-        self._lsn += 1
-        return self._lsn
 
     def _flush_with_dependencies(self, page: Page) -> None:
         """Flush ``page`` after its crash-consistency prerequisites.
@@ -594,7 +499,7 @@ class BTreeEngine:
         page_id = page.page_id
         if page_id in self._flushing:
             raise RecoveryError(f"re-entrant flush of page {page_id}")
-        if self.config.group_atomic and self._group_dirty:
+        if self.wal.window_open:
             # A mid-window flush can only be an eviction under cache
             # pressure; it may persist part of the unacknowledged window
             # (a stolen page).  Counted so tests and the serving layer can
@@ -631,19 +536,14 @@ class BTreeEngine:
         page) counters into one read-only snapshot; all zeros on a
         fault-free run.
         """
-        merged = self._fault_stats + self.pager.fault_stats
-        if self.wal is not None:
-            merged = merged + self.wal.fault_stats
-        return merged
+        return self._fault_stats + self.pager.fault_stats + self.wal.fault_stats
 
     def traffic_snapshot(self) -> TrafficSnapshot:
         """Current cumulative write traffic, categorised per the paper."""
-        wal_logical = self.wal.stats.logical_bytes if self.wal else 0
-        wal_physical = self.wal.stats.physical_bytes if self.wal else 0
         return TrafficSnapshot(
             user_bytes=self.user_bytes,
-            log_logical=wal_logical,
-            log_physical=wal_physical,
+            log_logical=self.wal.stats.logical_bytes,
+            log_physical=self.wal.stats.physical_bytes,
             page_logical=self.pager.stats.page_logical_bytes,
             page_physical=self.pager.stats.page_physical_bytes,
             extra_logical=self.pager.stats.extra_logical_bytes + self.meta_logical_bytes,

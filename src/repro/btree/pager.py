@@ -598,10 +598,6 @@ class DeterministicShadowPager(Pager):
         self._trim(self._page_base(page_id), self._page_region_blocks())
         self._valid_slot.pop(page_id, None)
 
-    def forget_volatile_state(self) -> None:
-        """Drop the in-memory valid-slot bitmap (host crash simulation)."""
-        self._valid_slot.clear()
-
 
 PAGER_CLASSES = {
     "journal": JournalPager,

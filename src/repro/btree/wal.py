@@ -21,6 +21,13 @@ zero-padding it to the 4KB boundary, so the next record opens a fresh block
 and every record is written — and compressed — exactly once (Fig. 8).  The
 logical write volume per flush is identical (one 4KB block either way); only
 the physical, post-compression volume differs.
+
+The log also runs the commit protocol both engines share: it draws LSNs and
+txids, seals group-atomic windows with a ``LogOp.COMMIT`` marker, applies
+the commit/interval flush policy, keeps the replay cursor and its half-ring
+pressure test, and replays from a cursor with group rollback.  With
+``wal_mode="none"`` an engine gets a :class:`NullLog`: the same protocol,
+no framing, no device command.
 """
 
 from __future__ import annotations
@@ -29,12 +36,13 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import read_block_retrying, write_block_retrying
 from repro.errors import ConfigError, WalError
 from repro.metrics.faults import FaultStats
+from repro.sim.clock import SimClock
 
 _BLOCK_MAGIC = 0x42474F4C  # "LOGB"
 _BLOCK_HDR = struct.Struct("<II")  # magic, sequence
@@ -43,19 +51,6 @@ _PAYLOAD_HDR = struct.Struct("<QQBHI")  # lsn, txid, op, klen, vlen
 
 #: Usable payload bytes per log block.
 BLOCK_CAPACITY = BLOCK_SIZE - _BLOCK_HDR.size
-
-
-def check_record_fits(key_len: int, value_len: int) -> None:
-    """Raise :class:`WalError` if a key and value of these lengths cannot be
-    logged: records never span blocks.
-
-    Engines run this over a whole batch before framing its first record, so
-    :meth:`RedoLog.append_kv` — which keeps the same check — cannot reject
-    an item after its predecessors were framed.
-    """
-    encoded_len = _REC_HDR.size + _PAYLOAD_HDR.size + key_len + value_len
-    if encoded_len > BLOCK_CAPACITY:
-        raise WalError(f"log record of {encoded_len} bytes exceeds block capacity")
 
 
 class LogOp(enum.IntEnum):
@@ -134,8 +129,31 @@ class LogPosition:
     sequence: int  # monotone block sequence number
 
 
+def check_log_config(config, modes: tuple[str, ...] = ("packed", "sparse", "none")) -> None:
+    """Check an engine config's five redo-log fields (``wal_mode`` among
+    ``modes``, ``log_flush_policy``, ``log_flush_interval``, ``log_blocks``,
+    ``group_atomic``)."""
+    if config.wal_mode not in modes:
+        raise ConfigError(f"unknown wal_mode {config.wal_mode!r}")
+    if config.log_flush_policy not in ("commit", "interval"):
+        raise ConfigError(f"unknown log_flush_policy {config.log_flush_policy!r}")
+    if not config.log_flush_interval > 0:
+        raise ConfigError("log_flush_interval must be positive")
+    if config.log_blocks < 2:
+        raise ConfigError("log region needs at least 2 blocks")
+    if config.group_atomic and (
+        config.wal_mode == "none" or config.log_flush_policy != "commit"
+    ):
+        # The marker must become durable with its window.
+        raise ConfigError("group_atomic requires a WAL with log_flush_policy='commit'")
+
+
 class RedoLog:
-    """The redo log writer/reader over a ring of device blocks."""
+    """The redo log writer/reader over a ring of device blocks, and the
+    commit protocol over it: ``lsn`` is the last LSN drawn, ``txid`` the
+    open transaction's, and every record before the replay ``cursor`` is in
+    the engine's durable state (pages or tables).
+    """
 
     def __init__(
         self,
@@ -143,6 +161,11 @@ class RedoLog:
         start_block: int,
         num_blocks: int,
         sparse: bool = False,
+        *,
+        flush_policy: str = "interval",
+        flush_interval: float = 60.0,
+        group_atomic: bool = False,
+        clock: Optional[SimClock] = None,
     ) -> None:
         if num_blocks < 2:
             raise ConfigError("log region needs at least 2 blocks")
@@ -152,8 +175,17 @@ class RedoLog:
         self.start_block = start_block
         self.num_blocks = num_blocks
         self.sparse = sparse
+        self.flush_policy = flush_policy
+        self.flush_interval = flush_interval
+        self.group_atomic = group_atomic
+        self.clock = clock or SimClock()
+        self.clock.set_alarm("log_flush", flush_interval)
         self.stats = WalStats()
         self.fault_stats = FaultStats()
+        self.lsn = 0
+        self.txid = 0
+        #: Records framed since the last COMMIT marker.
+        self._unsealed = False
         self._sequence = 1  # sequence of the current (open) block
         self._ring_index = 0  # ring position of the current block
         self._block = bytearray(BLOCK_SIZE)
@@ -162,6 +194,126 @@ class RedoLog:
         self._pending_full: list[tuple[int, bytes]] = []  # sealed, unwritten blocks
         self._block_written_once = False
         self._flushed_used = self._used
+        self.cursor = self.position()
+
+    @classmethod
+    def for_config(
+        cls, config, device: BlockDevice, start_block: int, clock: SimClock
+    ) -> "RedoLog":
+        """The log an engine config asks for (see :func:`check_log_config`)."""
+        log_class = NullLog if config.wal_mode == "none" else cls
+        return log_class(
+            device, start_block, config.log_blocks,
+            sparse=config.wal_mode == "sparse",
+            flush_policy=config.log_flush_policy,
+            flush_interval=config.log_flush_interval,
+            group_atomic=config.group_atomic,
+            clock=clock,
+        )
+
+    # ------------------------------------------------------ commit protocol
+
+    def next_lsn(self) -> int:
+        """Draw the next LSN (the B-tree's ``lsn_source``)."""
+        self.lsn += 1
+        return self.lsn
+
+    def append_next(self, op: LogOp, key: bytes, value: bytes) -> None:
+        """Draw the next LSN and frame one record at it."""
+        self.lsn += 1
+        self.append_kv(self.lsn, self.txid, op, key, value)
+        self._unsealed = True
+
+    def append_ahead(self, op: LogOp, items) -> None:
+        """Frame one ``op`` record per ``(key, value)`` at the LSNs the
+        caller's applier draws next, without drawing them (the B-tree frames
+        a run, then its tree stamps pages with the same LSNs)."""
+        append_kv = self.append_kv
+        txid = self.txid
+        lsn = self.lsn
+        for key, value in items:
+            lsn += 1
+            append_kv(lsn, txid, op, key, value)
+        self._unsealed = True
+
+    def check_fits(self, key_len: int, value_len: int) -> None:
+        """Raise :class:`WalError` if a record this size cannot be logged
+        (records never span blocks).  Engines check a whole batch before
+        framing it, so :meth:`append_kv` never rejects an item mid-batch."""
+        encoded_len = _REC_HDR.size + _PAYLOAD_HDR.size + key_len + value_len
+        if encoded_len > BLOCK_CAPACITY:
+            raise WalError(f"log record of {encoded_len} bytes exceeds block capacity")
+
+    @property
+    def window_open(self) -> bool:
+        """True inside a group-atomic window that has framed records: no
+        state past the window's start may become durable until it seals."""
+        return self.group_atomic and self._unsealed
+
+    def _seal_group(self) -> None:
+        """Append the COMMIT marker that makes the open window replayable."""
+        # Every caller flushes right after: group_atomic implies "commit".
+        self.append_kv(self.next_lsn(), self.txid, LogOp.COMMIT, b"", b"")  # repro: noqa[CRS008] durability deferred to the flush policy
+        self._unsealed = False
+
+    def seal(self) -> None:
+        """Make every framed record durable, sealing an open window first."""
+        if self.window_open:
+            self._seal_group()
+        self.flush()
+
+    def commit(self) -> None:
+        """Start a new txid; the ``commit`` policy seals and flushes."""
+        self.txid += 1
+        if self.flush_policy == "commit":
+            self.seal()
+
+    def tick(self) -> None:
+        """The ``interval`` policy's periodic flush (the ``log_flush`` alarm)."""
+        if self.flush_policy == "interval" and self.clock.alarm_due("log_flush"):
+            self.flush()
+            self.clock.set_alarm("log_flush", self.flush_interval)
+
+    def advance_cursor(self) -> None:
+        """Move the replay cursor to the head: everything logged so far is
+        in the engine's durable state."""
+        self.cursor = self.position()
+
+    def blocks_before_relief(self) -> int:
+        """Blocks the writer may still seal before the ring is half consumed
+        since the cursor (negative once it is)."""
+        return self.num_blocks // 2 - self.blocks_since(self.cursor)
+
+    def relief_due(self) -> bool:
+        """True once over half the ring lies past the cursor and no window
+        is open: the engine must make its logged state durable before the
+        ring wraps over records replay still needs."""
+        return self.blocks_before_relief() < 0 and not self.window_open
+
+    def replay(self, since: LogPosition, apply: Callable[[LogRecord], None]) -> int:
+        """Pass every surviving durable record from ``since`` to ``apply``
+        in LSN order (the LSN restored first), resume the txid above them
+        and logging after them.
+
+        Under ``group_atomic`` only marker-terminated windows survive; a
+        rolled-back tail counts on ``fault_stats.group_rollbacks``.
+        Returns the rolled-back record count: the engine must then advance
+        the cursor past them, or a later marker would resurrect them.
+        """
+        self.cursor = since
+        records, end = self.scan(since)
+        discarded = 0
+        if self.group_atomic:
+            records, discarded = split_complete_groups(records)
+            if discarded:
+                self.fault_stats.group_rollbacks += 1
+        for record in records:
+            self.lsn = max(self.lsn, record.lsn)
+            self.txid = max(self.txid, record.txid + 1)
+            if record.op != LogOp.COMMIT:
+                apply(record)
+        self.reset_to(end)
+        return discarded
 
     # ------------------------------------------------------------ appending
 
@@ -357,6 +509,24 @@ class RedoLog:
         self._flushed_used = self._used
 
 
+class NullLog(RedoLog):
+    """``wal_mode="none"``: the commit protocol without a log.
+
+    LSNs, txids and the flush alarm behave as in :class:`RedoLog`, but no
+    record is framed (so any size is accepted), flushes find nothing to
+    write and replay reads nothing: no device command is ever issued.
+    """
+
+    def append_kv(self, lsn: int, txid: int, op: LogOp, key: bytes, value: bytes) -> None:
+        pass
+
+    def check_fits(self, key_len: int, value_len: int) -> None:
+        pass
+
+    def scan(self, since: LogPosition) -> tuple[list[LogRecord], LogPosition]:
+        return [], since
+
+
 def split_complete_groups(
     records: list[LogRecord],
 ) -> tuple[list[LogRecord], int]:
@@ -368,17 +538,14 @@ def split_complete_groups(
     durable; records past the last marker belong to a window that was never
     acknowledged and must be rolled back, not replayed.
 
-    Both engines draw one LSN per record, markers included, so the durable
-    stream is dense; the scan stops at the first LSN gap.  A gap means a
-    torn flush kept a later block but lost an earlier block's rewrite (the
-    packed ring re-writes its open block), so a marker past the gap would
-    seal a window whose first records are missing.
+    Every record, marker included, has its own LSN, so the durable stream
+    is dense and the split stops at the first LSN gap: a torn flush that
+    kept a later block but lost an earlier block's rewrite, where a marker
+    would seal a window whose first records are missing.
 
     Returns ``(replayable, discarded)``: the prefix up to and including the
-    last COMMIT marker before any gap (recovery replays it; markers
-    themselves are ignored by the replay loops), and the count of records
-    after it that the caller must discard.  With no marker anywhere the
-    whole scan is the in-flight window and nothing replays.
+    last COMMIT marker before any gap, and the count of records after it.
+    With no marker anywhere nothing replays.
     """
     last_marker = -1
     for index, record in enumerate(records):

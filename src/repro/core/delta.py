@@ -308,11 +308,6 @@ class DeltaShadowPager(DeterministicShadowPager):
         self._fvec.pop(page_id, None)
         self._base_lsn.pop(page_id, None)
 
-    def forget_volatile_state(self) -> None:
-        super().forget_volatile_state()
-        self._fvec.clear()
-        self._base_lsn.clear()
-
     # ------------------------------------------------------------- metrics
 
     def delta_bytes_live(self) -> int:

@@ -31,14 +31,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from repro.btree.wal import (
-    LogOp,
-    LogPosition,
-    LogRecord,
-    RedoLog,
-    check_record_fits,
-    split_complete_groups,
-)
+from repro.btree.wal import LogOp, LogRecord, RedoLog, check_log_config
 from repro.csd.device import BlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, LsmError
 from repro.lsm.bloom import probe_sequence
@@ -50,6 +43,7 @@ from repro.lsm.strategy import STRATEGIES, get_strategy
 from repro.lsm.version import VersionSet
 from repro.lsm.vlog import VREF_SIZE, ValueLog, ValueRef
 from repro.metrics.counters import TrafficSnapshot
+from repro.metrics.faults import FaultStats
 from repro.sim.clock import SimClock
 
 # Manifest-extension framing: strategy name + separation threshold (0 for
@@ -120,18 +114,9 @@ class LSMConfig:
             raise ConfigError("l0_compaction_trigger must be >= 1")
         if self.level_size_ratio <= 1:
             raise ConfigError("level_size_ratio must exceed 1")
-        if self.wal_mode not in ("packed", "none"):
-            raise ConfigError(f"unknown wal_mode {self.wal_mode!r}")
-        if self.log_flush_policy not in ("commit", "interval"):
-            raise ConfigError(f"unknown log_flush_policy {self.log_flush_policy!r}")
+        check_log_config(self, modes=("packed", "none"))
         if self.flush_latency < 0 or self.max_frozen_memtables < 1:
             raise ConfigError("flush_latency/max_frozen_memtables out of range")
-        if self.group_atomic and (
-            self.wal_mode == "none" or self.log_flush_policy != "commit"
-        ):
-            raise ConfigError(
-                "group_atomic requires a WAL with log_flush_policy='commit'"
-            )
         if self.compaction_strategy not in STRATEGIES:
             known = ", ".join(sorted(STRATEGIES))
             raise ConfigError(
@@ -175,9 +160,7 @@ class LSMEngine:
         self.clock = clock or SimClock()
         self.manifest = Manifest(device, 0, self.config.manifest_blocks)
         log_start = self.manifest.total_blocks()
-        self.wal: Optional[RedoLog] = None
-        if self.config.wal_mode != "none":
-            self.wal = RedoLog(device, log_start, self.config.log_blocks, sparse=False)
+        self.wal = RedoLog.for_config(self.config, device, log_start, self.clock)
         pool_start = log_start + self.config.log_blocks
         self.vlog: Optional[ValueLog] = None
         if self.config.value_separation_threshold is not None:
@@ -198,12 +181,8 @@ class LSMEngine:
         #: first (group_atomic mode; always empty otherwise).
         self.frozen: list[MemTable] = []
         self._flush_due = 0.0
-        self._group_dirty = False
         self.memtable_freezes = 0
         self._next_table_id = 0
-        self._txid = 0
-        self._lsn = 0
-        self._log_pos = self.wal.position() if self.wal else LogPosition(0, 1)
         self.user_bytes = 0
         self.operations = 0
         self.flush_logical = 0
@@ -215,7 +194,6 @@ class LSMEngine:
         #: Compaction inputs ``(start_block, num_blocks)`` awaiting the
         #: manifest persist that stops naming them.
         self._retired: list[tuple[int, int]] = []
-        self.clock.set_alarm("log_flush", self.config.log_flush_interval)
         if not _recovering:
             self._persist_manifest()
 
@@ -240,32 +218,12 @@ class LSMEngine:
             reader = SSTableReader.open(device, entry.start_block, entry.num_blocks)
             engine.allocator.mark_used(entry.start_block, entry.num_blocks)
             engine.versions.add_table(entry.level, reader)
-        if engine.wal is not None:
-            records, end = engine.wal.scan(state.log_pos)
-            discarded = 0
-            if engine.config.group_atomic:
-                # Roll back the in-flight window: replay only the prefix
-                # sealed by a COMMIT marker.
-                records, discarded = split_complete_groups(records)
-            for record in records:
-                engine._lsn = max(engine._lsn, record.lsn)
-                if engine.config.group_atomic:
-                    engine._txid = max(engine._txid, record.txid)
-                if record.op == LogOp.PUT:
-                    engine.memtable.put(record.key, record.value)
-                elif record.op == LogOp.DELETE:
-                    engine.memtable.delete(record.key)
-                elif record.op == LogOp.PUT_VPTR:
-                    engine._replay_vptr(record)
-            engine.wal.reset_to(end)
-            engine._log_pos = state.log_pos
-            if discarded:
-                # The resumed writer appends *after* the discarded tail; if
-                # the cursor stayed behind it, a later marker would make a
-                # second recovery replay the rolled-back records.  Draining
-                # makes the replayed state durable and moves the cursor past
-                # the ghosts.
-                engine.drain_memory()
+        if engine.wal.replay(state.log_pos, engine._replay_record):
+            # The resumed writer appends *after* the discarded tail; if the
+            # cursor stayed behind it, a later marker would make a second
+            # recovery replay the rolled-back records.  Draining makes the
+            # replayed state durable and moves the cursor past the ghosts.
+            engine.drain_memory()
         if engine.vlog is not None:
             # After replay (replayable head records must survive validation
             # first): re-TRIM free slots, closing the GC window between the
@@ -292,22 +250,28 @@ class LSMEngine:
             assert self.vlog is not None  # threshold equality implies a vlog
             self.vlog.restore_state(vlog_state)
 
-    def _replay_vptr(self, record: LogRecord) -> None:
-        """Replay one separated put; drop it if its value bytes died.
+    def _replay_record(self, record: LogRecord) -> None:
+        """Apply one replayed record to the memtable.
 
-        The value record is written before the WAL record and both ride the
-        same device flush, so a pointer whose value fails validation can
-        only belong to an in-flight (unacknowledged) operation — dropping
-        it is exactly the crash semantics of a torn in-flight write.
+        A separated put is dropped if its value bytes died: the value
+        record is written before the WAL record and both ride the same
+        device flush, so a pointer whose value fails validation can only
+        belong to an in-flight (unacknowledged) operation — dropping it is
+        exactly the crash semantics of a torn in-flight write.
         """
-        if self.vlog is None:
-            raise LsmError(
-                "WAL contains value-log pointers but separation is disabled"
-            )
-        ref = ValueRef.from_wire(record.value)
-        if self.vlog.validate_record(record.key, ref):
-            self.memtable.put(record.key, ref)
-            self.vlog.note_replayed(record.key, ref)
+        if record.op == LogOp.PUT:
+            self.memtable.put(record.key, record.value)
+        elif record.op == LogOp.DELETE:
+            self.memtable.delete(record.key)
+        elif record.op == LogOp.PUT_VPTR:
+            if self.vlog is None:
+                raise LsmError(
+                    "WAL contains value-log pointers but separation is disabled"
+                )
+            ref = ValueRef.from_wire(record.value)
+            if self.vlog.validate_record(record.key, ref):
+                self.memtable.put(record.key, ref)
+                self.vlog.note_replayed(record.key, ref)
 
     def close(self) -> None:
         """Flush the WAL and persist the manifest (memtable is replayable).
@@ -316,10 +280,7 @@ class LSMEngine:
         past a record once it reaches an SSTable — so a clean close needs no
         drain, just a marker sealing the open window in group-atomic mode.
         """
-        if self.wal is not None:
-            if self.config.group_atomic and self._group_dirty:
-                self._seal_group()
-            self.wal.flush()
+        self.wal.seal()
         self._persist_manifest()
 
     # --------------------------------------------------------------- KV API
@@ -336,24 +297,22 @@ class LSMEngine:
             # pointer enters the WAL, so one flush covers both and a durable
             # pointer always has durable value bytes behind it.
             ref = self._separate(key, value)
-            self._log(LogOp.PUT_VPTR, key, ref)
+            self.wal.append_next(LogOp.PUT_VPTR, key, ref)
             self.memtable.put(key, ref)
         else:
-            self._log(LogOp.PUT, key, value)
+            self.wal.append_next(LogOp.PUT, key, value)
             self.memtable.put(key, value)
         self.user_bytes += len(key) + len(value)
         self.operations += 1
-        self._group_dirty = True
         self._maybe_flush_memtable()
 
     def delete(self, key: bytes) -> None:
         """Record a deletion (blind delete, RocksDB semantics)."""
         self._check_loggable(key, 0)
-        self._log(LogOp.DELETE, key, b"")
+        self.wal.append_next(LogOp.DELETE, key, b"")
         self.memtable.delete(key)
         self.user_bytes += len(key)
         self.operations += 1
-        self._group_dirty = True
         self._maybe_flush_memtable()
 
     def delete_checked(self, key: bytes) -> None:
@@ -412,8 +371,7 @@ class LSMEngine:
         """
         if not key:
             raise ConfigError("empty keys are not supported")
-        if self.wal is not None:
-            check_record_fits(len(key), value_len)
+        self.wal.check_fits(len(key), value_len)
 
     def get(self, key: bytes) -> Optional[bytes]:
         found, value = self.memtable.get(key)
@@ -484,32 +442,15 @@ class LSMEngine:
         flush a due frozen memtable, guard the WAL ring, and freeze the
         active memtable if it filled during the window.
         """
-        self._txid += 1
-        if self.wal is not None and self.config.group_atomic and self._group_dirty:
-            self._seal_group()
-        if self.wal is not None and self.config.log_flush_policy == "commit":
-            self.wal.flush()
+        self.wal.commit()
         if self.config.group_atomic:
             self._boundary_maintenance()
-
-    def _seal_group(self) -> None:
-        """Append the COMMIT marker that makes the open window replayable."""
-        assert self.wal is not None
-        self._lsn += 1
-        # Marker durability IS the log_flush_policy knob (see the B-tree's
-        # _seal_group): commit() flushes right after under the "commit"
-        # policy; weaker policies trade the ack window for I/O by design.
-        self.wal.append(LogRecord(self._lsn, self._txid, LogOp.COMMIT, b"", b""))  # repro: noqa[CRS008] durability deferred to log_flush_policy
-        self._group_dirty = False
 
     def _boundary_maintenance(self) -> None:
         """Memtable lifecycle work, runnable only between commit windows."""
         if self.frozen and self.clock.now >= self._flush_due:
             self.flush_frozen()
-        if (
-            self.wal is not None
-            and self.wal.blocks_since(self._log_pos) > self.config.log_blocks // 2
-        ):
+        if self.wal.relief_due():
             # The ring is about to wrap over un-tabled records: drain
             # everything so the replay cursor can advance.
             self.drain_memory()
@@ -540,40 +481,22 @@ class LSMEngine:
 
     def tick(self) -> None:
         """Clock-driven background work (periodic WAL flush, frozen flush)."""
-        if self.config.group_atomic:
-            if self.frozen and self.clock.now >= self._flush_due:
-                self.flush_frozen()
-            return
-        if (
-            self.wal is not None
-            and self.config.log_flush_policy == "interval"
-            and self.clock.alarm_due("log_flush")
-        ):
-            self.wal.flush()
-            self.clock.set_alarm("log_flush", self.config.log_flush_interval)
+        self.wal.tick()
+        if self.config.group_atomic and self.frozen and self.clock.now >= self._flush_due:
+            self.flush_frozen()
 
     # ---------------------------------------------------------- flush/compact
-
-    def _log(self, op: LogOp, key: bytes, value: bytes) -> None:
-        if self.wal is None:
-            return
-        self._lsn += 1
-        self.wal.append_kv(self._lsn, self._txid, op, key, value)
 
     def _maybe_flush_memtable(self) -> None:
         if self.config.group_atomic:
             # Mid-window flushes would persist part of an unacknowledged
             # window; all lifecycle decisions defer to the commit boundary.
             return
-        if self.memtable.approximate_bytes < self.config.memtable_bytes:
-            # Guard the WAL ring exactly like the B-tree engine does.
-            if (
-                self.wal is not None
-                and self.wal.blocks_since(self._log_pos) > self.config.log_blocks // 2
-            ):
-                self.flush_memtable()
-            return
-        self.flush_memtable()
+        if (
+            self.memtable.approximate_bytes >= self.config.memtable_bytes
+            or self.wal.relief_due()  # guard the WAL ring like the B-tree
+        ):
+            self.flush_memtable()
 
     def flush_memtable(self) -> None:
         """Write the memtable as a level-0 table and run due compactions."""
@@ -586,8 +509,7 @@ class LSMEngine:
             return
         self._write_l0(self.memtable)
         self.memtable = MemTable()
-        if self.wal is not None:
-            self._log_pos = self.wal.position()
+        self.wal.advance_cursor()
         self._run_compactions()
         self._persist_manifest()
         self._maybe_gc_vlog()
@@ -614,7 +536,7 @@ class LSMEngine:
     def flush_frozen(self) -> None:
         """Write the oldest frozen memtable as a level-0 table.
 
-        The replay cursor (``_log_pos``) only advances once *no* in-memory
+        The WAL's replay cursor only advances once *no* in-memory
         data remains — a frozen table's records stay covered by the WAL
         until then, so a crash between freeze and flush simply replays them.
         """
@@ -622,8 +544,8 @@ class LSMEngine:
             return
         table = self.frozen.pop(0)
         self._write_l0(table)
-        if self.wal is not None and not self.frozen and len(self.memtable) == 0:
-            self._log_pos = self.wal.position()
+        if not self.frozen and len(self.memtable) == 0:
+            self.wal.advance_cursor()
         self._run_compactions()
         self._persist_manifest()
         self._maybe_gc_vlog()
@@ -639,18 +561,17 @@ class LSMEngine:
         self.freeze_memtable()
         while self.frozen:
             self.flush_frozen()
-        if not flushed_any and self.wal is not None:
+        if not flushed_any:
             # Nothing to table (e.g. a marker-only stream), but the ring can
             # still be reclaimed by re-anchoring the cursor at the tail.
             self.wal.flush()
-            self._log_pos = self.wal.position()
+            self.wal.advance_cursor()
             self._persist_manifest()
 
     def _write_l0(self, table: MemTable) -> None:
         """Write one memtable as a level-0 table — the flush both
         :meth:`flush_memtable` and :meth:`flush_frozen` run, in their spans."""
-        if self.wal is not None:
-            self.wal.flush()  # everything in the table must be durable
+        self.wal.flush()  # everything in the table must be durable
         writer = self._make_writer()
         for key, value in table.items():
             writer.add(key, value)
@@ -731,7 +652,7 @@ class LSMEngine:
             self.vlog.encode_state() if self.vlog is not None else b"",
         )
         self.device.flush()
-        self.manifest.persist(entries, self._next_table_id, self._log_pos, extension)
+        self.manifest.persist(entries, self._next_table_id, self.wal.cursor, extension)
         for start, count in self._retired:
             self.device.trim(start, count)
             self.allocator.free(start, count)
@@ -752,7 +673,7 @@ class LSMEngine:
         vlog = self.vlog
         assert vlog is not None
         if not vlog.has_room(len(key), len(value)):
-            if self.config.group_atomic and self._group_dirty:
+            if self.wal.window_open:
                 raise LsmError(
                     "value log exhausted inside an open commit window; "
                     "enlarge the vlog region or lower vlog_gc_free_segments"
@@ -771,7 +692,7 @@ class LSMEngine:
         vlog = self.vlog
         if vlog is None or vlog.free_segments() > self.config.vlog_gc_free_segments:
             return
-        if self.config.group_atomic and self._group_dirty:
+        if self.wal.window_open:
             return  # defer to the next commit boundary
         victim = vlog.oldest_sealed_slot()
         if victim is not None:
@@ -808,14 +729,12 @@ class LSMEngine:
         for key, ref in live:
             value = vlog.read(key, ref)
             new_ref = vlog.append(key, value)
-            self._log(LogOp.PUT_VPTR, key, new_ref)
+            self.wal.append_next(LogOp.PUT_VPTR, key, new_ref)
             self.memtable.put(key, new_ref)
             vlog.stats.gc_rewritten_records += 1
             vlog.stats.gc_rewritten_bytes += len(value)
-        if self.wal is not None and live:
-            if self.config.group_atomic:
-                self._seal_group()
-            self.wal.flush()
+        if live:
+            self.wal.seal()
         vlog.retire(victim)
         vlog.stats.gc_passes += 1
         self._persist_manifest()
@@ -824,14 +743,20 @@ class LSMEngine:
 
     # ------------------------------------------------------------ accounting
 
+    @property
+    def fault_stats(self) -> FaultStats:
+        """Fault detection/repair counters: the WAL's retries, truncations
+        and group rollbacks; all zeros on a fault-free run."""
+        return self.wal.fault_stats
+
     def traffic_snapshot(self) -> TrafficSnapshot:
         # Value-log appends are WAL-time traffic, so they land in W_log.
         vlog_logical = self.vlog.stats.logical_bytes if self.vlog else 0
         vlog_physical = self.vlog.stats.physical_bytes if self.vlog else 0
         return TrafficSnapshot(
             user_bytes=self.user_bytes,
-            log_logical=(self.wal.stats.logical_bytes if self.wal else 0) + vlog_logical,
-            log_physical=(self.wal.stats.physical_bytes if self.wal else 0) + vlog_physical,
+            log_logical=self.wal.stats.logical_bytes + vlog_logical,
+            log_physical=self.wal.stats.physical_bytes + vlog_physical,
             page_logical=self.flush_logical + self.compact_logical,
             page_physical=self.flush_physical + self.compact_physical,
             extra_logical=self.manifest.logical_bytes,

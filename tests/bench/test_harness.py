@@ -17,7 +17,7 @@ from repro.bench.reporting import format_series, format_table, ratio
 from repro.bench.speed import SpeedModel, engine_kind
 from repro.core.bminus import BMinusTree
 from repro.csd.compression import ZeroRunEstimator, ZlibCompressor
-from repro.csd.device import CompressedBlockDevice
+from repro.csd.device import CompressedBlockDevice, PlainSSD
 from repro.errors import ConfigError
 from repro.lsm.engine import LSMEngine
 from repro.sim.rng import DeterministicRng
@@ -33,6 +33,18 @@ def small_spec(**overrides):
 def test_unknown_system_rejected():
     with pytest.raises(ConfigError):
         build_engine(small_spec(system="leveldb"))
+
+
+def test_unknown_device_kind_rejected():
+    """A typo must not silently build the compressing drive."""
+    with pytest.raises(ConfigError, match="unknown device_kind"):
+        build_engine(small_spec(device_kind="plian"))
+
+
+@pytest.mark.parametrize("system", ["rocksdb", "wiredtiger", "bminus"])
+def test_plain_device_kind_builds_the_plain_ssd(system):
+    _, device, _ = build_engine(small_spec(system=system, device_kind="plain"))
+    assert type(device) is PlainSSD
 
 
 def test_build_each_system():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
+from repro.btree.wal import LogPosition
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError
 from repro.metrics.counters import compute_wa
@@ -46,6 +47,10 @@ def test_config_validation():
         BTreeConfig(log_flush_policy="bogus").validate()
     with pytest.raises(ConfigError):
         BTreeConfig(cache_bytes=0).validate()
+    with pytest.raises(ConfigError):
+        BTreeConfig(log_blocks=1).validate()
+    with pytest.raises(ConfigError):
+        BTreeConfig(log_flush_interval=-1.0).validate()
 
 
 # ------------------------------------------------------------------ basics
@@ -113,6 +118,23 @@ def test_crash_recovery_commit_policy_loses_nothing():
     recovered = BTreeEngine.open(device, make_config())
     assert dict(recovered.items()) == expected
     recovered.tree.check_invariants()
+
+
+def test_reopen_resumes_txids_above_every_replayed_one():
+    engine, device = make_engine()
+    for i in range(3):
+        engine.put(key(i), b"v")
+        engine.commit()
+    device.simulate_crash()
+    reopened = BTreeEngine.open(device, make_config())
+    head = LogPosition(0, 1)  # the creation checkpoint's cursor
+    replayed, _ = reopened.wal.scan(head)
+    assert len(replayed) == 3
+    reopened.put(key(9), b"v")
+    reopened.wal.flush()
+    records, _ = reopened.wal.scan(head)
+    assert records[3].key == key(9)
+    assert records[3].txid > max(r.txid for r in replayed)
 
 
 def test_crash_recovery_with_deletes():

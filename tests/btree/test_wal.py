@@ -7,6 +7,7 @@ from repro.btree.wal import (
     LogOp,
     LogPosition,
     LogRecord,
+    NullLog,
     RedoLog,
 )
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
@@ -227,3 +228,22 @@ def test_blocks_since_counts_sealed_blocks(log_device):
         log.append(record(lsn))
         log.flush()
     assert log.blocks_since(start) == 3
+
+
+# ----------------------------------------------------------------- no WAL
+
+
+def test_null_log_runs_the_protocol_without_a_device_command(log_device):
+    """``wal_mode="none"``: LSNs and txids advance, nothing is framed, any
+    record size is accepted, and no write, read or flush reaches the drive."""
+    log = NullLog(log_device, 0, 64, flush_policy="commit")
+    log.check_fits(10, BLOCK_CAPACITY)
+    log.append_next(LogOp.PUT, b"k", b"v" * BLOCK_CAPACITY)
+    log.append_ahead(LogOp.PUT, [(b"a", b"1"), (b"b", b"2")])
+    log.commit()
+    log.seal()
+    assert (log.lsn, log.txid) == (1, 1)
+    assert log.replay(LogPosition(0, 1), pytest.fail) == 0
+    assert log.stats.records_appended == 0 and log.stats.flushes == 0
+    stats = log_device.stats
+    assert stats.write_ios == stats.read_ios == stats.flush_ios == 0

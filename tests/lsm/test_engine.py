@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.btree.wal import LogPosition
 from repro.csd.device import CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrashError
 from repro.lsm import engine as engine_module
@@ -49,6 +50,8 @@ def test_config_validation():
         LSMConfig(level_size_ratio=1.0).validate()
     with pytest.raises(ConfigError):
         LSMConfig(wal_mode="sparse").validate()  # LSM models RocksDB: packed
+    with pytest.raises(ConfigError):
+        LSMConfig(log_flush_interval=0).validate()
 
 
 def test_put_get_within_memtable():
@@ -210,6 +213,25 @@ def test_crash_loses_uncommitted_tail():
     recovered = LSMEngine.open(device, make_config())
     assert recovered.get(key(1)) == b"committed"
     assert recovered.get(key(2)) is None
+
+
+@pytest.mark.parametrize("group_atomic", [False, True])
+def test_reopen_resumes_txids_above_every_replayed_one(group_atomic):
+    engine, device = make_engine(group_atomic=group_atomic)
+    for i in range(3):
+        engine.put(key(i), b"v")
+        engine.commit()
+    device.simulate_crash()
+    reopened = LSMEngine.open(device, make_config(group_atomic=group_atomic))
+    head = LogPosition(0, 1)  # no memtable flush yet: nothing left the log
+    replayed, _ = reopened.wal.scan(head)
+    assert len(replayed) >= 3
+    reopened.put(key(9), b"v")
+    reopened.wal.flush()
+    records, _ = reopened.wal.scan(head)
+    assert records[: len(replayed)] == replayed
+    assert records[len(replayed)].key == key(9)
+    assert records[len(replayed)].txid > max(r.txid for r in replayed)
 
 
 def test_reopen_after_clean_close():

@@ -117,6 +117,20 @@ def test_committed_window_replays_uncommitted_tail_rolls_back():
     assert recovered.get(key(2)) is None
 
 
+def test_rolled_back_window_is_counted():
+    """The LSM counts a rollback where the B-tree does (its
+    ``test_crash_inside_open_window_rolls_the_window_back``)."""
+    device, clock, engine = _engine()
+    engine.put(key(1), b"committed")
+    engine.commit()
+    engine.put(key(2), b"ghost")
+    engine.wal.flush()
+    device.flush()
+    recovered = LSMEngine.open(device, _config(), SimClock())
+    assert recovered.fault_stats.group_rollbacks == 1
+    assert LSMEngine.open(device, _config(), SimClock()).fault_stats.group_rollbacks == 0
+
+
 def test_rolled_back_records_stay_dead_across_second_recovery():
     device, clock, engine = _engine()
     engine.put(key(1), b"committed")

@@ -49,7 +49,7 @@ def _loaded(name: str, page_size: int = 8192):
 
 
 def _lsn(store) -> int:
-    return getattr(store, "engine", store)._lsn
+    return getattr(store, "engine", store).wal.lsn
 
 
 def _view_survives_crash(cls, config, device, store) -> dict:
