@@ -297,6 +297,8 @@ class BTreeEngine:
         self.wal.advance_cursor()
         self._root_persist_pending = False
         self._write_meta()
+        # The flushed meta page names the new cursor: the ring behind it is dead.
+        self.wal.release()
         self.clock.set_alarm("checkpoint", self.config.checkpoint_interval)
 
     def _on_root_change(self) -> None:

@@ -25,7 +25,8 @@ the physical, post-compression volume differs.
 The log also runs the commit protocol both engines share: it draws LSNs and
 txids, seals group-atomic windows with a ``LogOp.COMMIT`` marker, applies
 the commit/interval flush policy, keeps the replay cursor and its half-ring
-pressure test, and replays from a cursor with group rollback.  With
+pressure test, TRIMs the ring behind a durable cursor, and replays from a
+cursor with group rollback.  With
 ``wal_mode="none"`` an engine gets a :class:`NullLog`: the same protocol,
 no framing, no device command.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
-from repro.csd.faults import read_block_retrying, write_block_retrying
+from repro.csd.faults import read_block_retrying, trim_retrying, write_block_retrying
 from repro.errors import ConfigError, WalError
 from repro.metrics.faults import FaultStats
 from repro.sim.clock import SimClock
@@ -195,6 +196,9 @@ class RedoLog:
         self._block_written_once = False
         self._flushed_used = self._used
         self.cursor = self.position()
+        #: Where the next :meth:`release` starts: the cursor of the last one
+        #: (or of the last replay).
+        self._released = self.cursor
 
     @classmethod
     def for_config(
@@ -279,6 +283,28 @@ class RedoLog:
         in the engine's durable state."""
         self.cursor = self.position()
 
+    def release(self) -> None:
+        """TRIM the dead ring blocks behind the replay cursor.
+
+        Run only once the root naming ``cursor`` (meta page, manifest) is
+        durable: replay never reads before the cursor's block again, so the
+        blocks written since the last release up to it need not stay live
+        on flash.  Never touches ``[cursor, head]``; a dead run that wraps
+        the ring end takes two TRIMs.  A lost TRIM only leaves a stale
+        block that scan stops at, as it stops at any block of a past lap.
+        """
+        cursor = self.cursor
+        live = self._sequence - cursor.sequence + 1
+        dead = min(cursor.sequence - self._released.sequence, self.num_blocks - live)
+        self._released = cursor
+        if dead <= 0:
+            return
+        first = (cursor.block_index - dead) % self.num_blocks
+        run = min(dead, self.num_blocks - first)
+        trim_retrying(self.device, self.start_block + first, run, self.fault_stats)
+        if run < dead:
+            trim_retrying(self.device, self.start_block, dead - run, self.fault_stats)
+
     def blocks_before_relief(self) -> int:
         """Blocks the writer may still seal before the ring is half consumed
         since the cursor (negative once it is)."""
@@ -300,7 +326,7 @@ class RedoLog:
         Returns the rolled-back record count: the engine must then advance
         the cursor past them, or a later marker would resurrect them.
         """
-        self.cursor = since
+        self.cursor = self._released = since
         records, end = self.scan(since)
         discarded = 0
         if self.group_atomic:
@@ -514,7 +540,9 @@ class NullLog(RedoLog):
 
     LSNs, txids and the flush alarm behave as in :class:`RedoLog`, but no
     record is framed (so any size is accepted), flushes find nothing to
-    write and replay reads nothing: no device command is ever issued.
+    write, replay reads nothing and, with no block ever sealed, release
+    finds nothing behind the cursor to TRIM: no device command is ever
+    issued.
     """
 
     def append_kv(self, lsn: int, txid: int, op: LogOp, key: bytes, value: bytes) -> None:

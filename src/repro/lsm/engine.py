@@ -638,8 +638,9 @@ class LSMEngine:
         """Publish the version set, then retire the extents it stopped naming.
 
         The barrier before the snapshot makes every table it names durable
-        first; the retired compaction inputs are TRIMmed and freed only once
-        no durable snapshot names them.
+        first; the WAL ring behind the snapshot's cursor and the retired
+        compaction inputs are TRIMmed (and the inputs freed) only once no
+        durable snapshot needs them.
         """
         entries = [
             ManifestEntry(level, r.meta.table_id, r.meta.start_block, r.meta.num_blocks)
@@ -653,6 +654,7 @@ class LSMEngine:
         )
         self.device.flush()
         self.manifest.persist(entries, self._next_table_id, self.wal.cursor, extension)
+        self.wal.release()
         for start, count in self._retired:
             self.device.trim(start, count)
             self.allocator.free(start, count)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
-from repro.btree.wal import LogPosition
-from repro.csd.device import CompressedBlockDevice
+from repro.btree.wal import LogPosition, RedoLog
+from repro.core.bminus import BMinusConfig, BMinusTree
+from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError
 from repro.metrics.counters import compute_wa
 from repro.sim.clock import SimClock
@@ -126,15 +127,19 @@ def test_reopen_resumes_txids_above_every_replayed_one():
         engine.put(key(i), b"v")
         engine.commit()
     device.simulate_crash()
-    reopened = BTreeEngine.open(device, make_config())
+    # Read what recovery will replay first: its checkpoint TRIMs the ring
+    # behind the new cursor.
+    crashed_log = RedoLog(device, BTreeEngine.LOG_START, make_config().log_blocks)
     head = LogPosition(0, 1)  # the creation checkpoint's cursor
-    replayed, _ = reopened.wal.scan(head)
+    replayed, _ = crashed_log.scan(head)
     assert len(replayed) == 3
+    reopened = BTreeEngine.open(device, make_config())
+    cursor = reopened.wal.cursor
     reopened.put(key(9), b"v")
     reopened.wal.flush()
-    records, _ = reopened.wal.scan(head)
-    assert records[3].key == key(9)
-    assert records[3].txid > max(r.txid for r in replayed)
+    records, _ = reopened.wal.scan(cursor)
+    assert records[0].key == key(9)
+    assert records[0].txid > max(r.txid for r in replayed)
 
 
 def test_crash_recovery_with_deletes():
@@ -262,6 +267,35 @@ def test_sparse_wal_reduces_log_physical_volume():
             engine.commit()
         results[mode] = engine.traffic_snapshot()
     assert results["sparse"].log_physical < 0.4 * results["packed"].log_physical
+
+
+@pytest.mark.parametrize("system", ["bminus", "wiredtiger"])
+def test_checkpoint_trims_the_log_ring_behind_its_cursor(system):
+    """Sparse (``bminus``) and packed (``wiredtiger``) logs: once the meta
+    page naming the new cursor is flushed, every ring block before the
+    cursor's block is unmapped and reads back as zeros."""
+    device = CompressedBlockDevice(num_blocks=200_000)
+    if system == "bminus":
+        store = BMinusTree(device, BMinusConfig(
+            log_blocks=512, max_pages=2048, log_flush_policy="commit",
+        ))
+        wal = store.engine.wal
+    else:
+        store = BTreeEngine(device, make_config(atomicity="shadow-table"))
+        wal = store.wal
+    rng = random.Random(5)
+    expected = {}
+    for i in range(300):
+        expected[key(i)] = rng.randbytes(100)
+        store.put(key(i), expected[key(i)])
+        store.commit()
+    store.checkpoint()
+    assert wal.cursor.block_index > 8
+    dead = range(wal.start_block, wal.start_block + wal.cursor.block_index)
+    assert all(device.ftl.extent_size(lba) == 0 for lba in dead)
+    assert all(device.read_block(lba) == bytes(BLOCK_SIZE) for lba in dead)
+    device.simulate_crash()
+    assert dict(type(store).open(device, store.config).items()) == expected
 
 
 # ------------------------------------------------------------- accounting

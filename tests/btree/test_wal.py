@@ -230,12 +230,97 @@ def test_blocks_since_counts_sealed_blocks(log_device):
     assert log.blocks_since(start) == 3
 
 
+# ------------------------------------------------------------------ release
+
+
+class TrimRecordingDevice(CompressedBlockDevice):
+    """Records every TRIM command as ``(lba, count)``."""
+
+    def __init__(self, num_blocks: int) -> None:
+        super().__init__(num_blocks=num_blocks)
+        self.trims: list[tuple[int, int]] = []
+
+    def trim(self, lba: int, count: int = 1) -> None:
+        super().trim(lba, count)
+        self.trims.append((lba, count))
+
+
+def flush_blocks(log, lsns):
+    """One sparse flush per LSN: each seals one ring block."""
+    for lsn in lsns:
+        log.append(record(lsn))
+        log.flush()
+
+
+def test_release_trims_the_dead_run_behind_the_cursor_only():
+    device = TrimRecordingDevice(num_blocks=64)
+    log = RedoLog(device, start_block=10, num_blocks=16, sparse=True)
+    flush_blocks(log, range(1, 6))  # ring blocks 0-4
+    log.advance_cursor()  # block 5
+    flush_blocks(log, range(6, 9))  # blocks 5-7: [cursor, head] stays live
+    log.release()
+    assert device.trims == [(10, 5)]
+    for lba in range(10, 15):
+        assert device.ftl.extent_size(lba) == 0
+        assert device.read_block(lba) == bytes(BLOCK_SIZE)
+    assert all(device.ftl.extent_size(lba) for lba in range(15, 18))
+    assert [r.lsn for r in log.scan(log.cursor)[0]] == [6, 7, 8]
+    log.release()  # nothing new behind the cursor
+    assert device.trims == [(10, 5)]
+
+
+def test_release_of_a_run_wrapping_the_ring_end_takes_two_trims():
+    device = TrimRecordingDevice(num_blocks=64)
+    log = RedoLog(device, start_block=10, num_blocks=8, sparse=True)
+    flush_blocks(log, range(1, 7))  # blocks 0-5
+    log.advance_cursor()  # block 6
+    log.release()
+    flush_blocks(log, range(7, 12))  # blocks 6, 7, 0, 1, 2
+    log.advance_cursor()  # block 3
+    flush_blocks(log, range(12, 14))  # blocks 3, 4
+    device.trims.clear()
+    log.release()
+    # Dead: 6, 7, 0, 1, 2; live: 3, 4 and the open block 5.
+    assert device.trims == [(16, 2), (10, 3)]
+    assert [r.lsn for r in log.scan(log.cursor)[0]] == [12, 13]
+
+
+def test_release_never_trims_past_a_lapped_cursor():
+    """A cursor laps ahead of the release mark: every block but
+    ``[cursor, head]`` is dead, and only those are trimmed."""
+    device = TrimRecordingDevice(num_blocks=64)
+    log = RedoLog(device, start_block=0, num_blocks=8, sparse=True)
+    flush_blocks(log, range(1, 21))  # 20 blocks: two and a half laps
+    log.advance_cursor()  # block 4, sequence 21
+    flush_blocks(log, [21])  # block 4: the cursor block, live
+    log.release()
+    assert device.trims == [(6, 2), (0, 4)]  # every block but 4 and 5
+    assert [r.lsn for r in log.scan(log.cursor)[0]] == [21]
+
+
+def test_replay_resets_the_release_mark_to_its_cursor():
+    device = TrimRecordingDevice(num_blocks=64)
+    log = RedoLog(device, start_block=0, num_blocks=16, sparse=True)
+    flush_blocks(log, range(1, 7))  # blocks 0-5
+    since = log.position()  # block 6
+    flush_blocks(log, range(7, 10))  # blocks 6-8
+    reopened = RedoLog(device, start_block=0, num_blocks=16, sparse=True)
+    replayed = []
+    reopened.replay(since, replayed.append)
+    assert [r.lsn for r in replayed] == [7, 8, 9]
+    reopened.advance_cursor()  # block 9
+    reopened.release()
+    # Only the blocks replay read: those before ``since`` may be gone already.
+    assert device.trims == [(6, 3)]
+
+
 # ----------------------------------------------------------------- no WAL
 
 
 def test_null_log_runs_the_protocol_without_a_device_command(log_device):
     """``wal_mode="none"``: LSNs and txids advance, nothing is framed, any
-    record size is accepted, and no write, read or flush reaches the drive."""
+    record size is accepted, and no write, read, flush or TRIM reaches the
+    drive."""
     log = NullLog(log_device, 0, 64, flush_policy="commit")
     log.check_fits(10, BLOCK_CAPACITY)
     log.append_next(LogOp.PUT, b"k", b"v" * BLOCK_CAPACITY)
@@ -244,6 +329,8 @@ def test_null_log_runs_the_protocol_without_a_device_command(log_device):
     log.seal()
     assert (log.lsn, log.txid) == (1, 1)
     assert log.replay(LogPosition(0, 1), pytest.fail) == 0
+    log.advance_cursor()
+    log.release()
     assert log.stats.records_appended == 0 and log.stats.flushes == 0
     stats = log_device.stats
-    assert stats.write_ios == stats.read_ios == stats.flush_ios == 0
+    assert stats.write_ios == stats.read_ios == stats.flush_ios == stats.trim_ios == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree.wal import LogPosition
-from repro.csd.device import CompressedBlockDevice
+from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrashError
 from repro.lsm import engine as engine_module
 from repro.lsm import sstable as sstable_module
@@ -232,6 +232,26 @@ def test_reopen_resumes_txids_above_every_replayed_one(group_atomic):
     assert records[: len(replayed)] == replayed
     assert records[len(replayed)].key == key(9)
     assert records[len(replayed)].txid > max(r.txid for r in replayed)
+
+
+def test_memtable_flush_trims_the_log_ring_behind_its_cursor():
+    """Once the manifest naming the new cursor is durable, every ring block
+    before the cursor's block is unmapped and reads back as zeros."""
+    engine, device = make_engine()
+    rng = random.Random(12)
+    expected = {}
+    while engine.memtable_flushes < 2:
+        k = key(len(expected))
+        expected[k] = value(rng)
+        engine.put(k, expected[k])
+        engine.commit()
+    wal = engine.wal
+    assert wal.cursor.block_index > 4
+    dead = range(wal.start_block, wal.start_block + wal.cursor.block_index)
+    assert all(device.ftl.extent_size(lba) == 0 for lba in dead)
+    assert all(device.read_block(lba) == bytes(BLOCK_SIZE) for lba in dead)
+    device.simulate_crash()
+    assert dict(LSMEngine.open(device, make_config()).items()) == expected
 
 
 def test_reopen_after_clean_close():
