@@ -65,14 +65,22 @@ def test_fig9_wa_150g(once):
                     row.append(results[(page_size, record_size, system, t)].wa_total)
                 row.append(f"~{paper}" if paper else "")
                 rows.append(row)
+    t_hi = threads[-1]
+    verdicts = []
+    for page_size in page_sizes:
+        cells = []
+        for rs in record_sizes:
+            bminus, rocks = (results[(page_size, rs, s, t_hi)].wa_total
+                             for s in ("bminus", "rocksdb"))
+            cells.append(f"{'beats' if bminus < rocks else 'trails'} RocksDB at {rs}B")
+        verdicts.append(f"{page_size // 1024}KB pages: B- " + ", ".join(cells))
     emit("fig9", format_table(
         "Fig 9: WA, log-flush-per-minute, 150GB-regime (cache 1/150 of data)",
         ["page", "record", "system"] + [f"WA@{t}thr" for t in threads] + ["paper(8K)"],
         rows,
-        note="B- closes the gap: beats RocksDB at 128B, loses it at 16B; "
+        note="; ".join(verdicts) + f" ({t_hi} threads); "
              "normal B-tree scales ~linearly in 1/record_size",
     ))
-    t_hi = threads[-1]
     for page_size in page_sizes:
         wa = lambda sys, rs, t=t_hi: results[(page_size, rs, sys, t)].wa_total
         # B- slashes the conventional B-tree's WA at every record size.

@@ -2,8 +2,10 @@
 
 The paper configures RocksDB with a 10-bits-per-record bloom filter, which is
 what "almost completely obviates the read amplification problem" for point
-reads (§4.5).  The filter here uses Kirsch-Mitzenmacher double hashing over a
-64-bit FNV-1a base hash — the same construction RocksDB's legacy bloom uses.
+reads (§4.5).  The filter here uses Kirsch-Mitzenmacher double hashing: both
+hashes come from one CRC-32 of the key, computed in C by ``zlib.crc32`` (RocksDB
+and LevelDB hash with a Murmur-style 32-bit function instead; any well-mixed
+32-bit hash keeps the promised ~1% false-positive rate at 10 bits/key).
 
 In memory a filter holds one byte per bit (0 or 1), so a probe is a byte
 load; it is packed into the usual bit array only when serialized, and
@@ -13,36 +15,30 @@ unpacked when loaded, so the bytes on storage are the packed bits.
 from __future__ import annotations
 
 import math
+import zlib
 from typing import Iterable
 
 from repro.errors import ConfigError, LsmError
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+#: The 64-bit golden-ratio multiplier (Fibonacci hashing) that derives the
+#: double-hashing step from the base hash.
+_STEP_MULTIPLIER = 0x9E3779B97F4A7C15
+_MASK32 = 0xFFFFFFFF
 #: ``_UNPACK[j]`` maps a packed byte to its bit ``j`` (0 or 1).
 _UNPACK = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]
 
 
-def base_hash(key: bytes) -> int:
-    """The filter's base hash: 64-bit FNV-1a of ``key``."""
-    h = _FNV_OFFSET
-    for byte in key:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+def probe_sequence(key: bytes) -> tuple[int, int]:
+    """``key``'s double-hashing pair ``(h1, h2)``: ``h1`` is the CRC-32 of
+    ``key`` and ``h2`` the high 32 bits of the 64-bit product
+    ``h1 * 0x9E3779B97F4A7C15``, forced odd.  Probe ``i`` of an ``n``-bit
+    filter is bit ``(h1 + i * h2) % n``.
 
-
-def probe_sequence(key: bytes) -> list[int]:
-    """The start of ``key``'s double-hashing sequence: ``h_0`` is the base
-    hash, ``h_{i+1} = h_i + delta mod 2**64`` with ``delta`` the 64-bit
-    rotation of ``h_0`` by 31, and probe ``i`` of an ``n``-bit filter is
-    bit ``h_i % n``.
-
-    The sequence is the same for every filter, so a point read computes it
-    once and hands it to each candidate table's filter; it holds ``h_0`` (the
-    base hash) at first and :meth:`BloomFilter.probe` extends it in place to
-    as many values as the filter has probes."""
-    return [base_hash(key)]
+    The pair is the same for every filter, so a point read computes it once
+    and hands it to each candidate table's filter, whatever its probe
+    count."""
+    h1 = zlib.crc32(key)
+    return h1, (h1 * _STEP_MULTIPLIER >> 32) & _MASK32 | 1
 
 
 class BloomFilter:
@@ -66,47 +62,33 @@ class BloomFilter:
 
     def add_all(self, keys: Iterable[bytes]) -> None:
         """Set every key's probe bits; a table build adds thousands of keys
-        at once, in key order.  Sorted neighbours mostly differ in their last
-        byte only, so the FNV-1a state after ``key[:-1]`` is carried from one
-        key to the next and the hash restarts at byte 0 only when that prefix
-        changes — same hash, any keys in any order."""
+        at once.  Each key's :func:`probe_sequence` pair is computed inline,
+        one ``zlib.crc32`` call per key and no Python call."""
         num_bits = self.num_bits
         probes = range(self.num_probes)
         bitmap = self._bitmap
-        head, head_state = b"", _FNV_OFFSET
+        crc32 = zlib.crc32
         for key in keys:
-            if key[:-1] != head:
-                head = key[:-1]
-                head_state = base_hash(head)
-            h = head_state
-            if key:
-                h = ((h ^ key[-1]) * _FNV_PRIME) & _MASK64
-            delta = ((h >> 33) | (h << 31)) & _MASK64
+            h = crc32(key)
+            delta = (h * _STEP_MULTIPLIER >> 32) & _MASK32 | 1
             for _ in probes:
                 bitmap[h % num_bits] = 1
-                h = (h + delta) & _MASK64
+                h += delta
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
         return self.probe(probe_sequence(key))
 
-    def probe(self, sequence: list[int]) -> bool:
+    def probe(self, pair: tuple[int, int]) -> bool:
         """:meth:`may_contain` for a key whose :func:`probe_sequence` is
-        ``sequence``, extended here if it is shorter than this filter's
-        probe count: one byte load per probe, up to the first 0."""
-        k = self.num_probes
-        if len(sequence) < k:
-            first = sequence[0]
-            delta = ((first >> 33) | (first << 31)) & _MASK64
-            h = sequence[-1]
-            while len(sequence) < k:
-                h = (h + delta) & _MASK64
-                sequence.append(h)
+        ``pair``: one byte load per probe, up to the first 0."""
+        h, delta = pair
         bitmap = self._bitmap
         num_bits = self.num_bits
-        for h in sequence if len(sequence) == k else sequence[:k]:
+        for _ in range(self.num_probes):
             if not bitmap[h % num_bits]:
                 return False
+            h += delta
         return True
 
     # --------------------------------------------------------- serialization

@@ -30,7 +30,7 @@ from repro.errors import ConfigError, LsmError
 from repro.lsm.bloom import BloomFilter, probe_sequence
 from repro.lsm.vlog import ValueRef
 
-_FOOTER_MAGIC = b"SST2"
+_FOOTER_MAGIC = b"SST3"
 # magic, table_id, n_data_blocks, n_meta_blocks, embedded_flag, n_records
 _FOOTER = struct.Struct("<4sQIIBQ")
 _REC_HDR = struct.Struct("<BHI")
@@ -337,7 +337,9 @@ class SSTableReader:
 
     # ------------------------------------------------------------- reading
 
-    def get(self, key: bytes, probes: Optional[list[int]] = None) -> tuple[bool, Optional[bytes]]:
+    def get(
+        self, key: bytes, probes: Optional[tuple[int, int]] = None
+    ) -> tuple[bool, Optional[bytes]]:
         """Return ``(found, value)``; ``(True, None)`` is a tombstone hit.
         A key outside the table's range or rejected by its bloom filter
         costs no I/O.  A caller probing several tables passes

@@ -6,8 +6,9 @@ Verifies the per-operation read volumes the paper's speed arguments rest on:
   fetches barely more *physical* bytes than the baseline (trimmed slots and
   delta padding are free);
 * the baseline B-tree (the ``wiredtiger`` configuration) transfers ``l_pg``;
-* an LSM point read touches at most a handful of 4KB data blocks thanks to
-  the bloom filters;
+* an LSM point read touches one 4KB data block, barely more: the bloom
+  filters turn away every table but the one holding the key, up to their
+  ~1% false positives;
 * an LSM scan reads from every level (read amplification scans can't avoid).
 """
 
@@ -75,8 +76,10 @@ def test_bminus_physical_reads_near_baseline(read_phase):
 def test_lsm_point_reads_touch_few_blocks(read_phase):
     phase, engine = read_phase("rocksdb")
     blocks_per_read = (phase.device.logical_bytes_read / BLOCK_SIZE) / READS
-    # Bloom filters keep it to ~1-3 data blocks per read, not one per level.
-    assert blocks_per_read < 4.0
+    # The block that holds the key, plus one per false positive: each get
+    # asks a few tables' filters (~0.8% each at 10 bits/key) before the
+    # one that holds the key, not one block per level.
+    assert blocks_per_read < 1.05
 
 
 def test_lsm_scans_read_from_every_level(read_phase):

@@ -2,11 +2,12 @@
 
 import math
 import random
+import zlib
 
 import pytest
 
 from repro.errors import LsmError
-from repro.lsm.bloom import BloomFilter, base_hash, probe_sequence
+from repro.lsm.bloom import BloomFilter, probe_sequence
 
 
 def keys(start, n):
@@ -28,13 +29,25 @@ def test_no_false_negatives():
 
 
 def test_false_positive_rate_roughly_one_percent():
-    """10 bits/key gives ~0.8-1.2% false positives (RocksDB's quoted rate)."""
-    filt = BloomFilter(10_000, bits_per_key=10)
-    for k in keys(0, 10_000):
-        filt.add(k)
-    false_positives = sum(filt.may_contain(k) for k in keys(1_000_000, 20_000))
-    rate = false_positives / 20_000
-    assert rate < 0.03
+    """10 bits/key keeps its promise on an L0 table's shape: ~216 keys drawn
+    from a 10k-key span, probed with every absent key of that span, within
+    1.25x of the theoretical rate (1 - e^(-k/b))^k = 0.82% for k = 7 probes
+    at b = 10 bits/key.  Dense keys probed far outside their span hide a
+    hash whose double-hashing step is correlated with its base."""
+    k, b = 7, 10
+    bound = 1.25 * (1 - math.exp(-k / b)) ** k
+    false_positives = probes = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        start = rng.randrange(1 << 32)
+        members = set(rng.sample(range(start, start + 10_000), 216))
+        filt = BloomFilter(len(members), bits_per_key=b)
+        assert filt.num_probes == k
+        filt.add_all(sorted(i.to_bytes(8, "big") for i in members))
+        absent = [i.to_bytes(8, "big") for i in range(start, start + 10_000) if i not in members]
+        false_positives += sum(filt.may_contain(key) for key in absent)
+        probes += len(absent)
+    assert false_positives / probes <= bound
 
 
 def test_fewer_bits_higher_fp_rate():
@@ -74,21 +87,23 @@ def test_serialized_size_matches():
     assert len(filt.to_bytes()) == filt.serialized_size()
 
 
+def _reference_positions(key: bytes, num_bits: int, num_probes: int) -> list[int]:
+    """The filter's probe positions written out plainly: Kirsch-Mitzenmacher
+    double hashing over ``h1 = crc32(key)`` and ``h2``, the high half of the
+    64-bit product ``h1 * 0x9E3779B97F4A7C15``, made odd."""
+    h1 = zlib.crc32(key)
+    h2 = (h1 * 0x9E3779B97F4A7C15) % 2**64 // 2**32
+    if h2 % 2 == 0:
+        h2 += 1
+    return [(h1 + i * h2) % num_bits for i in range(num_probes)]
+
+
 def _reference_bits(filt: BloomFilter, key_list) -> bytes:
-    """The filter's construction written out plainly: 64-bit FNV-1a, then
-    Kirsch-Mitzenmacher double hashing."""
-    mask = 0xFFFFFFFFFFFFFFFF
+    """The filter's packed bits for ``key_list``, from the plain reference."""
     bits = bytearray(len(filt.to_bytes()) - 10)
     for k in key_list:
-        h = 0xCBF29CE484222325
-        for byte in k:
-            h ^= byte
-            h = (h * 0x100000001B3) & mask
-        delta = ((h >> 33) | (h << 31)) & mask
-        for _ in range(filt.num_probes):
-            pos = h % filt.num_bits
+        for pos in _reference_positions(k, filt.num_bits, filt.num_probes):
             bits[pos // 8] |= 1 << (pos % 8)
-            h = (h + delta) & mask
     return bytes(bits)
 
 
@@ -130,8 +145,11 @@ _KEY_LISTS = [
 @pytest.mark.parametrize("key_list", _KEY_LISTS)
 @pytest.mark.parametrize("oversize", [1, 100])
 def test_add_all_carrying_the_hash_state_matches_sequential_add(key_list, oversize):
-    """The state carried across a shared ``key[:-1]`` changes no bit, whatever
-    the order and lengths of the keys, into a dense or a 100x sparse filter."""
+    """The bulk path sets the bits one ``add`` per key and the plain reference
+    set, whatever the order and lengths of the keys (shared prefixes, the
+    empty key, unsorted input), into a dense or a 100x sparse filter.  No
+    hash state is carried between keys; these are the inputs a carry would
+    get wrong."""
     bulk = BloomFilter(len(key_list) * oversize)
     bulk.add_all(key_list)
     assert bulk.to_bytes() == _sequential(len(key_list) * oversize, key_list).to_bytes()
@@ -164,43 +182,44 @@ def test_add_all_scratch_map_packs_to_the_bits_add_sets(key_list, bits_per_key, 
 
 
 def test_may_contain_is_the_probe_loop_applied_to_the_base_hash():
-    """``may_contain`` is ``probe`` over the key's probe sequence, which
-    starts at the base hash and is extended to the filter's probe count."""
+    """``may_contain`` is ``probe`` over the key's probe pair, whose first
+    half is the base hash (CRC-32) and whose second is the odd step; the
+    pair is a value, not extended by the filters it is handed to."""
     filt = BloomFilter(500)
     filt.add_all(keys(0, 500))
     for k in keys(0, 500) + keys(10_000, 2_000) + [b"", b"\x00"]:
-        sequence = probe_sequence(k)
-        assert sequence == [base_hash(k)]
-        assert filt.may_contain(k) == filt.probe(sequence)
-        assert len(sequence) == filt.num_probes == 7
+        pair = probe_sequence(k)
+        assert pair[0] == zlib.crc32(k)
+        assert pair[1] % 2 == 1
+        assert filt.may_contain(k) == filt.probe(pair)
+        assert probe_sequence(k) == pair
+    assert filt.num_probes == 7
     assert all(filt.probe(probe_sequence(k)) for k in keys(0, 500))
     assert not all(filt.probe(probe_sequence(k)) for k in keys(10_000, 2_000))
-    assert base_hash(b"") == 0xCBF29CE484222325
-    assert base_hash(b"a") == 0xAF63DC4C8601EC8C  # published FNV-1a 64 vector
+    assert probe_sequence(b"") == (0, 1)
+    # CRC-32's published check value; the step is the high half of
+    # 0xCBF43926 * 0x9E3779B97F4A7C15 mod 2**64, already odd.
+    assert probe_sequence(b"123456789") == (0xCBF43926, 0xF313C243)
 
 
 def _reference_answer(blob: bytes, reference_bits: bytes, key: bytes) -> bool:
     """Membership written out plainly against ``_reference_bits``: every
     probe position of the double-hashing sequence, under the serialized
     filter's own bit and probe counts."""
-    mask = 0xFFFFFFFFFFFFFFFF
     num_bits = int.from_bytes(blob[0:8], "little")
     num_probes = int.from_bytes(blob[8:10], "little")
-    h = base_hash(key)
-    delta = ((h >> 33) | (h << 31)) & mask
-    for _ in range(num_probes):
-        pos = h % num_bits
-        if not reference_bits[pos // 8] & (1 << (pos % 8)):
-            return False
-        h = (h + delta) & mask
-    return True
+    return all(
+        reference_bits[pos // 8] & (1 << (pos % 8))
+        for pos in _reference_positions(key, num_bits, num_probes)
+    )
 
 
 @pytest.mark.parametrize("order", [(1, 7, 30), (30, 7, 1), (7, 30, 1)])
 def test_filters_with_mixed_probe_counts_share_one_probe_sequence(order):
-    """Tables written under different ``bits_per_key`` meet in one get: a
-    sequence extended by one filter serves the next, longer or shorter, and
-    each answers exactly as its reference bits say, for members and not."""
+    """Tables written under different ``bits_per_key`` meet in one get: one
+    probe pair serves every filter, whatever its probe count and in any
+    order, and each answers exactly as its reference bits say, for members
+    and not."""
     members = keys(0, 300)
     blobs, bits = {}, {}
     for num_probes in (1, 7, 30):
@@ -214,12 +233,12 @@ def test_filters_with_mixed_probe_counts_share_one_probe_sequence(order):
     assert [filt.num_probes for _, filt in loaded] == list(order)
     answers = {n: set() for n in order}
     for k in members + keys(10_000, 3_000):
-        sequence = probe_sequence(k)
+        pair = probe_sequence(k)
         for n, filt in loaded:
-            answer = filt.probe(sequence)
+            answer = filt.probe(pair)
             assert answer == _reference_answer(blobs[n], bits[n], k), (n, k)
             answers[n].add(answer)
-        assert len(sequence) == 30
+        assert pair == probe_sequence(k)
     assert answers[1] == {True, False}  # the sparse filter passes some strangers
 
 

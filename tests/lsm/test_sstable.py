@@ -305,6 +305,20 @@ def test_footer_corruption_detected(device, allocator):
         SSTableReader.open(device, meta.start_block, meta.num_blocks)
 
 
+def test_table_filtered_under_the_previous_hash_fails_to_open(device, allocator):
+    """An ``SST2`` footer (the same layout, its bloom filled under the
+    FNV-1a hash) is refused at open, CRC intact, instead of loading a
+    filter that would answer false negatives."""
+    _, meta = build_table(device, allocator, [(key(1), b"v")])
+    footer_lba = meta.start_block + meta.num_blocks - 1
+    footer = bytearray(device.read_block(footer_lba))
+    footer[:4] = b"SST2"
+    footer[-4:] = struct.pack("<I", zlib.crc32(footer[:-4]))
+    device.write_block(footer_lba, bytes(footer))
+    with pytest.raises(LsmError, match="invalid SSTable footer"):
+        SSTableReader.open(device, meta.start_block, meta.num_blocks)
+
+
 def test_reopen_from_device(device, allocator):
     records = [(key(i), bytes([i % 251]) * 30) for i in range(300)]
     _, meta = build_table(device, allocator, records, table_id=7)
@@ -404,12 +418,12 @@ def fixed_records(n):
 @pytest.mark.parametrize(
     "n_records,embedded,extent_crc",
     [
-        pytest.param(60, 1, 0x69856C07, id="meta-embedded-in-footer"),
-        pytest.param(4000, 0, 0xC8EB3AC6, id="separate-meta-blocks"),
+        pytest.param(60, 1, 0xE25EE6EC, id="meta-embedded-in-footer"),
+        pytest.param(4000, 0, 0xF4EE054E, id="separate-meta-blocks"),
     ],
 )
 def test_table_bytes_are_pinned(device, allocator, n_records, embedded, extent_crc):
-    """Data, index, bloom and footer bytes of a fixed table in the ``SST2``
+    """Data, index, bloom and footer bytes of a fixed table in the ``SST3``
     format.  The pin leaves out the footer's own trailing CRC32: a CRC over
     bytes that end in their own CRC does not depend on the bytes it covers."""
     records = fixed_records(n_records)
