@@ -7,7 +7,9 @@ conventionally), so the ``wiredtiger`` rows stand for both.  Expected shapes:
 
 * normal B-tree WA scales ~linearly with page_size/record_size; B⁻ scales
   sub-linearly, closing the gap with RocksDB;
-* at 128B records B⁻ beats RocksDB; at 16B records RocksDB wins back;
+* the paper has B⁻ ≈ or beating RocksDB at 128B and RocksDB winning at
+  16B; at this scale RocksDB forms fewer levels and leads at every record
+  size (ROADMAP finding 1), so the note prints "trails" from the rows;
 * B-tree WA declines with thread count, B⁻'s barely moves.
 """
 

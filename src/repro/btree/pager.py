@@ -215,10 +215,11 @@ class Pager(ABC):
         trim_retrying(self.device, lba, count, self.fault_stats)
 
     def _verified_load(
-        self, lba: int, count: int, offset: int = 0
+        self, lba: int, count: int, offset: int = 0, first: Optional[bytes] = None
     ) -> tuple[Optional[Page], memoryview]:
         """Read ``count`` blocks at ``lba`` and verify the page image at byte
         ``offset`` of the read; return the page and a view of the read.
+        ``first`` is that read when the caller has already issued it.
 
         A failed verification counts a checksum failure and re-reads once:
         a clean re-read (transient bus corruption) counts a heal.  If the
@@ -227,7 +228,7 @@ class Pager(ABC):
         caught — any other error is a bug, not rot, and propagates.
         """
         end = offset + self.page_size
-        raw = memoryview(self._read_blocks(lba, count))
+        raw = memoryview(first if first is not None else self._read_blocks(lba, count))
         try:
             return Page.from_bytes(raw[offset:end]), raw
         except (ChecksumError, PageFormatError):
@@ -515,27 +516,37 @@ class DeterministicShadowPager(Pager):
     def _read_page(self, page_id: int) -> Page:
         return self._load_valid_slot(page_id)[0]
 
-    def _load_valid_slot(self, page_id: int) -> tuple[Page, memoryview]:
+    def _slot_span(self, page_id: int, slot: int) -> tuple[int, int, int, int]:
+        """A known-slot load reads the slot and the aux blocks beside it,
+        ``[slot 0 | aux]`` or ``[aux | slot 1]``: returns its ``lba`` and
+        block ``count`` and the byte offsets of the page image and of the
+        aux blocks in the read."""
+        return (
+            self._page_base(page_id) + slot * self.page_blocks,
+            self.page_blocks + self.aux_blocks_per_page,
+            slot * self.aux_blocks_per_page * BLOCK_SIZE,
+            (1 - slot) * self.page_size,
+        )
+
+    def _load_valid_slot(
+        self, page_id: int, first: Optional[bytes] = None
+    ) -> tuple[Page, memoryview]:
         """Load ``page_id`` from its valid slot; also return a view of the
         aux blocks read along with it.
 
-        With the valid slot known, one verified load reads the slot and the
-        aux blocks beside it: ``[slot 0 | aux]`` or ``[aux | slot 1]``.
-        Otherwise — after a restart, or when that slot turns out latently
-        corrupt — the page's whole region ``[slot 0 | aux | slot 1]`` is
-        read and arbitrated.
+        With the valid slot known, one verified load reads
+        :meth:`_slot_span` (``first`` is that read when the caller has
+        already issued it).  Otherwise — after a restart, or when that slot
+        turns out latently corrupt — the page's whole region
+        ``[slot 0 | aux | slot 1]`` is read and arbitrated.
         """
         aux_bytes = self.aux_blocks_per_page * BLOCK_SIZE
         slot = self._valid_slot.get(page_id)
         if slot is not None:
-            page, raw = self._verified_load(
-                self._page_base(page_id) + slot * self.page_blocks,
-                self.page_blocks + self.aux_blocks_per_page,
-                slot * aux_bytes,
-            )
+            lba, count, page_at, aux_at = self._slot_span(page_id, slot)
+            page, raw = self._verified_load(lba, count, page_at, first)
             if page is not None:
-                aux = (1 - slot) * self.page_size
-                return page, raw[aux : aux + aux_bytes]
+                return page, raw[aux_at : aux_at + aux_bytes]
             # Latent corruption on the known-valid slot: fall back to full
             # arbitration, which can serve the sibling and scrub the rot.
             self.fault_stats.arbitration_fallbacks += 1

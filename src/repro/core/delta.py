@@ -34,7 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from repro.btree.page import DIRTY_GRAIN, Page
 from repro.btree.pager import DeterministicShadowPager
@@ -47,13 +47,28 @@ _HDR = struct.Struct("<4sQQQHHI")  # magic, page_id, base_lsn, lsn, seg_size, ns
 DELTA_HEADER_SIZE = _HDR.size
 _CRC_OFFSET = _HDR.size - 4
 _ZERO_CRC_FIELD = bytes(4)  # what the checksum field holds while the CRC is computed
+_ZERO_BLOCK = bytes(BLOCK_SIZE)  # a trimmed delta block, for copy-free zero tests
 
 
 def delta_capacity(page_size: int, segment_size: int) -> int:
     """Maximum ``|Δ|`` a delta block can carry for this page geometry."""
-    k = page_size // segment_size
-    bitmap_bytes = (k + 7) // 8
-    return BLOCK_SIZE - DELTA_HEADER_SIZE - bitmap_bytes
+    return BLOCK_SIZE - _payload_offset(page_size, segment_size)
+
+
+def _payload_offset(page_size: int, segment_size: int) -> int:
+    """Byte offset of Δ in a delta block: the header, then the f-vector."""
+    return DELTA_HEADER_SIZE + (page_size // segment_size + 7) // 8
+
+
+def _overlay(
+    buf: bytearray, segments: Sequence[int], size: int,
+    payload: Union[bytes, memoryview], offset: int = 0,
+) -> None:
+    """Copy the logged segments, stored back to back in ``payload`` from
+    byte ``offset`` on, over their places in the page buffer ``buf``."""
+    for seg in segments:
+        buf[seg * size : (seg + 1) * size] = payload[offset : offset + size]
+        offset += size
 
 
 @dataclass
@@ -169,12 +184,30 @@ class DeltaBlock:
         :class:`PageFormatError` / :class:`ChecksumError` and ``page`` must
         be discarded.
         """
-        buf, payload, size = page.buf, self.payload, self.segment_size
-        offset = 0
-        for seg in self.segments:
-            buf[seg * size : (seg + 1) * size] = payload[offset : offset + size]
-            offset += size
+        _overlay(page.buf, self.segments, self.segment_size, self.payload)
         page.verify_image()
+
+
+class _VerifiedRead(NamedTuple):
+    """What a full-path load made of one ``l_pg + 4KB`` read: the base slot
+    image as read, the delta block up to its last non-zero byte, and the
+    segments applied and base LSN recorded (none and the base's own LSN
+    when no delta applied).  About ``l_pg + |Δ|`` bytes per page."""
+
+    base: bytes
+    delta: bytes
+    segments: tuple[int, ...]
+    base_lsn: int
+
+    def matches(self, raw: bytes, page_at: int, delta_at: int) -> bool:
+        """Whether ``raw`` holds, byte for byte, the read this came from:
+        the base image at ``page_at`` and the delta block at ``delta_at``."""
+        zero_tail = memoryview(raw)[delta_at + len(self.delta) : delta_at + BLOCK_SIZE]
+        return (
+            raw.startswith(self.base, page_at)
+            and raw.startswith(self.delta, delta_at)
+            and _ZERO_BLOCK.startswith(zero_tail)
+        )
 
 
 class DeltaShadowPager(DeterministicShadowPager):
@@ -207,8 +240,14 @@ class DeltaShadowPager(DeterministicShadowPager):
         #: f-vector shave off a few tens of bytes.
         self.threshold = min(threshold, capacity)
         self.segment_size = segment_size
+        self._payload_at = _payload_offset(self.page_size, segment_size)
         self._fvec: dict[int, set[int]] = {}
         self._base_lsn: dict[int, int] = {}
+        #: Per page, ``None`` after one full-path load with no write to its
+        #: region since, then the second such load's :class:`_VerifiedRead`
+        #: (see :meth:`_read_page`).  Every write or TRIM of the region
+        #: drops the entry.
+        self._verified: dict[int, Optional[_VerifiedRead]] = {}
         #: Recycled 4KB staging slabs for delta-block framing; each flush
         #: borrows one for the duration of a single device write.
         self._arena = ScratchArena(BLOCK_SIZE)
@@ -249,10 +288,12 @@ class DeltaShadowPager(DeterministicShadowPager):
         self.stats.page_logical_bytes += BLOCK_SIZE
         self.stats.page_physical_bytes += physical
         self._fvec[page_id] = segments
+        self._verified.pop(page_id, None)
         page.clear_dirty()
 
     def _after_flip(self, page: Page) -> None:
         """A full image went out: drop its delta block, restart the log."""
+        self._verified.pop(page.page_id, None)
         self._trim(self._delta_lba(page.page_id), 1)
         self.stats.full_flushes += 1
         self._fvec[page.page_id] = set()
@@ -268,17 +309,42 @@ class DeltaShadowPager(DeterministicShadowPager):
         restart the request covers the whole region — the trimmed slot and
         the delta padding cost nothing physically; the extra volume is PCIe
         transfer only, exactly the trade the paper makes (§3.1).
+
+        What the full path below makes of a read — verify the base, decode
+        the delta, overlay, verify the result — is a pure function of the
+        read's bytes whenever it writes nothing.  So the second full-path
+        load with no write to the page's region in between keeps its result
+        (:class:`_VerifiedRead`), and a later load whose known-slot read
+        equals the kept bytes exactly rebuilds the page from the kept base
+        and the segments in that read: no CRC pass, no decode, the same
+        device command.  Any other read is the full path's first read.
         """
-        base_page, delta_raw = self._load_valid_slot(page_id)
+        slot = self._valid_slot.get(page_id)
+        kept = self._verified.get(page_id)
+        first: Optional[bytes] = None
+        if kept is not None and slot is not None:
+            lba, count, page_at, delta_at = self._slot_span(page_id, slot)
+            first = self._read_blocks(lba, count)
+            if kept.matches(first, page_at, delta_at):
+                page = Page.from_bytes(kept.base, verify=False)
+                _overlay(
+                    page.buf, kept.segments, self.segment_size,
+                    memoryview(first), delta_at + self._payload_at,
+                )
+                self._fvec[page_id] = set(kept.segments)
+                self._base_lsn[page_id] = kept.base_lsn
+                return page
+        base_page, delta_raw = self._load_valid_slot(page_id, first)
         delta = DeltaBlock.decode(delta_raw, self.page_size)
-        if (delta is None or delta.page_id != page_id) and (
-            bytes(delta_raw).count(0) != len(delta_raw)
+        if (delta is None or delta.page_id != page_id) and not _ZERO_BLOCK.startswith(
+            delta_raw
         ):
             # Nonzero delta block that cannot belong to this page: latent
             # corruption or a misdirected write.  Fall back to the full base
             # image (any lost updates are the redo log's to replay) and
             # scrub the block so the rot does not linger.
             self.fault_stats.delta_fallbacks += 1
+            self._verified.pop(page_id, None)
             # Not a shadow flip: this trims a *corrupt* delta after the read
             # fell back to the base image — it publishes nothing (the base
             # was already authoritative).  The rule's trim-after-write
@@ -287,26 +353,37 @@ class DeltaShadowPager(DeterministicShadowPager):
             self.device.flush()
             self.fault_stats.delta_scrubs += 1
             delta = None
+        # Two-touch admission, like a leaf's keys (``Page.searched``): only
+        # a page read again with no write in between pays for the copy.
+        base = bytes(base_page.buf) if page_id in self._verified else None
+        segments: Sequence[int] = ()
+        base_lsn = base_page.lsn
         if (
             delta is not None
             and delta.page_id == page_id
-            and delta.base_lsn == base_page.lsn
+            and delta.base_lsn == base_lsn
             and delta.segment_size == self.segment_size
         ):
             delta.overlay_onto(base_page)
-            self._fvec[page_id] = set(delta.segments)
-            self._base_lsn[page_id] = delta.base_lsn
-            return base_page
-        self._fvec[page_id] = set()
-        self._base_lsn[page_id] = base_page.lsn
+            segments = delta.segments
+        self._fvec[page_id] = set(segments)
+        self._base_lsn[page_id] = base_lsn
+        self._verified[page_id] = None if base is None else _VerifiedRead(
+            base, bytes(delta_raw).rstrip(b"\0"), tuple(segments), base_lsn
+        )
         return base_page
 
     # ------------------------------------------------------------ bookkeeping
+
+    def _repair_slot(self, page_id: int, slot: int, image: bytes) -> None:
+        self._verified.pop(page_id, None)
+        super()._repair_slot(page_id, slot, image)
 
     def _release_storage(self, page_id: int) -> None:
         super()._release_storage(page_id)
         self._fvec.pop(page_id, None)
         self._base_lsn.pop(page_id, None)
+        self._verified.pop(page_id, None)
 
     # ------------------------------------------------------------- metrics
 
