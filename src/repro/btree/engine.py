@@ -106,6 +106,7 @@ class BTreeEngine:
             self.config.page_size,
             loader=self.pager.load,
             flusher=self._flush_with_dependencies,
+            evicted_clean=self.pager.keep_evicted,
         )
         self.wal = RedoLog.for_config(self.config, device, self.LOG_START, self.clock)
         #: Root-id change awaiting the group boundary (group_atomic mode).
@@ -153,9 +154,11 @@ class BTreeEngine:
 
     def close(self) -> None:
         """Flush everything and persist a clean checkpoint (a clean shutdown
-        acknowledges the open window: it is sealed, not rolled back)."""
+        acknowledges the open window: it is sealed, not rolled back), then
+        release the pager's host-side load caches."""
         self.wal.seal()
         self.checkpoint()
+        self.pager.release_host_caches()
 
     # --------------------------------------------------------------- KV API
 

@@ -188,6 +188,14 @@ class Pager(ABC):
     def _release_storage(self, page_id: int) -> None:
         """Reclaim device space for a freed page."""
 
+    def keep_evicted(self, page: Page) -> None:
+        """Take a page the buffer pool evicted clean; a pager that can hand
+        it back on the page's next load keeps it (the delta pager does)."""
+
+    def release_host_caches(self) -> None:
+        """Drop whatever the pager keeps in host memory to speed up later
+        loads; run when the engine closes.  Changes no device state."""
+
     def recover(self) -> None:
         """Restart hook, run by the engine before it reopens the tree:
         rebuild or repair what the pager keeps beside its pages.  Nothing to

@@ -34,7 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.btree.page import DIRTY_GRAIN, Page
 from repro.btree.pager import DeterministicShadowPager
@@ -188,16 +188,36 @@ class DeltaBlock:
         page.verify_image()
 
 
-class _VerifiedRead(NamedTuple):
+def _own_delta(
+    raw: Union[bytes, memoryview], page_id: int, page_size: int
+) -> Optional[DeltaBlock]:
+    """``raw`` decoded as ``page_id``'s delta block, or ``None``."""
+    delta = DeltaBlock.decode(raw, page_size)
+    return delta if delta is not None and delta.page_id == page_id else None
+
+
+class _VerifiedRead:
     """What a full-path load made of one ``l_pg + 4KB`` read: the base slot
     image as read, the delta block up to its last non-zero byte, and the
     segments applied and base LSN recorded (none and the base's own LSN
-    when no delta applied).  About ``l_pg + |Δ|`` bytes per page."""
+    when no delta applied).  About ``l_pg + |Δ|`` bytes per page.
 
-    base: bytes
-    delta: bytes
-    segments: tuple[int, ...]
-    base_lsn: int
+    ``page`` is the page a load served from this read, once the buffer pool
+    has evicted it clean (:meth:`DeltaShadowPager.keep_evicted`); the next
+    load whose read matches hands that object back.  It lives and dies with
+    the entry, so whatever drops the entry drops the page.
+    """
+
+    __slots__ = ("base", "delta", "segments", "base_lsn", "page")
+
+    def __init__(
+        self, base: bytes, delta: bytes, segments: tuple[int, ...], base_lsn: int
+    ) -> None:
+        self.base = base
+        self.delta = delta
+        self.segments = segments
+        self.base_lsn = base_lsn
+        self.page: Optional[Page] = None
 
     def matches(self, raw: bytes, page_at: int, delta_at: int) -> bool:
         """Whether ``raw`` holds, byte for byte, the read this came from:
@@ -246,7 +266,7 @@ class DeltaShadowPager(DeterministicShadowPager):
         #: Per page, ``None`` after one full-path load with no write to its
         #: region since, then the second such load's :class:`_VerifiedRead`
         #: (see :meth:`_read_page`).  Every write or TRIM of the region
-        #: drops the entry.
+        #: drops the entry, and with it the page held in it.
         self._verified: dict[int, Optional[_VerifiedRead]] = {}
         #: Recycled 4KB staging slabs for delta-block framing; each flush
         #: borrows one for the duration of a single device write.
@@ -317,7 +337,10 @@ class DeltaShadowPager(DeterministicShadowPager):
         (:class:`_VerifiedRead`), and a later load whose known-slot read
         equals the kept bytes exactly rebuilds the page from the kept base
         and the segments in that read: no CRC pass, no decode, the same
-        device command.  Any other read is the full path's first read.
+        device command.  If the pool evicted the page that entry served
+        while it was clean, the entry holds that very page and the load
+        hands it back, decoded key and child lists included.  Any other
+        read is the full path's first read.
         """
         slot = self._valid_slot.get(page_id)
         kept = self._verified.get(page_id)
@@ -326,33 +349,20 @@ class DeltaShadowPager(DeterministicShadowPager):
             lba, count, page_at, delta_at = self._slot_span(page_id, slot)
             first = self._read_blocks(lba, count)
             if kept.matches(first, page_at, delta_at):
+                self._fvec[page_id] = set(kept.segments)
+                self._base_lsn[page_id] = kept.base_lsn
+                page = kept.page
+                if page is not None:
+                    kept.page = None  # back in the pool's hands
+                    return page
                 page = Page.from_bytes(kept.base, verify=False)
                 _overlay(
                     page.buf, kept.segments, self.segment_size,
                     memoryview(first), delta_at + self._payload_at,
                 )
-                self._fvec[page_id] = set(kept.segments)
-                self._base_lsn[page_id] = kept.base_lsn
                 return page
         base_page, delta_raw = self._load_valid_slot(page_id, first)
-        delta = DeltaBlock.decode(delta_raw, self.page_size)
-        if (delta is None or delta.page_id != page_id) and not _ZERO_BLOCK.startswith(
-            delta_raw
-        ):
-            # Nonzero delta block that cannot belong to this page: latent
-            # corruption or a misdirected write.  Fall back to the full base
-            # image (any lost updates are the redo log's to replay) and
-            # scrub the block so the rot does not linger.
-            self.fault_stats.delta_fallbacks += 1
-            self._verified.pop(page_id, None)
-            # Not a shadow flip: this trims a *corrupt* delta after the read
-            # fell back to the base image — it publishes nothing (the base
-            # was already authoritative).  The rule's trim-after-write
-            # heuristic cannot distinguish a scrub from a flip.
-            self._trim(self._delta_lba(page_id), 1)  # repro: noqa[CRS008] scrub of a corrupt delta, not a flip
-            self.device.flush()
-            self.fault_stats.delta_scrubs += 1
-            delta = None
+        delta, delta_raw = self._read_delta(page_id, delta_raw)
         # Two-touch admission, like a leaf's keys (``Page.searched``): only
         # a page read again with no write in between pays for the copy.
         base = bytes(base_page.buf) if page_id in self._verified else None
@@ -360,7 +370,6 @@ class DeltaShadowPager(DeterministicShadowPager):
         base_lsn = base_page.lsn
         if (
             delta is not None
-            and delta.page_id == page_id
             and delta.base_lsn == base_lsn
             and delta.segment_size == self.segment_size
         ):
@@ -373,7 +382,52 @@ class DeltaShadowPager(DeterministicShadowPager):
         )
         return base_page
 
+    def _read_delta(
+        self, page_id: int, raw: memoryview
+    ) -> tuple[Optional[DeltaBlock], memoryview]:
+        """Decode the delta block read along with ``page_id``'s base image;
+        returns the block (``None`` for a trimmed one) and the bytes it was
+        decoded from.
+
+        A nonzero block that is not this page's is read once more, as
+        :meth:`_verified_load` re-reads a base image: a clean re-read
+        (transient bus corruption) counts a checksum failure and a heal, and
+        the flushed updates it carries are applied.  A block that fails
+        again is latent corruption or a misdirected write: the load falls
+        back to the full base image (any lost updates are the redo log's to
+        replay) and scrubs the block so the rot does not linger.
+        """
+        delta = _own_delta(raw, page_id, self.page_size)
+        if delta is not None or _ZERO_BLOCK.startswith(raw):
+            return delta, raw
+        raw = memoryview(self._read_block(self._delta_lba(page_id)))
+        delta = _own_delta(raw, page_id, self.page_size)
+        if delta is not None or _ZERO_BLOCK.startswith(raw):
+            self.fault_stats.checksum_failures += 1
+            self.fault_stats.reread_heals += 1
+            return delta, raw
+        self.fault_stats.delta_fallbacks += 1
+        self._verified.pop(page_id, None)
+        # Not a shadow flip: this trims a *corrupt* delta after the read
+        # fell back to the base image — it publishes nothing (the base
+        # was already authoritative).
+        self._trim(self._delta_lba(page_id), 1)
+        self.device.flush()
+        self.fault_stats.delta_scrubs += 1
+        return None, raw
+
     # ------------------------------------------------------------ bookkeeping
+
+    def keep_evicted(self, page: Page) -> None:
+        """Hold a page the pool evicted clean in the kept read it was served
+        from, for the next load whose read matches to hand back.  A page
+        with no kept read (loaded once, or written since) is let go."""
+        kept = self._verified.get(page.page_id)
+        if kept is not None:
+            kept.page = page
+
+    def release_host_caches(self) -> None:
+        self._verified.clear()
 
     def _repair_slot(self, page_id: int, slot: int, image: bytes) -> None:
         self._verified.pop(page_id, None)

@@ -34,9 +34,11 @@ class FaultStats:
     transient_write_retries: int = 0
     #: Write requests re-issued after a :class:`~repro.errors.TornWriteError`.
     torn_write_retries: int = 0
-    #: Page images that failed checksum/format verification when loaded.
+    #: Page images that failed checksum/format verification when loaded,
+    #: and delta blocks that failed to decode and then read back clean.
     checksum_failures: int = 0
-    #: Corrupt-image loads healed by simply re-reading (transient corruption).
+    #: Corrupt-image or delta-block loads healed by simply re-reading
+    #: (transient corruption).
     reread_heals: int = 0
     #: Loads served from the sibling shadow slot after the valid slot failed.
     arbitration_fallbacks: int = 0

@@ -97,6 +97,19 @@ def test_clean_eviction_does_not_flush(backend):
     assert backend.flushes == []
 
 
+def test_clean_victims_leave_the_pool_into_the_evicted_clean_callback(backend):
+    handed = []
+    pool = BufferPool(8 * backend.page_size, backend.page_size, backend.load,
+                      backend.flush, evicted_clean=lambda page: handed.append(
+                          (page.page_id, page.page_id in pool)))
+    pool.get(0)
+    pool.mark_dirty(0)
+    for pid in range(1, 10):
+        pool.get(pid)
+    assert backend.flushes == [0]  # page 0 was written back, not handed over
+    assert handed == [(1, False)]  # page 1 left the pool before the hand-off
+
+
 def test_pinned_pages_survive_eviction(backend):
     pool = make_pool(backend, frames=8)
     pool.get(0, pin=True)

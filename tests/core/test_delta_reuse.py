@@ -193,7 +193,7 @@ def test_reuse_is_invisible_under_read_faults(decodes, seed):
             truth.setdefault(pager, []).append(page)
     rng = random.Random(seed)
     reuses = 0
-    for step in range(400):
+    for step in range(600):
         page_id = rng.randrange(6)
         roll = rng.random()
         if roll < 0.12:
