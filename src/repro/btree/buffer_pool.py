@@ -54,7 +54,7 @@ class BufferPool:
         page_size: int,
         loader: Callable[[int], Page],
         flusher: Callable[[Page], None],
-        evicted_clean: Optional[Callable[[Page], None]] = None,
+        evicted: Optional[Callable[[Page], None]] = None,
     ) -> None:
         if capacity_bytes <= 0 or page_size <= 0:
             raise ConfigError("capacity and page size must be positive")
@@ -62,10 +62,10 @@ class BufferPool:
         self.capacity_frames = max(8, capacity_bytes // page_size)
         self._loader = loader
         self._flusher = flusher
-        #: Receives each clean victim once it has left the pool (the pager
-        #: may hand the object back on the page's next load); dirty victims
-        #: are written back and never passed on.
-        self._evicted_clean = evicted_clean
+        #: Receives each victim once it has left the pool, a dirty one after
+        #: its write-back succeeded (the pager may hand the object back on
+        #: the page's next load).
+        self._evicted = evicted
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
         self.stats = PoolStats()
 
@@ -167,8 +167,8 @@ class BufferPool:
                 self.stats.dirty_evictions += 1
             self.stats.evictions += 1
             del self._frames[victim_id]
-            if not frame.dirty and self._evicted_clean is not None:
-                self._evicted_clean(frame.page)
+            if self._evicted is not None:
+                self._evicted(frame.page)
 
     def _pick_victim(self) -> Optional[int]:
         for page_id, frame in self._frames.items():  # LRU order

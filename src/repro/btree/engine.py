@@ -106,7 +106,7 @@ class BTreeEngine:
             self.config.page_size,
             loader=self.pager.load,
             flusher=self._flush_with_dependencies,
-            evicted_clean=self.pager.keep_evicted,
+            evicted=self.pager.keep_evicted,
         )
         self.wal = RedoLog.for_config(self.config, device, self.LOG_START, self.clock)
         #: Root-id change awaiting the group boundary (group_atomic mode).

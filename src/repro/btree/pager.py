@@ -189,8 +189,9 @@ class Pager(ABC):
         """Reclaim device space for a freed page."""
 
     def keep_evicted(self, page: Page) -> None:
-        """Take a page the buffer pool evicted clean; a pager that can hand
-        it back on the page's next load keeps it (the delta pager does)."""
+        """Take a page the buffer pool evicted (after any write-back); a
+        pager that can hand it back on the page's next load keeps it (the
+        delta pager does)."""
 
     def release_host_caches(self) -> None:
         """Drop whatever the pager keeps in host memory to speed up later
@@ -513,11 +514,12 @@ class DeterministicShadowPager(Pager):
         self._trim(self._slot_lba(page_id, 1 - target), self.page_blocks)
         self._valid_slot[page_id] = target
         self._account_page_write(physical, page_id)
-        self._after_flip(page)
+        self._after_flip(page, image)
         page.clear_dirty()
 
-    def _after_flip(self, page: Page) -> None:
-        """Hook run inside the flip once ``page``'s new slot is published."""
+    def _after_flip(self, page: Page, image: bytes) -> None:
+        """Hook run inside the flip once ``image``, ``page``'s content, is
+        published in its new slot."""
 
     # -------------------------------------------------------------- loading
 
@@ -559,44 +561,66 @@ class DeterministicShadowPager(Pager):
             # arbitration, which can serve the sibling and scrub the rot.
             self.fault_stats.arbitration_fallbacks += 1
             del self._valid_slot[page_id]
-        page, slot, region = self._arbitrate_slots(page_id)
+        page, slot, region = self._arbitrate_slots(page_id, failed=slot)
         self._valid_slot[page_id] = slot
         return page, memoryview(region)[self.page_size : self.page_size + aux_bytes]
 
-    def _arbitrate_slots(self, page_id: int) -> tuple[Page, int, bytes]:
+    def _arbitrate_slots(
+        self, page_id: int, failed: Optional[int] = None
+    ) -> tuple[Page, int, bytes]:
         """Read the page's whole region in one request and pick the valid,
         newest slot image; returns the page, its slot and the region read.
 
-        When one slot is corrupt (nonzero but failing its CRC — a torn write
-        or latent rot) while the other verifies, the corrupt slot is
+        A slot that reads nonzero but does not verify as this page is read
+        once more, as :meth:`_verified_load` re-reads (``failed`` names a
+        slot that has already failed two reads: the known slot a fallback
+        comes from).  The region is read again and each slot verified in
+        either read is a candidate.  A slot that failed only one read was
+        garbled in transit (a checksum failure and a heal).  One that fails
+        both (a torn write, latent rot or a misdirected write) is
         *read-repaired*: the surviving image is rewritten over it, healing
-        the media in place.  Both slots then hold the served image, which the
-        ping-pong flush protocol tolerates (the next flush overwrites one).
+        the media in place.  Both slots then hold the served image, which
+        the ping-pong flush protocol tolerates (the next flush overwrites
+        one).
         """
         base = self._page_base(page_id)
         region = self._read_blocks(base, self._page_region_blocks())
-        candidates: list[tuple[int, Page]] = []
-        corrupt_slots: list[int] = []
+        images = self._slot_images(page_id, region)
+        if any(page is None and slot != failed for slot, page in images.items()):
+            region = self._read_blocks(base, self._page_region_blocks())
+            for slot, page in self._slot_images(page_id, region).items():
+                first = images.get(slot)
+                if (first is None) != (page is None):  # failed one read of two
+                    images[slot] = first if first is not None else page
+                    self.fault_stats.checksum_failures += 1
+                    self.fault_stats.reread_heals += 1
+        candidates = [(slot, page) for slot, page in images.items() if page is not None]
+        if not candidates:
+            raise RecoveryError(f"page {page_id}: neither slot holds a valid image")
+        slot, page = max(candidates, key=lambda item: item[1].lsn)
+        for bad_slot, bad in images.items():
+            if bad is None:
+                self._repair_slot(page_id, bad_slot, page.image())
+        return page, slot, region
+
+    def _slot_images(self, page_id: int, region: bytes) -> dict[int, Optional[Page]]:
+        """Each non-trimmed slot of ``region``: its page, or ``None`` when it
+        does not verify as ``page_id``'s image."""
+        images: dict[int, Optional[Page]] = {}
+        base = self._page_base(page_id)
         for slot in (0, 1):
             offset = (self._slot_lba(page_id, slot) - base) * BLOCK_SIZE
             image = region[offset : offset + self.page_size]
             if image.count(0) == len(image):
                 continue  # trimmed slot
             try:
-                candidate = Page.from_bytes(image)
+                candidate: Optional[Page] = Page.from_bytes(image)
             except (ChecksumError, PageFormatError):
-                corrupt_slots.append(slot)  # torn write or latent rot
-                continue
-            if candidate.page_id == page_id:
-                candidates.append((slot, candidate))
-            else:
-                corrupt_slots.append(slot)  # misdirected write landed here
-        if not candidates:
-            raise RecoveryError(f"page {page_id}: neither slot holds a valid image")
-        slot, page = max(candidates, key=lambda item: item[1].lsn)
-        for bad_slot in corrupt_slots:
-            self._repair_slot(page_id, bad_slot, page.image())
-        return page, slot, region
+                candidate = None  # torn write, rot, or garbled in transit
+            if candidate is not None and candidate.page_id != page_id:
+                candidate = None  # misdirected write landed here
+            images[slot] = candidate
+        return images
 
     def _repair_slot(self, page_id: int, slot: int, image: bytes) -> None:
         """Rewrite a corrupt slot from the surviving sibling's image."""

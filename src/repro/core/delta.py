@@ -188,6 +188,21 @@ class DeltaBlock:
         page.verify_image()
 
 
+def _equal_outside(
+    base: bytes, buf: bytearray, segments: Sequence[int], size: int
+) -> bool:
+    """Whether ``buf`` equals ``base`` everywhere outside the (sorted)
+    segments: compares the gap runs between them in place, no copy."""
+    view = memoryview(buf)
+    start = 0
+    for seg in segments:
+        at = seg * size
+        if at > start and not base.startswith(view[start:at], start):
+            return False
+        start = at + size
+    return base.startswith(view[start:], start)
+
+
 def _own_delta(
     raw: Union[bytes, memoryview], page_id: int, page_size: int
 ) -> Optional[DeltaBlock]:
@@ -197,13 +212,19 @@ def _own_delta(
 
 
 class _VerifiedRead:
-    """What a full-path load made of one ``l_pg + 4KB`` read: the base slot
-    image as read, the delta block up to its last non-zero byte, and the
-    segments applied and base LSN recorded (none and the base's own LSN
-    when no delta applied).  About ``l_pg + |Δ|`` bytes per page.
+    """What the full path makes of the page's next ``l_pg + 4KB`` read if
+    that read returns exactly these bytes: the base slot image, the delta
+    block up to a point past which it is all zeros, and the segments
+    applied and base LSN recorded (none and the base's own LSN when no
+    delta applies).  About ``l_pg + |Δ|`` bytes per page.
 
-    ``page`` is the page a load served from this read, once the buffer pool
-    has evicted it clean (:meth:`DeltaShadowPager.keep_evicted`); the next
+    Three events record one: a full-path load that wrote nothing (the
+    bytes it read), a flip (the image written, no delta) and a delta flush
+    (the kept base and the block written), each describing the region as
+    it left it.
+
+    ``page`` is a page whose buffer is that read's result, once the buffer
+    pool has evicted it (:meth:`DeltaShadowPager.keep_evicted`); the next
     load whose read matches hands that object back.  It lives and dies with
     the entry, so whatever drops the entry drops the page.
     """
@@ -220,7 +241,7 @@ class _VerifiedRead:
         self.page: Optional[Page] = None
 
     def matches(self, raw: bytes, page_at: int, delta_at: int) -> bool:
-        """Whether ``raw`` holds, byte for byte, the read this came from:
+        """Whether ``raw`` holds, byte for byte, the region this describes:
         the base image at ``page_at`` and the delta block at ``delta_at``."""
         zero_tail = memoryview(raw)[delta_at + len(self.delta) : delta_at + BLOCK_SIZE]
         return (
@@ -263,11 +284,10 @@ class DeltaShadowPager(DeterministicShadowPager):
         self._payload_at = _payload_offset(self.page_size, segment_size)
         self._fvec: dict[int, set[int]] = {}
         self._base_lsn: dict[int, int] = {}
-        #: Per page, ``None`` after one full-path load with no write to its
-        #: region since, then the second such load's :class:`_VerifiedRead`
-        #: (see :meth:`_read_page`).  Every write or TRIM of the region
-        #: drops the entry, and with it the page held in it.
-        self._verified: dict[int, Optional[_VerifiedRead]] = {}
+        #: Per page, what its region holds as of the pager's last load or
+        #: write of it (see :class:`_VerifiedRead`).  A write replaces the
+        #: entry or drops it, and with it the page held in it.
+        self._verified: dict[int, _VerifiedRead] = {}
         #: Recycled 4KB staging slabs for delta-block framing; each flush
         #: borrows one for the duration of a single device write.
         self._arena = ScratchArena(BLOCK_SIZE)
@@ -290,6 +310,7 @@ class DeltaShadowPager(DeterministicShadowPager):
             self._flip(page, page.image())
             return
         ordered = sorted(segments)
+        kept = self._verified.pop(page_id, None)
         # Frame the delta block in a recycled slab: segments are copied
         # once, page buffer -> slab; the device journal takes the one
         # unavoidable snapshot at the write boundary.
@@ -300,6 +321,18 @@ class DeltaShadowPager(DeterministicShadowPager):
                 self.segment_size, ordered, page.buf,
             )
             physical = self._write_block(self._delta_lba(page_id), slab)
+            # The region now reads as the kept base and this block.  That
+            # rebuilds exactly this page only if the page equals the base
+            # outside the logged segments; otherwise keep nothing.
+            if (
+                kept is not None
+                and kept.base_lsn == base_lsn
+                and _equal_outside(kept.base, page.buf, ordered, self.segment_size)
+            ):
+                self._verified[page_id] = _VerifiedRead(
+                    kept.base, bytes(slab[: self._payload_at + delta_size]),
+                    tuple(ordered), base_lsn,
+                )
         finally:
             self._arena.release(slab)
         self.device.flush()
@@ -308,13 +341,13 @@ class DeltaShadowPager(DeterministicShadowPager):
         self.stats.page_logical_bytes += BLOCK_SIZE
         self.stats.page_physical_bytes += physical
         self._fvec[page_id] = segments
-        self._verified.pop(page_id, None)
         page.clear_dirty()
 
-    def _after_flip(self, page: Page) -> None:
+    def _after_flip(self, page: Page, image: bytes) -> None:
         """A full image went out: drop its delta block, restart the log."""
         self._verified.pop(page.page_id, None)
         self._trim(self._delta_lba(page.page_id), 1)
+        self._verified[page.page_id] = _VerifiedRead(image, b"", (), page.lsn)
         self.stats.full_flushes += 1
         self._fvec[page.page_id] = set()
         self._base_lsn[page.page_id] = page.lsn
@@ -332,15 +365,15 @@ class DeltaShadowPager(DeterministicShadowPager):
 
         What the full path below makes of a read — verify the base, decode
         the delta, overlay, verify the result — is a pure function of the
-        read's bytes whenever it writes nothing.  So the second full-path
-        load with no write to the page's region in between keeps its result
-        (:class:`_VerifiedRead`), and a later load whose known-slot read
-        equals the kept bytes exactly rebuilds the page from the kept base
-        and the segments in that read: no CRC pass, no decode, the same
-        device command.  If the pool evicted the page that entry served
-        while it was clean, the entry holds that very page and the load
-        hands it back, decoded key and child lists included.  Any other
-        read is the full path's first read.
+        read's bytes whenever it writes nothing.  So a full-path load that
+        wrote nothing keeps its result (:class:`_VerifiedRead`), as do the
+        pager's own flips and delta flushes, and a later load whose
+        known-slot read equals the kept bytes exactly rebuilds the page
+        from the kept base and the segments in that read: no CRC pass, no
+        decode, the same device command.  If the pool has evicted the page
+        since, the entry holds that very page and the load hands it back,
+        decoded key and child lists included.  Any other read is the full
+        path's first read.
         """
         slot = self._valid_slot.get(page_id)
         kept = self._verified.get(page_id)
@@ -361,11 +394,12 @@ class DeltaShadowPager(DeterministicShadowPager):
                     memoryview(first), delta_at + self._payload_at,
                 )
                 return page
+        self._verified.pop(page_id, None)
+        faults = self.fault_stats
+        writes = faults.read_repairs + faults.delta_scrubs
         base_page, delta_raw = self._load_valid_slot(page_id, first)
         delta, delta_raw = self._read_delta(page_id, delta_raw)
-        # Two-touch admission, like a leaf's keys (``Page.searched``): only
-        # a page read again with no write in between pays for the copy.
-        base = bytes(base_page.buf) if page_id in self._verified else None
+        base = bytes(base_page.buf)
         segments: Sequence[int] = ()
         base_lsn = base_page.lsn
         if (
@@ -377,9 +411,12 @@ class DeltaShadowPager(DeterministicShadowPager):
             segments = delta.segments
         self._fvec[page_id] = set(segments)
         self._base_lsn[page_id] = base_lsn
-        self._verified[page_id] = None if base is None else _VerifiedRead(
-            base, bytes(delta_raw).rstrip(b"\0"), tuple(segments), base_lsn
-        )
+        # A load that rewrote part of the region (a read-repair or a delta
+        # scrub) read bytes the region no longer holds: keep nothing.
+        if faults.read_repairs + faults.delta_scrubs == writes:
+            self._verified[page_id] = _VerifiedRead(
+                base, bytes(delta_raw).rstrip(b"\0"), tuple(segments), base_lsn
+            )
         return base_page
 
     def _read_delta(
@@ -407,7 +444,6 @@ class DeltaShadowPager(DeterministicShadowPager):
             self.fault_stats.reread_heals += 1
             return delta, raw
         self.fault_stats.delta_fallbacks += 1
-        self._verified.pop(page_id, None)
         # Not a shadow flip: this trims a *corrupt* delta after the read
         # fell back to the base image — it publishes nothing (the base
         # was already authoritative).
@@ -419,19 +455,16 @@ class DeltaShadowPager(DeterministicShadowPager):
     # ------------------------------------------------------------ bookkeeping
 
     def keep_evicted(self, page: Page) -> None:
-        """Hold a page the pool evicted clean in the kept read it was served
-        from, for the next load whose read matches to hand back.  A page
-        with no kept read (loaded once, or written since) is let go."""
+        """Hold a page the pool evicted in the kept read of its region, for
+        the next load whose read matches to hand back.  The entry describes
+        the page's last load or write, so it is the page's own; a page
+        with no entry (its last load or flush kept none) is let go."""
         kept = self._verified.get(page.page_id)
         if kept is not None:
             kept.page = page
 
     def release_host_caches(self) -> None:
         self._verified.clear()
-
-    def _repair_slot(self, page_id: int, slot: int, image: bytes) -> None:
-        self._verified.pop(page_id, None)
-        super()._repair_slot(page_id, slot, image)
 
     def _release_storage(self, page_id: int) -> None:
         super()._release_storage(page_id)

@@ -97,17 +97,36 @@ def test_clean_eviction_does_not_flush(backend):
     assert backend.flushes == []
 
 
-def test_clean_victims_leave_the_pool_into_the_evicted_clean_callback(backend):
-    handed = []
+def test_every_victim_leaves_the_pool_into_the_evicted_callback_after_write_back(backend):
+    events = []
+    flush = backend.flush
+    backend.flush = lambda page: (events.append(("flush", page.page_id)), flush(page))
     pool = BufferPool(8 * backend.page_size, backend.page_size, backend.load,
-                      backend.flush, evicted_clean=lambda page: handed.append(
-                          (page.page_id, page.page_id in pool)))
+                      backend.flush, evicted=lambda page: events.append(
+                          ("evicted", page.page_id, page.page_id in pool)))
     pool.get(0)
     pool.mark_dirty(0)
     for pid in range(1, 10):
         pool.get(pid)
-    assert backend.flushes == [0]  # page 0 was written back, not handed over
-    assert handed == [(1, False)]  # page 1 left the pool before the hand-off
+    # Page 0 was written back first, then handed over; page 1 left clean.
+    assert events == [("flush", 0), ("evicted", 0, False), ("evicted", 1, False)]
+
+
+def test_a_victim_whose_write_back_fails_stays_in_the_pool(backend):
+    handed = []
+
+    def failing(page):
+        raise TreeError("write-back failed")
+
+    pool = BufferPool(8 * backend.page_size, backend.page_size, backend.load,
+                      failing, evicted=handed.append)
+    pool.get(0)
+    pool.mark_dirty(0)
+    for pid in range(1, 8):
+        pool.get(pid)
+    with pytest.raises(TreeError):
+        pool.get(8)
+    assert 0 in pool and handed == []
 
 
 def test_pinned_pages_survive_eviction(backend):

@@ -110,6 +110,58 @@ def test_shadow_known_slot_latent_rot_falls_back_to_arbitration():
     assert device.corrupted_lbas == []
 
 
+def test_arbitration_rereads_a_slot_corrupted_in_transit_instead_of_repairing_it():
+    """Arbitration re-reads the region before it treats a slot as corrupt:
+    a slot garbled on the bus once is served from the re-read, and the
+    newer image is neither overwritten by its older sibling nor lost."""
+    inner = CompressedBlockDevice(num_blocks=1024)
+    dropping = FaultInjectingDevice(inner, FaultPlan(dropped_trim_rate=1.0))
+    pager = DeltaShadowPager(dropping, PAGE_SIZE, 16, 1,
+                             threshold=2048, segment_size=128)
+    page = seeded_page(pager, b"arbiter" * 30)
+    for lsn in (1, 2):  # slot 0 at LSN 1, then slot 1 at LSN 2; no TRIM lands
+        mutate(page, random.Random(lsn))
+        page.mark_all_dirty()
+        page.lsn = lsn
+        pager.flush(page)
+    assert pager._valid_slot[page.page_id] == 1
+    # Plan seed 0 puts a one-shot corruption of the 5-block region read on
+    # block 3, inside slot 1 (the newer image).
+    device = FaultInjectingDevice(
+        inner, FaultPlan(seed=0, scripted=(ScriptedFault(0, "read-corruption"),)))
+    fresh = DeltaShadowPager(device, PAGE_SIZE, 16, 1,
+                             threshold=2048, segment_size=128)
+    assert fresh.load(page.page_id).image() == page.image()
+    assert device.injected.read_corruptions == 1
+    faults = fresh.fault_stats
+    assert (faults.checksum_failures, faults.reread_heals, faults.read_repairs) == (1, 1, 0)
+    again = DeltaShadowPager(inner, PAGE_SIZE, 16, 1,
+                             threshold=2048, segment_size=128)
+    assert again.load(page.page_id).lsn == 2
+
+
+def test_arbitration_repairs_a_slot_that_fails_both_reads():
+    """Latent rot fails the re-read too: the sibling is served and the
+    rotten slot rewritten, counted once."""
+    device = faulty_device(FaultPlan(dropped_trim_rate=1.0))
+    pager = DeterministicShadowPager(device, PAGE_SIZE, 16, 1)
+    page = seeded_page(pager, b"rot" * 50)
+    page.lsn = 1
+    pager.flush(page)
+    older = page.image()
+    mutate(page, random.Random(4))
+    page.lsn = 2
+    pager.flush(page)
+    device.corrupt_stable(pager._slot_lba(page.page_id, 1), pager.page_blocks)
+    fresh = DeterministicShadowPager(device, PAGE_SIZE, 16, 1)
+    reads = device.stats.read_ios
+    assert fresh.load(page.page_id).image() == older
+    assert device.stats.read_ios == reads + 2  # the region, then its re-read
+    faults = fresh.fault_stats
+    assert (faults.checksum_failures, faults.reread_heals, faults.read_repairs) == (1, 0, 1)
+    assert device.corrupted_lbas == []
+
+
 # -------------------------------------------------------- journal healing
 
 

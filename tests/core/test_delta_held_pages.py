@@ -1,25 +1,29 @@
-"""Tests for the delta pager holding pages the buffer pool evicted clean.
+"""Tests for the delta pager holding pages the buffer pool evicted.
 
-A clean page whose last load left a kept verified read goes from the pool
-into that kept entry; the next load whose device read matches the entry
-hands the same object back.  These tests pin that the hand-back is
-invisible — the same served values, device commands, fault counters, pager
-and pool counters as an engine whose pager never holds a page, under faults
-too — that a page is never in the pool and held at once, that only clean
-pages are held, and that every write to a page's region lets its held page
-go.  Set ``REPRO_FUZZ_SEED=<n>`` to run the engine differential on one more
-seed.
+Every victim leaves the pool into the pager once its write-back (if any)
+succeeded; if the page's kept read — left by its last load, flip or delta
+flush — still stands, the victim is held in it, and the next load whose
+device read matches hands the same object back.  These tests pin that the
+hand-back is invisible — the same served values, device commands, fault
+counters, pager and pool counters as an engine whose pager never holds a
+page, under faults too, on a read-mostly and on a write-heavy stream —
+that a page is never in the pool and held at once, that a page written by
+the pager comes back for one device read and no CRC pass, and that every
+write to a page's region that keeps nothing lets its held page go.  Set
+``REPRO_FUZZ_SEED=<n>`` to run both engine differentials on one more seed.
 """
 
 import random
+import zlib
 
 import pytest
 
 from repro.btree.engine import BTreeConfig, BTreeEngine
 from repro.btree.page import Page
-from repro.core.delta import DeltaShadowPager
+from repro.core.delta import DeltaBlock, DeltaShadowPager
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.csd.faults import FaultInjectingDevice, FaultPlan, ScriptedFault
+from repro.errors import ChecksumError
 from tests.fuzz import FUZZ_SEED, report_seed
 
 PAGE_SIZE = 8192
@@ -56,12 +60,31 @@ def held(pager, page_id):
 
 
 def evicted_and_held(pager, page_id):
-    """Load twice (the second load is kept), then evict the served page."""
-    pager.load(page_id)
+    """Load (the load is kept), then evict the served page."""
     page = pager.load(page_id)
     pager.keep_evicted(page)
     assert held(pager, page_id) is page
     return page
+
+
+@pytest.fixture
+def no_crc_or_decode(monkeypatch):
+    """Returns ``arm``; once it has been called, any ``zlib.crc32`` or
+    ``DeltaBlock.decode`` call fails the test."""
+    armed = []
+    crc32, decode = zlib.crc32, DeltaBlock.decode
+
+    def guarded_crc(*args):
+        assert not armed, "a CRC pass ran"
+        return crc32(*args)
+
+    def guarded_decode(block, page_size):
+        assert not armed, "a delta decode ran"
+        return decode(block, page_size)
+
+    monkeypatch.setattr(zlib, "crc32", guarded_crc)
+    monkeypatch.setattr(DeltaBlock, "decode", staticmethod(guarded_decode))
+    return lambda: armed.append(True)
 
 
 # ------------------------------------------------------------ the hand-back
@@ -91,13 +114,62 @@ def test_a_hit_hands_back_the_held_page_for_one_device_read(with_delta):
     assert pager.load(page_id) is not served  # handed back once only
 
 
-def test_a_page_loaded_once_is_not_held():
+def test_a_page_loaded_once_is_held():
     pager = make_pager()
     page = flushed_page(pager)
+    pager._verified.clear()  # forget the flip: this load takes the full path
     served = pager.load(page.page_id)
     pager.keep_evicted(served)
-    assert pager._verified[page.page_id] is None
-    assert pager.load(page.page_id) is not served
+    assert held(pager, page.page_id) is served
+    assert pager.load(page.page_id) is served
+
+
+# ----------------------------------------- pages the pager wrote come back
+
+
+@pytest.mark.parametrize("write", ["delta", "flip"])
+def test_a_written_page_comes_back_for_one_read_and_no_crc(write, no_crc_or_decode):
+    pager = make_pager()
+    page = flushed_page(pager)
+    mutate(page, random.Random(2), lsn=2)
+    if write == "flip":
+        page.mark_all_dirty()
+    pager.flush(page)
+    assert (pager.stats.delta_flushes, pager.stats.full_flushes) == (
+        (1, 1) if write == "delta" else (0, 2))
+    page_id = page.page_id
+    state = (set(pager._fvec[page_id]), pager._base_lsn[page_id])
+    pager.keep_evicted(page)
+    assert held(pager, page_id) is page
+    reference = make_pager(pager.device).load(page_id).image()
+    reads, blocks = pager.device.stats.read_ios, pager.device.stats.blocks_read
+    no_crc_or_decode()
+    assert pager.load(page_id) is page
+    assert pager.device.stats.read_ios == reads + 1
+    assert pager.device.stats.blocks_read == blocks + pager.page_blocks + 1
+    assert page.image() == reference
+    assert (pager._fvec[page_id], pager._base_lsn[page_id]) == state
+
+
+def test_a_byte_changed_without_mark_dirty_holds_nothing():
+    """A delta flush keeps its write only if the page equals the kept base
+    outside the logged segments: a byte changed behind the dirty tracking
+    would not be rebuilt by the full path, so nothing is kept or held."""
+    pager = make_pager()
+    page = flushed_page(pager)
+    mutate(page, random.Random(2), lsn=2)
+    logged = set(page.dirty_segments(128)) | {0, PAGE_SIZE // 128 - 1}
+    spare = next(seg for seg in range(PAGE_SIZE // 128) if seg not in logged)
+    page.buf[spare * 128 + 5] ^= 0xFF  # no mark_dirty: the delta misses it
+    pager.flush(page)
+    assert pager.stats.delta_flushes == 1
+    assert page.page_id not in pager._verified
+    pager.keep_evicted(page)
+    assert held(pager, page.page_id) is None
+    # The full path rebuilds base + delta, which lacks the byte the page's
+    # checksum covers, and rejects it rather than serve the page.
+    with pytest.raises(ChecksumError):
+        pager.load(page.page_id)
 
 
 # ------------------------------------------------ invalidation by writes
@@ -141,7 +213,7 @@ def test_read_repair_drops_the_held_page():
     reloaded = pager.load(page.page_id)  # arbitration serves the sibling and repairs
     assert reloaded is not served and reloaded.image() == older
     assert pager.fault_stats.read_repairs == 1
-    assert pager._verified[page.page_id] is None
+    assert page.page_id not in pager._verified
 
 
 def test_delta_scrub_drops_the_held_page():
@@ -153,7 +225,7 @@ def test_delta_scrub_drops_the_held_page():
     reloaded = pager.load(page.page_id)
     assert reloaded is not served and reloaded.image() == page.image()
     assert pager.fault_stats.delta_scrubs == 1
-    assert pager._verified[page.page_id] is None
+    assert page.page_id not in pager._verified
 
 
 def test_free_drops_the_held_page():
@@ -207,12 +279,12 @@ def test_a_held_page_is_never_in_the_pool():
     assert len(seen) > 10
 
 
-def test_only_clean_victims_are_handed_to_the_pager_and_held_pages_match_the_device():
+def test_every_victim_is_handed_to_the_pager_and_held_pages_match_the_device():
     engine = populated()
     handed = []
-    keep = engine.pool._evicted_clean
-    engine.pool._evicted_clean = lambda page: (handed.append(page.page_id), keep(page))
-    before = engine.pool.stats.evictions - engine.pool.stats.dirty_evictions
+    keep = engine.pool._evicted
+    engine.pool._evicted = lambda page: (handed.append(page.page_id), keep(page))
+    before = engine.pool.stats.evictions
     rng = random.Random(2)
     for step in range(900):
         i = rng.randrange(1500)
@@ -222,7 +294,7 @@ def test_only_clean_victims_are_handed_to_the_pager_and_held_pages_match_the_dev
             engine.put(key(i), b"v%d" % step)
     stats = engine.pool.stats
     assert stats.dirty_evictions > 20
-    assert len(handed) == stats.evictions - stats.dirty_evictions - before
+    assert len(handed) == stats.evictions - before
     fresh = make_pager(engine.device, max_pages=256,
                        region_start=engine.pager.region_start)
     for pid in held_ids(engine):
@@ -232,9 +304,8 @@ def test_only_clean_victims_are_handed_to_the_pager_and_held_pages_match_the_dev
 
 def test_close_releases_the_pagers_host_caches():
     engine = populated()
-    for sweep in range(2):  # the second sweep's loads are kept, then evicted clean
-        for i in range(0, 1500, 7):
-            engine.get(key(i))
+    for i in range(0, 1500, 7):  # loads are kept, then their pages evicted
+        engine.get(key(i))
     assert held_ids(engine) and engine.pager._verified
     engine.close()
     assert engine.pager._verified == {}
@@ -250,24 +321,34 @@ class NeverHolds(DeltaShadowPager):
         pass
 
 
-def _faulted(seed):
-    plan = FaultPlan(seed=seed, read_corruption_rate=0.04,
-                     latent_corruption_rate=0.002, transient_read_rate=0.02,
-                     dropped_trim_rate=1.0)
+def _faulted(seed, corrupting=True):
+    plan = FaultPlan(seed=seed, read_corruption_rate=0.04 if corrupting else 0.0,
+                     latent_corruption_rate=0.002 if corrupting else 0.0,
+                     transient_read_rate=0.02, dropped_trim_rate=1.0)
     return FaultInjectingDevice(CompressedBlockDevice(num_blocks=2048), plan)
 
 
 def _counted(engine):
-    """Wrap the pool's loader to count loads that hand back a held page."""
-    pager, hits = engine.pager, [0]
+    """Wrap the pool's loader to count loads that hand back a held page
+    (``hits[0]``), and the pager's flush to count, of those, the ones held
+    in an entry a flush recorded (``hits[1]``)."""
+    pager, hits, written = engine.pager, [0, 0], set()
+
+    def flush(page, flush=pager.flush):
+        flush(page)
+        if page.page_id in pager._verified:
+            written.add(pager._verified[page.page_id])
 
     def load(page_id, load=engine.pool._loader):
         kept = pager._verified.get(page_id)
         was_held = None if kept is None else kept.page
         page = load(page_id)
-        hits[0] += was_held is not None and page is was_held
+        if was_held is not None and page is was_held:
+            hits[0] += 1
+            hits[1] += kept in written
         return page
 
+    pager.flush = flush
     engine.pool._loader = load
     return hits
 
@@ -356,3 +437,94 @@ def test_one_transient_corruption_of_the_delta_block_heals_by_rereading():
     assert (faults.delta_scrubs, faults.delta_fallbacks, faults.read_repairs) == (0, 0, 0)
     assert (faults.checksum_failures, faults.reread_heals) == (1, 1)
     assert make_pager(inner).load(page.page_id).image() == page.image()
+
+
+# ------------------------------------- differential on the write path
+
+
+def _reopened(engine, pager_cls):
+    config = engine.config
+    pager = make_pager(engine.device, pager_cls, config.max_pages,
+                       engine.pager.region_start)
+    return BTreeEngine.open(engine.device, config, pager=pager)
+
+
+@pytest.mark.parametrize("corrupting", [True, False], ids=["corrupting", "lossless"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_written_pages_are_invisible_under_faults(seed, corrupting):
+    """Through an 8-frame pool almost every put evicts a dirty leaf, whose
+    delta flush or flip leaves the entry the next load of that leaf hands
+    it back from.  An engine that holds every victim and a twin whose pager
+    never holds one serve the same values and leave the same counters after
+    every step; closed and reopened, their devices hold the same stable
+    bytes and serve every key alike.
+
+    ``corrupting`` adds read corruption, latent rot and ``corrupt_stable``
+    to the transient reads and dropped TRIMs.  Those destroy acknowledged
+    records for both engines alike (a rotten slot rolls its page back to
+    the older sibling, a rotten delta block is scrubbed, and so is a good
+    one garbled on two reads in a row), so there the twins are each other's
+    oracle.  Without them no fault loses a record, and every key must read
+    back as the model after the reopen."""
+    with report_seed(seed):
+        engines = (small_engine(_faulted(seed, corrupting)),
+                   small_engine(_faulted(seed, corrupting), NeverHolds))
+        holder, twin = engines
+        hits = _counted(holder)
+        model = {}
+
+        def put(k, value):
+            outcomes = [_served(engine.put, k, value) for engine in engines]
+            if outcomes[0] is None:
+                model[k] = value
+            return outcomes
+
+        rng = random.Random(seed)
+        for i in rng.sample(range(1200), 1200):
+            outcomes = put(key(i), rng.randbytes(60) + bytes(60))
+            assert outcomes[0] == outcomes[1]
+        for step in range(1500):
+            roll = rng.random()
+            i = rng.randrange(1300)
+            if corrupting and roll < 0.03:
+                pages = holder.pager.allocator_state()[0]
+                lba = holder.pager._page_base(rng.randrange(pages)) + rng.randrange(5)
+                for engine in engines:
+                    engine.device.corrupt_stable(lba)
+                continue
+            if roll < 0.7:
+                outcomes = put(key(i), b"%d" % step * 9)
+            elif roll < 0.77:
+                outcomes = [_served(engine.scan, key(i), 30) for engine in engines]
+            else:
+                outcomes = [_served(engine.get, key(i)) for engine in engines]
+            assert outcomes[0] == outcomes[1], step
+            if step % 50 == 0:
+                for engine in engines:
+                    engine.commit()
+            assert not any(pid in holder.pool for pid in held_ids(holder))
+            assert holder.fault_stats == twin.fault_stats
+            assert holder.device.stats == twin.device.stats
+            assert holder.device.injected == twin.device.injected
+            assert holder.pager.stats == twin.pager.stats
+            assert holder.pool.stats == twin.pool.stats
+        assert hits[1] > 1000
+        faults = holder.fault_stats
+        assert faults.transient_read_retries
+        if corrupting:
+            assert faults.checksum_failures and faults.reread_heals
+            assert faults.read_repairs and faults.delta_scrubs
+        for engine in engines:
+            engine.close()
+        assert holder.device.inner._stable == twin.device.inner._stable
+        assert holder.device.corrupted_lbas == twin.device.corrupted_lbas
+        reopened = [_served(_reopened, holder, DeltaShadowPager),
+                    _served(_reopened, twin, NeverHolds)]
+        if isinstance(reopened[0], str):  # recovery met a page rot destroyed
+            assert reopened[0] == reopened[1] and corrupting
+            return
+        for k, value in sorted(model.items()):
+            outcomes = [_served(engine.get, k) for engine in reopened]
+            assert outcomes[0] == outcomes[1], k
+            if not corrupting:
+                assert outcomes[0] == value, k

@@ -1,12 +1,14 @@
-"""Tests for the delta pager's reuse of a page's last verified read.
+"""Tests for the delta pager's reuse of a page's kept read.
 
-A page loaded twice through the full path with no write in between keeps
-that load's result; a later load whose device read returns exactly the kept
-bytes rebuilds the page without the CRC passes and the delta decode.  These
-tests pin that the reuse is invisible: the same page, the same pager state,
-the same device commands and fault counters as the full path, under faults
-too, and that every write to the page's region sends the next load back
-through the full path.
+A full-path load that writes nothing keeps its result, and a flip or a
+delta flush keeps what it wrote; a later load whose device read returns
+exactly the kept bytes rebuilds the page without the CRC passes and the
+delta decode.  These tests pin that the reuse is invisible: the same page,
+the same pager state, the same device commands and fault counters as the
+full path, under faults too; that a flip and a delta flush send the next
+load down the reuse path; and that a load which rewrote part of the region
+(a read-repair, a delta scrub) or a delta flush that would not rebuild the
+page keeps nothing, so the next load takes the full path.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.btree.page import Page
 from repro.core.delta import DeltaBlock, DeltaShadowPager
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
 from repro.csd.faults import FaultInjectingDevice, FaultPlan
+from repro.errors import ChecksumError
 
 PAGE_SIZE = 8192
 MAX_PAGES = 16
@@ -67,10 +70,10 @@ def full_path_taken(pager, page_id, decodes):
 
 
 def admitted(pager, page_id):
-    """Two full-path loads with no write in between: the second is kept."""
+    """Load twice: whatever the first load found, the second is kept."""
     pager.load(page_id)
     pager.load(page_id)
-    assert pager._verified[page_id] is not None
+    assert page_id in pager._verified
     return page_id
 
 
@@ -95,8 +98,8 @@ def test_reload_of_an_unchanged_page_is_identical_and_runs_no_crc(
         assert pager.stats.delta_flushes == 1
     assert pager._valid_slot[page.page_id] == full_flushes - 1
     page_id = page.page_id
-    pager.load(page_id)
-    reference = pager.load(page_id)  # the second full-path load is kept
+    pager._verified.clear()  # forget the flush: the next load is a full-path load
+    reference = pager.load(page_id)  # ... and is kept
     state = (set(pager._fvec[page_id]), pager._base_lsn[page_id])
     assert bool(pager._verified[page_id].segments) == with_delta
 
@@ -234,28 +237,33 @@ def _flushed(pager, lsn=1):
     return page
 
 
-def test_delta_flush_sends_the_next_load_down_the_full_path(decodes):
+def test_delta_flush_keeps_what_it_wrote_for_the_next_load(decodes):
+    pager = make_pager()
+    page = _flushed(pager)
+    admitted(pager, page.page_id)
+    rng = random.Random(1)
+    for lsn in (2, 3):  # a second delta logs the first one's segments again
+        mutate(page, rng, lsn)
+        pager.flush(page)
+        kept = pager._verified[page.page_id]
+        assert kept.segments == tuple(sorted(pager._fvec[page.page_id]))
+        assert not full_path_taken(pager, page.page_id, decodes)
+        assert pager.load(page.page_id).image() == page.image()
+    assert pager.stats.delta_flushes == 2
+    assert make_pager(pager.device).load(page.page_id).image() == page.image()
+
+
+def test_full_flip_keeps_what_it_wrote_for_the_next_load(decodes):
     pager = make_pager()
     page = _flushed(pager)
     admitted(pager, page.page_id)
     mutate(page, random.Random(1), lsn=2)
-    pager.flush(page)
-    assert pager.stats.delta_flushes == 1
-    assert page.page_id not in pager._verified
-    assert full_path_taken(pager, page.page_id, decodes)
-    assert pager.load(page.page_id).image() == page.image()
-
-
-def test_full_flip_sends_the_next_load_down_the_full_path(decodes):
-    pager = make_pager()
-    page = _flushed(pager)
-    admitted(pager, page.page_id)
     page.mark_all_dirty()
-    page.lsn = 2
     pager.flush(page)
     assert pager.stats.full_flushes == 2
-    assert page.page_id not in pager._verified
-    assert full_path_taken(pager, page.page_id, decodes)
+    kept = pager._verified[page.page_id]
+    assert (kept.delta, kept.segments, kept.base_lsn) == (b"", (), 2)
+    assert not full_path_taken(pager, page.page_id, decodes)
     assert pager.load(page.page_id).image() == page.image()
 
 
@@ -283,9 +291,9 @@ def test_read_repair_sends_the_next_load_down_the_full_path(decodes):
                           pager.page_blocks)
     assert pager.load(page.page_id).image() == older  # arbitration + repair
     assert pager.fault_stats.read_repairs == 1
-    assert pager._verified[page.page_id] is None
+    assert page.page_id not in pager._verified
     assert full_path_taken(pager, page.page_id, decodes)
-    assert not full_path_taken(pager, page.page_id, decodes)  # admitted again
+    assert not full_path_taken(pager, page.page_id, decodes)  # kept again
 
 
 def test_delta_scrub_sends_the_next_load_down_the_full_path(decodes):
@@ -297,18 +305,24 @@ def test_delta_scrub_sends_the_next_load_down_the_full_path(decodes):
     pager.device.write_block(pager._delta_lba(page.page_id), b"\x55" * BLOCK_SIZE)
     assert full_path_taken(pager, page.page_id, decodes)
     assert pager.fault_stats.delta_scrubs == 1
-    assert pager._verified[page.page_id] is None
+    assert page.page_id not in pager._verified
     assert full_path_taken(pager, page.page_id, decodes)
     assert pager.load(page.page_id).image() == page.image()
 
 
-def test_pages_written_between_loads_are_never_copied():
+def test_a_byte_changed_without_mark_dirty_sends_the_next_load_down_the_full_path(
+    decodes,
+):
     pager = make_pager()
     page = _flushed(pager)
-    rng = random.Random(3)
-    for lsn in range(2, 12):
+    admitted(pager, page.page_id)
+    mutate(page, random.Random(3), lsn=2)
+    page.buf[PAGE_SIZE - 200] ^= 0x01  # outside every logged segment
+    assert (PAGE_SIZE - 200) // 128 not in page.dirty_segments(128)
+    pager.flush(page)
+    assert pager.stats.delta_flushes == 1
+    assert page.page_id not in pager._verified
+    before = len(decodes)
+    with pytest.raises(ChecksumError):  # base + delta lacks the changed byte
         pager.load(page.page_id)
-        assert pager._verified[page.page_id] is None
-        mutate(page, rng, lsn)
-        pager.flush(page)
-        assert page.page_id not in pager._verified
+    assert len(decodes) > before
