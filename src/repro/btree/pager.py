@@ -43,6 +43,7 @@ from typing import Iterator, Optional
 from repro.btree.page import Page
 from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.faults import (
+    RETRY_ATTEMPTS,
     read_block_retrying,
     read_blocks_retrying,
     trim_retrying,
@@ -230,11 +231,15 @@ class Pager(ABC):
         ``offset`` of the read; return the page and a view of the read.
         ``first`` is that read when the caller has already issued it.
 
-        A failed verification counts a checksum failure and re-reads once:
-        a clean re-read (transient bus corruption) counts a heal.  If the
-        re-read fails too (latent media corruption) the page is ``None`` and
-        the caller picks its fallback.  Only verification failures are
-        caught — any other error is a bug, not rot, and propagates.
+        A failed verification counts a checksum failure and re-reads: a
+        clean re-read (transient bus corruption) counts a heal.  Transit
+        garbles each read afresh, so the re-reads go on while each returns
+        other bytes than the read before it, up to
+        :data:`~repro.csd.faults.RETRY_ATTEMPTS`.  If the image reads the
+        same bytes twice (latent media corruption, a torn or misdirected
+        write) or fails every re-read, the page is ``None`` and the caller
+        picks its fallback.  Only verification failures are caught — any
+        other error is a bug, not rot, and propagates.
         """
         end = offset + self.page_size
         raw = memoryview(first if first is not None else self._read_blocks(lba, count))
@@ -242,13 +247,17 @@ class Pager(ABC):
             return Page.from_bytes(raw[offset:end]), raw
         except (ChecksumError, PageFormatError):
             self.fault_stats.checksum_failures += 1
-        raw = memoryview(self._read_blocks(lba, count))
-        try:
-            page = Page.from_bytes(raw[offset:end])
-        except (ChecksumError, PageFormatError):
-            return None, raw
-        self.fault_stats.reread_heals += 1
-        return page, raw
+        for _ in range(RETRY_ATTEMPTS):
+            previous, raw = raw, memoryview(self._read_blocks(lba, count))
+            try:
+                page = Page.from_bytes(raw[offset:end])
+            except (ChecksumError, PageFormatError):
+                if raw[offset:end] == previous[offset:end]:
+                    break  # the same bytes again: what fails is on the media
+                continue
+            self.fault_stats.reread_heals += 1
+            return page, raw
+        return None, raw
 
     def _finalize(self, page: Page) -> bytes:
         page.finalize()
@@ -571,29 +580,46 @@ class DeterministicShadowPager(Pager):
         """Read the page's whole region in one request and pick the valid,
         newest slot image; returns the page, its slot and the region read.
 
-        A slot that reads nonzero but does not verify as this page is read
-        once more, as :meth:`_verified_load` re-reads (``failed`` names a
-        slot that has already failed two reads: the known slot a fallback
-        comes from).  The region is read again and each slot verified in
-        either read is a candidate.  A slot that failed only one read was
-        garbled in transit (a checksum failure and a heal).  One that fails
-        both (a torn write, latent rot or a misdirected write) is
-        *read-repaired*: the surviving image is rewritten over it, healing
-        the media in place.  Both slots then hold the served image, which
-        the ping-pong flush protocol tolerates (the next flush overwrites
-        one).
+        While a slot reads nonzero but does not verify as this page, the
+        region is read again, as :meth:`_verified_load` re-reads (``failed``
+        names a slot whose verified load already failed that way: the known
+        slot a fallback comes from), and each slot verified in any read is a
+        candidate.  A slot that verifies in a re-read was garbled in transit
+        (a checksum failure and a heal), and so was one that reads trimmed
+        in a re-read, which drops out.  Transit garbles each read afresh, so
+        the re-reads stop once a read returns the bytes of the one before
+        it, or after :data:`~repro.csd.faults.RETRY_ATTEMPTS`.  A slot that
+        fails every read (a torn write, latent rot or a misdirected write)
+        is *read-repaired*: the surviving image is rewritten over it,
+        healing the media in place.  Both slots then hold the served image,
+        which the ping-pong flush protocol tolerates (the next flush
+        overwrites one).  The repair may roll the page back to the older
+        sibling, so it must not meet a good slot that transit garbled twice
+        in a row.
         """
         base = self._page_base(page_id)
-        region = self._read_blocks(base, self._page_region_blocks())
+        count = self._page_region_blocks()
+        region = self._read_blocks(base, count)
         images = self._slot_images(page_id, region)
-        if any(page is None and slot != failed for slot, page in images.items()):
-            region = self._read_blocks(base, self._page_region_blocks())
-            for slot, page in self._slot_images(page_id, region).items():
-                first = images.get(slot)
-                if (first is None) != (page is None):  # failed one read of two
-                    images[slot] = first if first is not None else page
-                    self.fault_stats.checksum_failures += 1
-                    self.fault_stats.reread_heals += 1
+        for _ in range(RETRY_ATTEMPTS):
+            if all(page is not None or slot == failed for slot, page in images.items()):
+                break
+            previous, region = region, self._read_blocks(base, count)
+            if region == previous:
+                break  # the same bytes again: what fails is on the media
+            again = self._slot_images(page_id, region)
+            for slot, first in list(images.items()):
+                page = again.get(slot)
+                verified = page is not None or slot not in again  # or trimmed
+                if (first is None) != verified:
+                    continue  # the two reads agree
+                if first is None:  # garbled before: a trimmed slot drops out
+                    if page is None:
+                        del images[slot]
+                    else:
+                        images[slot] = page
+                self.fault_stats.checksum_failures += 1
+                self.fault_stats.reread_heals += 1
         candidates = [(slot, page) for slot, page in images.items() if page is not None]
         if not candidates:
             raise RecoveryError(f"page {page_id}: neither slot holds a valid image")

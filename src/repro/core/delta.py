@@ -40,6 +40,7 @@ from repro.btree.page import DIRTY_GRAIN, Page
 from repro.btree.pager import DeterministicShadowPager
 from repro.csd.arena import ScratchArena
 from repro.csd.device import BLOCK_SIZE
+from repro.csd.faults import RETRY_ATTEMPTS
 from repro.errors import ConfigError
 
 DELTA_MAGIC = b"DLT1"
@@ -426,23 +427,31 @@ class DeltaShadowPager(DeterministicShadowPager):
         returns the block (``None`` for a trimmed one) and the bytes it was
         decoded from.
 
-        A nonzero block that is not this page's is read once more, as
+        A nonzero block that is not this page's is read again, as
         :meth:`_verified_load` re-reads a base image: a clean re-read
         (transient bus corruption) counts a checksum failure and a heal, and
-        the flushed updates it carries are applied.  A block that fails
-        again is latent corruption or a misdirected write: the load falls
-        back to the full base image (any lost updates are the redo log's to
-        replay) and scrubs the block so the rot does not linger.
+        the flushed updates it carries are applied.  Transit garbles each
+        read afresh, so the re-reads go on while each returns other bytes
+        than the read before it, up to
+        :data:`~repro.csd.faults.RETRY_ATTEMPTS`.  A block that reads the
+        same bytes twice (or fails every re-read) is latent corruption or a
+        misdirected write: the load falls back to the full base image (any
+        lost updates are the redo log's to replay) and scrubs the block so
+        the rot does not linger.  The scrub TRIMs the block, so it must not
+        meet a good block that transit garbled twice in a row.
         """
         delta = _own_delta(raw, page_id, self.page_size)
         if delta is not None or _ZERO_BLOCK.startswith(raw):
             return delta, raw
-        raw = memoryview(self._read_block(self._delta_lba(page_id)))
-        delta = _own_delta(raw, page_id, self.page_size)
-        if delta is not None or _ZERO_BLOCK.startswith(raw):
-            self.fault_stats.checksum_failures += 1
-            self.fault_stats.reread_heals += 1
-            return delta, raw
+        for _ in range(RETRY_ATTEMPTS):
+            previous, raw = raw, memoryview(self._read_block(self._delta_lba(page_id)))
+            delta = _own_delta(raw, page_id, self.page_size)
+            if delta is not None or _ZERO_BLOCK.startswith(raw):
+                self.fault_stats.checksum_failures += 1
+                self.fault_stats.reread_heals += 1
+                return delta, raw
+            if raw == previous:
+                break  # the same bytes again: what fails is on the media
         self.fault_stats.delta_fallbacks += 1
         # Not a shadow flip: this trims a *corrupt* delta after the read
         # fell back to the base image — it publishes nothing (the base

@@ -35,10 +35,10 @@ from repro.btree.wal import LogOp, LogRecord, RedoLog, check_log_config
 from repro.csd.device import BlockDevice
 from repro.errors import ConfigError, KeyNotFoundError, LsmError
 from repro.lsm.bloom import probe_sequence
-from repro.lsm.compaction import merge_newest_first, write_merged
+from repro.lsm.compaction import merge_newest_first, merge_runs, sorted_runs, write_tables
 from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter
+from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter, encode_record
 from repro.lsm.strategy import STRATEGIES, get_strategy
 from repro.lsm.version import VersionSet
 from repro.lsm.vlog import VREF_SIZE, ValueLog, ValueRef
@@ -572,10 +572,10 @@ class LSMEngine:
         """Write one memtable as a level-0 table — the flush both
         :meth:`flush_memtable` and :meth:`flush_frozen` run, in their spans."""
         self.wal.flush()  # everything in the table must be durable
-        writer = self._make_writer()
-        for key, value in table.items():
-            writer.add(key, value)
-        meta, logical, physical = writer.finish()
+        keys, values = table.sorted_items()
+        meta, logical, physical = self._make_writer().write(
+            keys, list(map(encode_record, keys, values))
+        )
         self.flush_logical += logical
         self.flush_physical += physical
         reader = SSTableReader.open(self.device, meta.start_block, meta.num_blocks)
@@ -613,11 +613,9 @@ class LSMEngine:
                 id(r) in chosen
                 for r in self.versions.overlapping(job.output_level, out_min, out_max)
             )
-        stream = merge_newest_first(
-            [r.iter_encoded() for r in inputs], drop_tombstones=bottom
-        )
-        metas, logical, physical = write_merged(
-            stream, self._make_writer, self.config.table_target_bytes,
+        metas, logical, physical = write_tables(
+            merge_runs(sorted_runs(inputs), drop_tombstones=bottom),
+            self._make_writer, self.config.table_target_bytes,
         )
         self.compact_logical += logical
         self.compact_physical += physical

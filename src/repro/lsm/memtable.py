@@ -64,6 +64,12 @@ class MemTable:
         """All entries in key order, tombstones included."""
         return self.items_from(b"")
 
+    def sorted_items(self) -> tuple[list[bytes], list[Optional[bytes]]]:
+        """Every key in order and its value, as two parallel lists
+        (tombstones included): what a flush writes."""
+        keys = list(self._keys)
+        return keys, list(map(self._values.__getitem__, keys))
+
     def items_from(self, start_key: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """Entries with key >= ``start_key`` in key order: the keys as of
         the call, each value as of the step that reaches it."""

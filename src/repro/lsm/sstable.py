@@ -22,7 +22,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
+from operator import lt
 from typing import Iterable, Iterator, Optional
 
 from repro.csd.device import BLOCK_SIZE, BlockDevice
@@ -40,6 +41,7 @@ FLAG_TOMBSTONE = 2
 FLAG_VPTR = 3  # value bytes are a 16-byte ValueRef into the value log
 _HEADER_SIZE = _REC_HDR.size
 _LAST_HEADER = BLOCK_SIZE - _HEADER_SIZE  # last offset a header fits at
+_ZEROS = memoryview(bytes(BLOCK_SIZE))  # block padding, sliced without a copy
 
 #: A decoded data block: ``(the bytes it was decoded from, its keys, the
 #: offset of each record plus the end of the last one as array('H'), its
@@ -127,12 +129,49 @@ def encode_record(key: bytes, value: Optional[bytes]) -> bytes:
     return _REC_HDR.pack(flag, len(key), len(body)) + key + body
 
 
-class SSTableWriter:
-    """Builds one table from a sorted record stream, then writes it at once.
+def pack_table(
+    ends: list[int], start: int = 0, target: Optional[int] = None
+) -> tuple[list[int], Optional[int]]:
+    """The greedy packing of one table from record ``start`` on.
 
-    Tables are buffered in memory and written with a single multi-block
-    request when finished — the write volume accounting is identical to
-    streaming writes and the code is much simpler.
+    ``ends[i]`` is the byte size of every record before ``i`` (so
+    ``ends[0] == 0`` and the list holds one more entry than there are
+    records).  A data block takes records while they fit in 4KB; the next
+    record opens a new block.  The table closes after the first record at
+    which its estimated size (4KB per sealed block plus the open block's
+    fill) reaches ``target``.  Returns the index of each data block's first
+    record and the index the table closes at, ``None`` when it takes every
+    record without reaching ``target`` (or ``target`` is ``None``).  One
+    bisect finds each block's end and one its close, so the cost is per
+    block, not per record.
+    """
+    stop = len(ends) - 1
+    starts = []
+    sealed = 0  # bytes of this table's full blocks, padding included
+    first = start
+    while first < stop:
+        base = ends[first]
+        end = bisect_right(ends, base + BLOCK_SIZE, first + 1) - 1
+        if end == first:
+            raise LsmError("record exceeds the 4KB data block size")
+        starts.append(first)
+        if target is not None:
+            close = bisect_left(ends, target - sealed + base, first + 1, end + 1)
+            if close <= end:
+                return starts, close
+        sealed += BLOCK_SIZE
+        first = end
+    return starts, None
+
+
+class SSTableWriter:
+    """Writes one table from key-sorted records in wire form, with a single
+    multi-block request.
+
+    :meth:`write` is the one write path: a memtable flush hands it every
+    record of the memtable, a compaction each output table's share of the
+    merged records (:func:`~repro.lsm.compaction.write_tables` cuts them
+    with :func:`pack_table`).
     """
 
     def __init__(
@@ -146,53 +185,15 @@ class SSTableWriter:
         self.allocator = allocator
         self.table_id = table_id
         self.bits_per_key = bits_per_key
-        self._blocks: list[bytes] = []
-        self._records: list[bytes] = []  # encoded records of the open block
-        self._fill = 0  # bytes those records occupy
-        self._index: list[bytes] = []  # first key of each data block
-        self._keys: list[bytes] = []  # every key, in order (bloom input)
-        #: Bytes buffered so far (used to cap output table size).
-        self.estimated_bytes = 0
 
-    def add(self, key: bytes, value: Optional[bytes]) -> None:
-        """Append a record; keys must arrive in strictly increasing order."""
-        self.add_encoded(key, encode_record(key, value))
+    def write(
+        self, keys: list[bytes], records: list[bytes]
+    ) -> tuple[SSTableMeta, int, int]:
+        """Write ``keys`` (strictly increasing) and their wire-form
+        ``records`` as this writer's table; returns ``(meta, logical_bytes,
+        physical_bytes)``.
 
-    def add_encoded(self, key: bytes, encoded: Optional[bytes]) -> None:
-        """The one append path: ``encoded`` is ``key``'s record already in
-        wire form (what :meth:`SSTableReader.iter_encoded` yields — a
-        compaction moves the bytes it read), ``None`` for a tombstone."""
-        if self._keys and key <= self._keys[-1]:
-            raise LsmError("SSTable records must be added in increasing key order")
-        if encoded is None:
-            encoded = encode_record(key, None)
-        size = len(encoded)
-        if size > BLOCK_SIZE:
-            raise LsmError("record exceeds the 4KB data block size")
-        if self._fill + size > BLOCK_SIZE:
-            self._seal_data_block()
-        if not self._fill:
-            self._index.append(key)
-        self._records.append(encoded)
-        self._fill += size
-        self.estimated_bytes += size
-        self._keys.append(key)
-
-    def _seal_data_block(self) -> None:
-        pad = BLOCK_SIZE - self._fill
-        self._records.append(bytes(pad))
-        self._blocks.append(b"".join(self._records))
-        self._records = []
-        self._fill = 0
-        self.estimated_bytes += pad
-
-    @property
-    def count(self) -> int:
-        return len(self._keys)
-
-    def finish(self) -> tuple[SSTableMeta, int, int]:
-        """Write the table; returns ``(meta, logical_bytes, physical_bytes)``.
-
+        Data blocks are packed greedily (:func:`pack_table`) and zero-padded.
         Index and bloom form one meta blob; when it fits into the footer
         block's slack it is embedded there, so small tables pay a single
         metadata block — important at the reproduction's scaled-down table
@@ -200,49 +201,57 @@ class SSTableWriter:
         amplification out of thin air.  The bloom is sized here, from this
         table's own key count.
         """
-        if not self._keys:
+        if not keys:
             raise LsmError("cannot finish an empty SSTable")
-        if self._fill:
-            self._seal_data_block()
-        bloom = BloomFilter(len(self._keys), self.bits_per_key)
-        bloom.add_all(self._keys)
-        min_key, max_key = self._keys[0], self._keys[-1]
-        n_data = len(self._blocks)
-        meta_blob = _with_len(self._encode_index()) + _with_len(bloom.to_bytes())
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise LsmError("SSTable keys must be strictly increasing")
+        ends = [0, *accumulate(map(len, records))]
+        starts, _ = pack_table(ends)
+        parts: list = []
+        for first, end in zip(starts, starts[1:] + [len(records)]):
+            parts += records[first:end]
+            parts.append(_ZEROS[: BLOCK_SIZE - ends[end] + ends[first]])
+        bloom = BloomFilter(len(keys), self.bits_per_key)
+        bloom.add_all(keys)
+        min_key, max_key = keys[0], keys[-1]
+        n_data = len(starts)
+        index = [keys[first] for first in starts]
+        meta_blob = _with_len(_encode_index(index)) + _with_len(bloom.to_bytes())
         footer = bytearray(BLOCK_SIZE)
         tail = bytearray()
         for key in (min_key, max_key):
             tail += struct.pack("<H", len(key)) + key
         fixed_end = _FOOTER.size + len(tail)
         embedded = fixed_end + len(meta_blob) <= BLOCK_SIZE - 4
-        meta_blocks: list[bytes] = []
+        n_meta = 0
         if not embedded:
             for i in range(0, len(meta_blob), BLOCK_SIZE):
                 chunk = meta_blob[i : i + BLOCK_SIZE]
-                meta_blocks.append(chunk + bytes(BLOCK_SIZE - len(chunk)))
+                parts += (chunk, _ZEROS[: BLOCK_SIZE - len(chunk)])
+                n_meta += 1
         _FOOTER.pack_into(
             footer, 0, _FOOTER_MAGIC, self.table_id,
-            n_data, len(meta_blocks), 1 if embedded else 0, len(self._keys),
+            n_data, n_meta, 1 if embedded else 0, len(keys),
         )
         footer[_FOOTER.size : fixed_end] = tail
         if embedded:
             footer[fixed_end : fixed_end + len(meta_blob)] = meta_blob
         struct.pack_into("<I", footer, len(footer) - 4, zlib.crc32(bytes(footer[:-4])))
-        all_blocks = self._blocks + meta_blocks + [bytes(footer)]
-        start = self.allocator.allocate(len(all_blocks))
-        physical = self.device.write_blocks(start, b"".join(all_blocks))
-        logical = len(all_blocks) * BLOCK_SIZE
-        meta = SSTableMeta(
-            self.table_id, start, len(all_blocks), len(self._keys), min_key, max_key,
-        )
+        parts.append(footer)
+        num_blocks = n_data + n_meta + 1
+        start = self.allocator.allocate(num_blocks)
+        physical = self.device.write_blocks(start, b"".join(parts))
+        logical = num_blocks * BLOCK_SIZE
+        meta = SSTableMeta(self.table_id, start, num_blocks, len(keys), min_key, max_key)
         return meta, logical, physical
 
-    def _encode_index(self) -> bytes:
-        parts = [struct.pack("<I", len(self._index))]
-        for key in self._index:
-            parts.append(struct.pack("<H", len(key)))
-            parts.append(key)
-        return b"".join(parts)
+
+def _encode_index(index: list[bytes]) -> bytes:
+    parts = [struct.pack("<I", len(index))]
+    for key in index:
+        parts.append(struct.pack("<H", len(key)))
+        parts.append(key)
+    return b"".join(parts)
 
 
 def _bad_record(meta: SSTableMeta, block_index: int, offset: int) -> LsmError:
@@ -415,9 +424,13 @@ class SSTableReader:
         view = views[block_index] = self._decode_block(block_index, raw)
         return view
 
-    def _decode_block(self, block_index: int, raw: bytes) -> _BlockView:
+    def _decode_block(
+        self, block_index: int, raw: bytes, records: Optional[list] = None
+    ) -> _BlockView:
         """Every record header of ``raw`` under the walk's checks, as a view
-        whose values are not sliced yet."""
+        whose values are not sliced yet.  Given a ``records`` list, it also
+        appends each record's wire form to it (``None`` for a tombstone), in
+        the same pass: what :meth:`wire_records` collects."""
         unpack_header = _REC_HDR.unpack_from
         keys = []
         offsets = array("H")
@@ -433,6 +446,8 @@ class SSTableReader:
                 raise _bad_record(self.meta, block_index, offset)
             keys.append(raw[key_at:value_at])
             offsets.append(offset)
+            if records is not None:
+                records.append(None if flag == FLAG_TOMBSTONE else raw[offset:end])
             offset = end
         offsets.append(offset)
         return raw, keys, offsets, None
@@ -449,15 +464,12 @@ class SSTableReader:
         return values
 
     def _walk(
-        self, block_index: int, raw: bytes, start_key: bytes = b"", encoded: bool = False
+        self, block_index: int, raw: bytes, start_key: bytes = b""
     ) -> Iterator[tuple[bytes, Optional[bytes]]]:
         """The header walk over one block: its records with key >=
         ``start_key``, each decoded when the consumer asks for it.  Records
         below ``start_key`` are stepped over by their headers, and a damaged
-        header raises when the walk reaches it.  With ``encoded`` a record's
-        value is its wire form (the slice of the block), which
-        :meth:`SSTableWriter.add_encoded` takes back as is.  Tombstones are
-        ``None`` either way."""
+        header raises when the walk reaches it."""
         unpack_header = _REC_HDR.unpack_from
         offset = 0
         while offset <= _LAST_HEADER:
@@ -473,8 +485,6 @@ class SSTableReader:
             if key >= start_key:
                 if flag == FLAG_TOMBSTONE:
                     yield key, None
-                elif encoded:
-                    yield key, raw[offset:end]
                 elif flag == FLAG_VALUE:
                     yield key, raw[value_at:end]
                 else:
@@ -482,7 +492,7 @@ class SSTableReader:
             offset = end
 
     def _blocks(
-        self, first_block: int, start_key: bytes = b"", encoded: bool = False
+        self, first_block: int, start_key: bytes = b""
     ) -> Iterator[Iterable[tuple[bytes, Optional[bytes]]]]:
         """The cursor behind every iterator, one entered block at a time:
         for each data block from ``first_block`` on, its records with key
@@ -495,15 +505,14 @@ class SSTableReader:
         block whole decoded twice what was consumed.  A block entered again
         is its view's keys zipped with its values (:meth:`_values`), which
         the consumer steps through without a Python frame per record — from
-        the bisected start key in the first block.  ``encoded`` is a
-        compaction's single pass, so it neither keeps nor uses views."""
+        the bisected start key in the first block."""
         read_block = self.device.read_block
         start_block = self.meta.start_block
         for block_index in range(first_block, self._n_data):
             raw = read_block(start_block + block_index)
-            view = None if encoded else self._view(block_index, raw)
+            view = self._view(block_index, raw)
             if view is None:
-                yield self._walk(block_index, raw, start_key, encoded)
+                yield self._walk(block_index, raw, start_key)
                 continue
             keys = view[1]
             values = self._values(block_index, view)
@@ -523,11 +532,22 @@ class SSTableReader:
         """Every record, in order."""
         return chain.from_iterable(self._blocks(0))
 
-    def iter_encoded(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """Every record as ``(key, wire-form record)``, ``None`` for a
-        tombstone: what a compaction merges and hands to
-        :meth:`SSTableWriter.add_encoded`."""
-        return chain.from_iterable(self._blocks(0, encoded=True))
+    def wire_records(self) -> tuple[list[bytes], list[Optional[bytes]]]:
+        """Every record as parallel lists: the keys, and each record's wire
+        form (the slice of its block), ``None`` for a tombstone.  What a
+        compaction merges and :meth:`SSTableWriter.write` takes back as is.
+
+        One read per data block, each decoded by :meth:`_decode_block`
+        (every header under the walk's checks); a compaction reads the
+        table once, so it neither keeps nor uses views."""
+        keys: list[bytes] = []
+        records: list[Optional[bytes]] = []
+        read_block = self.device.read_block
+        start_block = self.meta.start_block
+        for block_index in range(self._n_data):
+            raw = read_block(start_block + block_index)
+            keys += self._decode_block(block_index, raw, records)[1]
+        return keys, records
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSTableReader(id={self.meta.table_id}, records={self.meta.n_records})"

@@ -467,34 +467,3 @@ class StorageService:
             fairness=fairness_spread(sessions),
             per_session_completed=[s.stats.completed for s in sessions],
         )
-
-
-def replay_schedule(engine, clock: SimClock, schedule: List[tuple]) -> None:
-    """Replay a recorded service schedule through a single sequential caller.
-
-    Batches are applied op by op: how a put stream is cut into calls
-    changes no device byte (``tests/test_differential.py`` holds a batch
-    against batches of one), so a service run and this replay must leave
-    identical device bytes on a fault-free run.  Used by the differential
-    suite.
-    """
-    for event in schedule:
-        tag = event[0]
-        if tag == "put_batch":
-            for key, value in event[1]:
-                engine.put(key, value)
-        elif tag == "get_batch":
-            for key in event[1]:
-                engine.get(key)
-        elif tag == "scan":
-            engine.scan(event[1], event[2])
-        elif tag == "commit":
-            engine.commit()
-        elif tag == "tick":
-            engine.tick()
-        elif tag == "advance":
-            clock.advance(event[1])
-        elif tag == "advance_to":
-            clock.advance_to(event[1])
-        else:
-            raise ServiceError(f"unknown schedule event {tag!r}")

@@ -24,11 +24,6 @@ def encode_key(index: int) -> bytes:
     return index.to_bytes(KEY_SIZE, "big")
 
 
-def decode_key(key: bytes) -> int:
-    """Inverse of :func:`encode_key`."""
-    return int.from_bytes(key, "big")
-
-
 @lru_cache(maxsize=None)
 def value_layout(record_size: int) -> Tuple[int, bytes]:
     """How a value of ``record_size - KEY_SIZE`` bytes is made: the length of

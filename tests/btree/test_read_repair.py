@@ -140,6 +140,31 @@ def test_arbitration_rereads_a_slot_corrupted_in_transit_instead_of_repairing_it
     assert again.load(page.page_id).lsn == 2
 
 
+def test_arbitration_rereads_a_slot_garbled_twice_in_transit():
+    """Transit garbles each read afresh, so two failed reads of a slot that
+    differ are not rot: on the restart path the region read and its first
+    re-read both garble the newest slot (plan seed 7 puts both corruptions
+    on it), the second re-read is clean, and the newest image is served
+    with nothing repaired — not rolled back to the older sibling."""
+    rng = random.Random(1)
+    setup = faulty_device(FaultPlan(dropped_trim_rate=1.0))
+    pager = DeterministicShadowPager(setup, PAGE_SIZE, 16, 1)
+    page = seeded_page(pager, b"payload" * 20)
+    page.lsn = 1
+    pager.flush(page)
+    mutate(page, rng)
+    page.lsn = 2
+    pager.flush(page)  # sibling TRIM dropped: the lsn-1 image survives
+    device = FaultInjectingDevice(setup.inner, FaultPlan(
+        seed=7, scripted=(ScriptedFault(0, "read-corruption", repeat=2),)))
+    fresh = DeterministicShadowPager(device, PAGE_SIZE, 16, 1)
+    assert fresh.load(page.page_id).image() == page.image()
+    assert device.injected.read_corruptions == 2
+    assert device.stats.read_ios == 3
+    faults = fresh.fault_stats
+    assert (faults.checksum_failures, faults.reread_heals, faults.read_repairs) == (1, 1, 0)
+
+
 def test_arbitration_repairs_a_slot_that_fails_both_reads():
     """Latent rot fails the re-read too: the sibling is served and the
     rotten slot rewritten, counted once."""

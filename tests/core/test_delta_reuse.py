@@ -184,7 +184,8 @@ def test_reuse_is_invisible_under_read_faults(decodes, seed):
     """A pager that reuses verified reads and a twin whose kept entries are
     emptied before every load serve the same bytes and leave the same fault
     and device counters, under seeded read corruption, transient read errors,
-    dropped TRIMs and latent corruption installed between loads."""
+    dropped TRIMs and latent corruption installed between loads, then on a
+    scripted rot that both must read-repair from the older sibling."""
     pagers = (_twin(seed), _twin(seed))
     reuser, twin = pagers
     truth = {}
@@ -221,6 +222,28 @@ def test_reuse_is_invisible_under_read_faults(decodes, seed):
         assert reuser.device.stats == twin.device.stats
         assert reuser.device.injected == twin.device.injected
         assert reuser.stats == twin.stats
+    # Rot on a page's valid slot over the older image a dropped TRIM left in
+    # its sibling: both twins serve the sibling and read-repair the slot.
+    # (Transit garbling alone never gets that far: a slot is taken for rot
+    # only once a re-read returns the same bytes.)
+    for pager in pagers:
+        page = truth[pager][0]
+        page.lsn = 10_000
+        page.mark_all_dirty()
+        pager.flush(page)
+        older, slot = page.image(), pager._valid_slot[page.page_id]
+        mutate(page, random.Random(0), lsn=10_001)
+        page.mark_all_dirty()
+        pager.flush(page)
+        pager.device.write_blocks(pager._slot_lba(page.page_id, slot), older)
+        pager.device.corrupt_stable(pager._slot_lba(page.page_id, 1 - slot))
+    twin._verified.clear()
+    repairs = reuser.fault_stats.read_repairs
+    served = _outcome(reuser, 0)
+    assert served == older and _outcome(twin, 0) == served
+    assert reuser.fault_stats.read_repairs == repairs + 1
+    assert reuser.fault_stats == twin.fault_stats
+    assert reuser.device.stats == twin.device.stats
     assert reuses > 50
     faults = reuser.fault_stats
     assert faults.checksum_failures and faults.reread_heals and faults.read_repairs

@@ -146,6 +146,30 @@ def test_add_all_sets_the_same_bits_as_sequential_add(key_list, oversize):
     assert all(bulk.may_contain(k) for k in key_list)
 
 
+@pytest.mark.parametrize(
+    "bits_per_key,num_probes", [(10.0, 7), (1.0, 1), (4.0, 3), (16.0, 11), (60.0, 30)]
+)
+@pytest.mark.parametrize("num_keys", [7, 1500])
+def test_bits_are_the_probe_sequence_positions(bits_per_key, num_probes, num_keys):
+    """``add_all`` (and ``add``, which goes through it) sets exactly bit
+    ``(h1 + i * h2) % num_bits`` for ``i < num_probes`` of each key's
+    :func:`probe_sequence` pair ``(h1, h2)``, and nothing else, whether the
+    probe loop runs as a loop or (at 7 probes) written out.  A 7-key filter
+    has so few bits that most probe sequences wrap around it."""
+    key_list = [random.Random(num_keys).randbytes(1 + i % 23) for i in range(num_keys)]
+    reference = bytearray(BloomFilter(num_keys, bits_per_key)._bitmap)
+    bulk, single = BloomFilter(num_keys, bits_per_key), BloomFilter(num_keys, bits_per_key)
+    assert bulk.num_probes == num_probes
+    for k in key_list:
+        h1, h2 = probe_sequence(k)
+        for i in range(num_probes):
+            reference[(h1 + i * h2) % bulk.num_bits] = 1
+        single.add(k)
+    bulk.add_all(key_list)
+    assert bulk._bitmap == reference
+    assert single._bitmap == reference
+
+
 @pytest.mark.parametrize("key_list", _KEY_LISTS + [pytest.param([], id="empty")])
 @pytest.mark.parametrize("bits_per_key", [10.0, 60.0])
 @pytest.mark.parametrize("preset", [False, True], ids=["blank", "preset"])

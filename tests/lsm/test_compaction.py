@@ -8,8 +8,9 @@ table id to prove it.
 import pytest
 
 from repro.csd.device import CompressedBlockDevice
-from repro.lsm.compaction import merge_newest_first, write_merged
+from repro.lsm.compaction import merge_newest_first, merge_runs, sorted_runs, write_tables
 from repro.lsm.sstable import ExtentAllocator, SSTableReader, SSTableWriter
+from tests.lsm import write_table
 
 
 def key(i: int) -> bytes:
@@ -24,10 +25,7 @@ def rig():
 
 def build(rig, records, table_id):
     device, allocator = rig
-    writer = SSTableWriter(device, allocator, table_id)
-    for k, v in records:
-        writer.add(k, v)
-    meta, _, _ = writer.finish()
+    meta, _, _ = write_table(SSTableWriter(device, allocator, table_id), records)
     return SSTableReader.open(device, meta.start_block, meta.num_blocks)
 
 
@@ -74,7 +72,7 @@ def test_merge_tombstone_of_absent_key_dropped_at_bottom(rig):
     assert list(merge_tables([deleter], drop_tombstones=True)) == []
 
 
-def test_write_merged_splits_by_target_size(rig):
+def test_write_tables_splits_by_target_size(rig):
     device, allocator = rig
     counter = iter(range(100, 200))
 
@@ -82,13 +80,12 @@ def test_write_merged_splits_by_target_size(rig):
         table_id = next(counter)
         return SSTableWriter(device, allocator, table_id)
 
-    # Compaction inputs stream encoded records (tombstones as None) through
-    # the same merge; the outputs decode to what went in.
+    # Compaction inputs are decoded into wire records (tombstones as None)
+    # and merged a round at a time; the outputs decode to what went in.
     records = [(key(i), None if i % 50 == 7 else bytes(200)) for i in range(500)]
     big = build(rig, records, 1)
-    metas, logical, physical = write_merged(
-        merge_newest_first([big.iter_encoded()]), make_writer,
-        table_target_bytes=16 << 10,
+    metas, logical, physical = write_tables(
+        merge_runs(sorted_runs([big])), make_writer, table_target_bytes=16 << 10,
     )
     assert len(metas) > 3  # split into several output tables
     assert sum(m.n_records for m in metas) == 500
@@ -100,9 +97,7 @@ def test_write_merged_splits_by_target_size(rig):
     assert logical >= physical > 0
 
 
-def test_write_merged_empty_stream(rig):
-    device, allocator = rig
-    metas, logical, physical = write_merged(
-        iter([]), lambda: None, table_target_bytes=1 << 20)
+def test_write_tables_of_no_rounds_writes_nothing(rig):
+    metas, logical, physical = write_tables(iter([]), lambda: None, table_target_bytes=1 << 20)
     assert metas == []
     assert logical == physical == 0

@@ -16,6 +16,7 @@ from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.lsm.sstable import SSTableReader
 from repro.lsm.version import CompactionJob
 from repro.metrics.counters import compute_wa
+from tests.lsm import write_table
 
 
 def key(i: int) -> bytes:
@@ -438,10 +439,7 @@ def test_shallower_table_wins_over_deeper_table_built_later():
     engine, device = make_engine()
 
     def install(level, records):
-        writer = engine._make_writer()
-        for k, v in records:
-            writer.add(k, v)
-        meta, _, _ = writer.finish()
+        meta, _, _ = write_table(engine._make_writer(), records)
         reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
         engine.versions.add_table(level, reader)
         return reader

@@ -20,6 +20,7 @@ from repro.lsm.sstable import (
 from repro.lsm.vlog import ValueRef
 from repro.sim.rng import DeterministicRng
 from tests.fuzz import fuzz_settings, seed_strategy
+from tests.lsm import write_table
 
 
 def key(i: int) -> bytes:
@@ -42,10 +43,7 @@ def allocator():
 
 
 def build_table(device, allocator, records, table_id=1):
-    writer = SSTableWriter(device, allocator, table_id)
-    for k, v in records:
-        writer.add(k, v)
-    meta, logical, physical = writer.finish()
+    meta, _, _ = write_table(SSTableWriter(device, allocator, table_id), records)
     return SSTableReader.open(device, meta.start_block, meta.num_blocks), meta
 
 
@@ -129,23 +127,22 @@ def test_tombstones_roundtrip(device, allocator):
 
 def test_unsorted_input_rejected(device, allocator):
     writer = SSTableWriter(device, allocator, 1)
-    writer.add(key(5), b"v")
     with pytest.raises(LsmError):
-        writer.add(key(4), b"v")
+        write_table(writer, [(key(5), b"v"), (key(4), b"v")])
     with pytest.raises(LsmError):
-        writer.add(key(5), b"v")  # duplicates forbidden too
+        write_table(writer, [(key(5), b"v"), (key(5), b"v")])  # duplicates too
 
 
 def test_empty_table_rejected(device, allocator):
     writer = SSTableWriter(device, allocator, 1)
     with pytest.raises(LsmError):
-        writer.finish()
+        writer.write([], [])
 
 
 def test_oversized_record_rejected(device, allocator):
     writer = SSTableWriter(device, allocator, 1)
     with pytest.raises(LsmError):
-        writer.add(key(1), b"x" * BLOCK_SIZE)
+        write_table(writer, [(key(1), b"x" * BLOCK_SIZE)])
 
 
 def test_iter_from_midpoint(device, allocator):
@@ -382,13 +379,13 @@ def test_corrupt_record_header_is_an_error_not_a_wrong_key(
         lambda r: list(r.iter_from(in_block)),
         lambda r: list(r.iter_from(victim)),  # stepping over headers validates them too
         lambda r: list(r.iter_all()),
-        lambda r: list(r.iter_encoded()),
+        lambda r: r.wire_records(),
     ]
     for read in reads:
         with pytest.raises(LsmError):
             read(fresh())  # first read: the header walk
         with pytest.raises(LsmError):
-            read(reader)  # a re-read: decoded whole (iter_encoded walks)
+            read(reader)  # a re-read: decoded whole (wire_records walks)
     # A first read walks only as far as its key; the second read decodes
     # the whole block, so a key before the damage raises too.
     cold = fresh()
@@ -399,6 +396,46 @@ def test_corrupt_record_header_is_an_error_not_a_wrong_key(
     for _ in range(3):
         assert reader.get(key(0)) == (True, records[0][1])
     assert viewed_blocks(reader) == [0]
+
+
+@pytest.mark.parametrize(
+    "field_offset,patch",
+    [
+        pytest.param(None, b"", id="intact"),
+        pytest.param(0, b"\x07", id="unknown-flag"),
+        pytest.param(1, struct.pack("<H", 5000), id="klen-past-block-end"),
+        pytest.param(3, struct.pack("<I", 1 << 20), id="vlen-past-block-end"),
+    ],
+)
+def test_wire_records_match_the_per_record_encoding(
+    device, allocator, field_offset, patch
+):
+    """A compaction decodes each input block whole: the keys and wire
+    records equal the per-record encoding over blocks that mix records of
+    one shape with tombstones, value-log pointers and longer values, and a
+    damaged header raises at its offset, as the walk does."""
+    records = []
+    for i in range(400):
+        value = bytes([i % 251]) * 100
+        if i % 97 == 5:
+            value = None
+        elif i % 89 == 3:
+            value = ValueRef.make(addr=4096 * i, length=100 + i)
+        elif i % 83 == 7:
+            value *= 3
+        records.append((key(i), value))
+    reader, meta = build_table(device, allocator, records)
+    expected = ([k for k, _ in records],
+                [None if v is None else encode_record(k, v) for k, v in records])
+    if field_offset is None:
+        assert reader.wire_records() == expected
+        return
+    # Data block 4 opens with at least ten records of the common shape.
+    first = int.from_bytes(reader._index[4], "big")
+    assert all(len(encode_record(*records[i])) == 115 for i in range(first, first + 10))
+    _corrupt(device, meta.start_block + 4, 9 * 115 + field_offset, patch)
+    with pytest.raises(LsmError, match=f"data block 4 .*offset {9 * 115}:"):
+        reader.wire_records()
 
 
 def fixed_records(n):
@@ -427,41 +464,40 @@ def test_table_bytes_are_pinned(device, allocator, n_records, embedded, extent_c
     format.  The pin leaves out the footer's own trailing CRC32: a CRC over
     bytes that end in their own CRC does not depend on the bytes it covers."""
     records = fixed_records(n_records)
-    writer = SSTableWriter(device, allocator, 3)
-    for k, v in records:
-        writer.add(k, v)
-    meta, _, _ = writer.finish()
+    meta, _, _ = write_table(SSTableWriter(device, allocator, 3), records)
     extent = device.read_blocks(meta.start_block, meta.num_blocks)
     _, _, _, _, footer_embedded, _ = _FOOTER.unpack_from(extent, len(extent) - BLOCK_SIZE)
     assert footer_embedded == embedded
     assert zlib.crc32(extent[:-4]) == extent_crc
     reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
     assert list(reader.iter_all()) == records
-    # A compaction moves encoded records (tombstones carried as None): the
-    # copy is the same table, byte for byte.
-    encoded = list(reader.iter_encoded())
-    assert [k for k, _ in encoded] == [k for k, _ in records]
-    assert [e is None for _, e in encoded] == [v is None for _, v in records]
-    assert all(e == encode_record(k, v) for (k, e), (_, v) in zip(encoded, records) if e)
-    copier = SSTableWriter(device, allocator, 3)
-    for k, e in encoded:
-        copier.add_encoded(k, e)
-    copy_meta, _, _ = copier.finish()
+    # A compaction moves wire records (tombstones decoded as None and
+    # re-encoded when carried): the copy is the same table, byte for byte.
+    keys, wire = reader.wire_records()
+    assert keys == [k for k, _ in records]
+    assert [e is None for e in wire] == [v is None for _, v in records]
+    assert all(e == encode_record(k, v) for e, (k, v) in zip(wire, records) if e)
+    wire = [e if e is not None else encode_record(k, None) for k, e in zip(keys, wire)]
+    copy_meta, _, _ = SSTableWriter(device, allocator, 3).write(keys, wire)
     copy = device.read_blocks(copy_meta.start_block, copy_meta.num_blocks)
     assert copy == extent
 
 
-def test_encoded_append_path_keeps_the_order_and_size_checks(device, allocator):
+def test_writer_keeps_the_order_and_size_checks(device, allocator):
+    """Keys out of order, a repeated key or a record longer than a data
+    block are refused before anything is allocated or written."""
+    blocks = device.stats.blocks_written
+    free = allocator.free_blocks
     writer = SSTableWriter(device, allocator, 1)
-    writer.add_encoded(key(5), encode_record(key(5), b"v"))
-    with pytest.raises(LsmError):
-        writer.add_encoded(key(4), encode_record(key(4), b"v"))
-    with pytest.raises(LsmError):
-        writer.add_encoded(key(5), None)  # duplicates forbidden too
-    with pytest.raises(LsmError):
-        writer.add_encoded(key(6), encode_record(key(6), b"x" * BLOCK_SIZE))
-    writer.add_encoded(key(6), None)
-    meta, _, _ = writer.finish()
+    for records in (
+        [(key(5), b"v"), (key(4), b"v"), (key(6), b"v")],
+        [(key(5), b"v"), (key(5), None)],  # duplicates forbidden too
+        [(key(8), b"v"), (key(9), b"x" * BLOCK_SIZE)],
+    ):
+        with pytest.raises(LsmError):
+            write_table(writer, records)
+        assert (device.stats.blocks_written, allocator.free_blocks) == (blocks, free)
+    meta, _, _ = write_table(writer, [(key(5), b"v"), (key(6), None)])
     reader = SSTableReader.open(device, meta.start_block, meta.num_blocks)
     assert list(reader.iter_all()) == [(key(5), b"v"), (key(6), None)]
 
@@ -551,7 +587,7 @@ def test_property_block_views_answer_like_the_walk(seed):
     third read of every block (walk, decode, view), gets and scans
     interleaved, so each meets views with and without sliced values; a
     single pass of an iterator keeps no view and a compaction's
-    ``iter_encoded`` never keeps one."""
+    ``wire_records`` never keeps one."""
     rng = random.Random(seed)
     device = CompressedBlockDevice(num_blocks=256)
     records = _random_records(rng)
@@ -582,8 +618,8 @@ def test_property_block_views_answer_like_the_walk(seed):
                 assert _typed(got) == _typed(want), k
     assert viewed_blocks(reader) == list(range(len(reader._index)))
     assert all(view[3] is not None for view in reader._views.values())
-    encoded = list(reader.iter_encoded())
-    assert [(k, e) for k, e in encoded if e] == [
+    encoded = reader.wire_records()
+    assert [(k, e) for k, e in zip(*encoded) if e] == [
         (k, encode_record(k, v)) for k, v in records if v is not None
     ]
 
@@ -596,5 +632,5 @@ def test_property_block_views_answer_like_the_walk(seed):
     assert viewed_blocks(fresh) == []
     fresh = reopen()
     for _ in range(3):
-        assert list(fresh.iter_encoded()) == encoded
+        assert fresh.wire_records() == encoded
     assert fresh._views == {}

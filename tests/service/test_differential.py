@@ -16,7 +16,6 @@ from repro.csd.device import CompressedBlockDevice
 from repro.csd.faults import FaultInjectingDevice, FaultPlan
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.service import ServiceConfig, StorageService, make_sessions
-from repro.service.server import replay_schedule
 from repro.sim.clock import SimClock
 from repro.sim.rng import DeterministicRng
 from repro.workloads.records import KeySpace
@@ -51,6 +50,36 @@ def _service_run(name, seed, n_sessions=8, ops=25):
     report = service.serve(sessions)
     device.flush()
     return device, engine, service, report
+
+
+def replay_schedule(engine, clock, schedule):
+    """Replay a recorded service schedule through a single sequential caller.
+
+    Batches are applied op by op: how a put stream is cut into calls
+    changes no device byte (``tests/test_differential.py`` holds a batch
+    against batches of one), so a service run and this replay must leave
+    identical device bytes on a fault-free run.
+    """
+    for event in schedule:
+        tag = event[0]
+        if tag == "put_batch":
+            for key, value in event[1]:
+                engine.put(key, value)
+        elif tag == "get_batch":
+            for key in event[1]:
+                engine.get(key)
+        elif tag == "scan":
+            engine.scan(event[1], event[2])
+        elif tag == "commit":
+            engine.commit()
+        elif tag == "tick":
+            engine.tick()
+        elif tag == "advance":
+            clock.advance(event[1])
+        elif tag == "advance_to":
+            clock.advance_to(event[1])
+        else:
+            raise AssertionError(f"unknown schedule event {tag!r}")
 
 
 def _replay_run(name, schedule):

@@ -13,7 +13,8 @@ from repro.workloads.generator import (
     random_write_ops,
     range_scan_ops,
 )
-from repro.workloads.records import KeySpace, decode_key, record_value
+from repro.workloads.records import KeySpace, record_value
+from tests.workloads import decode_key
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.rng import DeterministicRng
-from repro.workloads.records import KeySpace, decode_key, encode_key, record_value
+from repro.workloads.records import KeySpace, encode_key, record_value
+from tests.workloads import decode_key
 
 
 def test_key_roundtrip():

@@ -6,12 +6,13 @@ from collections import Counter
 import pytest
 
 from repro.sim.rng import DeterministicRng
-from repro.workloads.records import KeySpace, decode_key
+from repro.workloads.records import KeySpace
 from repro.workloads.zipf import (
     ZipfGenerator,
     scattered_zipfian_write_ops,
     zipfian_write_ops,
 )
+from tests.workloads import decode_key
 
 
 def test_parameter_validation():
