@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
-"""Beyond the paper: skewed (Zipfian) workloads and a file-backed device.
+"""Beyond the paper: skewed (Zipfian) workloads.
 
 The paper evaluates uniform random updates; real traffic skews.  This
 example runs the B⁻-tree under uniform vs YCSB-style Zipf(0.99) updates —
-hot pages coalesce more updates per flush, so WA falls — and does it on a
-file-backed device, so you can inspect ``/tmp`` artifacts or reopen them.
+hot pages coalesce more updates per flush, so WA falls — and reports the
+flash each run leaves live on the compressing drive.
 
 Run:  python examples/skewed_workload.py
 """
 
-import os
-import tempfile
+from typing import Tuple
 
 from repro.core import BMinusConfig, BMinusTree
-from repro.csd import FileBackedBlockDevice
+from repro.csd import CompressedBlockDevice
 from repro.metrics import compute_wa
 from repro.sim.rng import DeterministicRng
 from repro.workloads import KeySpace, WorkloadRunner
 
 
-def run(workload: str, path: str) -> float:
-    device = FileBackedBlockDevice(path, num_blocks=300_000)
+def run(workload: str) -> Tuple[float, int]:
+    """WA of the update phase and the live flash bytes after it."""
+    device = CompressedBlockDevice(num_blocks=300_000)
     store = BMinusTree(device, BMinusConfig(
         cache_bytes=128 << 10, max_pages=8192, log_blocks=1024,
     ))
@@ -34,20 +34,16 @@ def run(workload: str, path: str) -> float:
         phase = runner.run_zipfian_writes(keyspace, 20_000, rng.split("w"),
                                           theta=0.99)
     store.close()
-    device.close()
-    return compute_wa(phase.traffic).wa_total
+    return compute_wa(phase.traffic).wa_total, device.ftl.live_bytes
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        results = {}
-        for workload in ("uniform", "zipf"):
-            path = os.path.join(tmp, f"{workload}.img")
-            print(f"running {workload} updates ...")
-            results[workload] = run(workload, path)
-            size_mb = os.path.getsize(path) / 1e6
-            print(f"  WA = {results[workload]:.2f}   "
-                  f"(backing file: {size_mb:.0f} MB at {path})")
+    results = {}
+    for workload in ("uniform", "zipf"):
+        print(f"running {workload} updates ...")
+        results[workload], live = run(workload)
+        print(f"  WA = {results[workload]:.2f}   "
+              f"(live flash after the run: {live / 1e6:.1f} MB)")
     reduction = results["uniform"] / results["zipf"]
     print(f"\nZipf(0.99) skew cuts B--tree WA by {reduction:.1f}x: hot pages "
           f"absorb many updates per delta flush")

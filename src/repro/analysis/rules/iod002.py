@@ -7,10 +7,9 @@ Every byte that reaches simulated flash must flow through the sanctioned
 ``write_blocks``, ``trim``, ``flush``, ``read_block(s)`` — because that is
 where write amplification, IOPS, and compression accounting live.  Code
 that pokes the device's private state (the stable store, the pending write
-journal, the latent-corruption masks, the file handle of
-:class:`~repro.csd.filedevice.FileBackedBlockDevice`) or drives the FTL's
-accounting directly produces bytes the WA ledger never sees — the exact
-silent accounting drift the differential tests exist to catch.
+journal, the latent-corruption masks) or drives the FTL's accounting
+directly produces bytes the WA ledger never sees — the exact silent
+accounting drift the differential tests exist to catch.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ DEVICE_PRIVATE_ATTRS = frozenset(
         "_fetch",        # unaccounted read path
         "_check_range",  # internal validation helper
         "_masks",        # latent-corruption masks (FaultInjectingDevice)
-        "_file",         # FileBackedBlockDevice handle
     }
 )
 

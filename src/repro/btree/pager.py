@@ -389,11 +389,12 @@ class ShadowTablePager(Pager):
         # when every page is live.
         self.num_slots = 2 * self.max_pages
         self._table: dict[int, int] = {}
+        #: Images of the table blocks, by index, built on first write.
+        self._table_block_cache: dict[int, bytearray] = {}
         self._free_slots: list[int] = list(range(self.num_slots - 1, -1, -1))
 
     def region_blocks(self) -> int:
-        table_blocks = -(-self.max_pages // self.ENTRIES_PER_BLOCK)
-        return table_blocks + 2 * self.max_pages * self.page_blocks
+        return self._table_blocks() + 2 * self.max_pages * self.page_blocks
 
     def _table_blocks(self) -> int:
         return -(-self.max_pages // self.ENTRIES_PER_BLOCK)
@@ -430,9 +431,7 @@ class ShadowTablePager(Pager):
 
     def _table_block_image(self, block_index: int) -> bytearray:
         """Cached in-memory image of one table block (mirrors the mapping)."""
-        cache = getattr(self, "_table_block_cache", None)
-        if cache is None:
-            cache = self._table_block_cache = {}
+        cache = self._table_block_cache
         block = cache.get(block_index)
         if block is None:
             block = bytearray(BLOCK_SIZE)

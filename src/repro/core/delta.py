@@ -61,17 +61,6 @@ def _payload_offset(page_size: int, segment_size: int) -> int:
     return DELTA_HEADER_SIZE + (page_size // segment_size + 7) // 8
 
 
-def _overlay(
-    buf: bytearray, segments: Sequence[int], size: int,
-    payload: Union[bytes, memoryview], offset: int = 0,
-) -> None:
-    """Copy the logged segments, stored back to back in ``payload`` from
-    byte ``offset`` on, over their places in the page buffer ``buf``."""
-    for seg in segments:
-        buf[seg * size : (seg + 1) * size] = payload[offset : offset + size]
-        offset += size
-
-
 @dataclass
 class DeltaBlock:
     """A decoded page-modification log block."""
@@ -185,7 +174,11 @@ class DeltaBlock:
         :class:`PageFormatError` / :class:`ChecksumError` and ``page`` must
         be discarded.
         """
-        _overlay(page.buf, self.segments, self.segment_size, self.payload)
+        buf, size, payload = page.buf, self.segment_size, self.payload
+        offset = 0
+        for seg in self.segments:  # stored back to back in payload
+            buf[seg * size : (seg + 1) * size] = payload[offset : offset + size]
+            offset += size
         page.verify_image()
 
 
@@ -213,31 +206,28 @@ def _own_delta(
 
 
 class _VerifiedRead:
-    """What the full path makes of the page's next ``l_pg + 4KB`` read if
-    that read returns exactly these bytes: the base slot image, the delta
-    block up to a point past which it is all zeros, and the segments
-    applied and base LSN recorded (none and the base's own LSN when no
-    delta applies).  About ``l_pg + |Δ|`` bytes per page.
+    """What the page's region holds as of the pager's last load or write of
+    it: the base slot image, the delta block up to a point past which it is
+    all zeros, and the base LSN the pager recorded.  About ``l_pg + |Δ|``
+    bytes per page.
 
     Three events record one: a full-path load that wrote nothing (the
     bytes it read), a flip (the image written, no delta) and a delta flush
     (the kept base and the block written), each describing the region as
     it left it.
 
-    ``page`` is a page whose buffer is that read's result, once the buffer
-    pool has evicted it (:meth:`DeltaShadowPager.keep_evicted`); the next
-    load whose read matches hands that object back.  It lives and dies with
-    the entry, so whatever drops the entry drops the page.
+    ``page`` is the page itself once the buffer pool has evicted it
+    (:meth:`DeltaShadowPager.keep_evicted`): the full path would rebuild
+    exactly that page from a read of these bytes, so the next load whose
+    read matches hands that object back.  It lives and dies with the entry,
+    so whatever drops the entry drops the page.
     """
 
-    __slots__ = ("base", "delta", "segments", "base_lsn", "page")
+    __slots__ = ("base", "delta", "base_lsn", "page")
 
-    def __init__(
-        self, base: bytes, delta: bytes, segments: tuple[int, ...], base_lsn: int
-    ) -> None:
+    def __init__(self, base: bytes, delta: bytes, base_lsn: int) -> None:
         self.base = base
         self.delta = delta
-        self.segments = segments
         self.base_lsn = base_lsn
         self.page: Optional[Page] = None
 
@@ -331,8 +321,7 @@ class DeltaShadowPager(DeterministicShadowPager):
                 and _equal_outside(kept.base, page.buf, ordered, self.segment_size)
             ):
                 self._verified[page_id] = _VerifiedRead(
-                    kept.base, bytes(slab[: self._payload_at + delta_size]),
-                    tuple(ordered), base_lsn,
+                    kept.base, bytes(slab[: self._payload_at + delta_size]), base_lsn
                 )
         finally:
             self._arena.release(slab)
@@ -348,7 +337,7 @@ class DeltaShadowPager(DeterministicShadowPager):
         """A full image went out: drop its delta block, restart the log."""
         self._verified.pop(page.page_id, None)
         self._trim(self._delta_lba(page.page_id), 1)
-        self._verified[page.page_id] = _VerifiedRead(image, b"", (), page.lsn)
+        self._verified[page.page_id] = _VerifiedRead(image, b"", page.lsn)
         self.stats.full_flushes += 1
         self._fvec[page.page_id] = set()
         self._base_lsn[page.page_id] = page.lsn
@@ -367,33 +356,30 @@ class DeltaShadowPager(DeterministicShadowPager):
         What the full path below makes of a read — verify the base, decode
         the delta, overlay, verify the result — is a pure function of the
         read's bytes whenever it writes nothing.  So a full-path load that
-        wrote nothing keeps its result (:class:`_VerifiedRead`), as do the
-        pager's own flips and delta flushes, and a later load whose
-        known-slot read equals the kept bytes exactly rebuilds the page
-        from the kept base and the segments in that read: no CRC pass, no
-        decode, the same device command.  If the pool has evicted the page
-        since, the entry holds that very page and the load hands it back,
-        decoded key and child lists included.  Any other read is the full
-        path's first read.
+        wrote nothing keeps what it read (:class:`_VerifiedRead`), as do the
+        pager's own flips and delta flushes, and the pool hands an evicted
+        page to that entry.  A load has two outcomes:
+
+        * the entry holds the evicted page and the known-slot read equals
+          the kept bytes exactly: the load hands that very page back,
+          decoded key and child lists included — no CRC pass, no decode;
+        * anything else takes the full path, whose first read is that same
+          read (or the one it issues itself), so the device sees the same
+          command either way.
+
+        The pager's per-page state (``_fvec``, ``_base_lsn``) already holds
+        what the entry was recorded with: only a write or a full-path load
+        changes it, and both replace or drop the entry.
         """
         slot = self._valid_slot.get(page_id)
         kept = self._verified.get(page_id)
         first: Optional[bytes] = None
-        if kept is not None and slot is not None:
+        if kept is not None and kept.page is not None and slot is not None:
             lba, count, page_at, delta_at = self._slot_span(page_id, slot)
             first = self._read_blocks(lba, count)
             if kept.matches(first, page_at, delta_at):
-                self._fvec[page_id] = set(kept.segments)
-                self._base_lsn[page_id] = kept.base_lsn
                 page = kept.page
-                if page is not None:
-                    kept.page = None  # back in the pool's hands
-                    return page
-                page = Page.from_bytes(kept.base, verify=False)
-                _overlay(
-                    page.buf, kept.segments, self.segment_size,
-                    memoryview(first), delta_at + self._payload_at,
-                )
+                kept.page = None  # back in the pool's hands
                 return page
         self._verified.pop(page_id, None)
         faults = self.fault_stats
@@ -416,7 +402,7 @@ class DeltaShadowPager(DeterministicShadowPager):
         # scrub) read bytes the region no longer holds: keep nothing.
         if faults.read_repairs + faults.delta_scrubs == writes:
             self._verified[page_id] = _VerifiedRead(
-                base, bytes(delta_raw).rstrip(b"\0"), tuple(segments), base_lsn
+                base, bytes(delta_raw).rstrip(b"\0"), base_lsn
             )
         return base_page
 

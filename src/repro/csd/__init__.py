@@ -38,7 +38,6 @@ from repro.csd.faults import (
     write_block_retrying,
     write_blocks_retrying,
 )
-from repro.csd.filedevice import FileBackedBlockDevice
 from repro.csd.ftl import FlashTranslationLayer
 from repro.csd.latency import DeviceLatencyModel, HostCostModel
 from repro.csd.stats import DeviceStats
@@ -52,7 +51,6 @@ __all__ = [
     "DeviceStats",
     "FaultInjectingDevice",
     "FaultPlan",
-    "FileBackedBlockDevice",
     "FlashTranslationLayer",
     "HostCostModel",
     "InjectionStats",

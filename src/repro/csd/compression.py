@@ -46,6 +46,12 @@ ZERO_BLOCK_COST = 24
 #: hands a compressor — for the all-zero test.
 _ZEROS = bytes(4096)
 
+#: zlib level of :class:`ZlibCompressor`.  The hardware engine's ratios are
+#: close to software zlib at its default level, but level 1 is materially
+#: faster in Python and nearly identical on the half-zero/half-random record
+#: contents the paper's workloads use.
+ZLIB_LEVEL = 1
+
 #: Smallest request :class:`ZlibCompressor` sizes on two threads, so that
 #: each thread gets at least two blocks.  Below it the hand-off to the worker
 #: costs about as much as the half it saves (a 2-block request sizes no
@@ -86,18 +92,10 @@ class Compressor(ABC):
 
 
 class ZlibCompressor(Compressor):
-    """Real zlib compression, the same algorithm as the ScaleFlux engine.
+    """Real zlib compression at :data:`ZLIB_LEVEL`, the same algorithm as the
+    ScaleFlux engine."""
 
-    ``level`` trades fidelity for speed; the hardware engine's ratios are close
-    to software zlib at its default level, but level 1 is materially faster in
-    Python and nearly identical on the half-zero/half-random record contents
-    the paper's workloads use.
-    """
-
-    def __init__(self, level: int = 1) -> None:
-        if not 1 <= level <= 9:
-            raise ConfigError(f"zlib level must be in [1, 9], got {level}")
-        self.level = level
+    def __init__(self) -> None:
         self._worker: Optional[_SizingWorker] = None
 
     def compressed_size(self, block: BytesLike) -> int:
@@ -108,7 +106,7 @@ class ZlibCompressor(Compressor):
         # copies nothing (rstrip copied every block that does not end in 0).
         if data == (_ZEROS if len(data) == len(_ZEROS) else bytes(len(data))):
             return ZERO_BLOCK_COST
-        return min(len(data), len(zlib.compress(data, self.level)))
+        return min(len(data), len(zlib.compress(data, ZLIB_LEVEL)))
 
     def compressed_sizes(self, blocks: Sequence[BytesLike]) -> List[int]:
         """Sizes a request of :data:`TWO_THREAD_MIN_BLOCKS` or more blocks

@@ -32,7 +32,7 @@ from abc import ABC
 from typing import Callable, Optional
 
 from repro.csd.compression import BytesLike, Compressor, NullCompressor, ZlibCompressor
-from repro.csd.ftl import FlashTranslationLayer, GreedyGcModel
+from repro.csd.ftl import MAPPING_ENTRY_COST, FlashTranslationLayer
 from repro.csd.stats import DeviceStats
 from repro.errors import (
     AlignmentError,
@@ -96,8 +96,7 @@ class BlockDevice(ABC):
         num_blocks: int,
         compressor: Compressor,
         physical_capacity: Optional[int] = None,
-        gc_model: Optional[GreedyGcModel] = None,
-        mapping_cost: Optional[int] = None,
+        mapping_cost: int = MAPPING_ENTRY_COST,
     ) -> None:
         if num_blocks <= 0:
             raise ConfigError("device must have at least one block")
@@ -105,10 +104,7 @@ class BlockDevice(ABC):
         self.compressor = compressor
         self.stats = DeviceStats()
         capacity = physical_capacity if physical_capacity is not None else num_blocks * BLOCK_SIZE
-        if mapping_cost is None:
-            self.ftl = FlashTranslationLayer(capacity, self.stats, gc_model)
-        else:
-            self.ftl = FlashTranslationLayer(capacity, self.stats, gc_model, mapping_cost)
+        self.ftl = FlashTranslationLayer(capacity, self.stats, mapping_cost)
         self._stable: dict[int, bytes] = {}
         # Ordered pending journal: insertion order is (last-)write order; a
         # rewrite re-appends its entry at the tail (see _journal_put).
@@ -307,13 +303,11 @@ class CompressedBlockDevice(BlockDevice):
         num_blocks: int,
         compressor: Optional[Compressor] = None,
         physical_capacity: Optional[int] = None,
-        gc_model: Optional[GreedyGcModel] = None,
     ) -> None:
         super().__init__(
             num_blocks,
             compressor if compressor is not None else default_compressor(),
             physical_capacity,
-            gc_model,
         )
 
 

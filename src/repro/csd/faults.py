@@ -1,9 +1,8 @@
 """Programmable fault injection for the simulated block devices.
 
 :class:`FaultInjectingDevice` composes over any :class:`~repro.csd.device.
-BlockDevice` (including :class:`~repro.csd.filedevice.FileBackedBlockDevice`)
-and injects the failure modes real drives exhibit but clean power-cut
-simulation never exercises:
+BlockDevice` and injects the failure modes real drives exhibit but clean
+power-cut simulation never exercises:
 
 * **transient I/O errors** — a read or write fails with
   :class:`~repro.errors.TransientIOError` and has no effect; an identical

@@ -11,10 +11,9 @@ answer the two questions the evaluation asks of the drive:
 * how many bytes of flash are live right now (physical storage usage,
   Table 1 / Fig 13).
 
-A simple greedy garbage-collection model estimates GC-induced extra NAND
-writes from overprovisioning and the live ratio; the paper's WA metric counts
-host-induced post-compression writes, so GC bytes are kept in a separate
-counter and excluded from WA by default.
+Drive garbage collection is not modelled: the paper's WA counts only the
+post-compression bytes the host's writes put on flash, which excludes GC
+relocation by definition.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class FlashTranslationLayer:
         self,
         physical_capacity: int,
         stats: DeviceStats,
-        gc_model: "GreedyGcModel | None" = None,
         mapping_cost: int = MAPPING_ENTRY_COST,
     ) -> None:
         if physical_capacity <= 0:
@@ -50,7 +48,6 @@ class FlashTranslationLayer:
             raise ConfigError("mapping cost must be non-negative")
         self.physical_capacity = physical_capacity
         self.stats = stats
-        self.gc_model = gc_model
         self.mapping_cost = mapping_cost
         self._extent_size: dict[int, int] = {}
         self._live_bytes = 0
@@ -69,7 +66,7 @@ class FlashTranslationLayer:
         """Account a host write of one block compressing to ``compressed_size``.
 
         Returns the total physical bytes charged for the write (extent +
-        mapping metadata + modelled GC traffic).
+        mapping metadata).
         """
         if compressed_size < 0:
             raise ConfigError("compressed size must be non-negative")
@@ -85,32 +82,26 @@ class FlashTranslationLayer:
 
         physical = compressed_size + self.mapping_cost
         self.stats.physical_bytes_written += physical
-        if self.gc_model is not None:
-            gc_bytes = self.gc_model.charge(physical, self._live_bytes, self.physical_capacity)
-            self.stats.gc_bytes_written += gc_bytes
         return physical
 
     def record_writes(self, lba: int, sizes: Sequence[int]) -> int:
         """Batch-account a contiguous multi-block host write.
 
         Numerically identical to calling :meth:`record_write` once per block
-        of ``sizes`` (the GC model sees the same evolving live-byte sequence),
-        but with the per-block Python overhead hoisted: one pass, local
-        bindings, and a single stats update for the whole request.  On
+        of ``sizes``, but with the per-block Python overhead hoisted: one
+        pass, local bindings, and a single stats update for the whole
+        request.  On
         :class:`CapacityError` the blocks preceding the failing one stay
         recorded — matching the per-block call sequence — and the stats
         accumulated so far are still flushed.
 
-        Returns the total physical bytes charged (extents + mapping metadata;
-        GC traffic goes to its own counter, as for single writes).
+        Returns the total physical bytes charged (extents + mapping metadata).
         """
         extents = self._extent_size
         capacity = self.physical_capacity
         mapping = self.mapping_cost
-        gc_model = self.gc_model
         live = self._live_bytes
         total_physical = 0
-        total_gc = 0
         try:
             for offset, size in enumerate(sizes):
                 if size < 0:
@@ -124,14 +115,9 @@ class FlashTranslationLayer:
                     )
                 extents[key] = size
                 self._live_bytes = live
-                physical = size + mapping
-                total_physical += physical
-                if gc_model is not None:
-                    total_gc += gc_model.charge(physical, live, capacity)
+                total_physical += size + mapping
         finally:
             self.stats.physical_bytes_written += total_physical
-            if total_gc:
-                self.stats.gc_bytes_written += total_gc
         return total_physical
 
     def record_trim(self, lba: int) -> None:
@@ -144,27 +130,3 @@ class FlashTranslationLayer:
         """Live compressed size of ``lba`` (0 if unmapped/trimmed)."""
         return self._extent_size.get(lba, 0)
 
-
-class GreedyGcModel:
-    """Analytic greedy garbage-collection write model.
-
-    When the drive's flash utilisation is ``u`` (live bytes / physical
-    capacity), a greedy cleaner relocates roughly ``u / (1 - u)`` bytes of
-    live data for every byte of new data written in steady state.  The model
-    charges that ratio continuously; it underestimates bursty behaviour but
-    captures the headline effect the paper mentions (compression shrinks live
-    data, so GC overhead drops on a compressing drive).
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-
-    def charge(self, written: int, live_bytes: int, capacity: int) -> int:
-        if not self.enabled or capacity <= 0:
-            return 0
-        utilisation = min(live_bytes / capacity, 0.97)
-        if utilisation <= 0.5:
-            # Plenty of free space: the cleaner finds empty segments.
-            return 0
-        relocation_ratio = utilisation / (1.0 - utilisation)
-        return int(written * relocation_ratio)

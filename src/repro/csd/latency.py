@@ -6,22 +6,21 @@ paper quotes for the ScaleFlux drive:
 
 * PCIe Gen3 x4 interface, ~3.2 GB/s sequential throughput,
 * 650K random 4KB read IOPS, 520K random 4KB write IOPS,
-* hardware zlib latency ~5 µs per 4KB block,
 * TLC/QLC flash read latency ~80 µs, program latency ~1 ms.
 
-Throughput-style quantities (how long the device is busy for a stream of
-requests) are modelled from bandwidth/IOPS limits applied to the appropriate
-byte counts — crucially, the flash back-end limit applies to *post-compression*
-bytes, which is why lower write amplification directly buys write TPS.
-Latency-style quantities (how long one synchronous request takes) are modelled
-from per-request fixed costs and are used for closed-loop TPS estimation.
+How long the device is busy for a stream of requests is modelled from
+bandwidth/IOPS limits applied to the appropriate byte counts — crucially, the
+flash back-end limit applies to *post-compression* bytes, which is why lower
+write amplification directly buys write TPS.  The closed-loop TPS estimate in
+:mod:`repro.bench.speed` adds the two per-request latencies a client thread
+waits on: ``flash_read_latency`` per read command and ``flush_latency`` per
+fsync.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.csd.device import BLOCK_SIZE
 from repro.csd.stats import DeviceStats
 
 _US = 1e-6
@@ -40,7 +39,6 @@ class DeviceLatencyModel:
     #: per-write durability barriers — far below the fresh-drive spec, as on
     #: any SSD.  This is what steady-state write throughput is bound by.
     sustained_write_iops: float = 130_000.0
-    compression_latency: float = 5 * _US  # per 4KB block, pipelined
     flash_read_latency: float = 80 * _US  # first-byte latency of one flash read
     flush_latency: float = 5 * _US  # fsync round trip (power-loss-protected drive)
     #: Concurrent flush streams: the engines run 4 background write threads
@@ -56,9 +54,7 @@ class DeviceLatencyModel:
         """
         interface = stats.logical_bytes_written / self.interface_bandwidth
         iops = stats.write_ios / self.sustained_write_iops
-        flash = (
-            stats.physical_bytes_written + stats.gc_bytes_written
-        ) / self.flash_write_bandwidth
+        flash = stats.physical_bytes_written / self.flash_write_bandwidth
         fsync = stats.flush_ios * self.flush_latency / max(1.0, self.flush_parallelism)
         return max(interface, iops, flash) + fsync
 
@@ -72,16 +68,6 @@ class DeviceLatencyModel:
     def busy_time(self, stats: DeviceStats) -> float:
         """Total device busy time for the mixed traffic in ``stats``."""
         return self.write_busy_time(stats) + self.read_busy_time(stats)
-
-    def read_request_latency(self, logical_bytes: int) -> float:
-        """Synchronous latency of one read request of ``logical_bytes``.
-
-        One flash access latency plus transfer plus (pipelined) decompression
-        of each 4KB block.
-        """
-        blocks = max(1, (logical_bytes + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        transfer = logical_bytes / self.interface_bandwidth
-        return self.flash_read_latency + transfer + blocks * self.compression_latency
 
 
 @dataclass

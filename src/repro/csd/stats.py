@@ -40,6 +40,8 @@ class DeviceStats:
     read_ios: int = 0
     trim_ios: int = 0
     flush_ios: int = 0
+    #: Always 0: drive GC is not modelled (see :mod:`repro.csd.ftl`).  Kept
+    #: for the benchmark ledger's ``csd.ftl.gc_bytes_written`` line.
     gc_bytes_written: int = 0
     blocks_written: int = 0
     blocks_read: int = 0

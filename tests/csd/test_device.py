@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.csd.compression import ZlibCompressor
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
-from repro.errors import AlignmentError, CapacityError, OutOfRangeError
+from repro.errors import AlignmentError, CapacityError, FaultInjectionError, OutOfRangeError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.sim.rng import DeterministicRng
 
@@ -173,6 +173,33 @@ def test_crash_partial_survival_models_torn_multiblock_write(device, rng):
     assert device.read_block(1) == bytes(BLOCK_SIZE)
 
 
+def test_keep_torn_applies_seeded_subset(rng):
+    """simulate_crash(keep_torn=s) keeps a seeded random subset of writes."""
+    blocks = {lba: make_block(rng) for lba in range(40)}
+    device = CompressedBlockDevice(num_blocks=64)
+    for lba, data in blocks.items():
+        device.write_block(lba, data)
+    lost = device.simulate_crash(keep_torn=123)
+    kept = sorted(set(blocks) - set(lost))
+    assert 0 < len(kept) < len(blocks)  # strict subset: genuinely torn
+    for lba in kept:
+        assert device.read_block(lba) == blocks[lba]
+    for lba in lost:
+        assert device.read_block(lba) == bytes(BLOCK_SIZE)
+    # The survival pattern is a pure function of the seed.
+    again = CompressedBlockDevice(num_blocks=64)
+    for lba, data in blocks.items():
+        again.write_block(lba, data)
+    assert again.simulate_crash(keep_torn=123) == lost
+
+
+def test_keep_torn_and_survives_are_exclusive(device):
+    """Passing both crash selectors is a usage error."""
+    device.write_block(0, bytes(BLOCK_SIZE))
+    with pytest.raises(FaultInjectionError):
+        device.simulate_crash(survives=lambda lba: True, keep_torn=1)
+
+
 def test_crash_unflushed_trim_can_be_lost(device, rng):
     block = make_block(rng)
     device.write_block(2, block)
@@ -195,7 +222,7 @@ def test_flush_persists_trim(device, rng):
 def test_property_device_matches_reference_model(data):
     """Random write/trim/flush sequences agree with a dict reference model."""
     rng = DeterministicRng(data.draw(st.integers(0, 2**32)))
-    device = CompressedBlockDevice(num_blocks=16, compressor=ZlibCompressor(1))
+    device = CompressedBlockDevice(num_blocks=16, compressor=ZlibCompressor())
     reference: dict = {}
     for _ in range(data.draw(st.integers(1, 60))):
         action = data.draw(st.sampled_from(["write", "trim", "flush", "read"]))

@@ -1,14 +1,14 @@
-"""Unit tests for the flash translation layer and GC model."""
+"""Unit tests for the flash translation layer."""
 
 import pytest
 
-from repro.csd.ftl import MAPPING_ENTRY_COST, FlashTranslationLayer, GreedyGcModel
+from repro.csd.ftl import MAPPING_ENTRY_COST, FlashTranslationLayer
 from repro.csd.stats import DeviceStats
 from repro.errors import CapacityError
 
 
-def make_ftl(capacity=1 << 20, gc=None):
-    return FlashTranslationLayer(capacity, DeviceStats(), gc)
+def make_ftl(capacity=1 << 20):
+    return FlashTranslationLayer(capacity, DeviceStats())
 
 
 def test_initial_state_empty():
@@ -85,27 +85,3 @@ def test_capacity_freed_by_trim_is_reusable():
     ftl.record_trim(0)
     ftl.record_write(1, 100)  # must not raise
     assert ftl.live_bytes == 100
-
-
-def test_gc_model_idle_below_half_utilisation():
-    gc = GreedyGcModel()
-    assert gc.charge(written=1000, live_bytes=100, capacity=1000) == 0
-
-
-def test_gc_model_charges_when_full():
-    gc = GreedyGcModel()
-    charge = gc.charge(written=1000, live_bytes=900, capacity=1000)
-    assert charge > 1000  # u/(1-u) = 9x relocation at 90% utilisation
-
-
-def test_gc_model_disabled():
-    gc = GreedyGcModel(enabled=False)
-    assert gc.charge(1000, 990, 1000) == 0
-
-
-def test_gc_bytes_accumulate_in_stats():
-    stats = DeviceStats()
-    ftl = FlashTranslationLayer(1000, stats, GreedyGcModel())
-    ftl.record_write(0, 800)
-    ftl.record_write(1, 100)
-    assert stats.gc_bytes_written > 0

@@ -43,17 +43,6 @@ def test_write_time_interface_bound():
     assert busy >= 1.0  # cannot beat the PCIe link
 
 
-def test_gc_traffic_slows_writes():
-    model = DeviceLatencyModel()
-    base = DeviceStats(logical_bytes_written=1 << 30, physical_bytes_written=1 << 30)
-    with_gc = DeviceStats(
-        logical_bytes_written=1 << 30,
-        physical_bytes_written=1 << 30,
-        gc_bytes_written=1 << 30,
-    )
-    assert model.write_busy_time(with_gc) > model.write_busy_time(base)
-
-
 def test_read_time_cheap_for_trimmed_data():
     """Reading logically large but physically tiny data is interface-bound."""
     model = DeviceLatencyModel()
@@ -67,17 +56,6 @@ def test_flush_adds_latency():
     stats = DeviceStats(flush_ios=100)
     expected = 100 * model.flush_latency / model.flush_parallelism
     assert model.write_busy_time(stats) == pytest.approx(expected)
-
-
-def test_read_request_latency_includes_flash_access():
-    model = DeviceLatencyModel()
-    latency = model.read_request_latency(8192)
-    assert latency > model.flash_read_latency
-
-
-def test_read_request_latency_grows_with_size():
-    model = DeviceLatencyModel()
-    assert model.read_request_latency(64 * BLOCK_SIZE) > model.read_request_latency(BLOCK_SIZE)
 
 
 def test_busy_time_sums_read_and_write():
@@ -135,15 +113,6 @@ def test_read_busy_time_zero_for_no_reads():
     write_only = DeviceStats(logical_bytes_written=1 << 20, write_ios=5)
     assert model.read_busy_time(write_only) == 0.0
     assert model.busy_time(write_only) == model.write_busy_time(write_only)
-
-
-def test_read_request_latency_minimum_one_block():
-    """Even a tiny read pays one flash access plus one block's decompression."""
-    model = DeviceLatencyModel()
-    tiny = model.read_request_latency(1)
-    assert tiny >= model.flash_read_latency + model.compression_latency
-    assert model.read_request_latency(0) == pytest.approx(
-        model.flash_read_latency + model.compression_latency)
 
 
 def test_busy_time_monotone_in_traffic():

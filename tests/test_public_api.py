@@ -75,8 +75,7 @@ _PUBLIC_MODULES = [
     "repro.btree.buffer_pool", "repro.btree.engine", "repro.btree.node",
     "repro.btree.page", "repro.btree.pager", "repro.btree.tree",
     "repro.btree.wal", "repro.core.bminus", "repro.core.delta",
-    "repro.csd.compression", "repro.csd.device", "repro.csd.filedevice",
-    "repro.csd.ftl",
+    "repro.csd.compression", "repro.csd.device", "repro.csd.ftl",
     "repro.csd.latency", "repro.csd.stats", "repro.lsm.bloom",
     "repro.lsm.compaction", "repro.lsm.engine", "repro.lsm.manifest",
     "repro.lsm.memtable", "repro.lsm.sstable", "repro.lsm.version",
