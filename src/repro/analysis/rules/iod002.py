@@ -25,7 +25,6 @@ DEVICE_PRIVATE_ATTRS = frozenset(
         "_stable",       # durable block store
         "_pending",      # ordered pending write journal
         "_journal_put",  # pending-journal mutator
-        "_fetch",        # unaccounted read path
         "_check_range",  # internal validation helper
         "_masks",        # latent-corruption masks (FaultInjectingDevice)
     }

@@ -38,11 +38,15 @@ class PoolStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
 class _Frame:
-    page: Page
-    dirty: bool = False
-    pins: int = 0
+    """A resident page with its dirty flag and pin count."""
+
+    __slots__ = ("page", "dirty", "pins")
+
+    def __init__(self, page: Page, dirty: bool = False, pins: int = 0) -> None:
+        self.page = page
+        self.dirty = dirty
+        self.pins = pins
 
 
 class BufferPool:
@@ -156,25 +160,21 @@ class BufferPool:
     # ------------------------------------------------------------ eviction
 
     def _evict_if_needed(self) -> None:
-        while len(self._frames) > self.capacity_frames:
-            victim_id = self._pick_victim()
-            if victim_id is None:
+        frames = self._frames
+        while len(frames) > self.capacity_frames:
+            for victim_id, frame in frames.items():  # LRU order
+                if not frame.pins:
+                    break
+            else:
                 return  # everything pinned; allow temporary overshoot
-            frame = self._frames[victim_id]
             if frame.dirty:
                 self._flusher(frame.page)
                 self.stats.flushes += 1
                 self.stats.dirty_evictions += 1
             self.stats.evictions += 1
-            del self._frames[victim_id]
+            del frames[victim_id]
             if self._evicted is not None:
                 self._evicted(frame.page)
-
-    def _pick_victim(self) -> Optional[int]:
-        for page_id, frame in self._frames.items():  # LRU order
-            if frame.pins == 0:
-                return page_id
-        return None
 
     def pages(self) -> Iterator[Page]:
         """Iterate resident pages (LRU -> MRU order)."""

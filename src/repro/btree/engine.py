@@ -242,13 +242,15 @@ class BTreeEngine:
         (the workload runner calls it once per *group* of concurrent client
         commits, which is how group commit batches transactions).
         """
-        self.wal.commit()
+        wal = self.wal
+        wal.commit()
         if self._root_persist_pending:
             # Deferred from _on_root_change: the marker is durable now, so
             # persisting pages/meta can no longer leak an unacknowledged
             # window past a crash.
             self._persist_root()
-        self._checkpoint_if_log_pressure()
+        if wal.relief_due():
+            self.checkpoint()
 
     @property
     def write_stalled(self) -> bool:
@@ -270,12 +272,14 @@ class BTreeEngine:
 
         The workload runner calls this after advancing the simulated clock.
         """
-        self.wal.tick()
-        if self.clock.alarm_due("checkpoint"):
-            if not self.wal.window_open:
-                self.checkpoint()
-        else:
-            self._checkpoint_if_log_pressure()
+        wal = self.wal
+        wal.tick()
+        # A due alarm or log pressure checkpoints, never inside an open
+        # window (relief_due is log pressure outside one).
+        if wal.relief_due() or (
+            self.clock.alarm_due("checkpoint") and not wal.window_open
+        ):
+            self.checkpoint()
 
     def _checkpoint_if_log_pressure(self) -> None:
         """Checkpoint before the log ring wraps over un-checkpointed records.

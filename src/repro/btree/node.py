@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.btree.page import PAGE_HEADER_SIZE, Page, PageType
 from repro.errors import KeyNotFoundError, PageFormatError, PageFullError
@@ -193,24 +193,32 @@ class LeafNode(_NodeBase):
         start = cell + _LEAF_CELL_HDR.size + klen
         return bytes(buf[start : start + vlen])
 
-    def records(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._records_in(0)
+    def records(self) -> list[tuple[bytes, bytes]]:
+        """Every record in key order."""
+        return self._records_in(0, self.page.nslots)
 
-    def records_from(self, start_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        return self._records_in(self._bisect(start_key)[0])
+    def records_from(self, start_key: bytes, limit: int) -> list[tuple[bytes, bytes]]:
+        """Up to ``limit`` records with key >= ``start_key``, in key order;
+        the start is found by :meth:`_search`."""
+        return self._records_in(self._search(start_key)[0], limit)
 
-    def _records_in(self, first: int) -> Iterator[tuple[bytes, bytes]]:
-        """Records of slots ``first..`` in key order, from a snapshot of the
-        page: the slot directory is unpacked once, each cell header once."""
-        count = self.page.nslots - first
+    def _records_in(self, first: int, limit: int) -> list[tuple[bytes, bytes]]:
+        """Up to ``limit`` records of slots ``first..`` in key order, built
+        in one pass over a snapshot of the page: the slot directory is
+        unpacked once, each cell header once."""
+        count = min(self.page.nslots - first, limit)
         if count <= 0:
-            return
+            return []
         image = bytes(self.page.buf)  # slices of bytes are the keys and values themselves
         unpack_header = _LEAF_CELL_HDR.unpack_from
+        hdr = _LEAF_CELL_HDR.size
+        out = []
+        append = out.append
         for cell in struct.unpack_from(f"<{count}H", image, PAGE_HEADER_SIZE + (first << 1)):
             klen, vlen = unpack_header(image, cell)
-            key_end = cell + _LEAF_CELL_HDR.size + klen
-            yield image[cell + _LEAF_CELL_HDR.size : key_end], image[key_end : key_end + vlen]
+            key_end = cell + hdr + klen
+            append((image[cell + hdr : key_end], image[key_end : key_end + vlen]))
+        return out
 
     def used_bytes(self) -> int:
         """Live cell + slot bytes (occupancy accounting)."""

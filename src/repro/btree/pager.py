@@ -494,6 +494,15 @@ class DeterministicShadowPager(Pager):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._valid_slot: dict[int, int] = {}
+        self._region_stride = self._page_region_blocks()
+        span = self.page_blocks + self.aux_blocks_per_page
+        #: Per slot, the fixed part of :meth:`_slot_span`: the read's block
+        #: offset in the page's region, its block count and the byte
+        #: offsets of the page image and of the aux blocks in it.
+        self._slot_spans = (
+            (0, span, 0, self.page_size),
+            (self.page_blocks, span, self.aux_blocks_per_page * BLOCK_SIZE, 0),
+        )
 
     def region_blocks(self) -> int:
         return self.max_pages * self._page_region_blocks()
@@ -502,7 +511,7 @@ class DeterministicShadowPager(Pager):
         return 2 * self.page_blocks + self.aux_blocks_per_page
 
     def _page_base(self, page_id: int) -> int:
-        return self.region_start + page_id * self._page_region_blocks()
+        return self.region_start + page_id * self._region_stride
 
     def _slot_lba(self, page_id: int, slot: int) -> int:
         return self._page_base(page_id) + slot * (self.page_blocks + self.aux_blocks_per_page)
@@ -539,11 +548,12 @@ class DeterministicShadowPager(Pager):
         ``[slot 0 | aux]`` or ``[aux | slot 1]``: returns its ``lba`` and
         block ``count`` and the byte offsets of the page image and of the
         aux blocks in the read."""
+        offset, count, page_at, aux_at = self._slot_spans[slot]
         return (
-            self._page_base(page_id) + slot * self.page_blocks,
-            self.page_blocks + self.aux_blocks_per_page,
-            slot * self.aux_blocks_per_page * BLOCK_SIZE,
-            (1 - slot) * self.page_size,
+            self.region_start + page_id * self._region_stride + offset,
+            count,
+            page_at,
+            aux_at,
         )
 
     def _load_valid_slot(

@@ -14,7 +14,6 @@ asserted by :meth:`BTree.check_invariants` hold either way).
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from repro.btree.buffer_pool import BufferPool
@@ -119,7 +118,7 @@ class BTree:
             path, leaf, pinned = self._descend(cursor)
             _, upper = self._routing_interval(path)
             try:
-                batch = list(islice(leaf.records_from(cursor), count - len(out)))
+                batch = leaf.records_from(cursor, count - len(out))
             finally:
                 self._unpin(pinned)
             if upper is not None and batch and batch[-1][0] >= upper:

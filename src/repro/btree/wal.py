@@ -313,8 +313,12 @@ class RedoLog:
     def relief_due(self) -> bool:
         """True once over half the ring lies past the cursor and no window
         is open: the engine must make its logged state durable before the
-        ring wraps over records replay still needs."""
-        return self.blocks_before_relief() < 0 and not self.window_open
+        ring wraps over records replay still needs.  This is
+        ``blocks_before_relief() < 0 and not window_open`` in one
+        expression, as engines ask it at every commit and tick."""
+        return self._sequence - self.cursor.sequence > self.num_blocks // 2 and not (
+            self.group_atomic and self._unsealed
+        )
 
     def replay(self, since: LogPosition, apply: Callable[[LogRecord], None]) -> int:
         """Pass every surviving durable record from ``since`` to ``apply``

@@ -169,21 +169,49 @@ class BlockDevice(ABC):
     def read_block(self, lba: int) -> bytes:
         """Read one 4KB block; unwritten or trimmed blocks read as zeros."""
         self._check_range(lba, 1)
-        self.stats.read_ios += 1
-        self.stats.blocks_read += 1
-        data = self._fetch(lba)
-        return data if isinstance(data, bytes) else bytes(data)
+        stats = self.stats
+        stats.read_ios += 1
+        stats.blocks_read += 1
+        stats.logical_bytes_read += BLOCK_SIZE
+        # The drive internally fetches only the live compressed extent; a
+        # trimmed/never-written block costs (almost) nothing to "read".
+        stats.physical_bytes_read += self.ftl.extent_size(lba)
+        pending = self._pending
+        if lba in pending:
+            data = pending[lba]
+            if data is _TRIMMED:
+                return _ZERO_BLOCK
+            return data if isinstance(data, bytes) else bytes(data)
+        return self._stable.get(lba, _ZERO_BLOCK)
 
     def read_blocks(self, lba: int, count: int) -> bytes:
-        """Read ``count`` contiguous blocks as one request (one ``read_ios``)."""
+        """Read ``count`` contiguous blocks as one request (one ``read_ios``).
+
+        One pass over the blocks sums their live extents (what the drive
+        fetches from flash) and collects their bytes, pending journal
+        first, then stable store, else zeros; the request joins them once.
+        """
         if count <= 0:
             raise ConfigError("read count must be positive")
         self._check_range(lba, count)
-        self.stats.read_ios += 1
-        self.stats.blocks_read += count
-        fetch = self._fetch
-        data = b"".join(fetch(lba + i) for i in range(count))
-        return data
+        extent_size = self.ftl.extent_size
+        pending = self._pending
+        stable = self._stable
+        physical = 0
+        blocks: list[bytes] = []
+        for block in range(lba, lba + count):
+            physical += extent_size(block)
+            if block in pending:
+                data = pending[block]
+                blocks.append(_ZERO_BLOCK if data is _TRIMMED else data)
+            else:
+                blocks.append(stable.get(block, _ZERO_BLOCK))
+        stats = self.stats
+        stats.read_ios += 1
+        stats.blocks_read += count
+        stats.logical_bytes_read += count * BLOCK_SIZE
+        stats.physical_bytes_read += physical
+        return b"".join(blocks)
 
     def trim(self, lba: int, count: int = 1) -> None:
         """Deallocate ``count`` blocks; they read back as zeros afterwards."""
@@ -272,16 +300,6 @@ class BlockDevice(ABC):
         if lba in pending:
             del pending[lba]
         pending[lba] = data
-
-    def _fetch(self, lba: int) -> bytes:
-        self.stats.logical_bytes_read += BLOCK_SIZE
-        # The drive internally fetches only the live compressed extent; a
-        # trimmed/never-written block costs (almost) nothing to "read".
-        self.stats.physical_bytes_read += self.ftl.extent_size(lba)
-        if lba in self._pending:
-            data = self._pending[lba]
-            return _ZERO_BLOCK if data is _TRIMMED else data
-        return self._stable.get(lba, _ZERO_BLOCK)
 
     def _check_range(self, lba: int, count: int) -> None:
         if lba < 0 or lba + count > self.num_blocks:

@@ -47,6 +47,7 @@ from repro.csd.device import BLOCK_SIZE, BlockDevice
 from repro.csd.compression import BytesLike
 from repro.metrics.faults import FaultStats
 from repro.errors import (
+    DeviceError,
     FaultInjectionError,
     SimulatedCrashError,
     TornWriteError,
@@ -468,36 +469,42 @@ class _RetryableDevice(Protocol):
 
 
 def _retrying(
-    op: Callable[[], _T],
+    fault: DeviceError,
+    op: Callable[..., _T],
+    args: tuple[Any, ...],
     stats: Optional[FaultStats],
     attempts: int,
     writes: bool,
 ) -> _T:
-    """Run ``op`` with bounded retries on transient (and, for writes, torn)
-    faults, bumping the matching counters on ``stats`` (optional).
+    """Take over from a first ``op(*args)`` that raised ``fault``: count
+    it, then re-issue ``op`` on transient (and, for writes, torn) faults
+    until it succeeds or ``attempts`` issues in all have failed, bumping
+    the matching counters on ``stats`` (optional).
 
+    The helpers below issue the first attempt themselves, a direct call of
+    the device method, so an I/O that succeeds costs no more than that call.
     Block writes are idempotent and the pending journal is last-write-wins,
     so re-issuing a torn or failed request is always safe.  Exhausting the
     attempt budget re-raises the last fault to the caller.
     """
     for remaining in range(attempts - 1, -1, -1):
-        try:
-            return op()
-        except TransientIOError:
-            if stats is not None:
-                if writes:
-                    stats.transient_write_retries += 1
-                else:
-                    stats.transient_read_retries += 1
-            if not remaining:
-                raise
-        except TornWriteError:
+        if isinstance(fault, TornWriteError):
             if not writes:
-                raise
+                raise fault
             if stats is not None:
                 stats.torn_write_retries += 1
-            if not remaining:
-                raise
+        elif stats is not None:
+            if writes:
+                stats.transient_write_retries += 1
+            else:
+                stats.transient_read_retries += 1
+        if not remaining:
+            raise fault
+        try:
+            return op(*args)
+        except (TransientIOError, TornWriteError) as again:
+            fault = again
+    raise fault
 
 
 def read_block_retrying(
@@ -507,7 +514,10 @@ def read_block_retrying(
     attempts: int = RETRY_ATTEMPTS,
 ) -> bytes:
     """``device.read_block`` with bounded transient-fault retries."""
-    return _retrying(lambda: device.read_block(lba), stats, attempts, writes=False)
+    try:
+        return device.read_block(lba)
+    except (TransientIOError, TornWriteError) as fault:
+        return _retrying(fault, device.read_block, (lba,), stats, attempts, False)
 
 
 def read_blocks_retrying(
@@ -518,9 +528,12 @@ def read_blocks_retrying(
     attempts: int = RETRY_ATTEMPTS,
 ) -> bytes:
     """``device.read_blocks`` with bounded transient-fault retries."""
-    return _retrying(
-        lambda: device.read_blocks(lba, count), stats, attempts, writes=False
-    )
+    try:
+        return device.read_blocks(lba, count)
+    except (TransientIOError, TornWriteError) as fault:
+        return _retrying(
+            fault, device.read_blocks, (lba, count), stats, attempts, False
+        )
 
 
 def write_block_retrying(
@@ -531,7 +544,10 @@ def write_block_retrying(
     attempts: int = RETRY_ATTEMPTS,
 ) -> int:
     """``device.write_block`` with bounded transient-fault retries."""
-    return _retrying(lambda: device.write_block(lba, data), stats, attempts, writes=True)
+    try:
+        return device.write_block(lba, data)
+    except (TransientIOError, TornWriteError) as fault:
+        return _retrying(fault, device.write_block, (lba, data), stats, attempts, True)
 
 
 def write_blocks_retrying(
@@ -542,9 +558,10 @@ def write_blocks_retrying(
     attempts: int = RETRY_ATTEMPTS,
 ) -> int:
     """``device.write_blocks`` with bounded transient/torn-write retries."""
-    return _retrying(
-        lambda: device.write_blocks(lba, data), stats, attempts, writes=True
-    )
+    try:
+        return device.write_blocks(lba, data)
+    except (TransientIOError, TornWriteError) as fault:
+        return _retrying(fault, device.write_blocks, (lba, data), stats, attempts, True)
 
 
 def trim_retrying(
@@ -559,7 +576,10 @@ def trim_retrying(
     A *dropped* TRIM is silent by nature and cannot be retried; this only
     absorbs transient command failures.
     """
-    return _retrying(lambda: device.trim(lba, count), stats, attempts, writes=True)
+    try:
+        device.trim(lba, count)
+    except (TransientIOError, TornWriteError) as fault:
+        _retrying(fault, device.trim, (lba, count), stats, attempts, True)
 
 
 __all__ = [

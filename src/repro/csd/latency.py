@@ -8,6 +8,10 @@ paper quotes for the ScaleFlux drive:
 * 650K random 4KB read IOPS, 520K random 4KB write IOPS,
 * TLC/QLC flash read latency ~80 µs, program latency ~1 ms.
 
+The 520K write figure is a fresh drive taking pure writes; the model charges
+write requests at a sustained rate instead (``sustained_write_iops``), the
+steady state of a mixed load with a durability barrier per write.
+
 How long the device is busy for a stream of requests is modelled from
 bandwidth/IOPS limits applied to the appropriate byte counts — crucially, the
 flash back-end limit applies to *post-compression* bytes, which is why lower
@@ -34,10 +38,9 @@ class DeviceLatencyModel:
     flash_read_bandwidth: float = 2.6e9  # bytes/s of post-compression reads
     flash_write_bandwidth: float = 2.1e9  # bytes/s of post-compression writes
     read_iops: float = 650_000.0
-    write_iops: float = 520_000.0  # fresh-drive spec (100% span, pure writes)
     #: Sustained random-write IOPS under a mixed read/write load with
-    #: per-write durability barriers — far below the fresh-drive spec, as on
-    #: any SSD.  This is what steady-state write throughput is bound by.
+    #: per-write durability barriers — far below the 520K fresh-drive spec,
+    #: as on any SSD.  This is what steady-state write throughput is bound by.
     sustained_write_iops: float = 130_000.0
     flash_read_latency: float = 80 * _US  # first-byte latency of one flash read
     flush_latency: float = 5 * _US  # fsync round trip (power-loss-protected drive)

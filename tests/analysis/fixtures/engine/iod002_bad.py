@@ -8,9 +8,9 @@ def sneak(device) -> bytes:
     device._stable[3] = b"\x00" * 4096  # IOD002: private stable store
     device._pending.pop(3, None)  # IOD002: private pending journal
     device._journal_put(3, None)  # IOD002: private journal mutator
-    image = device._fetch(3)  # IOD002: unaccounted read path
+    device._check_range(3, 1)  # IOD002: internal validation helper
     device.ftl.record_write(3, 100)  # IOD002: direct FTL accounting
-    return image
+    return device.read_block(3)
 
 
 def sanctioned(device, lba: int, data: bytes) -> bytes:

@@ -35,7 +35,7 @@ def test_iod002_flags_private_device_access():
     findings = fixture_findings("engine/iod002_bad.py", rules_only("IOD002"))
     attrs = [f.message.split("`")[1] for f in findings]
     assert attrs == [
-        "._stable", "._pending", "._journal_put", "._fetch", ".ftl.record_write(...)",
+        "._stable", "._pending", "._journal_put", "._check_range", ".ftl.record_write(...)",
     ]
 
 

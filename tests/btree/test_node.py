@@ -87,7 +87,10 @@ def test_leaf_records_iteration(leaf):
 def test_leaf_records_from(leaf):
     for i in range(0, 10, 2):
         leaf.put(key(i), b"v")
-    assert [k for k, _ in leaf.records_from(key(3))] == [key(4), key(6), key(8)]
+    assert [k for k, _ in leaf.records_from(key(3), 10)] == [key(4), key(6), key(8)]
+    assert leaf.records_from(key(4), 2) == [(key(4), b"v"), (key(6), b"v")]
+    assert leaf.records_from(key(9), 10) == []
+    assert leaf.records_from(key(0), 0) == []
 
 
 def test_leaf_fills_then_rejects(leaf):
@@ -315,7 +318,9 @@ def _assert_leaf_fast_paths_match_accessors(leaf: LeafNode, probes: list) -> Non
     assert leaf.keys() == [leaf.key_at(i) for i in range(leaf.nslots)]
     for probe in probes:
         index, found = leaf._bisect(probe)
-        assert list(leaf.records_from(probe)) == _accessor_records(leaf, index)
+        expected = _accessor_records(leaf, index)
+        assert leaf.records_from(probe, leaf.nslots) == expected
+        assert leaf.records_from(probe, 3) == expected[:3]
         assert leaf.get(probe) == (leaf.value_at(index) if found else None)
     assert leaf.page.routing_keys in (None, leaf.keys())
 
@@ -324,8 +329,8 @@ def _assert_leaf_fast_paths_match_accessors(leaf: LeafNode, probes: list) -> Non
 @given(st.data())
 def test_property_leaf_fast_paths_match_slot_accessors(data):
     """``records`` / ``records_from`` / ``get`` / ``keys`` read the slot
-    directory and cell headers in one pass, and ``get`` / ``put`` search the
-    decoded key list once a leaf has one; ``key_at`` / ``value_at`` stay
+    directory and cell headers in one pass, and ``get`` / ``put`` /
+    ``records_from`` search the decoded key list once a leaf has one; ``key_at`` / ``value_at`` stay
     the reference, over histories that move cells every way a leaf can.
     Each edit meets the key list cold, searched once, or decoded."""
     leaf = LeafNode.create(4096, page_id=1)
@@ -364,7 +369,7 @@ def test_property_leaf_fast_paths_match_slot_accessors(data):
             pass  # a resize deletes before it re-inserts: k may be gone now
         live = set(leaf.keys())
         _assert_leaf_fast_paths_match_accessors(leaf, probes + [k])
-    assert list(leaf.records_from(key(200))) == []
+    assert leaf.records_from(key(200), leaf.nslots) == []
 
 
 def _probes(keys: list) -> list:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.csd.compression import ZlibCompressor
 from repro.csd.device import BLOCK_SIZE, CompressedBlockDevice
+from repro.csd.stats import DeviceStats
 from repro.errors import AlignmentError, CapacityError, FaultInjectionError, OutOfRangeError
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.sim.rng import DeterministicRng
@@ -287,6 +288,79 @@ def test_multi_block_read_is_one_io(device, rng):
     delta = device.stats.delta(snap)
     assert delta.read_ios == 1
     assert delta.blocks_read == 3
+
+
+#: One block in each state a read can meet, by LBA (see _read_path_device).
+_READ_STATES = (
+    "never written", "pending", "pending-trimmed", "all-zero pending",
+    "stable", "stable, pending TRIM", "stable, pending rewrite",
+    "pending multi-block write", "pending multi-block write",
+    "never written",
+)
+
+
+def _read_path_device(phase: str) -> CompressedBlockDevice:
+    """A device whose LBAs ``0..9`` hold :data:`_READ_STATES`, as built
+    (``phase="built"``), after ``flush`` or after ``simulate_crash``."""
+    rng = DeterministicRng(7)
+    device = CompressedBlockDevice(num_blocks=len(_READ_STATES), compressor=ZlibCompressor())
+    for lba in (4, 5, 6):  # stable first
+        device.write_block(lba, make_block(rng, 1000))
+    device.flush()
+    device.write_block(1, make_block(rng, 1000))
+    device.write_block(2, make_block(rng, 1000))
+    device.trim(2)
+    device.write_block(3, bytes(BLOCK_SIZE))
+    device.trim(5)
+    device.write_block(6, make_block(rng, 1000))
+    device.write_blocks(7, rng.random_bytes(2 * BLOCK_SIZE))  # memoryview chunks
+    if phase == "flush":
+        device.flush()
+    elif phase == "crash":
+        device.simulate_crash(survives=lambda lba: lba % 2 == 1)
+    return device
+
+
+def _reference_read(device: CompressedBlockDevice, lba: int, count: int):
+    """The per-block fetch rule: each block charges 4KB logical and its
+    live extent physical, and reads its pending journal entry (a TRIM
+    reads zeros), else its stable bytes, else zeros."""
+    blocks = []
+    physical = 0
+    for block in range(lba, lba + count):
+        physical += device.ftl.extent_size(block)
+        if block in device._pending:
+            data = device._pending[block]
+            blocks.append(bytes(BLOCK_SIZE) if data is None else bytes(data))
+        else:
+            blocks.append(device._stable.get(block, bytes(BLOCK_SIZE)))
+    stats = DeviceStats(
+        read_ios=1, blocks_read=count,
+        logical_bytes_read=count * BLOCK_SIZE, physical_bytes_read=physical,
+    )
+    return b"".join(blocks), stats
+
+
+@pytest.mark.parametrize("phase", ["built", "flush", "crash"])
+def test_read_path_matches_per_block_fetch_rule(phase):
+    """``read_block`` and ``read_blocks`` (counts 1-4) return the bytes and
+    charge every counter exactly as the per-block rule does, on blocks in
+    every state: never written, pending, pending-trimmed, all-zero
+    pending, stable, stable under a pending TRIM or rewrite."""
+    device = _read_path_device(phase)
+    reads = [(lba, None) for lba in range(device.num_blocks)]
+    reads += [
+        (lba, count)
+        for count in range(1, 5)
+        for lba in range(device.num_blocks - count + 1)
+    ]
+    for lba, count in reads:
+        expected, expected_stats = _reference_read(device, lba, count or 1)
+        before = device.stats.snapshot()
+        got = device.read_block(lba) if count is None else device.read_blocks(lba, count)
+        assert type(got) is bytes
+        assert got == expected, (phase, lba, count)
+        assert device.stats.delta(before) == expected_stats, (phase, lba, count)
 
 
 def test_single_block_io_counts_one_block(device, rng):

@@ -1,6 +1,7 @@
 """Unit tests for the programmable fault-injection layer."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.csd.faults import (
     ScriptedFault,
     read_block_retrying,
     read_blocks_retrying,
+    trim_retrying,
     write_block_retrying,
     write_blocks_retrying,
 )
@@ -372,3 +374,122 @@ def test_scripted_repeat_validation():
     with pytest.raises(FaultInjectionError):
         FaultPlan(scripted=(ScriptedFault(0, "transient-read", repeat=0),)
                   ).validate()
+
+
+# ------------------------------------------------------ retry-count matrix
+
+
+def _loop_retrying(op, stats, attempts, writes):
+    """The retry loop of the helpers' first form, kept as the oracle: each
+    attempt calls ``op()``, a closure over the device call."""
+    for remaining in range(attempts - 1, -1, -1):
+        try:
+            return op()
+        except TransientIOError:
+            if stats is not None:
+                if writes:
+                    stats.transient_write_retries += 1
+                else:
+                    stats.transient_read_retries += 1
+            if not remaining:
+                raise
+        except TornWriteError:
+            if not writes:
+                raise
+            if stats is not None:
+                stats.torn_write_retries += 1
+            if not remaining:
+                raise
+
+
+class _FaultScript:
+    """A device whose next I/O calls raise the scripted faults in order,
+    then pass through to a real device; ``ops`` counts every call."""
+
+    def __init__(self, faults):
+        self.inner = CompressedBlockDevice(num_blocks=16)
+        self.inner.write_blocks(0, block(1) + block(2))
+        self.faults = list(faults)
+        self.ops = 0
+
+    def _issue(self, method, *args):
+        self.ops += 1
+        if self.faults:
+            raise self.faults.pop(0)("scripted")
+        return getattr(self.inner, method)(*args)
+
+    def read_block(self, lba):
+        return self._issue("read_block", lba)
+
+    def read_blocks(self, lba, count):
+        return self._issue("read_blocks", lba, count)
+
+    def write_block(self, lba, data):
+        return self._issue("write_block", lba, data)
+
+    def write_blocks(self, lba, data):
+        return self._issue("write_blocks", lba, data)
+
+    def trim(self, lba, count=1):
+        return self._issue("trim", lba, count)
+
+
+#: Each helper, the device call its oracle makes, and whether it writes.
+_HELPERS = {
+    "read_block": (
+        lambda dev, stats, n: read_block_retrying(dev, 1, stats, n),
+        lambda dev: dev.read_block(1), False),
+    "read_blocks": (
+        lambda dev, stats, n: read_blocks_retrying(dev, 0, 2, stats, n),
+        lambda dev: dev.read_blocks(0, 2), False),
+    "write_block": (
+        lambda dev, stats, n: write_block_retrying(dev, 3, block(3), stats, n),
+        lambda dev: dev.write_block(3, block(3)), True),
+    "write_blocks": (
+        lambda dev, stats, n: write_blocks_retrying(dev, 4, block(4) + block(5), stats, n),
+        lambda dev: dev.write_blocks(4, block(4) + block(5)), True),
+    "trim": (
+        lambda dev, stats, n: trim_retrying(dev, 0, 2, stats, n),
+        lambda dev: dev.trim(0, 2), True),
+}
+
+
+def _fault_scripts(name):
+    """``k`` consecutive faults for every ``k`` in ``0..RETRY_ATTEMPTS``:
+    transient ones for every helper; torn, and torn mixed with transient,
+    for ``write_blocks``; a torn fault a read must not absorb."""
+    kinds = [[TransientIOError]]
+    if name == "write_blocks":
+        kinds += [[TornWriteError], [TornWriteError, TransientIOError]]
+    if name == "read_block":
+        kinds += [[TransientIOError, TornWriteError]]
+    for cycle in kinds:
+        for k in range(RETRY_ATTEMPTS + 1):
+            yield [cycle[i % len(cycle)] for i in range(k)]
+
+
+def _outcome(call, device, stats):
+    try:
+        result = ("returned", call())
+    except (TransientIOError, TornWriteError) as exc:
+        result = ("raised", type(exc))
+    return result, asdict(stats), device.ops, device.inner.stats
+
+
+@pytest.mark.parametrize("name", sorted(_HELPERS))
+def test_retry_helpers_match_the_loop_oracle(name):
+    """Every helper retries exactly as the closure-per-attempt loop does:
+    same result or fault raised, same counters, same device op count, for
+    ``k`` consecutive scripted faults and budgets of 1 and
+    :data:`RETRY_ATTEMPTS`."""
+    helper, device_call, writes = _HELPERS[name]
+    for script in _fault_scripts(name):
+        for attempts in (1, RETRY_ATTEMPTS):
+            device, stats = _FaultScript(script), FaultStats()
+            got = _outcome(lambda: helper(device, stats, attempts), device, stats)
+            device, stats = _FaultScript(script), FaultStats()
+            want = _outcome(
+                lambda: _loop_retrying(lambda: device_call(device), stats, attempts, writes),
+                device, stats,
+            )
+            assert got == want, (script, attempts)

@@ -135,8 +135,8 @@ def test_uncounted_retry_fails_the_fault_trial(monkeypatch):
     of the trial, not a clean run."""
     retrying = faults._retrying
 
-    def uncounted_writes(op, stats, attempts, writes):
-        return retrying(op, None if writes else stats, attempts, writes)
+    def uncounted_writes(fault, op, args, stats, attempts, writes):
+        return retrying(fault, op, args, None if writes else stats, attempts, writes)
 
     monkeypatch.setattr(faults, "_retrying", uncounted_writes)
     report = run_fault_trials(_make_suts()["bminus"], seed=2022, trials=1)
